@@ -31,8 +31,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory")
 
 
+class InputFileError(Exception):
+    """A --config or --params file could not be loaded."""
+
+
+def _read(loader, path):
+    """Load an input file, turning its ValueError into an InputFileError."""
+    try:
+        return loader(path)
+    except ValueError as exc:
+        raise InputFileError(f"cannot load {path}: {exc}") from exc
+
+
 def _load(args) -> harness.CaseConfig:
-    config = harness.load_config(args.config)
+    config = _read(harness.load_config, args.config)
     return config.with_overrides(seed=args.seed, shots=args.shots, mode=args.mode,
                                  qubits_per_param=args.qubits_per_param)
 
@@ -53,7 +65,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load(args)
-    surrogate = load_surrogate(args.params) if args.params else None
+    surrogate = _read(load_surrogate, args.params) if args.params else None
     report = harness.run_case(config, surrogate=surrogate)
     paths = harness.emit_report(report, args.out)
     result = report.result
@@ -179,6 +191,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
+        return 2
+    except InputFileError as exc:
+        print(exc, file=sys.stderr)
         return 2
 
 

@@ -6,6 +6,11 @@ zero-cost solution is marked even at epsilon = 0) get their amplitude sign
 flipped. Diffusion reflects amplitudes about their mean. The solution count
 m is read exactly off the cost table rather than estimated by quantum
 counting, and the iteration count follows K = floor(pi/4 * sqrt(M/m)).
+
+The search computes the amplified state in closed form (`amplified_state`):
+K rounds cost O(M), not O(K * M). `apply_oracle` and `apply_diffusion` are
+the gate-level rounds, kept as the reference that the tests check the closed
+form against; no pipeline path calls them.
 """
 
 from __future__ import annotations
@@ -120,13 +125,34 @@ def apply_diffusion(state: qsim.StateVector) -> qsim.StateVector:
 
 
 def amplified_state(n_qubits: int, marked: np.ndarray, iterations: int) -> qsim.StateVector:
-    """Uniform superposition after `iterations` oracle+diffusion rounds."""
-    amps = qsim.uniform_superposition(n_qubits).amps
-    signs = np.where(marked, -1.0, 1.0)
-    for _ in range(iterations):
-        amps *= signs
-        amps = 2.0 * amps.mean() - amps
-    return qsim.StateVector(n_qubits, amps)
+    """Uniform superposition after `iterations` oracle+diffusion rounds, in closed form.
+
+    The rounds never leave the plane of the uniform marked and uniform unmarked
+    states, so the result holds two amplitude values. With sin(theta) =
+    sqrt(m/M), K rounds leave sin((2K+1) theta)/sqrt(m) on every marked index
+    and cos((2K+1) theta)/sqrt(M-m) on every unmarked one (Boyer, Brassard,
+    Hoyer and Tapp 1998). With nothing marked the state stays uniform; with
+    everything marked each round negates it. The amplitudes are real and are
+    stored as float64. `apply_oracle` and `apply_diffusion` are the gate-level
+    reference that the tests compare this against.
+    """
+    qsim.check_capacity(n_qubits)
+    M = 1 << n_qubits
+    marked = np.asarray(marked, dtype=bool)
+    if marked.shape != (M,):
+        raise ValueError(f"marked mask of shape {marked.shape} does not match {M} states")
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    m = int(np.count_nonzero(marked))
+    if m == 0:
+        a = b = 1.0 / math.sqrt(M)
+    elif m == M:
+        a = b = (-1.0) ** iterations / math.sqrt(M)
+    else:
+        angle = (2 * iterations + 1) * math.asin(math.sqrt(m / M))
+        a = math.sin(angle) / math.sqrt(m)
+        b = math.cos(angle) / math.sqrt(M - m)
+    return qsim.StateVector(n_qubits, np.where(marked, a, b))
 
 
 def _best_outcome(counts: dict) -> int:

@@ -196,7 +196,28 @@ def config_to_dict(config: CaseConfig) -> dict:
     }
 
 
+_CONFIG_KEYS = ("case", "mode", "seed", "shots", "params", "model", "task", "weights",
+                "search", "qml", "baselines")
+
+
+def _check_keys(section: str, data: dict, allowed) -> None:
+    """Refuse a config key the loader would otherwise drop or choke on."""
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown config key {section + unknown[0]!r}")
+
+
+def _settings(cls, data: dict, section: str):
+    value = data.get(section, {})
+    _check_keys(section + ".", value, [f.name for f in dataclasses.fields(cls)])
+    return cls(**value)
+
+
 def config_from_dict(data: dict) -> CaseConfig:
+    """Build a CaseConfig; an unknown key anywhere raises a ValueError naming it."""
+    _check_keys("", data, _CONFIG_KEYS)
+    for i, p in enumerate(data["params"]):
+        _check_keys(f"params[{i}].", p, ("name", "min", "max", "qubits", "angular"))
     specs = tuple(
         ParamSpec(p["name"], float(p["min"]), float(p["max"]),
                   int(p["qubits"]), bool(p.get("angular", False)))
@@ -204,10 +225,13 @@ def config_from_dict(data: dict) -> CaseConfig:
     )
     m = data["model"]
     if m["type"] == "one_link":
+        _check_keys("model.", m, ("type", "l1"))
         model = OneLink(float(m.get("l1", 1.0)))
     elif m["type"] == "two_link":
+        _check_keys("model.", m, ("type", "l1", "l2"))
         model = TwoLink(float(m.get("l1", 1.0)), float(m.get("l2", 1.0)))
     elif m["type"] == "dual_arm":
+        _check_keys("model.", m, ("type", "base1", "base2", "links1", "links2"))
         model = DualArm(tuple(m.get("base1", (-0.8, 0.0))),
                         tuple(m.get("base2", (0.8, 0.0))),
                         tuple(m.get("links1", (1.0, 1.0))),
@@ -216,13 +240,16 @@ def config_from_dict(data: dict) -> CaseConfig:
         raise ValueError(f"unknown model type {m['type']!r}")
     t = data["task"]
     if t["type"] == "position":
+        _check_keys("task.", t, ("type", "target", "phi", "tolerance"))
         task = PoseTarget(tuple(t["target"]), t.get("phi"), t.get("tolerance"))
     elif t["type"] == "grasp":
+        _check_keys("task.", t, ("type", "center", "radius", "axis", "tolerance"))
         task = GraspTask(tuple(t["center"]), float(t["radius"]),
                          float(t.get("axis", 0.0)), tolerance=t.get("tolerance"))
     else:
         raise ValueError(f"unknown task type {t['type']!r}")
     w = data.get("weights", {})
+    _check_keys("weights.", w, ("alpha_p", "alpha_R", "epsilon"))
     weights = PoseWeights(float(w.get("alpha_p", 1.0)), float(w.get("alpha_R", 0.0)),
                           w.get("epsilon"))
     return CaseConfig(
@@ -234,9 +261,9 @@ def config_from_dict(data: dict) -> CaseConfig:
         mode=data.get("mode", "analytic"),
         shots=int(data.get("shots", 10000)),
         seed=int(data.get("seed", 0)),
-        search=SearchSettings(**data.get("search", {})),
-        qml=QmlSettings(**data.get("qml", {})),
-        baselines=BaselineSettings(**data.get("baselines", {})),
+        search=_settings(SearchSettings, data, "search"),
+        qml=_settings(QmlSettings, data, "qml"),
+        baselines=_settings(BaselineSettings, data, "baselines"),
     )
 
 

@@ -359,7 +359,7 @@ def load_surrogate(path) -> Surrogate:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0].split() != ["qkinopt-surrogate", "1"]:
-        raise ValueError(f"{path}: not a surrogate parameter file")
+        raise ValueError("not a surrogate parameter file")
     _, nq, _, nl = lines[1].split()
     inputs, readout, params = [], [], []
     section = "maps"
@@ -375,7 +375,7 @@ def load_surrogate(path) -> Surrogate:
                 inputs.append((tuple(int(q) for q in qubits.split(",")),
                                float(lo), float(hi), flag == ["angular"]))
             else:
-                raise ValueError(f"{path}: map line {ln!r} is not in the current format "
+                raise ValueError(f"map line {ln!r} is not in the current format "
                                  "(an input line ends in angular|linear); retrain the surrogate")
         else:
             params.append(float(ln))

@@ -1,10 +1,13 @@
 """Dense statevector simulator.
 
-Amplitudes are stored as a dense complex128 array indexed by basis integer,
+Amplitudes are stored as a dense array indexed by basis integer,
 little-endian qubit order: qubit 0 is the least significant bit of the basis
-index. All gate kernels operate on the last axis of an array, so they also
-accept batches of states shaped ``(..., 2**n_qubits)``; vectorised
-application is element-wise identical to sequential per-index updates.
+index. States built by gates are complex128. Grover states
+(`grover.amplified_state`) have real amplitudes and are stored as float64;
+measurement and expectations accept either. All gate kernels operate on the
+last axis of an array, so they also accept batches of states shaped
+``(..., 2**n_qubits)``; vectorised application is element-wise identical to
+sequential per-index updates.
 
 Gates preserve the norm up to floating-point drift. Drift beyond
 ``NORM_TOL`` indicates a bug, not numerics, so nothing renormalises by
@@ -13,6 +16,7 @@ default (``apply_circuit`` takes an opt-in flag).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
@@ -114,7 +118,7 @@ class StateVector:
         return StateVector(self.n_qubits, self.amps.copy())
 
 
-def _check_capacity(n_qubits: int, cap: int) -> None:
+def check_capacity(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> None:
     if not 1 <= n_qubits <= cap:
         raise CapacityError(
             f"n_qubits={n_qubits} outside supported range [1, {cap}]"
@@ -123,7 +127,7 @@ def _check_capacity(n_qubits: int, cap: int) -> None:
 
 def new_zero_state(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
     """|0...0>: amplitude 1 at index 0."""
-    _check_capacity(n_qubits, cap)
+    check_capacity(n_qubits, cap)
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(n_qubits, amps)
@@ -131,7 +135,7 @@ def new_zero_state(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
 
 def uniform_superposition(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
     """Equal real amplitude 1/sqrt(2^n) on every basis index."""
-    _check_capacity(n_qubits, cap)
+    check_capacity(n_qubits, cap)
     dim = 1 << n_qubits
     amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     return StateVector(n_qubits, amps)
@@ -161,10 +165,17 @@ def apply_cnot(amps: np.ndarray, control: int, target: int,
         raise IndexError(f"qubit {target} out of range for {n_qubits} qubits")
     if control == target:
         raise ValueError("CNOT control and target must differ")
-    idx = np.arange(amps.shape[-1])
-    src = np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
-    amps[...] = amps[..., src]
+    amps[...] = amps[..., _cnot_source(control, target, n_qubits)]
     return amps
+
+
+@functools.lru_cache(maxsize=64)
+def _cnot_source(control: int, target: int, n_qubits: int) -> np.ndarray:
+    """Source index of every basis index under CNOT; read-only, shared by callers."""
+    idx = np.arange(1 << n_qubits)
+    src = np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
+    src.flags.writeable = False
+    return src
 
 
 def _apply_gate_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:

@@ -42,6 +42,35 @@ def test_run_capacity_message(config_path, tmp_path, capsys):
     assert "capacity error" in capsys.readouterr().err
 
 
+def test_unknown_config_key_exits_cleanly(tmp_path, capsys):
+    data = harness.config_to_dict(one_dof_case())
+    data["search"]["shrnk"] = 0.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert "'search.shrnk'" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_old_format_params_exit_cleanly(tiny_config_path, tmp_path, capsys):
+    train_out = tmp_path / "t"
+    main(["train", "--config", tiny_config_path, "--out", str(train_out)])
+    params = train_out / "surrogate.params"
+    # the flagless single-qubit input line of the old surrogate format
+    lines = ["input 0 0.1 2.0" if ln.startswith("input ") else ln
+             for ln in params.read_text().splitlines()]
+    params.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["run", "--config", tiny_config_path, "--out", str(tmp_path / "r"),
+                 "--params", str(params)])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert str(params) in err and "current format" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_train_writes_params(tiny_config_path, tmp_path):
     out = tmp_path / "train"
     assert main(["train", "--config", tiny_config_path, "--out", str(out)]) == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkinopt import qsim
 from qkinopt.encoding import ParamGrid, ParamSpec, decode, encode
@@ -174,6 +176,57 @@ class TestDiffusion:
         out = apply_diffusion(apply_diffusion(state))
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-12)
         assert abs(out.norm() - 1.0) <= 1e-12
+
+
+def dense_rounds(n, marked, K):
+    """Gate-level reference: K rounds of apply_oracle then apply_diffusion."""
+    oracle = OracleSpec(np.where(marked, 0.0, 1.0), 0.5)
+    state = qsim.uniform_superposition(n)
+    for _ in range(K):
+        state = apply_diffusion(apply_oracle(state, oracle))
+    return state
+
+
+@st.composite
+def marked_rounds(draw):
+    """(n, marked mask, K) with m from 0 to M and K up to twice the schedule plus 2."""
+    n = draw(st.integers(1, 10))
+    M = 1 << n
+    m = draw(st.sampled_from([0, M]) | st.integers(0, M))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    marked = np.zeros(M, dtype=bool)
+    marked[rng.choice(M, m, replace=False)] = True
+    K = draw(st.integers(0, 2 * iteration_count(M, max(m, 1)) + 2))
+    return n, marked, K
+
+
+class TestClosedForm:
+    @settings(max_examples=200, deadline=None)
+    @given(marked_rounds())
+    def test_matches_gate_level_rounds(self, case):
+        n, marked, K = case
+        state = amplified_state(n, marked, K)
+        assert state.amps.dtype == np.float64
+        np.testing.assert_allclose(state.amps, dense_rounds(n, marked, K).amps,
+                                   rtol=0, atol=1e-12)
+
+    def test_large_register(self):
+        n, M = 22, 1 << 22
+        marked = np.zeros(M, dtype=bool)
+        marked[np.random.default_rng(4).choice(M, 5, replace=False)] = True
+        K = iteration_count(M, 5)
+        state = amplified_state(n, marked, K)
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert float(state.probabilities()[marked].sum()) == pytest.approx(
+            success_probability_analytic(M, 5, K), abs=1e-12)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            amplified_state(3, np.zeros(4, dtype=bool), 1)
+        with pytest.raises(ValueError):
+            amplified_state(2, np.zeros(4, dtype=bool), -1)
+        with pytest.raises(qsim.CapacityError):
+            amplified_state(25, np.zeros(2, dtype=bool), 1)
 
 
 class TestGroverSearch:

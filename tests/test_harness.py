@@ -224,6 +224,17 @@ class TestConfigSerialization:
         with pytest.raises(ValueError):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("section, key", [
+        (None, "shot"), ("search", "shrnk"), ("qml", "epoch"), ("baselines", "seeds"),
+        ("weights", "alpha"), ("model", "l3"), ("task", "tol"),
+    ])
+    def test_from_dict_names_unknown_key(self, section, key):
+        data = config_to_dict(one_dof_case())
+        (data if section is None else data[section])[key] = 1
+        name = key if section is None else f"{section}.{key}"
+        with pytest.raises(ValueError, match=f"unknown config key '{name}'"):
+            config_from_dict(data)
+
     def test_overrides(self):
         config = one_dof_case().with_overrides(seed=42, shots=123, mode="surrogate",
                                                qubits_per_param=3)
