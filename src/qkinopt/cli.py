@@ -20,8 +20,8 @@ from .qml import load_surrogate, save_surrogate
 from .qsim import CapacityError
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="case config JSON file")
+def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
+    parser.add_argument("--config", required=config_required, help="case config JSON file")
     parser.add_argument("--seed", type=int, default=None, help="override run seed")
     parser.add_argument("--shots", type=int, default=None, help="override shot count")
     parser.add_argument("--mode", choices=("surrogate", "analytic"), default=None,
@@ -116,6 +116,10 @@ def _cmd_compare(args) -> int:
                 "evals_over_grover": run.evaluations / grover_queries,
             })
     else:
+        if args.config is None:
+            print("compare needs --config unless --report and --baselines are both given",
+                  file=sys.stderr)
+            return 2
         config = _load(args)
         report = harness.run_case(config)
         runs = harness.run_baselines(config)
@@ -172,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("compare", help="build the method comparison table")
-    _add_common(p)
+    _add_common(p, config_required=False)
     p.add_argument("--report", default=None, help="existing report.json to merge")
     p.add_argument("--baselines", default=None, help="existing baselines.json to merge")
     p.set_defaults(func=_cmd_compare)

@@ -207,6 +207,18 @@ def _check_keys(section: str, data: dict, allowed) -> None:
         raise ValueError(f"unknown config key {section + unknown[0]!r}")
 
 
+def _require(section: str, data: dict, *keys: str) -> None:
+    """Refuse a config that lacks a key the loader has no default for."""
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"missing config key {section + key!r}")
+
+
+def _check_finite(key: str, values) -> None:
+    if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+        raise ValueError(f"config key {key!r} must be finite, got {values!r}")
+
+
 def _settings(cls, data: dict, section: str):
     value = data.get(section, {})
     _check_keys(section + ".", value, [f.name for f in dataclasses.fields(cls)])
@@ -214,16 +226,20 @@ def _settings(cls, data: dict, section: str):
 
 
 def config_from_dict(data: dict) -> CaseConfig:
-    """Build a CaseConfig; an unknown key anywhere raises a ValueError naming it."""
+    """Build a CaseConfig. An unknown or missing key, a non-finite task
+    target and a shrink factor outside (0, 1) raise a ValueError naming the key."""
     _check_keys("", data, _CONFIG_KEYS)
+    _require("", data, "params", "model", "task")
     for i, p in enumerate(data["params"]):
         _check_keys(f"params[{i}].", p, ("name", "min", "max", "qubits", "angular"))
+        _require(f"params[{i}].", p, "name", "min", "max", "qubits")
     specs = tuple(
         ParamSpec(p["name"], float(p["min"]), float(p["max"]),
                   int(p["qubits"]), bool(p.get("angular", False)))
         for p in data["params"]
     )
     m = data["model"]
+    _require("model.", m, "type")
     if m["type"] == "one_link":
         _check_keys("model.", m, ("type", "l1"))
         model = OneLink(float(m.get("l1", 1.0)))
@@ -239,11 +255,17 @@ def config_from_dict(data: dict) -> CaseConfig:
     else:
         raise ValueError(f"unknown model type {m['type']!r}")
     t = data["task"]
+    _require("task.", t, "type")
     if t["type"] == "position":
         _check_keys("task.", t, ("type", "target", "phi", "tolerance"))
+        _require("task.", t, "target")
+        _check_finite("task.target", t["target"])
         task = PoseTarget(tuple(t["target"]), t.get("phi"), t.get("tolerance"))
     elif t["type"] == "grasp":
         _check_keys("task.", t, ("type", "center", "radius", "axis", "tolerance"))
+        _require("task.", t, "center", "radius")
+        _check_finite("task.center", t["center"])
+        _check_finite("task.radius", t["radius"])
         task = GraspTask(tuple(t["center"]), float(t["radius"]),
                          float(t.get("axis", 0.0)), tolerance=t.get("tolerance"))
     else:
@@ -252,6 +274,9 @@ def config_from_dict(data: dict) -> CaseConfig:
     _check_keys("weights.", w, ("alpha_p", "alpha_R", "epsilon"))
     weights = PoseWeights(float(w.get("alpha_p", 1.0)), float(w.get("alpha_R", 0.0)),
                           w.get("epsilon"))
+    search = _settings(SearchSettings, data, "search")
+    if not 0 < search.shrink < 1:
+        raise ValueError(f"config key 'search.shrink' must be in (0, 1), got {search.shrink!r}")
     return CaseConfig(
         case=data.get("case", "custom"),
         grid=ParamGrid(specs),
@@ -261,7 +286,7 @@ def config_from_dict(data: dict) -> CaseConfig:
         mode=data.get("mode", "analytic"),
         shots=int(data.get("shots", 10000)),
         seed=int(data.get("seed", 0)),
-        search=_settings(SearchSettings, data, "search"),
+        search=search,
         qml=_settings(QmlSettings, data, "qml"),
         baselines=_settings(BaselineSettings, data, "baselines"),
     )

@@ -14,8 +14,12 @@ input on several qubits gives each readout its own copy: <Z> and <X> of one
 qubit, which carry cos(theta) and sin(theta), are not jointly measurable.
 
 Gradients use the parameter-shift rule (+-pi/2 shifts of each rotation
-angle, combined through the chain rule of the squared loss); training is
-full-batch Adam seeded for reproducibility.
+angle, combined through the chain rule of the squared loss). All 2P+1
+circuits of one gradient run as one pass over a stack of states, where the
+shifted copies of a parameter branch off the unshifted circuit at its gate.
+Training rows go through in blocks, so the stack holds (2P+1) * rows * 2^n
+complex values, at most GRADIENT_BLOCK_AMPS unless one row alone needs more.
+Training is full-batch Adam seeded for reproducibility.
 
 This module also builds the diagonal cost table that the search oracle
 consumes: one task cost per basis state, evaluated with either the trained
@@ -47,6 +51,9 @@ from .kinematics import (
 TWO_PI = 2.0 * math.pi
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+# complex values in one gradient stack (1 MiB): it stays in cache, and on the
+# 65,536-row two_dof grid larger blocks measured both slower and heavier
+GRADIENT_BLOCK_AMPS = 1 << 16
 
 
 class TrainingError(RuntimeError):
@@ -205,39 +212,50 @@ def _z_signs(n_qubits: int, qubit: int) -> np.ndarray:
     return 1.0 - 2.0 * ((idx >> qubit) & 1)
 
 
-def _predict_batch(surrogate: Surrogate, Z: np.ndarray,
-                   params: Optional[np.ndarray] = None) -> np.ndarray:
-    """Vectorised prediction over a (B, d) batch; returns (B, n_outputs)."""
+def _input_states(surrogate: Surrogate, Z: np.ndarray) -> np.ndarray:
+    """(B, 2^n) complex128 input states of a (B, d) batch.
+
+    The uploads act on |0...0>, so each row's input state is a product of one
+    RY(a)|0> = cos(a/2)|0> + sin(a/2)|1> factor per qubit, where a sums the
+    angles uploaded on that qubit.
+    """
     n = surrogate.ansatz.n_qubits
-    theta = surrogate.params if params is None else params
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if Z.shape[1] != surrogate.n_inputs:
         raise ValueError(f"expected {surrogate.n_inputs} inputs per row, got {Z.shape[1]}")
-    B = Z.shape[0]
-
-    # the uploads act on |0...0>, so each row's input state is a product of
-    # one RY(a)|0> = cos(a/2)|0> + sin(a/2)|1> factor per qubit, where a sums
-    # the angles uploaded on that qubit
     uploads = np.zeros((surrogate.n_inputs, n))
     for i, (qubits, *_) in enumerate(surrogate.input_map):
         uploads[i, list(qubits)] = 1.0
     half = input_angles(surrogate, Z) @ uploads / 2.0
     cos, sin = np.cos(half), np.sin(half)
-    amps = np.ones((B, 1))
+    amps = np.ones((Z.shape[0], 1))
     for q in range(n):  # qubit q becomes the high bit of the index so far
         amps = np.concatenate([amps * cos[:, q:q + 1], amps * sin[:, q:q + 1]], axis=1)
-    amps = amps.astype(np.complex128)
-    for gate in surrogate.ansatz.gates(theta):
-        qsim._apply_gate_inplace(amps, gate, n)
+    return amps.astype(np.complex128)
 
+
+def _readout(surrogate: Surrogate, amps: np.ndarray) -> np.ndarray:
+    """Outputs (..., n_outputs) of states (..., 2^n): each readout's <Z>
+    mapped affinely onto its interval."""
+    n = surrogate.ansatz.n_qubits
     probs = np.abs(amps) ** 2
-    out = np.empty((B, surrogate.n_outputs))
+    out = np.empty(amps.shape[:-1] + (surrogate.n_outputs,))
     for j, (qubit, lo, hi) in enumerate(surrogate.readout):
-        # fixed-order pairwise row sum: batch rows reduce identically whether
-        # predicted one at a time or all at once
-        z_expect = (probs * _z_signs(n, qubit)).sum(axis=1)
-        out[:, j] = lo + (z_expect + 1.0) / 2.0 * (hi - lo)
+        # fixed-order pairwise sum over the last axis: a state reduces
+        # identically whatever batch or stack it sits in
+        z_expect = (probs * _z_signs(n, qubit)).sum(axis=-1)
+        out[..., j] = lo + (z_expect + 1.0) / 2.0 * (hi - lo)
     return out
+
+
+def _predict_batch(surrogate: Surrogate, Z: np.ndarray,
+                   params: Optional[np.ndarray] = None) -> np.ndarray:
+    """Vectorised prediction over a (B, d) batch; returns (B, n_outputs)."""
+    theta = surrogate.params if params is None else params
+    amps = _input_states(surrogate, Z)
+    for gate in surrogate.ansatz.gates(theta):
+        qsim._apply_gate_inplace(amps, gate, surrogate.ansatz.n_qubits)
+    return _readout(surrogate, amps)
 
 
 def predict(surrogate: Surrogate, z: Sequence[float]) -> np.ndarray:
@@ -287,19 +305,39 @@ def gradient(surrogate: Surrogate, data: TrainingSet,
     For each rotation angle theta_j the prediction derivative is
     (pred(theta_j + pi/2) - pred(theta_j - pi/2)) / 2; the squared-loss chain
     rule contributes 2 * (pred - label).
+
+    All 2P+1 circuits run in one pass over a stack of states: slot 0 holds
+    the circuit at theta, and the two shifted copies of parameter j are
+    copied from slot 0 just before theta_j's gate, so they share the gates
+    before it. Training rows go through in blocks of the most rows (one at
+    least) that keep the stack's (2P+1) * rows * 2^n complex values within
+    GRADIENT_BLOCK_AMPS. The result is bit-identical to 2P+1 separate
+    `_predict_batch` passes.
     """
     theta = np.asarray(surrogate.params if params is None else params, dtype=float)
-    resid = _predict_batch(surrogate, data.inputs, theta) - data.labels
-    grad = np.empty(theta.size)
-    for j in range(theta.size):
-        plus = theta.copy()
-        plus[j] += math.pi / 2
-        minus = theta.copy()
-        minus[j] -= math.pi / 2
-        dpred = (_predict_batch(surrogate, data.inputs, plus)
-                 - _predict_batch(surrogate, data.inputs, minus))
-        grad[j] = float(np.mean(np.sum(resid * dpred, axis=1)))
-    return grad
+    n = surrogate.ansatz.n_qubits
+    slots = 2 * theta.size + 1
+    rows = max(1, GRADIENT_BLOCK_AMPS // (slots << n))
+    circuits = [surrogate.ansatz.gates(t)
+                for t in (theta, theta + math.pi / 2, theta - math.pi / 2)]
+    pred = np.empty((slots, data.inputs.shape[0], surrogate.n_outputs))
+    for start in range(0, data.inputs.shape[0], rows):
+        block = data.inputs[start:start + rows]
+        amps = np.empty((slots, block.shape[0], 1 << n), dtype=np.complex128)
+        amps[0] = _input_states(surrogate, block)
+        live = 1
+        for gate, plus, minus in zip(*circuits):
+            if isinstance(gate, qsim.CNOT):  # the ansatz's only gate without a parameter
+                qsim._apply_gate_inplace(amps[:live], gate, n)
+                continue
+            amps[live:live + 2] = amps[0]
+            qsim._apply_gate_inplace(amps[:live], gate, n)
+            qsim._apply_gate_inplace(amps[live], plus, n)
+            qsim._apply_gate_inplace(amps[live + 1], minus, n)
+            live += 2
+        pred[:, start:start + block.shape[0]] = _readout(surrogate, amps)
+    resid = pred[0] - data.labels
+    return np.mean(np.sum(resid * (pred[1::2] - pred[2::2]), axis=2), axis=1)
 
 
 def train(surrogate: Surrogate, data: TrainingSet, epochs: int = 200,

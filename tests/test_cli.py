@@ -54,6 +54,23 @@ def test_unknown_config_key_exits_cleanly(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("edit, name", [
+    (lambda data: data.pop("task"), "'task'"),
+    (lambda data: data["search"].update(shrink=1.5), "'search.shrink'"),
+    (lambda data: data["task"].update(target=[float("nan"), 0.6]), "'task.target'"),
+], ids=["missing_task", "shrink_above_one", "nan_target"])
+def test_invalid_config_exits_cleanly(edit, name, tmp_path, capsys):
+    data = harness.config_to_dict(one_dof_case())
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert name in err
+    assert len(err.splitlines()) == 1
+
+
 def test_old_format_params_exit_cleanly(tiny_config_path, tmp_path, capsys):
     train_out = tmp_path / "t"
     main(["train", "--config", tiny_config_path, "--out", str(train_out)])
@@ -106,6 +123,22 @@ def test_baseline_then_compare_merges(config_path, tmp_path):
     assert len(lines) == 6
     methods = [line.split(",")[0] for line in lines[1:]]
     assert methods == ["grover", "nelder_mead", "quasi_newton", "pso", "exhaustive"]
+
+
+def test_compare_merges_without_config(config_path, tmp_path, capsys):
+    report, baselines = tmp_path / "q" / "report.json", tmp_path / "c" / "baselines.json"
+    assert main(["run", "--config", config_path, "--out", str(report.parent)]) == 0
+    assert main(["baseline", "--config", config_path, "--out", str(baselines.parent)]) == 0
+    merge = ["compare", "--report", str(report), "--baselines", str(baselines)]
+    assert main(merge + ["--out", str(tmp_path / "m")]) == 0
+    assert main(merge + ["--config", config_path, "--out", str(tmp_path / "mc")]) == 0
+    assert ((tmp_path / "m" / "comparison.csv").read_bytes()
+            == (tmp_path / "mc" / "comparison.csv").read_bytes())
+    capsys.readouterr()
+    code = main(["compare", "--report", str(report), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert "--config" in err and len(err.splitlines()) == 1
 
 
 def test_compare_from_config_runs_everything(config_path, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,41 @@ class TestConfigSerialization:
         (data if section is None else data[section])[key] = 1
         name = key if section is None else f"{section}.{key}"
         with pytest.raises(ValueError, match=f"unknown config key '{name}'"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("case, path, name", [
+        (one_dof_case, ("params",), "params"),
+        (one_dof_case, ("model",), "model"),
+        (one_dof_case, ("task",), "task"),
+        (one_dof_case, ("params", 1, "qubits"), "params[1].qubits"),
+        (one_dof_case, ("model", "type"), "model.type"),
+        (one_dof_case, ("task", "type"), "task.type"),
+        (one_dof_case, ("task", "target"), "task.target"),
+        (dual_arm_case, ("task", "center"), "task.center"),
+        (dual_arm_case, ("task", "radius"), "task.radius"),
+    ], ids=["params", "model", "task", "params[1].qubits", "model.type", "task.type",
+            "task.target", "task.center", "task.radius"])
+    def test_from_dict_names_missing_key(self, case, path, name):
+        data = config_to_dict(case())
+        section = data
+        for part in path[:-1]:
+            section = section[part]
+        del section[path[-1]]
+        with pytest.raises(ValueError, match=re.escape(f"missing config key '{name}'")):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("case, section, key, value", [
+        (one_dof_case, "search", "shrink", 1.5),
+        (one_dof_case, "search", "shrink", 0.0),
+        (one_dof_case, "search", "shrink", float("nan")),
+        (one_dof_case, "task", "target", [0.8, float("inf")]),
+        (dual_arm_case, "task", "center", [float("nan"), 1.2]),
+        (dual_arm_case, "task", "radius", float("nan")),
+    ], ids=["shrink_1.5", "shrink_0", "shrink_nan", "target_inf", "center_nan", "radius_nan"])
+    def test_from_dict_refuses_bad_value(self, case, section, key, value):
+        data = config_to_dict(case())
+        data[section][key] = value
+        with pytest.raises(ValueError, match=f"config key '{section}.{key}' must be"):
             config_from_dict(data)
 
     def test_overrides(self):

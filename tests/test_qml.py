@@ -1,9 +1,12 @@
+import collections
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qkinopt import qsim
+from qkinopt import harness, qml, qsim
 from qkinopt.encoding import ParamGrid, ParamSpec, decode, decode_all
 from qkinopt.kinematics import OneLink, PoseTarget, PoseWeights, TwoLink, fk_one, pose_cost
 from qkinopt.qml import (
@@ -219,6 +222,78 @@ class TestGradient:
         assert np.all(np.abs(g) <= 1e-9)
 
 
+def separate_shift_passes(s, data, theta):
+    """Reference: one `_predict_batch` pass at theta and at theta +- pi/2 e_j."""
+    resid = qml._predict_batch(s, data.inputs, theta) - data.labels
+    grad = np.empty(theta.size)
+    for j in range(theta.size):
+        plus = theta.copy()
+        plus[j] += math.pi / 2
+        minus = theta.copy()
+        minus[j] -= math.pi / 2
+        dpred = (qml._predict_batch(s, data.inputs, plus)
+                 - qml._predict_batch(s, data.inputs, minus))
+        grad[j] = float(np.mean(np.sum(resid * dpred, axis=1)))
+    return grad
+
+
+def random_training_set(rng, rows):
+    # lengths run past the grid's [0.1, 2.0] so clamping is exercised too
+    Z = np.column_stack([rng.uniform(0.0, 2.2, rows), rng.uniform(0.0, TWO_PI, rows)])
+    return TrainingSet(Z, rng.uniform(-2.0, 2.0, size=(rows, 2)))
+
+
+class TestStackedGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 40),
+           st.integers(0, 2**32 - 1))
+    def test_equals_separate_passes_bit_for_bit(self, n_qubits, n_layers, rows, seed):
+        rng = np.random.default_rng(seed)
+        s, _ = random_surrogate(rng, n_qubits=n_qubits, n_layers=n_layers)
+        data = random_training_set(rng, rows)
+        expected = separate_shift_passes(s, data, s.params)
+        assert gradient(s, data).tobytes() == expected.tobytes()
+
+    def test_row_blocks_equal_separate_passes(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        s, _ = random_surrogate(rng, n_qubits=3, n_layers=2)
+        data = random_training_set(rng, 20)
+        slots = 2 * s.ansatz.parameter_count + 1
+        monkeypatch.setattr(qml, "GRADIENT_BLOCK_AMPS", 3 * slots * 8)  # 3 rows of 2^3 amplitudes
+        block_rows = []
+        input_states = qml._input_states
+
+        def recording(surrogate, Z):
+            block_rows.append(len(Z))
+            return input_states(surrogate, Z)
+
+        monkeypatch.setattr(qml, "_input_states", recording)
+        got = gradient(s, data)
+        assert block_rows == [3] * 6 + [2]
+        assert got.tobytes() == separate_shift_passes(s, data, s.params).tobytes()
+
+    def test_stack_within_budget_on_shipped_two_dof(self, monkeypatch):
+        # the shipped two_dof surrogate trains on its whole 2^16-row grid: unblocked,
+        # its 33-slot stack would hold 33 * 65536 * 16 complex values (553 MB)
+        config = harness.load_config("configs/two_dof.json")
+        s = make_surrogate(config.grid, config.model, n_layers=config.qml.n_layers,
+                           n_qubits=config.qml.n_qubits)
+        data = TrainingSet.from_grid(config.grid, config.model)
+        assert data.inputs.shape[0] == 65536
+        sizes = []
+
+        def recording(kernel):
+            def run(amps, *args):
+                sizes.append(amps.size)
+                return kernel(amps, *args)
+            return run
+
+        for name in ("apply_single_qubit", "apply_cnot"):
+            monkeypatch.setattr(qsim, name, recording(getattr(qsim, name)))
+        gradient(s, data)
+        assert 0 < max(sizes) <= qml.GRADIENT_BLOCK_AMPS
+
+
 class TestTrain:
     def make_data(self, grid):
         return TrainingSet.from_grid(grid, OneLink())
@@ -244,6 +319,23 @@ class TestTrain:
         _, t1 = train(s, data, epochs=8, learning_rate=0.2, seed=9)
         _, t2 = train(s, data, epochs=8, learning_rate=0.2, seed=9)
         np.testing.assert_array_equal(t1, t2)
+
+    def test_one_gradient_and_loss_per_epoch(self, monkeypatch):
+        # benchmarks count epochs as module-level `gradient` calls
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def run(*args):
+                calls[name] += 1
+                return fn(*args)
+            return run
+
+        for name in ("gradient", "loss"):
+            monkeypatch.setattr(qml, name, counted(name, getattr(qml, name)))
+        grid = one_dof_grid(2)
+        s = make_surrogate(grid, OneLink(), n_qubits=4)
+        train(s, self.make_data(grid), epochs=7, learning_rate=0.2, seed=3)
+        assert calls == {"gradient": 7, "loss": 8}
 
     def test_validation(self):
         grid = one_dof_grid(2)
