@@ -14,7 +14,6 @@ from .grover import (
     NoSolutionError,
     OracleSpec,
     SearchResult,
-    adaptive_search,
     grover_search,
     iteration_count,
     success_probability_analytic,
@@ -64,7 +63,6 @@ __all__ = [
     "Surrogate",
     "TrainingSet",
     "TwoLink",
-    "adaptive_search",
     "bin_width",
     "build_ansatz",
     "build_cost_table",

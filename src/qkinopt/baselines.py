@@ -17,8 +17,6 @@ import numpy as np
 
 from .encoding import ParamGrid, decode_all
 
-TWO_PI = 2.0 * math.pi
-
 
 class Objective:
     """Counting wrapper around a cost function on a box domain."""
@@ -42,7 +40,7 @@ class Objective:
         out = np.array(x, dtype=float)
         for i, ((lo, hi), ang) in enumerate(zip(self.bounds, self.angular)):
             if ang:
-                out[i] = lo + np.mod(out[i] - lo, TWO_PI)
+                out[i] = lo + np.mod(out[i] - lo, math.tau)
             else:
                 out[i] = min(max(out[i], lo), hi)
         return out

@@ -16,6 +16,7 @@ import os
 import sys
 
 from . import harness
+from .grover import NoSolutionError
 from .qml import load_surrogate, save_surrogate
 from .qsim import CapacityError
 
@@ -31,22 +32,25 @@ def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -
     parser.add_argument("--out", default="out", help="output directory")
 
 
-class InputFileError(Exception):
-    """A --config or --params file could not be loaded."""
+class InputError(Exception):
+    """A --config or --params file, or a command-line override, was refused."""
 
 
 def _read(loader, path):
-    """Load an input file, turning its ValueError into an InputFileError."""
+    """Load an input file, turning its ValueError into an InputError."""
     try:
         return loader(path)
     except ValueError as exc:
-        raise InputFileError(f"cannot load {path}: {exc}") from exc
+        raise InputError(f"cannot load {path}: {exc}") from exc
 
 
 def _load(args) -> harness.CaseConfig:
     config = _read(harness.load_config, args.config)
-    return config.with_overrides(seed=args.seed, shots=args.shots, mode=args.mode,
-                                 qubits_per_param=args.qubits_per_param)
+    try:
+        return config.with_overrides(seed=args.seed, shots=args.shots, mode=args.mode,
+                                     qubits_per_param=args.qubits_per_param)
+    except ValueError as exc:
+        raise InputError(f"invalid override: {exc}") from exc
 
 
 def _cmd_train(args) -> int:
@@ -97,39 +101,23 @@ def _cmd_baseline(args) -> int:
 def _cmd_compare(args) -> int:
     if args.report and args.baselines:
         with open(args.report) as fh:
-            quantum = json.load(fh)
+            report = json.load(fh)
         runs = harness.load_optruns(args.baselines)
-        grover_queries = max(quantum["queries_final"], 1)
-        rows = [{
-            "method": "grover",
-            "evaluations": quantum["queries_final"],
-            "best_cost": quantum["analytic_best_cost"],
-            "accepted": bool(quantum["result"]["accepted"]),
-            "evals_over_grover": quantum["queries_final"] / grover_queries,
-        }]
-        for run in runs:
-            rows.append({
-                "method": run.method,
-                "evaluations": run.evaluations,
-                "best_cost": run.best_cost,
-                "accepted": run.converged,
-                "evals_over_grover": run.evaluations / grover_queries,
-            })
     else:
         if args.config is None:
             print("compare needs --config unless --report and --baselines are both given",
                   file=sys.stderr)
             return 2
         config = _load(args)
-        report = harness.run_case(config)
+        quantum = harness.run_case(config)
         runs = harness.run_baselines(config)
-        rows = harness.compare(report, runs)
-        harness.emit_report(report, args.out)
+        harness.emit_report(quantum, args.out)
         harness.write_optruns(runs, os.path.join(args.out, "baselines.json"))
+        report = quantum.to_dict()
+    rows = harness.compare(report, runs)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "comparison.csv")
-    header = ["method", "evaluations", "best_cost", "accepted", "evals_over_grover"]
-    harness.write_csv(path, header, [[row[h] for h in header] for row in rows])
+    harness.write_comparison(path, rows)
     for row in rows:
         print(f"{row['method']}: {row['evaluations']} evals, "
               f"best {row['best_cost']:.6g}, x{row['evals_over_grover']:.1f} vs grover")
@@ -196,7 +184,10 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
-    except InputFileError as exc:
+    except NoSolutionError as exc:
+        print(f"no solution: {exc}", file=sys.stderr)
+        return 2
+    except InputError as exc:
         print(exc, file=sys.stderr)
         return 2
 

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .qsim import DEFAULT_QUBIT_CAP, CapacityError
 
-TWO_PI = 2.0 * math.pi
 
 # snap-to-boundary guard for encode(decode(k)) round trips; floating point can
 # land floor() one ulp under an exact integer
@@ -45,7 +44,7 @@ class ParamSpec:
             raise ValueError(f"{self.name}: min must be < max")
         if self.n_qubits < 1:
             raise ValueError(f"{self.name}: n_qubits must be >= 1")
-        if self.angular and self.hi - self.lo > TWO_PI + 1e-12:
+        if self.angular and self.hi - self.lo > math.tau + 1e-12:
             raise ValueError(f"{self.name}: angular range exceeds one period")
 
     @property
@@ -99,9 +98,9 @@ class ParamGrid:
 
 
 def _wrap_angular(value: float, lo: float) -> float:
-    w = math.fmod(value - lo, TWO_PI)
+    w = math.fmod(value - lo, math.tau)
     if w < 0:
-        w += TWO_PI
+        w += math.tau
     return lo + w
 
 
@@ -177,11 +176,3 @@ def decode_all(grid: ParamGrid, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
         cols.append(spec.lo + k / (spec.levels - 1) * (spec.hi - spec.lo))
     return np.stack(cols, axis=1)
 
-
-def enumerate_configurations(
-    grid: ParamGrid, cap: int = DEFAULT_QUBIT_CAP
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield (index, parameter vector) for all 2^N indices in ascending order."""
-    table = decode_all(grid, cap)
-    for k in range(grid.size):
-        yield k, table[k]

@@ -11,6 +11,9 @@ The search computes the amplified state in closed form (`amplified_state`):
 K rounds cost O(M), not O(K * M). `apply_oracle` and `apply_diffusion` are
 the gate-level rounds, kept as the reference that the tests check the closed
 form against; no pipeline path calls them.
+
+`threshold_ladder` is the one adaptive threshold schedule, and `verify`
+uses the analytic error that the harness tabulates over the grid.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import numpy as np
 
 from . import qsim
 from .encoding import ParamGrid, decode
-from .kinematics import GraspTask, PoseTarget, PoseWeights, wrapped_angle_distance
-from .qml import configuration_orientations, configuration_positions
+from .kinematics import PoseWeights
+from .qml import configuration_errors
 
 
 class NoSolutionError(RuntimeError):
@@ -105,17 +108,13 @@ def success_probability_analytic(M: int, m: int, K: int) -> float:
     return math.sin((2 * K + 1) * theta) ** 2
 
 
-def oracle_signs(oracle: OracleSpec) -> np.ndarray:
-    return np.where(oracle.marked_mask, -1.0, 1.0)
-
-
 def apply_oracle(state: qsim.StateVector, oracle: OracleSpec) -> qsim.StateVector:
     """Flip the amplitude sign on marked indices (diagonal phase gate)."""
     if oracle.costs.shape != (state.dim,):
         raise ValueError(
             f"cost table of length {oracle.costs.shape} does not match state dim {state.dim}"
         )
-    return qsim.apply_gate(state, qsim.DiagonalPhase(oracle_signs(oracle)))
+    return qsim.apply_gate(state, qsim.DiagonalPhase(np.where(oracle.marked_mask, -1.0, 1.0)))
 
 
 def apply_diffusion(state: qsim.StateVector) -> qsim.StateVector:
@@ -221,17 +220,6 @@ def shrink_schedule(costs: np.ndarray, epsilon0: float, shrink: float) -> list:
         eps = nxt
 
 
-def adaptive_search(grid: ParamGrid, costs: np.ndarray, epsilon0: float,
-                    shrink: float, plan: GroverPlan) -> SearchResult:
-    """Lower epsilon geometrically while solutions remain, then search once.
-
-    The final threshold is the last value of the ladder epsilon0 * shrink^j
-    that still marks at least one state.
-    """
-    levels = shrink_schedule(costs, epsilon0, shrink)
-    return grover_search(grid, OracleSpec(costs, levels[-1]), plan)
-
-
 def minimal_epsilon(costs: np.ndarray, epsilon_hi: float) -> float:
     """Bisect the threshold down to the smallest value still marking a state.
 
@@ -253,27 +241,29 @@ def minimal_epsilon(costs: np.ndarray, epsilon_hi: float) -> float:
             lo = mid
 
 
-def actual_error(z: np.ndarray, model, names: Tuple[str, ...], task,
-                 weights: PoseWeights) -> float:
-    """Analytic verification error of a decoded configuration.
+def threshold_ladder(costs: np.ndarray, epsilon0: Optional[float], shrink: float,
+                     refine: bool) -> list:
+    """Thresholds of the adaptive search, loosest first.
 
-    Position tasks use the Euclidean tip error (plus the orientation geodesic
-    in quadrature when an orientation target is set); grasp tasks use the
-    summed squared contact deviation.
+    Starts at epsilon0 (None: 10x the table floor), shrinks geometrically
+    while a state stays marked and, with `refine`, ends at the smallest
+    threshold that still marks a state (`minimal_epsilon`).
     """
-    Z = np.asarray(z, dtype=float)[None, :]
-    tips = configuration_positions(model, names, Z)[0]
-    if isinstance(task, GraspTask):
-        c1 = np.asarray(task.c_ideal1)
-        c2 = np.asarray(task.c_ideal2)
-        return float(np.sum((tips[0:2] - c1) ** 2) + np.sum((tips[2:4] - c2) ** 2))
-    if isinstance(task, PoseTarget):
-        err2 = float(np.sum((tips - np.asarray(task.position)) ** 2))
-        if task.phi is not None and weights.alpha_R > 0:
-            phi = float(configuration_orientations(model, names, Z)[0])
-            err2 += wrapped_angle_distance(phi, task.phi) ** 2
-        return math.sqrt(err2)
-    raise TypeError(f"unknown task {task!r}")
+    costs = np.asarray(costs, dtype=float)
+    floor = float(costs.min())
+    if epsilon0 is None:
+        epsilon0 = 10.0 * floor if floor > 0 else 0.0
+    if epsilon0 < floor:
+        raise NoSolutionError(
+            f"epsilon0={epsilon0} marks no configuration (cost floor {floor}); "
+            "raise epsilon, coarsen the grid, or retrain the surrogate"
+        )
+    levels = shrink_schedule(costs, epsilon0, shrink)
+    if refine:
+        refined = minimal_epsilon(costs, levels[-1])
+        if refined < levels[-1]:
+            levels.append(refined)
+    return levels
 
 
 def verify(index: int, grid: ParamGrid, model, task,
@@ -289,5 +279,5 @@ def verify(index: int, grid: ParamGrid, model, task,
     in_bounds = all(
         s.lo - 1e-12 <= v <= s.hi + 1e-12 for s, v in zip(grid.specs, z)
     )
-    e = actual_error(z, model, grid.names(), task, weights)
+    e = float(configuration_errors(model, grid.names(), z[None, :], task, weights)[0])
     return e, bool(in_bounds and e <= task.tolerance)

@@ -39,18 +39,24 @@ from .qml import (
     TrainingSet,
     build_cost_table,
     configuration_costs,
-    configuration_orientations,
-    configuration_positions,
+    configuration_errors,
     make_surrogate,
     train,
 )
 
-TWO_PI = 2.0 * math.pi
-
 ITERATION_NOTE = "one optimization iteration = one adaptive-threshold search step"
+COMPARISON_HEADER = ("method", "evaluations", "best_cost", "accepted", "evals_over_grover")
 
 
 # --- configuration ------------------------------------------------------------
+
+def _check_minimums(settings, section: str, **minimums) -> None:
+    """Refuse a setting below its minimum (NaN included); None means unset."""
+    for name, low in minimums.items():
+        value = getattr(settings, name)
+        if value is not None and not value >= low:
+            raise ValueError(f"config key {section + name!r} must be >= {low}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class QmlSettings:
@@ -61,12 +67,21 @@ class QmlSettings:
     train_seed: int = 0
     training_samples: Optional[int] = None  # None = full grid
 
+    def __post_init__(self):
+        _check_minimums(self, "qml.", n_layers=1, epochs=1, learning_rate=0, train_seed=0,
+                        training_samples=1)
+
 
 @dataclass(frozen=True)
 class SearchSettings:
     epsilon0: Optional[float] = None  # None = 10x the cost-table floor
     shrink: float = 0.5
     refine: bool = True
+
+    def __post_init__(self):
+        if not 0 < self.shrink < 1:
+            raise ValueError(
+                f"config key 'search.shrink' must be in (0, 1), got {self.shrink!r}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +91,9 @@ class BaselineSettings:
     swarm_size: int = 30
     pso_iterations: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        _check_minimums(self, "baselines.", max_evals=1, n_starts=1, swarm_size=2, seed=0)
 
 
 @dataclass(frozen=True)
@@ -95,6 +113,10 @@ class CaseConfig:
     def __post_init__(self):
         if self.mode not in ("analytic", "surrogate"):
             raise ValueError("mode must be 'analytic' or 'surrogate'")
+        if self.mode == "surrogate" and self.weights.alpha_R > 0:
+            raise ValueError("config key 'weights.alpha_R' must be 0 in surrogate mode, "
+                             "whose surrogate predicts positions only")
+        _check_minimums(self, "", shots=1, seed=0)
 
     def with_overrides(self, seed: Optional[int] = None, shots: Optional[int] = None,
                        mode: Optional[str] = None,
@@ -117,7 +139,7 @@ def one_dof_case(qubits_per_param: int = 5, target: Tuple[float, float] = (0.8, 
     """Single revolute joint: optimize link length l1 and angle theta1."""
     grid = ParamGrid((
         ParamSpec("l1", 0.1, 2.0, qubits_per_param),
-        ParamSpec("theta1", 0.0, TWO_PI, qubits_per_param, angular=True),
+        ParamSpec("theta1", 0.0, math.tau, qubits_per_param, angular=True),
     ))
     return CaseConfig("one_dof", grid, OneLink(), PoseTarget(tuple(target)),
                       PoseWeights(1.0, 0.0), mode, shots, seed)
@@ -127,8 +149,8 @@ def two_dof_case(qubits_per_param: int = 4, target: Tuple[float, float] = (1.0, 
                  seed: int = 0, shots: int = 10000, mode: str = "analytic") -> CaseConfig:
     """Planar 2R arm on its toroidal joint space: optimize angles and lengths."""
     grid = ParamGrid((
-        ParamSpec("theta1", 0.0, TWO_PI, qubits_per_param, angular=True),
-        ParamSpec("theta2", 0.0, TWO_PI, qubits_per_param, angular=True),
+        ParamSpec("theta1", 0.0, math.tau, qubits_per_param, angular=True),
+        ParamSpec("theta2", 0.0, math.tau, qubits_per_param, angular=True),
         ParamSpec("l1", 0.1, 2.0, qubits_per_param),
         ParamSpec("l2", 0.1, 2.0, qubits_per_param),
     ))
@@ -141,15 +163,12 @@ def dual_arm_case(qubits_per_param: int = 4, center: Tuple[float, float] = (0.0,
                   shots: int = 10000, mode: str = "analytic") -> CaseConfig:
     """Two fixed-geometry 2R arms grasping a circular object at antipodal contacts."""
     grid = ParamGrid(tuple(
-        ParamSpec(name, 0.0, TWO_PI, qubits_per_param, angular=True)
+        ParamSpec(name, 0.0, math.tau, qubits_per_param, angular=True)
         for name in ("theta11", "theta12", "theta21", "theta22")
     ))
     return CaseConfig("dual_arm", grid, DualArm(),
                       GraspTask(tuple(center), radius, axis),
                       PoseWeights(1.0, 0.0), mode, shots, seed)
-
-
-_BUILDERS = {"one_dof": one_dof_case, "two_dof": two_dof_case, "dual_arm": dual_arm_case}
 
 
 # --- config (de)serialization ---------------------------------------------------
@@ -226,8 +245,8 @@ def _settings(cls, data: dict, section: str):
 
 
 def config_from_dict(data: dict) -> CaseConfig:
-    """Build a CaseConfig. An unknown or missing key, a non-finite task
-    target and a shrink factor outside (0, 1) raise a ValueError naming the key."""
+    """Build a CaseConfig. An unknown or missing key, a non-finite task target
+    and an out-of-range setting raise a ValueError naming the key."""
     _check_keys("", data, _CONFIG_KEYS)
     _require("", data, "params", "model", "task")
     for i, p in enumerate(data["params"]):
@@ -274,9 +293,6 @@ def config_from_dict(data: dict) -> CaseConfig:
     _check_keys("weights.", w, ("alpha_p", "alpha_R", "epsilon"))
     weights = PoseWeights(float(w.get("alpha_p", 1.0)), float(w.get("alpha_R", 0.0)),
                           w.get("epsilon"))
-    search = _settings(SearchSettings, data, "search")
-    if not 0 < search.shrink < 1:
-        raise ValueError(f"config key 'search.shrink' must be in (0, 1), got {search.shrink!r}")
     return CaseConfig(
         case=data.get("case", "custom"),
         grid=ParamGrid(specs),
@@ -286,7 +302,7 @@ def config_from_dict(data: dict) -> CaseConfig:
         mode=data.get("mode", "analytic"),
         shots=int(data.get("shots", 10000)),
         seed=int(data.get("seed", 0)),
-        search=search,
+        search=_settings(SearchSettings, data, "search"),
         qml=_settings(QmlSettings, data, "qml"),
         baselines=_settings(BaselineSettings, data, "baselines"),
     )
@@ -371,20 +387,7 @@ class RunReport:
 
 def _actual_error_table(grid: ParamGrid, model, task, weights: PoseWeights) -> np.ndarray:
     """Verification error of every grid configuration (vectorized)."""
-    Z = decode_all(grid)
-    names = grid.names()
-    tips = configuration_positions(model, names, Z)
-    if isinstance(task, GraspTask):
-        c1, c2 = np.asarray(task.c_ideal1), np.asarray(task.c_ideal2)
-        return (np.sum((tips[:, 0:2] - c1) ** 2, axis=1)
-                + np.sum((tips[:, 2:4] - c2) ** 2, axis=1))
-    err2 = np.sum((tips - np.asarray(task.position)) ** 2, axis=1)
-    if task.phi is not None and weights.alpha_R > 0:
-        phis = configuration_orientations(model, names, Z)
-        d = np.mod(phis - task.phi, TWO_PI)
-        d = np.where(d > math.pi, d - TWO_PI, d)
-        err2 = err2 + d ** 2
-    return np.sqrt(err2) if isinstance(task, PoseTarget) else err2
+    return configuration_errors(model, grid.names(), decode_all(grid), task, weights)
 
 
 def train_case_surrogate(config: CaseConfig) -> Tuple[Surrogate, np.ndarray]:
@@ -407,18 +410,14 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
     epsilon, coarsen the grid, or retrain the surrogate).
     """
     grid = config.grid
-    grid.check_capacity()
-    names = grid.names()
-
-    analytic_costs = build_cost_table(grid, config.model, config.task,
-                                      config.weights, "analytic")
+    analytic_costs = build_cost_table(grid, config.model, config.task, config.weights)
     loss_trace = None
     if config.mode == "surrogate":
         if surrogate is None:
             surrogate, trace_arr = train_case_surrogate(config)
             loss_trace = [float(v) for v in trace_arr]
         costs = build_cost_table(grid, config.model, config.task, config.weights,
-                                 "surrogate", surrogate)
+                                 surrogate)
     else:
         surrogate = None
         costs = analytic_costs
@@ -432,26 +431,11 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
                                                     config.weights).min())
         task = replace(task, tolerance=tolerance)
 
-    floor = float(costs.min())
-    if config.weights.epsilon is not None:
-        epsilon0 = config.weights.epsilon
-    elif config.search.epsilon0 is not None:
-        epsilon0 = config.search.epsilon0
-    else:
-        epsilon0 = 10.0 * floor if floor > 0 else 0.0
-    if epsilon0 < floor:
-        raise grover.NoSolutionError(
-            f"epsilon0={epsilon0} marks no configuration (cost floor {floor}); "
-            "raise epsilon, coarsen the grid, or retrain the surrogate"
-        )
+    start = config.search.epsilon0 if config.weights.epsilon is None else config.weights.epsilon
+    levels = grover.threshold_ladder(costs, start, config.search.shrink, config.search.refine)
+    epsilon0 = levels[0]
 
     plan = grover.GroverPlan(shots=config.shots, seed=config.seed)
-    levels = grover.shrink_schedule(costs, epsilon0, config.search.shrink)
-    if config.search.refine:
-        refined = grover.minimal_epsilon(costs, levels[-1])
-        if refined < levels[-1]:
-            levels.append(refined)
-
     steps = [AdaptiveStep(0, epsilon0, grover.count_solutions(costs, epsilon0), 0,
                           float(costs.mean()), None, None)]
     result = None
@@ -509,18 +493,12 @@ def run_baselines(config: CaseConfig) -> List[cls_opt.OptRun]:
     settings = config.baselines
     runs: List[cls_opt.OptRun] = []
 
-    obj = case_objective(config)
-    runs.append(cls_opt.multi_start(cls_opt.nelder_mead, obj,
-                                    n_starts=settings.n_starts, seed=settings.seed,
-                                    max_evals=settings.max_evals))
-    obj = case_objective(config)
-    runs.append(cls_opt.multi_start(cls_opt.quasi_newton, obj,
-                                    n_starts=settings.n_starts, seed=settings.seed,
-                                    max_evals=settings.max_evals))
-    obj = case_objective(config)
-    runs.append(cls_opt.pso(obj, swarm_size=settings.swarm_size,
-                            iterations=settings.pso_iterations,
-                            seed=settings.seed))
+    for method in (cls_opt.nelder_mead, cls_opt.quasi_newton):
+        runs.append(cls_opt.multi_start(method, case_objective(config),
+                                        n_starts=settings.n_starts, seed=settings.seed,
+                                        max_evals=settings.max_evals))
+    runs.append(cls_opt.pso(case_objective(config), swarm_size=settings.swarm_size,
+                            iterations=settings.pso_iterations, seed=settings.seed))
 
     names = config.grid.names()
 
@@ -533,26 +511,19 @@ def run_baselines(config: CaseConfig) -> List[cls_opt.OptRun]:
     return runs
 
 
-def compare(report: RunReport, runs: Sequence[cls_opt.OptRun]) -> List[dict]:
+def compare(report: dict, runs: Sequence[cls_opt.OptRun]) -> List[dict]:
     """Method-by-method table: query/evaluation counts, best analytic cost,
-    acceptance, and the evaluation ratio against the final Grover search."""
-    grover_queries = max(report.queries_final, 1)
-    rows = [{
-        "method": "grover",
-        "evaluations": report.queries_final,
-        "best_cost": report.analytic_best_cost,
-        "accepted": bool(report.result.accepted),
-        "evals_over_grover": report.queries_final / grover_queries,
-    }]
-    for run in runs:
-        rows.append({
-            "method": run.method,
-            "evaluations": run.evaluations,
-            "best_cost": run.best_cost,
-            "accepted": run.converged,
-            "evals_over_grover": run.evaluations / grover_queries,
-        })
-    return rows
+    acceptance, and the evaluation ratio against the final Grover search.
+
+    `report` is the report.json form (`RunReport.to_dict()`), so a fresh run
+    and a saved report give the same rows."""
+    grover_queries = max(report["queries_final"], 1)
+    methods = [("grover", report["queries_final"], report["analytic_best_cost"],
+                bool(report["result"]["accepted"]))]
+    methods += [(run.method, run.evaluations, run.best_cost, run.converged) for run in runs]
+    return [{"method": name, "evaluations": evals, "best_cost": cost, "accepted": accepted,
+             "evals_over_grover": evals / grover_queries}
+            for name, evals, cost, accepted in methods]
 
 
 def sweep(config: CaseConfig, qubit_counts: Sequence[int]) -> List[dict]:
@@ -568,15 +539,12 @@ def sweep(config: CaseConfig, qubit_counts: Sequence[int]) -> List[dict]:
                          "solutions": 0, "iterations": 0, "ratio": math.nan,
                          "note": str(exc)})
             continue
-        costs = build_cost_table(cfg.grid, cfg.model, cfg.task, cfg.weights, "analytic")
-        floor = float(costs.min())
-        eps0 = 10.0 * floor if floor > 0 else 0.0
-        levels = grover.shrink_schedule(costs, eps0, cfg.search.shrink)
-        eps = grover.minimal_epsilon(costs, levels[-1]) if cfg.search.refine else levels[-1]
-        m = grover.count_solutions(costs, eps)
+        costs = build_cost_table(cfg.grid, cfg.model, cfg.task, cfg.weights)
+        levels = grover.threshold_ladder(costs, None, cfg.search.shrink, cfg.search.refine)
+        m = grover.count_solutions(costs, levels[-1])
         K = grover.iteration_count(cfg.grid.size, m)
         rows.append({"qubits_per_param": q, "total_qubits": cfg.grid.total_qubits,
-                     "space_size": cfg.grid.size, "min_cost": floor,
+                     "space_size": cfg.grid.size, "min_cost": float(costs.min()),
                      "solutions": m, "iterations": K,
                      "ratio": cfg.grid.size / max(K, 1), "note": ""})
     return rows
@@ -599,6 +567,11 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> Non
         fh.write("\n".join(lines) + "\n")
 
 
+def write_comparison(path: str, rows: Sequence[dict]) -> None:
+    """comparison.csv: one COMPARISON_HEADER row per method."""
+    write_csv(path, COMPARISON_HEADER, [[row[h] for h in COMPARISON_HEADER] for row in rows])
+
+
 def emit_report(report: RunReport, out_dir: str,
                 comparison: Optional[List[dict]] = None) -> dict:
     """Write trace.csv, report.json, optional comparison.csv and the trained
@@ -619,8 +592,7 @@ def emit_report(report: RunReport, out_dir: str,
 
     if comparison is not None:
         cmp_path = os.path.join(out_dir, "comparison.csv")
-        header = ["method", "evaluations", "best_cost", "accepted", "evals_over_grover"]
-        write_csv(cmp_path, header, [[row[h] for h in header] for row in comparison])
+        write_comparison(cmp_path, comparison)
         paths["comparison"] = cmp_path
 
     if report.surrogate is not None:

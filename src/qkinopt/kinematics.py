@@ -1,7 +1,10 @@
-"""Analytical planar kinematics: FK, Jacobians, and task cost observables.
+"""Analytical planar kinematics: robot models, tasks, FK, and the task model.
 
 All FK functions broadcast over numpy arrays, so a whole grid of
 configurations can be evaluated in one call; scalars give shape-(2,) points.
+`task_cost` (the oracle cost) and `task_error` (the verification error) are
+the one implementation of each; they take a batch of tip positions and
+orientations, whether from the analytic FK or from the QML surrogate.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-
-TWO_PI = 2.0 * math.pi
 
 
 # --- robot models -----------------------------------------------------------
@@ -159,93 +160,49 @@ def fk_dual(model: DualArm, q1, q2) -> Tuple[np.ndarray, np.ndarray]:
     return p1, p2
 
 
-def jacobian_two(l1: float, l2: float, theta1: float, theta2: float) -> np.ndarray:
-    """Analytic 2x2 Jacobian d p / d(theta1, theta2) of the 2R chain."""
-    if l1 <= 0 or l2 <= 0:
-        raise ValueError("link lengths must be positive")
-    s1, c1 = math.sin(theta1), math.cos(theta1)
-    s12, c12 = math.sin(theta1 + theta2), math.cos(theta1 + theta2)
-    return np.array(
-        [
-            [-l1 * s1 - l2 * s12, -l2 * s12],
-            [l1 * c1 + l2 * c12, l2 * c12],
-        ]
-    )
+# --- task cost and verification error ----------------------------------------
+
+def wrapped_angle_distance(phi1, phi2) -> np.ndarray:
+    """|phi1 - phi2| wrapped into [0, pi], the planar orientation metric.
+    Broadcasts, so a table and a single row get bit-identical distances."""
+    d = np.mod(np.asarray(phi1, dtype=float) - phi2, math.tau)
+    return np.where(d > math.pi, math.tau - d, d)
 
 
-def manipulability(jacobian: np.ndarray) -> float:
-    """sqrt(det(J J^T)); zero at singularities.
+def _squared_distance(tips: np.ndarray, point) -> np.ndarray:
+    return np.sum((tips - np.asarray(point, dtype=float)) ** 2, axis=1)
 
-    det(J J^T) is mathematically non-negative; tiny negative values from
-    rounding (>= -1e-12) are clipped to zero, anything worse raises.
+
+def task_cost(task, tips: np.ndarray, phis: Optional[np.ndarray],
+              weights: PoseWeights) -> np.ndarray:
+    """Oracle cost of each row of `tips`.
+
+    A pose task costs alpha_p ||p - p_target||^2 + alpha_R d(phi, phi_target)^2;
+    `phis` (tip orientations) is read only when alpha_R > 0. A grasp task
+    costs the summed squared deviation of both tips (B, 4) from its contacts.
     """
-    J = np.asarray(jacobian, dtype=float)
-    if J.shape != (2, 2) or not np.all(np.isfinite(J)):
-        raise ValueError("jacobian must be a finite 2x2 matrix")
-    d = float(np.linalg.det(J @ J.T))
-    if d < 0:
-        if d < -1e-12:
-            raise ValueError(f"det(JJ^T) = {d} is negative beyond tolerance")
-        d = 0.0
-    return math.sqrt(d)
-
-
-# --- orientation distances ------------------------------------------------------
-
-def rotation_z(angle: float) -> np.ndarray:
-    """3x3 rotation about the z axis (planar rotations embedded in SO(3))."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _check_rotation(R: np.ndarray) -> np.ndarray:
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        raise ValueError("rotation must be 3x3")
-    if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-9 or abs(np.linalg.det(R) - 1) > 1e-9:
-        raise ValueError("matrix is not a proper rotation")
-    return R
-
-
-def orientation_geodesic(R1: np.ndarray, R2: np.ndarray) -> float:
-    """Geodesic distance on SO(3): arccos((Tr(R1^T R2) - 1)/2), in [0, pi]."""
-    R1 = _check_rotation(R1)
-    R2 = _check_rotation(R2)
-    arg = (np.trace(R1.T @ R2) - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, arg)))
-
-
-def wrapped_angle_distance(phi1: float, phi2: float) -> float:
-    """|phi1 - phi2| wrapped into (-pi, pi]; the planar orientation metric."""
-    d = math.fmod(phi1 - phi2, TWO_PI)
-    if d > math.pi:
-        d -= TWO_PI
-    elif d <= -math.pi:
-        d += TWO_PI
-    return abs(d)
-
-
-# --- task costs -----------------------------------------------------------------
-
-def pose_cost(p, p_target, weights: PoseWeights,
-              phi: Optional[float] = None,
-              phi_target: Optional[float] = None) -> float:
-    """alpha_p * ||p - p_target||^2 + alpha_R * d(phi, phi_target)^2."""
-    p = np.asarray(p, dtype=float)
-    pt = np.asarray(p_target, dtype=float)
-    cost = weights.alpha_p * float(np.sum((p - pt) ** 2))
+    if isinstance(task, GraspTask):
+        return (_squared_distance(tips[:, 0:2], task.c_ideal1)
+                + _squared_distance(tips[:, 2:4], task.c_ideal2))
+    costs = weights.alpha_p * _squared_distance(tips, task.position)
     if weights.alpha_R > 0:
-        if phi is None or phi_target is None:
+        if task.phi is None or phis is None:
             raise ValueError("orientation weight is positive but angles are missing")
-        cost += weights.alpha_R * wrapped_angle_distance(phi, phi_target) ** 2
-    return cost
+        costs = costs + weights.alpha_R * wrapped_angle_distance(phis, task.phi) ** 2
+    return costs
 
 
-def grasp_cost(p1, p2, task: GraspTask) -> float:
-    """Summed squared deviation of both tips from the ideal contact pair."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    return float(
-        np.sum((p1 - np.asarray(task.c_ideal1)) ** 2)
-        + np.sum((p2 - np.asarray(task.c_ideal2)) ** 2)
-    )
+def task_error(task, tips: np.ndarray, phis: Optional[np.ndarray],
+               weights: PoseWeights) -> np.ndarray:
+    """Verification error of each row, checked against the task tolerance.
+
+    A pose task uses the Euclidean tip error, with the orientation error in
+    quadrature when the task sets an orientation and alpha_R > 0. A grasp
+    task uses its cost.
+    """
+    if isinstance(task, GraspTask):
+        return task_cost(task, tips, phis, weights)
+    err2 = _squared_distance(tips, task.position)
+    if task.phi is not None and weights.alpha_R > 0:
+        err2 = err2 + wrapped_angle_distance(phis, task.phi) ** 2
+    return np.sqrt(err2)

@@ -22,8 +22,10 @@ complex values, at most GRADIENT_BLOCK_AMPS unless one row alone needs more.
 Training is full-batch Adam seeded for reproducibility.
 
 This module also builds the diagonal cost table that the search oracle
-consumes: one task cost per basis state, evaluated with either the trained
-surrogate or the analytical kinematics.
+consumes: one `kinematics.task_cost` per basis state, from the trained
+surrogate's predicted tips or from the analytical kinematics, whose grid
+columns bind to FK by parameter name. `configuration_errors` gives the
+analytic `kinematics.task_error` of any batch of configurations.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from . import qsim
 from .encoding import ParamGrid, decode_all
 from .kinematics import (
     DualArm,
-    GraspTask,
     OneLink,
     PoseTarget,
     PoseWeights,
@@ -46,9 +47,10 @@ from .kinematics import (
     fk_dual,
     fk_one,
     fk_two,
+    task_cost,
+    task_error,
 )
 
-TWO_PI = 2.0 * math.pi
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 # complex values in one gradient stack (1 MiB): it stays in cache, and on the
@@ -188,7 +190,7 @@ def input_angles(surrogate: Surrogate, z: np.ndarray) -> np.ndarray:
     angles = np.empty_like(z)
     for i, (_, lo, hi, angular) in enumerate(surrogate.input_map):
         if angular:
-            angles[..., i] = -math.pi + (z[..., i] - lo) / (hi - lo) * TWO_PI
+            angles[..., i] = -math.pi + (z[..., i] - lo) / (hi - lo) * math.tau
         else:
             angles[..., i] = np.arccos(np.clip(z[..., i], lo, hi) / max(abs(lo), abs(hi)))
     return angles
@@ -466,61 +468,40 @@ def configuration_orientations(model, names: Tuple[str, ...],
     raise TypeError(f"orientation undefined for model {model!r}")
 
 
-def _pose_costs(positions: np.ndarray, phis: Optional[np.ndarray],
-                task: PoseTarget, weights: PoseWeights) -> np.ndarray:
-    target = np.asarray(task.position, dtype=float)
-    costs = weights.alpha_p * np.sum((positions - target) ** 2, axis=1)
-    if weights.alpha_R > 0:
-        if task.phi is None or phis is None:
-            raise ValueError("orientation weight is positive but angles are missing")
-        d = np.mod(phis - task.phi, TWO_PI)
-        d = np.where(d > math.pi, d - TWO_PI, d)
-        costs = costs + weights.alpha_R * d ** 2
-    return costs
-
-
-def _grasp_costs(tips: np.ndarray, task: GraspTask) -> np.ndarray:
-    c1 = np.asarray(task.c_ideal1)
-    c2 = np.asarray(task.c_ideal2)
-    return (np.sum((tips[:, 0:2] - c1) ** 2, axis=1)
-            + np.sum((tips[:, 2:4] - c2) ** 2, axis=1))
+def _task_rows(model, names: Tuple[str, ...], Z: np.ndarray, task,
+               weights: PoseWeights) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Tip positions of each row of Z, and orientations if the task weighs them."""
+    phis = None
+    if isinstance(task, PoseTarget) and weights.alpha_R > 0:
+        phis = configuration_orientations(model, names, Z)
+    return configuration_positions(model, names, Z), phis
 
 
 def configuration_costs(model, names: Tuple[str, ...], Z: np.ndarray,
                         task, weights: PoseWeights) -> np.ndarray:
     """Task cost for each row of Z using the analytical kinematics."""
-    positions = configuration_positions(model, names, Z)
-    if isinstance(task, GraspTask):
-        return _grasp_costs(positions, task)
-    if isinstance(task, PoseTarget):
-        phis = None
-        if weights.alpha_R > 0:
-            phis = configuration_orientations(model, names, Z)
-        return _pose_costs(positions, phis, task, weights)
-    raise TypeError(f"unknown task {task!r}")
+    return task_cost(task, *_task_rows(model, names, Z, task, weights), weights)
+
+
+def configuration_errors(model, names: Tuple[str, ...], Z: np.ndarray,
+                         task, weights: PoseWeights) -> np.ndarray:
+    """Analytic verification error for each row of Z."""
+    return task_error(task, *_task_rows(model, names, Z, task, weights), weights)
 
 
 def build_cost_table(grid: ParamGrid, model, task, weights: PoseWeights,
-                     predictor: str = "analytic",
                      surrogate: Optional[Surrogate] = None) -> np.ndarray:
     """Length-2^N diagonal of the cost observable.
 
-    `analytic` evaluates the closed-form kinematics at every decoded
-    configuration (the verification oracle); `surrogate` substitutes the
-    trained circuit's predicted tip positions.
+    Without a surrogate the closed-form kinematics are evaluated at every
+    decoded configuration (the verification oracle); with one, the trained
+    circuit's predicted tip positions take their place.
     """
-    grid.check_capacity()
-    Z = decode_all(grid)
-    if predictor == "analytic":
+    Z = decode_all(grid)  # refuses a grid beyond the simulator cap
+    if surrogate is None:
         return configuration_costs(model, grid.names(), Z, task, weights)
-    if predictor == "surrogate":
-        if surrogate is None:
-            raise ValueError("surrogate predictor requested but none supplied")
-        if weights.alpha_R > 0:
-            raise ValueError("surrogate predicts positions only")
-        tips = _predict_batch(surrogate, Z)
-        if isinstance(task, GraspTask):
-            return _grasp_costs(tips, task)
-        target = np.asarray(task.position, dtype=float)
-        return weights.alpha_p * np.sum((tips - target) ** 2, axis=1)
-    raise ValueError(f"unknown predictor {predictor!r}")
+    if not isinstance(surrogate, Surrogate):
+        raise ValueError(f"expected a trained Surrogate (None: analytic), got {surrogate!r}")
+    if weights.alpha_R > 0:
+        raise ValueError("surrogate predicts positions only")
+    return task_cost(task, _predict_batch(surrogate, Z), None, weights)

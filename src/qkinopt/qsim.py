@@ -9,9 +9,11 @@ last axis of an array, so they also accept batches of states shaped
 ``(..., 2**n_qubits)``; vectorised application is element-wise identical to
 sequential per-index updates.
 
-Gates preserve the norm up to floating-point drift. Drift beyond
-``NORM_TOL`` indicates a bug, not numerics, so nothing renormalises by
-default (``apply_circuit`` takes an opt-in flag).
+Gates preserve the norm up to floating-point drift. Drift beyond 1e-9
+indicates a bug, not numerics, so nothing renormalises.
+
+`Circuit`, `apply_circuit` and `new_zero_state` are the gate-level
+reference that the tests check the batched `qml` kernels against.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 DEFAULT_QUBIT_CAP = 24
-NORM_TOL = 1e-9
 
 
 class CapacityError(ValueError):
@@ -113,9 +114,6 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amps.copy())
 
 
 def check_capacity(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> None:
@@ -211,9 +209,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return StateVector(state.n_qubits, out)
 
 
-def apply_circuit(state: StateVector, circuit: Circuit,
-                  renormalize: bool = False) -> StateVector:
-    """Apply circuit gates in order. Optional renormalization is off by default."""
+def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
+    """Apply circuit gates in order."""
     if circuit.n_qubits != state.n_qubits:
         raise ValueError(
             f"circuit is for {circuit.n_qubits} qubits, state has {state.n_qubits}"
@@ -221,8 +218,6 @@ def apply_circuit(state: StateVector, circuit: Circuit,
     out = state.amps.copy()
     for gate in circuit.gates:
         _apply_gate_inplace(out, gate, state.n_qubits)
-    if renormalize:
-        out /= np.linalg.norm(out)
     return StateVector(state.n_qubits, out)
 
 

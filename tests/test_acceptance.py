@@ -100,7 +100,7 @@ def test_criterion_2_oracle_equivalence():
         config0 = builder().with_overrides(qubits_per_param=4)
         idx_ref, best_cost, _ = exhaustive_reference(config0)
         costs = build_cost_table(config0.grid, config0.model, config0.task,
-                                 config0.weights, "analytic")
+                                 config0.weights)
         unique_minimum = int((costs == best_cost).sum()) == 1
         hits = 0
         for seed in range(100):
@@ -337,7 +337,7 @@ def test_criterion_9_determinism(tmp_path):
     def produce(directory):
         config = one_dof_case(seed=17)
         report = run_case(config)
-        rows = compare(report, run_baselines(config))
+        rows = compare(report.to_dict(), run_baselines(config))
         emit_report(report, str(directory), comparison=rows)
 
     produce(tmp_path / "first")

@@ -54,17 +54,41 @@ def test_unknown_config_key_exits_cleanly(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("edit, name", [
-    (lambda data: data.pop("task"), "'task'"),
-    (lambda data: data["search"].update(shrink=1.5), "'search.shrink'"),
-    (lambda data: data["task"].update(target=[float("nan"), 0.6]), "'task.target'"),
-], ids=["missing_task", "shrink_above_one", "nan_target"])
-def test_invalid_config_exits_cleanly(edit, name, tmp_path, capsys):
+def keep(data):
+    pass
+
+
+@pytest.mark.parametrize("edit, flags, name", [
+    (lambda data: data.pop("task"), [], "'task'"),
+    (lambda data: data["search"].update(shrink=1.5), [], "'search.shrink'"),
+    (lambda data: data["task"].update(target=[float("nan"), 0.6]), [], "'task.target'"),
+    (lambda data: data.update(shots=0), [], "'shots'"),
+    (lambda data: data.update(seed=-1), [], "'seed'"),
+    (lambda data: data["qml"].update(epochs=0), [], "'qml.epochs'"),
+    (lambda data: data["qml"].update(n_layers=0), [], "'qml.n_layers'"),
+    (lambda data: data["qml"].update(learning_rate=-0.1), [], "'qml.learning_rate'"),
+    (lambda data: data["qml"].update(training_samples=0), [], "'qml.training_samples'"),
+    (lambda data: data["baselines"].update(n_starts=0), [], "'baselines.n_starts'"),
+    (lambda data: data["baselines"].update(swarm_size=1), [], "'baselines.swarm_size'"),
+    (lambda data: data["baselines"].update(max_evals=0), [], "'baselines.max_evals'"),
+    (keep, ["--shots", "0"], "'shots'"),
+    (keep, ["--seed", "-1"], "'seed'"),
+    (keep, ["--qubits-per-param", "0"], "n_qubits"),
+    (lambda data: data["search"].update(epsilon0=1e-12), [], "raise epsilon"),
+    (lambda data: data["weights"].update(epsilon=1e-12), [], "raise epsilon"),
+    (lambda data: data["weights"].update(alpha_R=0.5), ["--mode", "surrogate"],
+     "'weights.alpha_R'"),
+], ids=["missing_task", "shrink_above_one", "nan_target", "shots_0", "seed_negative",
+        "epochs_0", "n_layers_0", "learning_rate_negative", "training_samples_0",
+        "n_starts_0", "swarm_size_1", "max_evals_0", "flag_shots_0", "flag_seed_negative",
+        "flag_qubits_per_param_0", "epsilon0_below_floor", "epsilon_below_floor",
+        "surrogate_orientation_weight"])
+def test_invalid_config_exits_cleanly(edit, flags, name, tmp_path, capsys):
     data = harness.config_to_dict(one_dof_case())
     edit(data)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "x")])
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "x")] + flags)
     assert code == 2
     err = capsys.readouterr().err.strip()
     assert name in err

@@ -10,7 +10,6 @@ from qkinopt.encoding import (
     decode,
     decode_all,
     encode,
-    enumerate_configurations,
     pack_indices,
     unpack_index,
 )
@@ -144,26 +143,27 @@ class TestMonotonicity:
 
 
 class TestEnumerate:
+    """decode_all enumerates the whole grid, one row per basis index."""
+
     def test_four_pairs_ascending(self):
         grid = ParamGrid((length_spec(1), angle_spec(1)))
-        pairs = list(enumerate_configurations(grid))
-        assert [k for k, _ in pairs] == [0, 1, 2, 3]
+        # the first spec is the least significant bit
+        np.testing.assert_array_equal(
+            decode_all(grid), [[0.1, 0.0], [2.0, 0.0], [0.1, TWO_PI], [2.0, TWO_PI]])
 
     def test_pairs_match_decode(self):
         grid = ParamGrid((length_spec(2), angle_spec(2)))
-        for k, z in enumerate_configurations(grid):
+        for k, z in enumerate(decode_all(grid)):
             np.testing.assert_array_equal(z, decode(grid, k))
 
     def test_count_is_space_size(self):
         grid = ParamGrid((length_spec(5, "a"), length_spec(5, "b")))
-        assert sum(1 for _ in enumerate_configurations(grid)) == 1024
+        assert decode_all(grid).shape == (1024, 2)
 
     def test_capacity_error(self):
         grid = ParamGrid(tuple(length_spec(9, f"p{i}") for i in range(4)))
         with pytest.raises(CapacityError):
             decode_all(grid)
-        with pytest.raises(CapacityError):
-            next(enumerate_configurations(grid))
 
 
 class TestDecodeAll:

@@ -12,7 +12,6 @@ from qkinopt.grover import (
     NoSolutionError,
     OracleSpec,
     SearchResult,
-    adaptive_search,
     amplified_state,
     apply_diffusion,
     apply_oracle,
@@ -23,9 +22,11 @@ from qkinopt.grover import (
     search_with_state,
     shrink_schedule,
     success_probability_analytic,
+    threshold_ladder,
     verify,
 )
-from qkinopt.kinematics import OneLink, PoseTarget, PoseWeights, fk_one
+from qkinopt.harness import _actual_error_table
+from qkinopt.kinematics import DualArm, GraspTask, OneLink, PoseTarget, PoseWeights, TwoLink, fk_one
 
 TWO_PI = 2 * math.pi
 
@@ -287,12 +288,18 @@ class TestGroverSearch:
         np.testing.assert_array_equal(result.params, decode(grid, 9))
 
 
+def ladder_search(grid, costs, epsilon0, shrink, plan, refine=False):
+    """One search at the last threshold of the ladder."""
+    levels = threshold_ladder(costs, epsilon0, shrink, refine)
+    return grover_search(grid, OracleSpec(costs, levels[-1]), plan)
+
+
 class TestAdaptiveSearch:
     def test_shrinks_to_final_level(self):
         grid = flat_grid(2)
         costs = np.array([0.5, 0.2, 0.05, 0.9])
-        result = adaptive_search(grid, costs, epsilon0=0.6, shrink=0.5,
-                                 plan=GroverPlan(shots=5000, seed=4))
+        result = ladder_search(grid, costs, epsilon0=0.6, shrink=0.5,
+                               plan=GroverPlan(shots=5000, seed=4))
         assert result.epsilon == 0.6 * 0.5 ** 3  # 0.075
         assert result.solutions == 1
         assert result.index == 2
@@ -300,8 +307,8 @@ class TestAdaptiveSearch:
     def test_tight_epsilon_no_shrinking(self):
         grid = flat_grid(2)
         costs = np.array([0.5, 0.2, 0.05, 0.9])
-        result = adaptive_search(grid, costs, epsilon0=0.08, shrink=0.5,
-                                 plan=GroverPlan(shots=5000, seed=4))
+        result = ladder_search(grid, costs, epsilon0=0.08, shrink=0.5,
+                               plan=GroverPlan(shots=5000, seed=4))
         assert result.epsilon == 0.08
         assert result.solutions == 1
 
@@ -311,8 +318,26 @@ class TestAdaptiveSearch:
         for _ in range(10):
             costs = rng.uniform(0.0, 1.0, 8)
             eps0 = costs.min() + rng.uniform(0.01, 2.0)
-            result = adaptive_search(grid, costs, eps0, 0.5, GroverPlan(shots=200, seed=0))
-            assert result.epsilon <= eps0
+            for refine in (False, True):
+                result = ladder_search(grid, costs, eps0, 0.5, GroverPlan(shots=200, seed=0),
+                                       refine)
+                assert result.epsilon <= eps0
+
+    def test_default_start_is_ten_times_floor(self):
+        costs = np.array([0.5, 0.2, 0.05, 0.9])
+        assert threshold_ladder(costs, None, 0.5, False) == [0.5, 0.25, 0.125, 0.0625]
+        assert threshold_ladder(np.array([0.0, 1.0]), None, 0.5, False) == [0.0]
+
+    def test_refine_ends_at_minimal_epsilon(self):
+        costs = np.array([0.5, 0.2, 0.05, 0.9])
+        levels = threshold_ladder(costs, 0.6, 0.5, True)
+        assert levels[:-1] == threshold_ladder(costs, 0.6, 0.5, False)
+        assert levels[-1] == minimal_epsilon(costs, 0.075)
+        assert count_solutions(costs, levels[-1]) == 1 and levels[-1] < 0.075
+
+    def test_start_below_floor_is_no_solution(self):
+        with pytest.raises(NoSolutionError, match="raise epsilon"):
+            threshold_ladder(np.array([0.5, 0.4]), 0.1, 0.5, True)
 
     def test_epsilon0_below_floor_rejected(self):
         with pytest.raises(ValueError):
@@ -379,6 +404,47 @@ class TestVerify:
             e, accepted = verify(k, grid, OneLink(), task, PoseWeights(1.0, 0.0))
             if accepted:
                 assert e <= 0.2
+
+
+angles = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def verification_cases(draw):
+    """A small grid, model, task and weights: a one- or two-link pose task,
+    with or without an orientation target and weight, or a dual-arm grasp."""
+    kind = draw(st.sampled_from(["one_link", "two_link", "grasp"]))
+    qubits = st.integers(1, 2)
+    lo = draw(st.floats(-math.pi, 0.0))
+    angle_specs = [ParamSpec(name, lo, lo + TWO_PI, draw(qubits), angular=True)
+                   for name in (("theta1",) if kind == "one_link" else ("theta1", "theta2"))]
+    if kind == "grasp":
+        grid = ParamGrid(tuple(ParamSpec(name, lo, lo + TWO_PI, draw(qubits), angular=True)
+                               for name in ("theta11", "theta12", "theta21", "theta22")))
+        task = GraspTask((draw(st.floats(-1.0, 1.0)), draw(st.floats(0.5, 2.0))),
+                         draw(st.floats(0.1, 0.5)), draw(angles), tolerance=0.1)
+        return grid, DualArm(), task, PoseWeights()
+    lengths = [ParamSpec(name, 0.1, 2.0, draw(qubits))
+               for name in ("l1", "l2")[:len(angle_specs)] if draw(st.booleans())]
+    grid = ParamGrid(tuple(angle_specs + lengths))
+    model = OneLink() if kind == "one_link" else TwoLink()
+    phi = draw(st.none() | angles)
+    task = PoseTarget((draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))), phi,
+                      tolerance=0.5)
+    alpha_R = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.01, 5.0))
+    return grid, model, task, PoseWeights(1.0, alpha_R)
+
+
+class TestVerifyMatchesErrorTable:
+    @settings(max_examples=150, deadline=None)
+    @given(case=verification_cases())
+    def test_verify_error_is_table_entry_bit_for_bit(self, case):
+        grid, model, task, weights = case
+        table = _actual_error_table(grid, model, task, weights)
+        for k in range(grid.size):
+            e, accepted = verify(k, grid, model, task, weights)
+            assert e == table[k], k
+            assert accepted == (e <= task.tolerance)
 
 
 class TestResultRecord:

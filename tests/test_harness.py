@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 
@@ -8,7 +9,7 @@ import pytest
 from qkinopt import grover
 from qkinopt.baselines import exhaustive_scan
 from qkinopt.encoding import decode
-from qkinopt.grover import GroverPlan, NoSolutionError, adaptive_search
+from qkinopt.grover import GroverPlan, NoSolutionError, OracleSpec, grover_search, threshold_ladder
 from qkinopt.harness import (
     BaselineSettings,
     QmlSettings,
@@ -95,10 +96,10 @@ class TestAdaptiveEquivalence:
         config = dataclasses.replace(one_dof_case(seed=21),
                                      search=SearchSettings(refine=False))
         report = run_case(config)
-        costs = build_cost_table(config.grid, config.model, config.task,
-                                 config.weights, "analytic")
-        direct = adaptive_search(config.grid, costs, report.epsilon0, 0.5,
-                                 GroverPlan(shots=config.shots, seed=config.seed))
+        costs = build_cost_table(config.grid, config.model, config.task, config.weights)
+        levels = threshold_ladder(costs, report.epsilon0, 0.5, refine=False)
+        direct = grover_search(config.grid, OracleSpec(costs, levels[-1]),
+                               GroverPlan(shots=config.shots, seed=config.seed))
         assert direct.index == report.result.index
         assert direct.epsilon == report.final_epsilon
         assert direct.queries == report.queries_final
@@ -157,7 +158,7 @@ class TestCompare:
         config = one_dof_case(seed=3)
         report = run_case(config)
         runs = run_baselines(config)
-        rows = compare(report, runs)
+        rows = compare(report.to_dict(), runs)
         assert [r["method"] for r in rows] == ["grover", "nelder_mead", "quasi_newton",
                                                "pso", "exhaustive"]
         grover_row = rows[0]
@@ -166,6 +167,14 @@ class TestCompare:
         assert exhaustive_row["evals_over_grover"] == pytest.approx(
             1024 / report.queries_final
         )
+
+    def test_saved_report_gives_same_rows(self, tmp_path):
+        config = one_dof_case(seed=3)
+        report = run_case(config)
+        runs = run_baselines(config)
+        emit_report(report, str(tmp_path))
+        saved = json.loads((tmp_path / "report.json").read_text())
+        assert compare(saved, runs) == compare(report.to_dict(), runs)
 
     def test_ratio_at_least_one_for_sparse_solutions(self):
         rng = np.random.default_rng(0)
@@ -184,7 +193,7 @@ class TestReportEmission:
         for directory in ("a", "b"):
             config = one_dof_case(seed=7)
             report = run_case(config)
-            rows = compare(report, run_baselines(config))
+            rows = compare(report.to_dict(), run_baselines(config))
             emit_report(report, str(tmp_path / directory), comparison=rows)
         for name in ("trace.csv", "report.json", "comparison.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \

@@ -7,28 +7,30 @@ from qkinopt.kinematics import (
     DualArm,
     GraspTask,
     OneLink,
+    PoseTarget,
     PoseWeights,
     TwoLink,
     antipodal_points,
     fk_dual,
     fk_one,
     fk_two,
-    grasp_cost,
-    jacobian_two,
-    manipulability,
-    orientation_geodesic,
-    pose_cost,
-    rotation_z,
+    task_cost,
+    task_error,
     wrapped_angle_distance,
 )
 
 
-def rotation_axis_angle(axis, angle):
-    """Rodrigues formula; independent oracle for geodesic tests."""
-    u = np.asarray(axis, dtype=float)
-    u = u / np.linalg.norm(u)
-    K = np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]])
-    return np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
+def row_pose_cost(p, p_target, weights, phi=None, phi_target=None):
+    """task_cost of one tip position, through a one-row array."""
+    phis = None if phi is None else np.array([phi])
+    task = PoseTarget(tuple(p_target), phi_target)
+    return float(task_cost(task, np.asarray(p, dtype=float)[None, :], phis, weights)[0])
+
+
+def row_grasp_cost(p1, p2, task):
+    """task_cost of one pair of tips, through a one-row array."""
+    tips = np.concatenate([p1, p2]).astype(float)[None, :]
+    return float(task_cost(task, tips, None, PoseWeights())[0])
 
 
 class TestFkOne:
@@ -109,118 +111,63 @@ class TestFkDual:
         np.testing.assert_allclose(p2, np.array([0.7, -0.1]) + fk_two(1.3, 0.6, *q2))
 
 
-class TestJacobian:
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(3)
-        h = 1e-5
-        for _ in range(50):
-            l1, l2 = rng.uniform(0.2, 2.0, 2)
-            t1, t2 = rng.uniform(0, 2 * math.pi, 2)
-            J = jacobian_two(l1, l2, t1, t2)
-            J_fd = np.column_stack([
-                (fk_two(l1, l2, t1 + h, t2) - fk_two(l1, l2, t1 - h, t2)) / (2 * h),
-                (fk_two(l1, l2, t1, t2 + h) - fk_two(l1, l2, t1, t2 - h)) / (2 * h),
-            ])
-            assert np.max(np.abs(J - J_fd)) <= 1e-6
-
-    def test_straight_arm_singular(self):
-        J = jacobian_two(1.0, 1.0, 0.7, 0.0)
-        assert abs(np.linalg.det(J @ J.T)) <= 1e-12
-
-    def test_folded_arm_singular(self):
-        J = jacobian_two(1.0, 1.0, 0.7, math.pi)
-        assert abs(np.linalg.det(J @ J.T)) <= 1e-12
-
-
-class TestManipulability:
-    def test_right_angle_unit_links(self):
-        # closed form l1 * l2 * |sin t2| = 1
-        J = jacobian_two(1.0, 1.0, 0.3, math.pi / 2)
-        assert manipulability(J) == pytest.approx(1.0, abs=1e-12)
-
-    def test_singularity_is_zero(self):
-        # det(JJ^T) vanishes to 1e-12, so the square root vanishes to 1e-6
-        assert manipulability(jacobian_two(1.0, 1.0, 0.1, 0.0)) == pytest.approx(0.0, abs=1e-6)
-
-    def test_closed_form_random(self):
-        rng = np.random.default_rng(4)
-        for _ in range(30):
-            l1, l2 = rng.uniform(0.2, 2.0, 2)
-            t1, t2 = rng.uniform(0, 2 * math.pi, 2)
-            got = manipulability(jacobian_two(l1, l2, t1, t2))
-            assert got == pytest.approx(l1 * l2 * abs(math.sin(t2)), rel=1e-9, abs=1e-12)
-
-    def test_scaling_links_doubles_twice(self):
-        base = manipulability(jacobian_two(0.8, 1.1, 0.5, 1.1))
-        scaled = manipulability(jacobian_two(1.6, 2.2, 0.5, 1.1))
-        assert scaled == pytest.approx(4 * base, rel=1e-12)
-
-    def test_bad_input(self):
-        with pytest.raises(ValueError):
-            manipulability(np.ones((2, 3)))
-
-
 class TestOrientationGeodesic:
+    """wrapped_angle_distance is the geodesic distance on SO(2)."""
+
     def test_identical_rotations(self):
-        R = rotation_z(0.4)
-        assert orientation_geodesic(R, R) == pytest.approx(0.0, abs=1e-9)
+        assert wrapped_angle_distance(0.4, 0.4) == 0.0
 
     def test_half_turn(self):
-        assert orientation_geodesic(rotation_z(math.pi), np.eye(3)) == pytest.approx(math.pi)
+        assert wrapped_angle_distance(math.pi, 0.0) == pytest.approx(math.pi)
 
     def test_known_angle(self):
-        assert orientation_geodesic(rotation_z(0.3), np.eye(3)) == pytest.approx(0.3, abs=1e-12)
-
-    def test_axis_angle_oracle(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            axis = rng.normal(size=3)
-            angle = rng.uniform(0, math.pi)
-            R = rotation_axis_angle(axis, angle)
-            assert orientation_geodesic(R, np.eye(3)) == pytest.approx(angle, abs=1e-9)
+        assert wrapped_angle_distance(0.3, 0.0) == pytest.approx(0.3, abs=1e-12)
+        assert wrapped_angle_distance(0.0, 2 * math.pi - 0.3) == pytest.approx(0.3, abs=1e-12)
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(6)
-        for _ in range(30):
-            Rs = [rotation_axis_angle(rng.normal(size=3), rng.uniform(0, math.pi))
-                  for _ in range(3)]
-            d01 = orientation_geodesic(Rs[0], Rs[1])
-            d10 = orientation_geodesic(Rs[1], Rs[0])
-            assert d01 == pytest.approx(d10, abs=1e-9)
-            d12 = orientation_geodesic(Rs[1], Rs[2])
-            d02 = orientation_geodesic(Rs[0], Rs[2])
-            assert d02 <= d01 + d12 + 1e-9
+        a, b, c = rng.uniform(-10.0, 10.0, (3, 200))
+        d_ab = wrapped_angle_distance(a, b)
+        assert np.all(np.abs(d_ab - wrapped_angle_distance(b, a)) <= 1e-12)
+        assert np.all((0.0 <= d_ab) & (d_ab <= math.pi))
+        assert np.all(wrapped_angle_distance(a, c)
+                      <= d_ab + wrapped_angle_distance(b, c) + 1e-12)
 
     def test_agrees_with_planar_distance_on_so2(self):
+        # the SO(3) geodesic arccos((Tr(R1^T R2) - 1) / 2) of two z rotations
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            a, b = rng.uniform(0, 2 * math.pi, 2)
-            assert orientation_geodesic(rotation_z(a), rotation_z(b)) == pytest.approx(
-                wrapped_angle_distance(a, b), abs=1e-9
-            )
-
-    def test_rejects_non_rotation(self):
-        with pytest.raises(ValueError):
-            orientation_geodesic(np.eye(3) * 1.1, np.eye(3))
+        a, b = rng.uniform(0, 2 * math.pi, (2, 50))
+        np.testing.assert_allclose(wrapped_angle_distance(a, b), np.arccos(np.cos(a - b)),
+                                   atol=1e-7)
 
 
 class TestPoseCost:
     def test_zero_at_target(self):
         w = PoseWeights(1.0, 0.0)
-        assert pose_cost([0.3, 0.4], [0.3, 0.4], w) == 0.0
+        assert row_pose_cost([0.3, 0.4], [0.3, 0.4], w) == 0.0
 
     def test_unit_offset(self):
         w = PoseWeights(1.0, 0.0)
-        assert pose_cost([1.0, 0.0], [0.0, 0.0], w) == pytest.approx(1.0)
+        assert row_pose_cost([1.0, 0.0], [0.0, 0.0], w) == pytest.approx(1.0)
 
     def test_combined_position_orientation(self):
         w = PoseWeights(1.0, 1.0)
         # position error^2 = 0.04, angle error 0.1 rad -> 0.04 + 0.01
-        assert pose_cost([0.2, 0.0], [0.0, 0.0], w, phi=0.1, phi_target=0.0) == pytest.approx(0.05)
+        assert row_pose_cost([0.2, 0.0], [0.0, 0.0], w, phi=0.1, phi_target=0.0) == pytest.approx(0.05)
 
     def test_missing_orientation_contract(self):
         with pytest.raises(ValueError):
-            pose_cost([0, 0], [0, 0], PoseWeights(1.0, 1.0))
+            row_pose_cost([0, 0], [0, 0], PoseWeights(1.0, 1.0))
+
+    def test_error_is_euclidean_with_orientation_in_quadrature(self):
+        tips = np.array([[0.3, 0.4]])
+        task = PoseTarget((0.0, 0.0), phi=0.0)
+        assert task_error(task, tips, np.array([0.1]), PoseWeights(1.0, 0.0))[0] == 0.5
+        assert task_error(task, tips, np.array([1.2]), PoseWeights(1.0, 2.0))[0] \
+            == pytest.approx(math.sqrt(0.25 + 1.44))
+        # no orientation target: orientation weight and angles are ignored
+        untargeted = PoseTarget((0.0, 0.0))
+        assert task_error(untargeted, tips, None, PoseWeights(1.0, 2.0))[0] == 0.5
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):
@@ -234,28 +181,34 @@ class TestPoseCost:
 class TestGraspCost:
     def test_zero_at_ideal_contacts(self):
         task = GraspTask((0.0, 1.2), 0.3)
-        assert grasp_cost(task.c_ideal1, task.c_ideal2, task) == 0.0
+        assert row_grasp_cost(task.c_ideal1, task.c_ideal2, task) == 0.0
 
     def test_tenth_meter_offsets(self):
         task = GraspTask((0.0, 1.2), 0.3)
         p1 = np.asarray(task.c_ideal1) + [0.1, 0.0]
         p2 = np.asarray(task.c_ideal2) + [0.0, 0.1]
-        assert grasp_cost(p1, p2, task) == pytest.approx(0.02)
+        assert row_grasp_cost(p1, p2, task) == pytest.approx(0.02)
 
     def test_composes_from_pose_costs(self):
         task = GraspTask((0.2, 1.5), 0.4, axis=0.3)
         w = PoseWeights(1.0, 0.0)
         rng = np.random.default_rng(8)
         p1, p2 = rng.normal(size=2), rng.normal(size=2)
-        expected = pose_cost(p1, task.c_ideal1, w) + pose_cost(p2, task.c_ideal2, w)
-        assert grasp_cost(p1, p2, task) == pytest.approx(expected, rel=1e-12)
+        expected = row_pose_cost(p1, task.c_ideal1, w) + row_pose_cost(p2, task.c_ideal2, w)
+        assert row_grasp_cost(p1, p2, task) == pytest.approx(expected, rel=1e-12)
+
+    def test_error_equals_cost(self):
+        task = GraspTask((0.2, 1.5), 0.4, axis=0.3)
+        tips = np.random.default_rng(9).normal(size=(5, 4))
+        np.testing.assert_array_equal(task_error(task, tips, None, PoseWeights()),
+                                      task_cost(task, tips, None, PoseWeights()))
 
     def test_swap_invariance(self):
         task = GraspTask((0.0, 1.2), 0.3, axis=0.0)
         flipped = GraspTask((0.0, 1.2), 0.3, axis=math.pi)
         np.testing.assert_allclose(flipped.c_ideal1, task.c_ideal2, atol=1e-15)
         p1, p2 = np.array([0.1, 1.0]), np.array([-0.2, 1.4])
-        assert grasp_cost(p1, p2, task) == pytest.approx(grasp_cost(p2, p1, flipped))
+        assert row_grasp_cost(p1, p2, task) == pytest.approx(row_grasp_cost(p2, p1, flipped))
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError):

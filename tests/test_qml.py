@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qkinopt import harness, qml, qsim
 from qkinopt.encoding import ParamGrid, ParamSpec, decode, decode_all
-from qkinopt.kinematics import OneLink, PoseTarget, PoseWeights, TwoLink, fk_one, pose_cost
+from qkinopt.kinematics import OneLink, PoseTarget, PoseWeights, TwoLink, fk_one, task_cost
 from qkinopt.qml import (
     TrainingSet,
     build_ansatz,
@@ -383,7 +383,7 @@ class TestCostTable:
 
         for k in range(grid.size):
             t1, t2, l1, l2 = decode(grid, k)
-            direct = pose_cost(fk_two(l1, l2, t1, t2), task.position, weights)
+            direct = task_cost(task, fk_two(l1, l2, t1, t2)[None, :], None, weights)[0]
             assert costs[k] == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
     def test_surrogate_table_runs(self):
@@ -392,9 +392,11 @@ class TestCostTable:
         s = make_surrogate(grid, OneLink(), n_qubits=4)
         s = s.with_params(rng.uniform(-1, 1, s.ansatz.parameter_count))
         costs = build_cost_table(grid, OneLink(), PoseTarget((0.5, 0.5)),
-                                 PoseWeights(1.0, 0.0), "surrogate", s)
+                                 PoseWeights(1.0, 0.0), s)
         assert costs.shape == (grid.size,)
         assert np.all(costs >= 0.0)
+        tips = qml._predict_batch(s, decode_all(grid))
+        np.testing.assert_array_equal(costs, np.sum((tips - [0.5, 0.5]) ** 2, axis=1))
 
     def test_surrogate_requires_instance(self):
         grid = one_dof_grid(2)
@@ -402,13 +404,20 @@ class TestCostTable:
             build_cost_table(grid, OneLink(), PoseTarget((0.5, 0.5)),
                              PoseWeights(1.0, 0.0), "surrogate")
 
+    def test_surrogate_refuses_orientation_weight(self):
+        grid = one_dof_grid(2)
+        s = make_surrogate(grid, OneLink(), n_qubits=4)
+        with pytest.raises(ValueError, match="positions only"):
+            build_cost_table(grid, OneLink(), PoseTarget((0.5, 0.5), phi=0.7),
+                             PoseWeights(1.0, 0.5), s)
+
     def test_orientation_weighted_table(self):
         grid = one_dof_grid(3)
         costs = build_cost_table(grid, OneLink(), PoseTarget((0.5, 0.5), phi=0.7),
                                  PoseWeights(1.0, 0.5))
         z = decode(grid, 5)
-        expected = pose_cost(fk_one(*z), (0.5, 0.5), PoseWeights(1.0, 0.5),
-                             phi=z[1], phi_target=0.7)
+        expected = task_cost(PoseTarget((0.5, 0.5), phi=0.7), fk_one(*z)[None, :],
+                             np.array([z[1]]), PoseWeights(1.0, 0.5))[0]
         assert costs[5] == pytest.approx(expected, rel=1e-12)
 
 
@@ -463,5 +472,6 @@ class TestWorkspaceBox:
         z = np.array([1.0, 0.5])
         got = configuration_costs(OneLink(), grid.names(), z[None, :],
                                   PoseTarget((0.2, 0.1)), PoseWeights(1.0, 0.0))
-        expected = pose_cost(fk_one(1.0, 0.5), (0.2, 0.1), PoseWeights(1.0, 0.0))
+        expected = task_cost(PoseTarget((0.2, 0.1)), fk_one(1.0, 0.5)[None, :], None,
+                             PoseWeights(1.0, 0.0))[0]
         assert got[0] == pytest.approx(expected, rel=1e-14)
