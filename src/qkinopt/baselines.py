@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .encoding import ParamGrid, decode_all
+from .encoding import ParamGrid, decode_all, row_blocks
 
 
 class Objective:
@@ -250,11 +250,14 @@ def multi_start(method: Callable[..., OptRun], obj: Objective, n_starts: int = 5
 
 def exhaustive_scan(grid: ParamGrid,
                     cost_fn: Callable[[np.ndarray], np.ndarray]) -> Tuple[int, float, int]:
-    """Exact argmin over all 2^N grid configurations, ties broken by lowest
-    index; returns (argmin index, min cost, evaluations = 2^N)."""
-    Z = decode_all(grid)
-    costs = np.asarray(cost_fn(Z), dtype=float)
-    if costs.shape != (grid.size,):
-        raise ValueError("cost function must return one cost per configuration")
-    best = int(np.argmin(costs))
-    return best, float(costs[best]), grid.size
+    """Exact argmin over all 2^N grid configurations, one block of rows at a
+    time; ties go to the lowest index. Returns (index, min cost, 2^N evaluations)."""
+    best, best_cost = 0, math.inf
+    for start, stop in row_blocks(grid.size):
+        costs = np.asarray(cost_fn(decode_all(grid, start, stop)), dtype=float)
+        if costs.shape != (stop - start,):
+            raise ValueError("cost function must return one cost per configuration")
+        k = int(np.argmin(costs))
+        if start == 0 or costs[k] < best_cost:  # an equal later cost keeps the lower index
+            best, best_cost = start + k, float(costs[k])
+    return best, best_cost, grid.size

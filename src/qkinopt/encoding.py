@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from .qsim import DEFAULT_QUBIT_CAP, CapacityError
 # snap-to-boundary guard for encode(decode(k)) round trips; floating point can
 # land floor() one ulp under an exact integer
 _BOUNDARY_EPS = 1e-9
+# rows per block of a full-grid pass: a block's decoded rows, tips and
+# temporaries stay in cache, and no (2^N, dimension) array is ever built
+BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -166,13 +169,18 @@ def decode(grid: ParamGrid, index: int) -> np.ndarray:
     return out
 
 
-def decode_all(grid: ParamGrid, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
-    """Decode every basis index at once; returns shape (2^N, dimension)."""
-    grid.check_capacity(cap)
-    idx = np.arange(grid.size)
-    cols = []
-    for spec, shift in zip(grid.specs, grid.shifts):
-        k = (idx >> shift) & (spec.levels - 1)
-        cols.append(spec.lo + k / (spec.levels - 1) * (spec.hi - spec.lo))
-    return np.stack(cols, axis=1)
+def row_blocks(size: int):
+    """(start, stop) of each block of BLOCK_ROWS rows that a full-grid pass takes."""
+    return ((start, min(start + BLOCK_ROWS, size)) for start in range(0, size, BLOCK_ROWS))
 
+
+def decode_all(grid: ParamGrid, start: int = 0, stop: Optional[int] = None,
+               cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+    """Decode basis indices start..stop-1 (default: all); shape (rows, dimension)."""
+    grid.check_capacity(cap)
+    idx = np.arange(start, grid.size if stop is None else stop)
+    out = np.empty((idx.size, grid.dimension))
+    for i, (spec, shift) in enumerate(zip(grid.specs, grid.shifts)):
+        k = (idx >> shift) & (spec.levels - 1)
+        out[:, i] = spec.lo + k / (spec.levels - 1) * (spec.hi - spec.lo)
+    return out

@@ -12,8 +12,8 @@ K rounds cost O(M), not O(K * M). `apply_oracle` and `apply_diffusion` are
 the gate-level rounds, kept as the reference that the tests check the closed
 form against; no pipeline path calls them.
 
-`threshold_ladder` is the one adaptive threshold schedule, and `verify`
-uses the analytic error that the harness tabulates over the grid.
+`threshold_ladder` is the one adaptive threshold schedule and reads only the
+cost floor; `verify` uses the analytic error that the harness tabulates.
 """
 
 from __future__ import annotations
@@ -204,41 +204,30 @@ def grover_search(grid: ParamGrid, oracle: OracleSpec, plan: GroverPlan) -> Sear
 
 
 def shrink_schedule(costs: np.ndarray, epsilon0: float, shrink: float) -> list:
-    """Geometric threshold ladder: shrink until the next step would mark nothing."""
+    """Geometric threshold ladder: shrink until the next step falls below the floor."""
     if not 0 < shrink < 1:
         raise ValueError("shrink factor must be in (0, 1)")
-    costs = np.asarray(costs, dtype=float)
-    if epsilon0 < costs.min():
+    floor = float(np.min(costs))
+    if not epsilon0 >= floor:
         raise ValueError("epsilon0 must be at least the minimum cost")
     levels = [epsilon0]
-    eps = epsilon0
     while True:
-        nxt = eps * shrink
-        if nxt == eps or count_solutions(costs, nxt) < 1:
+        nxt = levels[-1] * shrink
+        if nxt == levels[-1] or nxt < floor:
             return levels
         levels.append(nxt)
-        eps = nxt
 
 
 def minimal_epsilon(costs: np.ndarray, epsilon_hi: float) -> float:
-    """Bisect the threshold down to the smallest value still marking a state.
+    """The smallest threshold still marking a state: the table floor.
 
     Isolates the bit-exact minimum-cost set, refining beyond the geometric
     ladder; used to pin the search onto the global grid minimum.
     """
-    costs = np.asarray(costs, dtype=float)
-    if count_solutions(costs, epsilon_hi) < 1:
+    floor = float(np.min(costs))
+    if not epsilon_hi >= floor:
         raise NoSolutionError("refinement started from an empty threshold")
-    lo = np.nextafter(costs.min(), -np.inf)  # strictly below the minimum
-    hi = epsilon_hi
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return hi
-        if count_solutions(costs, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
+    return floor
 
 
 def threshold_ladder(costs: np.ndarray, epsilon0: Optional[float], shrink: float,
@@ -246,13 +235,15 @@ def threshold_ladder(costs: np.ndarray, epsilon0: Optional[float], shrink: float
     """Thresholds of the adaptive search, loosest first.
 
     Starts at epsilon0 (None: 10x the table floor), shrinks geometrically
-    while a state stays marked and, with `refine`, ends at the smallest
-    threshold that still marks a state (`minimal_epsilon`).
+    while a state stays marked and, with `refine`, ends at the table floor,
+    the smallest threshold that still marks a state (`minimal_epsilon`).
+    Only the floor of the table is read.
     """
-    costs = np.asarray(costs, dtype=float)
-    floor = float(costs.min())
+    floor = float(np.min(costs))
     if epsilon0 is None:
         epsilon0 = 10.0 * floor if floor > 0 else 0.0
+    if not math.isfinite(epsilon0):
+        raise ValueError(f"epsilon0 must be finite, got {epsilon0!r}")
     if epsilon0 < floor:
         raise NoSolutionError(
             f"epsilon0={epsilon0} marks no configuration (cost floor {floor}); "

@@ -2,11 +2,12 @@
 the quantum search and the classical baselines on the same objectives, and
 emits machine-readable reports.
 
-The quantum path runs one amplified search per adaptive-threshold step: the
-threshold starts at 10x the grid-resolution cost floor, shrinks geometrically
-while solutions remain, and is finally bisected down to the smallest value
-that still marks a state (pinning the search onto the exact grid minimum).
-One "optimization iteration" in the traces is one such adaptive step.
+The quantum path takes the cost table, and the error table its tolerance
+comes from, from one streamed grid pass. It runs one amplified search per
+adaptive-threshold step: the threshold starts at 10x the cost-table floor,
+shrinks geometrically while solutions remain, and ends at the floor itself,
+the smallest value that still marks a state (pinning the search onto the
+exact grid minimum). One "optimization iteration" is one such step.
 
 Reports are byte-stable for a fixed config and seed: floats are written with
 17 significant digits and JSON keys are sorted.
@@ -33,13 +34,15 @@ from .kinematics import (
     PoseTarget,
     PoseWeights,
     TwoLink,
+    task_cost,
+    task_error,
 )
 from .qml import (
     Surrogate,
     TrainingSet,
     build_cost_table,
     configuration_costs,
-    configuration_errors,
+    grid_tables,
     make_surrogate,
     train,
 )
@@ -51,11 +54,12 @@ COMPARISON_HEADER = ("method", "evaluations", "best_cost", "accepted", "evals_ov
 # --- configuration ------------------------------------------------------------
 
 def _check_minimums(settings, section: str, **minimums) -> None:
-    """Refuse a setting below its minimum (NaN included); None means unset."""
+    """Refuse a setting below its minimum or not finite; None means unset."""
     for name, low in minimums.items():
         value = getattr(settings, name)
-        if value is not None and not value >= low:
-            raise ValueError(f"config key {section + name!r} must be >= {low}, got {value!r}")
+        if value is not None and not low <= value < math.inf:
+            raise ValueError(f"config key {section + name!r} must be finite and >= {low}, "
+                             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,7 @@ class SearchSettings:
         if not 0 < self.shrink < 1:
             raise ValueError(
                 f"config key 'search.shrink' must be in (0, 1), got {self.shrink!r}")
+        _check_minimums(self, "search.", epsilon0=0)
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,10 @@ class CaseConfig:
         if self.mode == "surrogate" and self.weights.alpha_R > 0:
             raise ValueError("config key 'weights.alpha_R' must be 0 in surrogate mode, "
                              "whose surrogate predicts positions only")
+        for key, default in (("alpha_p", 1.0), ("alpha_R", 0.0)):
+            if isinstance(self.task, GraspTask) and getattr(self.weights, key) != default:
+                raise ValueError(f"config key 'weights.{key}' must be {default} on a grasp "
+                                 "task, whose cost weighs only its contacts")
         _check_minimums(self, "", shots=1, seed=0)
 
     def with_overrides(self, seed: Optional[int] = None, shots: Optional[int] = None,
@@ -173,18 +182,17 @@ def dual_arm_case(qubits_per_param: int = 4, center: Tuple[float, float] = (0.0,
 
 # --- config (de)serialization ---------------------------------------------------
 
+_MODEL_TYPES = {"one_link": OneLink, "two_link": TwoLink, "dual_arm": DualArm}
+
+
 def config_to_dict(config: CaseConfig) -> dict:
     model = config.model
-    if isinstance(model, OneLink):
-        model_d = {"type": "one_link", "l1": model.l1}
-    elif isinstance(model, TwoLink):
-        model_d = {"type": "two_link", "l1": model.l1, "l2": model.l2}
-    elif isinstance(model, DualArm):
-        model_d = {"type": "dual_arm", "base1": list(model.base1),
-                   "base2": list(model.base2), "links1": list(model.links1),
-                   "links2": list(model.links2)}
-    else:
+    types = [name for name, cls in _MODEL_TYPES.items() if isinstance(model, cls)]
+    if not types:
         raise TypeError(f"unknown model {model!r}")
+    model_d = {k: list(v) if isinstance(v, tuple) else v
+               for k, v in dataclasses.asdict(model).items()}
+    model_d["type"] = types[0]
     task = config.task
     if isinstance(task, PoseTarget):
         task_d = {"type": "position", "target": list(task.position),
@@ -234,7 +242,8 @@ def _require(section: str, data: dict, *keys: str) -> None:
 
 
 def _check_finite(key: str, values) -> None:
-    if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+    """Refuse a non-finite value; None means unset."""
+    if values is not None and not np.all(np.isfinite(np.asarray(values, dtype=float))):
         raise ValueError(f"config key {key!r} must be finite, got {values!r}")
 
 
@@ -259,20 +268,13 @@ def config_from_dict(data: dict) -> CaseConfig:
     )
     m = data["model"]
     _require("model.", m, "type")
-    if m["type"] == "one_link":
-        _check_keys("model.", m, ("type", "l1"))
-        model = OneLink(float(m.get("l1", 1.0)))
-    elif m["type"] == "two_link":
-        _check_keys("model.", m, ("type", "l1", "l2"))
-        model = TwoLink(float(m.get("l1", 1.0)), float(m.get("l2", 1.0)))
-    elif m["type"] == "dual_arm":
-        _check_keys("model.", m, ("type", "base1", "base2", "links1", "links2"))
-        model = DualArm(tuple(m.get("base1", (-0.8, 0.0))),
-                        tuple(m.get("base2", (0.8, 0.0))),
-                        tuple(m.get("links1", (1.0, 1.0))),
-                        tuple(m.get("links2", (1.0, 1.0))))
-    else:
+    if m["type"] not in _MODEL_TYPES:
         raise ValueError(f"unknown model type {m['type']!r}")
+    model_cls = _MODEL_TYPES[m["type"]]
+    _check_keys("model.", m, ["type"] + [f.name for f in dataclasses.fields(model_cls)])
+    # lengths are numbers; bases and link pairs are (x, y) and (l1, l2) tuples
+    model = model_cls(**{k: tuple(v) if isinstance(v, list) else float(v)
+                         for k, v in m.items() if k != "type"})
     t = data["task"]
     _require("task.", t, "type")
     if t["type"] == "position":
@@ -291,6 +293,8 @@ def config_from_dict(data: dict) -> CaseConfig:
         raise ValueError(f"unknown task type {t['type']!r}")
     w = data.get("weights", {})
     _check_keys("weights.", w, ("alpha_p", "alpha_R", "epsilon"))
+    for key, value in w.items():
+        _check_finite("weights." + key, value)
     weights = PoseWeights(float(w.get("alpha_p", 1.0)), float(w.get("alpha_R", 0.0)),
                           w.get("epsilon"))
     return CaseConfig(
@@ -354,40 +358,17 @@ class RunReport:
     surrogate: Optional[Surrogate] = None  # carried for emit, not serialized
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "mode": self.mode,
-            "seed": self.seed,
-            "shots": self.shots,
-            "total_qubits": self.total_qubits,
-            "space_size": self.space_size,
-            "resolution": self.resolution,
-            "epsilon0": self.epsilon0,
-            "final_epsilon": self.final_epsilon,
-            "tolerance": self.tolerance,
-            "iteration_definition": self.iteration_definition,
-            "steps": [dataclasses.asdict(s) for s in self.steps],
-            "result": {
-                "index": self.result.index,
-                "bitstring": self.result.bitstring,
-                "params": [float(v) for v in self.result.params],
-                "marked_probability": self.result.marked_probability,
-                "queries": self.result.queries,
-                "epsilon": self.result.epsilon,
-                "solutions": self.result.solutions,
-                "e_actual": self.result.e_actual,
-                "accepted": self.result.accepted,
-            },
-            "analytic_best_cost": self.analytic_best_cost,
-            "queries_final": self.queries_final,
-            "queries_total": self.queries_total,
-            "loss_trace": self.loss_trace,
-        }
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+               if f.name != "surrogate"}
+        out["steps"] = [dataclasses.asdict(s) for s in self.steps]
+        out["result"] = dict(dataclasses.asdict(self.result),
+                             params=[float(v) for v in self.result.params])
+        return out
 
 
 def _actual_error_table(grid: ParamGrid, model, task, weights: PoseWeights) -> np.ndarray:
-    """Verification error of every grid configuration (vectorized)."""
-    return configuration_errors(model, grid.names(), decode_all(grid), task, weights)
+    """Verification error of every grid configuration (the streamed pass)."""
+    return grid_tables(grid, model, task, weights, measures=(task_error,))[0]
 
 
 def train_case_surrogate(config: CaseConfig) -> Tuple[Surrogate, np.ndarray]:
@@ -410,7 +391,15 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
     epsilon, coarsen the grid, or retrain the surrogate).
     """
     grid = config.grid
-    analytic_costs = build_cost_table(grid, config.model, config.task, config.weights)
+    task = config.task
+    # one analytic pass, which tabulates the error too when the tolerance is unset
+    measures = (task_cost,) if task.tolerance is not None else (task_cost, task_error)
+    analytic_costs, *errors = grid_tables(grid, config.model, task, config.weights,
+                                          measures=measures)
+    if errors:
+        # grid resolution bounds achievable accuracy; accept up to twice the
+        # exhaustive error floor (pop frees the table before the search)
+        task = replace(task, tolerance=2.0 * float(errors.pop().min()))
     loss_trace = None
     if config.mode == "surrogate":
         if surrogate is None:
@@ -421,15 +410,6 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
     else:
         surrogate = None
         costs = analytic_costs
-
-    task = config.task
-    tolerance = task.tolerance
-    if tolerance is None:
-        # grid resolution bounds achievable accuracy; accept up to twice the
-        # exhaustive error floor
-        tolerance = 2.0 * float(_actual_error_table(grid, config.model, task,
-                                                    config.weights).min())
-        task = replace(task, tolerance=tolerance)
 
     start = config.search.epsilon0 if config.weights.epsilon is None else config.weights.epsilon
     levels = grover.threshold_ladder(costs, start, config.search.shrink, config.search.refine)
@@ -450,6 +430,7 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
             qsim.expectation_diagonal(state, costs),
             result.index, float(costs[result.index]),
         ))
+        del state  # free the 2^N amplitudes before the next search builds its own
     assert result is not None
 
     e_actual, accepted = grover.verify(result.index, grid, config.model, task,
@@ -465,7 +446,7 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
         case=config.case, mode=config.mode, seed=config.seed, shots=config.shots,
         total_qubits=grid.total_qubits, space_size=grid.size,
         resolution=resolution, epsilon0=epsilon0, final_epsilon=levels[-1],
-        tolerance=tolerance, steps=steps, result=result,
+        tolerance=task.tolerance, steps=steps, result=result,
         analytic_best_cost=float(analytic_costs[result.index]),
         queries_final=result.queries, queries_total=queries_total,
         loss_trace=loss_trace, surrogate=surrogate,
@@ -506,7 +487,7 @@ def run_baselines(config: CaseConfig) -> List[cls_opt.OptRun]:
         return configuration_costs(config.model, names, Z, config.task, config.weights)
 
     idx, best_cost, evals = cls_opt.exhaustive_scan(config.grid, table_fn)
-    runs.append(cls_opt.OptRun("exhaustive", decode_all(config.grid)[idx],
+    runs.append(cls_opt.OptRun("exhaustive", decode_all(config.grid, idx, idx + 1)[0],
                                best_cost, evals, [best_cost], True))
     return runs
 

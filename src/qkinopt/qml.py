@@ -24,8 +24,9 @@ Training is full-batch Adam seeded for reproducibility.
 This module also builds the diagonal cost table that the search oracle
 consumes: one `kinematics.task_cost` per basis state, from the trained
 surrogate's predicted tips or from the analytical kinematics, whose grid
-columns bind to FK by parameter name. `configuration_errors` gives the
-analytic `kinematics.task_error` of any batch of configurations.
+columns bind to FK by parameter name; `grid_tables` streams the grid in row
+blocks and can tabulate the error from the same tips. `configuration_errors`
+gives the analytic `kinematics.task_error` of any batch of configurations.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import qsim
-from .encoding import ParamGrid, decode_all
+from .encoding import ParamGrid, decode_all, row_blocks
 from .kinematics import (
     DualArm,
     OneLink,
@@ -489,19 +490,32 @@ def configuration_errors(model, names: Tuple[str, ...], Z: np.ndarray,
     return task_error(task, *_task_rows(model, names, Z, task, weights), weights)
 
 
+def grid_tables(grid: ParamGrid, model, task, weights: PoseWeights,
+                surrogate: Optional[Surrogate] = None,
+                measures: Sequence = (task_cost,)) -> list:
+    """One length-2^N table per measure (`task_cost`, `task_error`), in one
+    pass over blocks of grid rows. Each block is decoded once and its tips
+    computed once, by the closed-form kinematics (the verification oracle) or
+    the trained surrogate; every measure reads those tips."""
+    if surrogate is not None and not isinstance(surrogate, Surrogate):
+        raise ValueError(f"expected a trained Surrogate (None: analytic), got {surrogate!r}")
+    if surrogate is not None and weights.alpha_R > 0:
+        raise ValueError("surrogate predicts positions only")
+    grid.check_capacity()
+    names = grid.names()
+    tables = [np.empty(grid.size) for _ in measures]
+    for start, stop in row_blocks(grid.size):
+        Z = decode_all(grid, start, stop)
+        if surrogate is None:
+            tips, phis = _task_rows(model, names, Z, task, weights)
+        else:
+            tips, phis = _predict_batch(surrogate, Z), None
+        for table, measure in zip(tables, measures):
+            table[start:stop] = measure(task, tips, phis, weights)
+    return tables
+
+
 def build_cost_table(grid: ParamGrid, model, task, weights: PoseWeights,
                      surrogate: Optional[Surrogate] = None) -> np.ndarray:
-    """Length-2^N diagonal of the cost observable.
-
-    Without a surrogate the closed-form kinematics are evaluated at every
-    decoded configuration (the verification oracle); with one, the trained
-    circuit's predicted tip positions take their place.
-    """
-    Z = decode_all(grid)  # refuses a grid beyond the simulator cap
-    if surrogate is None:
-        return configuration_costs(model, grid.names(), Z, task, weights)
-    if not isinstance(surrogate, Surrogate):
-        raise ValueError(f"expected a trained Surrogate (None: analytic), got {surrogate!r}")
-    if weights.alpha_R > 0:
-        raise ValueError("surrogate predicts positions only")
-    return task_cost(task, _predict_batch(surrogate, Z), None, weights)
+    """Length-2^N diagonal of the cost observable (`grid_tables`)."""
+    return grid_tables(grid, model, task, weights, surrogate)[0]

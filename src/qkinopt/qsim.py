@@ -237,8 +237,7 @@ def measure(state: StateVector, shots: int, seed: int) -> dict:
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = state.probabilities()
-    probs = np.clip(probs, 0.0, None)
+    probs = state.probabilities()  # |a|^2 >= 0 already, so nothing needs clipping
     probs /= probs.sum()
     counts = np.random.default_rng(seed).multinomial(shots, probs)
     nz = np.nonzero(counts)[0]

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qkinopt import encoding
 from qkinopt.baselines import (
     Objective,
     OptRun,
@@ -216,6 +219,24 @@ class TestExhaustiveScan:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             exhaustive_scan(self.grid(), lambda Z: np.ones(3))
+
+    def test_tie_across_block_boundary_keeps_lowest_index(self, monkeypatch):
+        monkeypatch.setattr(encoding, "BLOCK_ROWS", 4)
+        table = np.full(32, 2.0)
+        table[[6, 9, 30]] = 1.0  # the minimum in three blocks, first in the second
+        grid = ParamGrid((ParamSpec("k", 0.0, 31.0, 5),))  # row k decodes to about k
+        assert exhaustive_scan(grid, lambda Z: table[np.rint(Z[:, 0]).astype(int)]) == (6, 1.0, 32)
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(st.integers(0, 3), min_size=32, max_size=32),
+           block=st.integers(1, 40))
+    def test_streamed_scan_is_one_shot_argmin(self, values, block):
+        table = np.array(values, dtype=float)
+        grid = ParamGrid((ParamSpec("k", 0.0, 31.0, 5),))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoding, "BLOCK_ROWS", block)
+            found = exhaustive_scan(grid, lambda Z: table[np.rint(Z[:, 0]).astype(int)])
+        assert found == (int(np.argmin(table)), table.min(), 32)
 
 
 class TestMultiStart:

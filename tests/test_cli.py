@@ -5,7 +5,7 @@ import pytest
 
 from qkinopt import harness
 from qkinopt.cli import main
-from qkinopt.harness import QmlSettings, one_dof_case, save_config
+from qkinopt.harness import QmlSettings, dual_arm_case, one_dof_case, save_config
 
 
 @pytest.fixture
@@ -78,11 +78,16 @@ def keep(data):
     (lambda data: data["weights"].update(epsilon=1e-12), [], "raise epsilon"),
     (lambda data: data["weights"].update(alpha_R=0.5), ["--mode", "surrogate"],
      "'weights.alpha_R'"),
+    (lambda data: data["search"].update(epsilon0=float("nan")), [], "'search.epsilon0'"),
+    (lambda data: data["weights"].update(epsilon=float("inf")), [], "'weights.epsilon'"),
+    (lambda data: data.update(harness.config_to_dict(dual_arm_case(qubits_per_param=1)),
+                              weights={"alpha_p": 3.0, "alpha_R": 0.5}), [],
+     "'weights.alpha_p'"),
 ], ids=["missing_task", "shrink_above_one", "nan_target", "shots_0", "seed_negative",
         "epochs_0", "n_layers_0", "learning_rate_negative", "training_samples_0",
         "n_starts_0", "swarm_size_1", "max_evals_0", "flag_shots_0", "flag_seed_negative",
         "flag_qubits_per_param_0", "epsilon0_below_floor", "epsilon_below_floor",
-        "surrogate_orientation_weight"])
+        "surrogate_orientation_weight", "epsilon0_nan", "epsilon_inf", "grasp_pose_weights"])
 def test_invalid_config_exits_cleanly(edit, flags, name, tmp_path, capsys):
     data = harness.config_to_dict(one_dof_case())
     edit(data)

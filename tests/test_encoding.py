@@ -173,6 +173,12 @@ class TestDecodeAll:
         for k in range(grid.size):
             np.testing.assert_array_equal(table[k], decode(grid, k))
 
+    def test_row_range_is_slice_of_full_table(self):
+        grid = ParamGrid((length_spec(3), angle_spec(2)))
+        table = decode_all(grid)
+        for start, stop in ((0, 32), (5, 6), (7, 20), (31, 32)):
+            np.testing.assert_array_equal(decode_all(grid, start, stop), table[start:stop])
+
     def test_range_containment(self):
         grid = ParamGrid((length_spec(5), angle_spec(5)))
         table = decode_all(grid)

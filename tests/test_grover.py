@@ -26,7 +26,8 @@ from qkinopt.grover import (
     verify,
 )
 from qkinopt.harness import _actual_error_table
-from qkinopt.kinematics import DualArm, GraspTask, OneLink, PoseTarget, PoseWeights, TwoLink, fk_one
+from qkinopt.kinematics import OneLink, PoseTarget, PoseWeights, fk_one
+from tests_support import verification_cases
 
 TWO_PI = 2 * math.pi
 
@@ -349,6 +350,107 @@ class TestAdaptiveSearch:
         assert levels == [0.3]
 
 
+    def test_non_finite_start_refused(self):
+        costs = np.array([0.5, 0.2])
+        for start in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                threshold_ladder(costs, start, 0.5, True)
+        with pytest.raises(ValueError):
+            shrink_schedule(costs, math.nan, 0.5)  # would never reach the floor
+
+
+# The table-walking ladder that the floor-only one replaced, kept as the
+# reference: it counts the marked states of the whole table at each step.
+
+def walking_shrink_schedule(costs, epsilon0, shrink):
+    costs = np.asarray(costs, dtype=float)
+    if epsilon0 < costs.min():
+        raise ValueError("epsilon0 must be at least the minimum cost")
+    levels = [epsilon0]
+    eps = epsilon0
+    while True:
+        nxt = eps * shrink
+        if nxt == eps or count_solutions(costs, nxt) < 1:
+            return levels
+        levels.append(nxt)
+        eps = nxt
+
+
+def bisected_minimal_epsilon(costs, epsilon_hi):
+    costs = np.asarray(costs, dtype=float)
+    if count_solutions(costs, epsilon_hi) < 1:
+        raise NoSolutionError("refinement started from an empty threshold")
+    lo = np.nextafter(costs.min(), -np.inf)  # strictly below the minimum
+    hi = epsilon_hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if count_solutions(costs, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+
+
+def walking_ladder(costs, epsilon0, shrink, refine):
+    floor = float(costs.min())
+    if epsilon0 is None:
+        epsilon0 = 10.0 * floor if floor > 0 else 0.0
+    levels = walking_shrink_schedule(costs, epsilon0, shrink)
+    if refine:
+        refined = bisected_minimal_epsilon(costs, levels[-1])
+        if refined < levels[-1]:
+            levels.append(refined)
+    return levels
+
+
+def bits(values):
+    """Exact bit patterns, so that 0.0 and -0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def ladder_cases(draw):
+    """A finite non-negative table (ties, zero floors and 1e-6-scale costs
+    included), a start at or above its floor (None: the default), a shrink
+    factor and the refine flag."""
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3]))
+    values = draw(st.lists(st.sampled_from([0.0, 0.25, 0.25, 1.0]) | st.floats(0.0, 10.0),
+                           min_size=1, max_size=40))
+    costs = np.array(values) * scale
+    floor = float(costs.min())
+    start = draw(st.none() | st.just(floor)
+                 | st.floats(floor, floor + 20.0 * scale, allow_subnormal=False))
+    return costs, start, draw(st.floats(0.05, 0.95)), draw(st.booleans())
+
+
+class TestFloorOnlyLadder:
+    @settings(max_examples=400, deadline=None)
+    @given(case=ladder_cases())
+    def test_equals_table_walking_ladder(self, case):
+        costs, start, shrink, refine = case
+        assert bits(threshold_ladder(costs, start, shrink, refine)) == bits(
+            walking_ladder(costs, start, shrink, refine))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=ladder_cases())
+    def test_parts_equal_their_references(self, case):
+        costs, start, shrink, _ = case
+        start = float(costs.min()) if start is None else start
+        assert bits(shrink_schedule(costs, start, shrink)) == bits(
+            walking_shrink_schedule(costs, start, shrink))
+        assert bits([minimal_epsilon(costs, start)]) == bits(
+            [bisected_minimal_epsilon(costs, start)])
+
+    def test_ties_and_zero_floor(self):
+        for costs in (np.array([0.3, 0.1, 0.1, 0.7]), np.array([0.0, 0.0, 2.0]),
+                      np.array([0.0, 1e-6, 3e-6])):
+            for start in (None, 0.5, 1.0):
+                for refine in (False, True):
+                    assert bits(threshold_ladder(costs, start, 0.5, refine)) == bits(
+                        walking_ladder(costs, start, 0.5, refine))
+
+
 class TestMinimalEpsilon:
     def test_isolates_exact_minimum(self):
         costs = np.array([3.0, 1.0, 2.0, 1.0 + 1e-13])
@@ -404,35 +506,6 @@ class TestVerify:
             e, accepted = verify(k, grid, OneLink(), task, PoseWeights(1.0, 0.0))
             if accepted:
                 assert e <= 0.2
-
-
-angles = st.floats(-10.0, 10.0)
-
-
-@st.composite
-def verification_cases(draw):
-    """A small grid, model, task and weights: a one- or two-link pose task,
-    with or without an orientation target and weight, or a dual-arm grasp."""
-    kind = draw(st.sampled_from(["one_link", "two_link", "grasp"]))
-    qubits = st.integers(1, 2)
-    lo = draw(st.floats(-math.pi, 0.0))
-    angle_specs = [ParamSpec(name, lo, lo + TWO_PI, draw(qubits), angular=True)
-                   for name in (("theta1",) if kind == "one_link" else ("theta1", "theta2"))]
-    if kind == "grasp":
-        grid = ParamGrid(tuple(ParamSpec(name, lo, lo + TWO_PI, draw(qubits), angular=True)
-                               for name in ("theta11", "theta12", "theta21", "theta22")))
-        task = GraspTask((draw(st.floats(-1.0, 1.0)), draw(st.floats(0.5, 2.0))),
-                         draw(st.floats(0.1, 0.5)), draw(angles), tolerance=0.1)
-        return grid, DualArm(), task, PoseWeights()
-    lengths = [ParamSpec(name, 0.1, 2.0, draw(qubits))
-               for name in ("l1", "l2")[:len(angle_specs)] if draw(st.booleans())]
-    grid = ParamGrid(tuple(angle_specs + lengths))
-    model = OneLink() if kind == "one_link" else TwoLink()
-    phi = draw(st.none() | angles)
-    task = PoseTarget((draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))), phi,
-                      tolerance=0.5)
-    alpha_R = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.01, 5.0))
-    return grid, model, task, PoseWeights(1.0, alpha_R)
 
 
 class TestVerifyMatchesErrorTable:

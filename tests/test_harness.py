@@ -273,7 +273,17 @@ class TestConfigSerialization:
         (one_dof_case, "task", "target", [0.8, float("inf")]),
         (dual_arm_case, "task", "center", [float("nan"), 1.2]),
         (dual_arm_case, "task", "radius", float("nan")),
-    ], ids=["shrink_1.5", "shrink_0", "shrink_nan", "target_inf", "center_nan", "radius_nan"])
+        (one_dof_case, "search", "epsilon0", float("nan")),
+        (one_dof_case, "search", "epsilon0", float("inf")),
+        (one_dof_case, "search", "epsilon0", -0.1),
+        (one_dof_case, "weights", "epsilon", float("nan")),
+        (one_dof_case, "weights", "epsilon", float("inf")),
+        (one_dof_case, "weights", "alpha_p", float("inf")),
+        (dual_arm_case, "weights", "alpha_p", 3.0),
+        (dual_arm_case, "weights", "alpha_R", 0.5),
+    ], ids=["shrink_1.5", "shrink_0", "shrink_nan", "target_inf", "center_nan", "radius_nan",
+            "epsilon0_nan", "epsilon0_inf", "epsilon0_negative", "epsilon_nan", "epsilon_inf",
+            "alpha_p_inf", "grasp_alpha_p", "grasp_alpha_R"])
     def test_from_dict_refuses_bad_value(self, case, section, key, value):
         data = config_to_dict(case())
         data[section][key] = value

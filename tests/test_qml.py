@@ -6,14 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkinopt import harness, qml, qsim
+from qkinopt import encoding, harness, qml, qsim
 from qkinopt.encoding import ParamGrid, ParamSpec, decode, decode_all
-from qkinopt.kinematics import OneLink, PoseTarget, PoseWeights, TwoLink, fk_one, task_cost
+from qkinopt.kinematics import (
+    OneLink,
+    PoseTarget,
+    PoseWeights,
+    TwoLink,
+    fk_one,
+    task_cost,
+    task_error,
+)
 from qkinopt.qml import (
     TrainingSet,
     build_ansatz,
     build_cost_table,
     configuration_costs,
+    configuration_errors,
     encode_input,
     gradient,
     input_angles,
@@ -25,6 +34,7 @@ from qkinopt.qml import (
     train,
     workspace_box,
 )
+from tests_support import verification_cases
 
 TWO_PI = 2 * math.pi
 
@@ -419,6 +429,67 @@ class TestCostTable:
         expected = task_cost(PoseTarget((0.5, 0.5), phi=0.7), fk_one(*z)[None, :],
                              np.array([z[1]]), PoseWeights(1.0, 0.5))[0]
         assert costs[5] == pytest.approx(expected, rel=1e-12)
+
+
+# block sizes of the streamed pass: one row per block, a size that divides no
+# grid (every grid has 2^N rows), and one block larger than any grid here
+BLOCK_SIZES = [1, 3, 1 << 20]
+
+
+def bits(table):
+    return np.asarray(table, dtype=float).view(np.uint64)
+
+
+class TestStreamedTables:
+    """The streamed grid pass equals one-shot evaluation over the whole grid."""
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @settings(max_examples=60, deadline=None)
+    @given(case=verification_cases())
+    def test_analytic_tables_bit_identical(self, block, case):
+        grid, model, task, weights = case
+        Z = decode_all(grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoding, "BLOCK_ROWS", block)
+            errors = qml.grid_tables(grid, model, task, weights, measures=(task_error,))[0]
+            np.testing.assert_array_equal(
+                bits(errors), bits(configuration_errors(model, grid.names(), Z, task, weights)))
+            if isinstance(task, PoseTarget) and task.phi is None and weights.alpha_R > 0:
+                return  # an orientation weight without a target has no cost
+            costs, errors2 = qml.grid_tables(grid, model, task, weights,
+                                             measures=(task_cost, task_error))
+        np.testing.assert_array_equal(
+            bits(costs), bits(configuration_costs(model, grid.names(), Z, task, weights)))
+        np.testing.assert_array_equal(bits(errors2), bits(errors))
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @settings(max_examples=30, deadline=None)
+    @given(case=verification_cases(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_surrogate_table_bit_identical(self, block, case, seed):
+        grid, model, task, weights = case
+        weights = PoseWeights(weights.alpha_p)  # the surrogate predicts positions only
+        s = make_surrogate(grid, model)
+        s = s.with_params(np.random.default_rng(seed).uniform(
+            -math.pi, math.pi, s.ansatz.parameter_count))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoding, "BLOCK_ROWS", block)
+            costs = build_cost_table(grid, model, task, weights, s)
+        one_shot = task_cost(task, qml._predict_batch(s, decode_all(grid)), None, weights)
+        np.testing.assert_array_equal(bits(costs), bits(one_shot))
+
+    def test_blocks_cover_each_row_once(self, monkeypatch):
+        monkeypatch.setattr(encoding, "BLOCK_ROWS", 3)
+        assert list(encoding.row_blocks(8)) == [(0, 3), (3, 6), (6, 8)]
+        seen = []
+
+        def recording_decode(grid, start, stop):
+            seen.append((start, stop))
+            return decode_all(grid, start, stop)
+
+        monkeypatch.setattr(qml, "decode_all", recording_decode)
+        qml.build_cost_table(one_dof_grid(2), OneLink(), PoseTarget((0.5, 0.5)),
+                             PoseWeights())
+        assert seen == [(0, 3), (3, 6), (6, 9), (9, 12), (12, 15), (15, 16)]
 
 
 class TestSerialization:

@@ -3,8 +3,13 @@
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qkinopt import qsim
+from qkinopt.encoding import ParamGrid, ParamSpec
+from qkinopt.kinematics import DualArm, GraspTask, OneLink, PoseTarget, PoseWeights, TwoLink
+
+TWO_PI = 2 * math.pi
 
 
 def random_gate_stream(count, n_qubits, seed):
@@ -26,3 +31,32 @@ def random_gate_stream(count, n_qubits, seed):
             c = int(rng.integers(0, n_qubits))
             t = (c + 1 + int(rng.integers(0, n_qubits - 1))) % n_qubits
             yield qsim.CNOT(c, t)
+
+
+angles = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def verification_cases(draw):
+    """A small grid, model, task and weights: a one- or two-link pose task,
+    with or without an orientation target and weight, or a dual-arm grasp."""
+    kind = draw(st.sampled_from(["one_link", "two_link", "grasp"]))
+    qubits = st.integers(1, 2)
+    lo = draw(st.floats(-math.pi, 0.0))
+    angle_specs = [ParamSpec(name, lo, lo + TWO_PI, draw(qubits), angular=True)
+                   for name in (("theta1",) if kind == "one_link" else ("theta1", "theta2"))]
+    if kind == "grasp":
+        grid = ParamGrid(tuple(ParamSpec(name, lo, lo + TWO_PI, draw(qubits), angular=True)
+                               for name in ("theta11", "theta12", "theta21", "theta22")))
+        task = GraspTask((draw(st.floats(-1.0, 1.0)), draw(st.floats(0.5, 2.0))),
+                         draw(st.floats(0.1, 0.5)), draw(angles), tolerance=0.1)
+        return grid, DualArm(), task, PoseWeights()
+    lengths = [ParamSpec(name, 0.1, 2.0, draw(qubits))
+               for name in ("l1", "l2")[:len(angle_specs)] if draw(st.booleans())]
+    grid = ParamGrid(tuple(angle_specs + lengths))
+    model = OneLink() if kind == "one_link" else TwoLink()
+    phi = draw(st.none() | angles)
+    task = PoseTarget((draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))), phi,
+                      tolerance=0.5)
+    alpha_R = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.01, 5.0))
+    return grid, model, task, PoseWeights(1.0, alpha_R)
