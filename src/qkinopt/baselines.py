@@ -26,23 +26,29 @@ class Objective:
                  angular: Optional[Sequence[bool]] = None):
         self.bounds = [(float(lo), float(hi)) for lo, hi in bounds]
         self.fn = fn
-        self.angular = list(angular) if angular is not None else [False] * len(self.bounds)
-        if len(self.angular) != len(self.bounds):
+        self.angular = np.array([False] * len(self.bounds) if angular is None else angular, bool)
+        if self.angular.shape != (len(self.bounds),):
             raise ValueError("angular flags must match bounds")
         self.evaluations = 0
+        # what `project` reads, built once: clamp bounds are +-inf on angular coordinates
+        self.lo, self.hi = np.array(self.bounds).reshape(-1, 2).T
+        self._clamp_lo = np.where(self.angular, -math.inf, self.lo)
+        self._clamp_hi = np.where(self.angular, math.inf, self.hi)
+        self._period = np.full(self.lo.size, math.tau)
 
     @property
     def dimension(self) -> int:
         return len(self.bounds)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Wrap angular coordinates into one period, clamp the rest to the box."""
+        """Wrap angular coordinates into one period, clamp the rest to the box: bit for bit
+        lo + np.mod(x - lo, 2 pi) and min(max(x, lo), hi) (np.clip may give 0.0 for -0.0)."""
         out = np.array(x, dtype=float)
-        for i, ((lo, hi), ang) in enumerate(zip(self.bounds, self.angular)):
-            if ang:
-                out[i] = lo + np.mod(out[i] - lo, math.tau)
-            else:
-                out[i] = min(max(out[i], lo), hi)
+        np.putmask(out, self._clamp_lo > out, self._clamp_lo)
+        np.putmask(out, self._clamp_hi < out, self._clamp_hi)
+        wrapped = out - self.lo
+        np.mod(wrapped, self._period, out=wrapped)
+        np.putmask(out, self.angular, wrapped + self.lo)
         return out
 
     def evaluate(self, x: np.ndarray) -> float:
@@ -192,12 +198,10 @@ def pso(obj: Objective, swarm_size: int = 30, inertia: float = 0.7,
         raise ValueError("swarm must have at least 2 particles")
     rng = np.random.default_rng(seed)
     d = obj.dimension
-    lo = np.array([b[0] for b in obj.bounds])
-    hi = np.array([b[1] for b in obj.bounds])
     start_evals = obj.evaluations
     budget = max_evals if max_evals is not None else swarm_size * (iterations + 1)
 
-    x = rng.uniform(lo, hi, size=(swarm_size, d))
+    x = rng.uniform(obj.lo, obj.hi, size=(swarm_size, d))
     v = np.zeros_like(x)
     pbest = x.copy()
     pcost = np.array([obj.evaluate(xi) for xi in x])
@@ -211,7 +215,7 @@ def pso(obj: Objective, swarm_size: int = 30, inertia: float = 0.7,
         r1 = rng.random((swarm_size, d))
         r2 = rng.random((swarm_size, d))
         v = inertia * v + cognitive * r1 * (pbest - x) + social * r2 * (gbest - x)
-        x = np.clip(x + v, lo, hi)
+        x = np.clip(x + v, obj.lo, obj.hi)
         for i in range(swarm_size):
             c = obj.evaluate(x[i])
             if c < pcost[i]:

@@ -175,10 +175,10 @@ def row_blocks(size: int):
 
 
 def decode_all(grid: ParamGrid, start: int = 0, stop: Optional[int] = None,
-               cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
-    """Decode basis indices start..stop-1 (default: all); shape (rows, dimension)."""
-    grid.check_capacity(cap)
-    idx = np.arange(start, grid.size if stop is None else stop)
+               indices: Optional[np.ndarray] = None) -> np.ndarray:
+    """Decode indices start..stop-1 (default: all) or just `indices`; shape (rows, dimension)."""
+    grid.check_capacity()
+    idx = np.arange(start, grid.size if stop is None else stop) if indices is None else indices
     out = np.empty((idx.size, grid.dimension))
     for i, (spec, shift) in enumerate(zip(grid.specs, grid.shifts)):
         k = (idx >> shift) & (spec.levels - 1)

@@ -16,6 +16,7 @@ Reports are byte-stable for a fixed config and seed: floats are written with
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -121,6 +122,9 @@ class CaseConfig:
         if self.mode == "surrogate" and self.weights.alpha_R > 0:
             raise ValueError("config key 'weights.alpha_R' must be 0 in surrogate mode, "
                              "whose surrogate predicts positions only")
+        if isinstance(self.task, PoseTarget) and self.task.phi is None \
+                and self.weights.alpha_R > 0:
+            raise ValueError("config key 'task.phi' must be set when 'weights.alpha_R' > 0")
         for key, default in (("alpha_p", 1.0), ("alpha_R", 0.0)):
             if isinstance(self.task, GraspTask) and getattr(self.weights, key) != default:
                 raise ValueError(f"config key 'weights.{key}' must be {default} on a grasp "
@@ -455,17 +459,17 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
 
 # --- classical baselines ------------------------------------------------------------
 
+def _cost_fn(config: CaseConfig):
+    """Analytic cost of each row of a (B, d) batch of this case's configurations."""
+    return functools.partial(configuration_costs, config.model, config.grid.names(),
+                             task=config.task, weights=config.weights)
+
+
 def case_objective(config: CaseConfig) -> cls_opt.Objective:
-    """Counting objective over the continuous analytic cost of this case."""
-    names = config.grid.names()
-    model, task, weights = config.model, config.task, config.weights
-
-    def fn(z: np.ndarray) -> float:
-        return float(configuration_costs(model, names, z[None, :], task, weights)[0])
-
-    bounds = [(s.lo, s.hi) for s in config.grid.specs]
-    angular = [s.angular for s in config.grid.specs]
-    return cls_opt.Objective(bounds, fn, angular)
+    """Counting objective: this case's analytic cost, one row per evaluation."""
+    costs, specs = _cost_fn(config), config.grid.specs
+    return cls_opt.Objective([(s.lo, s.hi) for s in specs], lambda z: costs(z[None, :])[0],
+                             [s.angular for s in specs])
 
 
 def run_baselines(config: CaseConfig) -> List[cls_opt.OptRun]:
@@ -480,13 +484,7 @@ def run_baselines(config: CaseConfig) -> List[cls_opt.OptRun]:
                                         max_evals=settings.max_evals))
     runs.append(cls_opt.pso(case_objective(config), swarm_size=settings.swarm_size,
                             iterations=settings.pso_iterations, seed=settings.seed))
-
-    names = config.grid.names()
-
-    def table_fn(Z: np.ndarray) -> np.ndarray:
-        return configuration_costs(config.model, names, Z, config.task, config.weights)
-
-    idx, best_cost, evals = cls_opt.exhaustive_scan(config.grid, table_fn)
+    idx, best_cost, evals = cls_opt.exhaustive_scan(config.grid, _cost_fn(config))
     runs.append(cls_opt.OptRun("exhaustive", decode_all(config.grid, idx, idx + 1)[0],
                                best_cost, evals, [best_cost], True))
     return runs

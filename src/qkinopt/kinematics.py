@@ -1,7 +1,7 @@
 """Analytical planar kinematics: robot models, tasks, FK, and the task model.
 
-All FK functions broadcast over numpy arrays, so a whole grid of
-configurations can be evaluated in one call; scalars give shape-(2,) points.
+All FK functions broadcast over numpy arrays, so a 2^N-row grid block and a
+one-row objective take the same few numpy calls; the tips fill one array.
 `task_cost` (the oracle cost) and `task_error` (the verification error) are
 the one implementation of each; they take a batch of tip positions and
 orientations, whether from the analytic FK or from the QML surrogate.
@@ -123,41 +123,47 @@ class PoseWeights:
 
 # --- forward kinematics -------------------------------------------------------
 
+def _columns(*cols) -> np.ndarray:
+    """Stack arrays that broadcast together as the last axis of one array."""
+    out = np.empty(np.broadcast(*cols).shape + (len(cols),))
+    for i, col in enumerate(cols):
+        out[..., i] = col
+    return out
+
+
+def _two_link(l1, l2, theta1, theta2) -> Tuple[np.ndarray, np.ndarray]:
+    """x and y of a planar 2R chain: (l1 c1 + l2 c12, l1 s1 + l2 s12)."""
+    t1 = np.asarray(theta1, dtype=float)
+    t12 = t1 + np.asarray(theta2, dtype=float)
+    return l1 * np.cos(t1) + l2 * np.cos(t12), l1 * np.sin(t1) + l2 * np.sin(t12)
+
+
 def fk_one(l1, theta1) -> np.ndarray:
-    """p = (l1 cos t1, l1 sin t1)."""
+    """p = (l1 cos t1, l1 sin t1). A length array's NaN-ignoring minimum
+    (np.fmin.reduce) is nonpositive exactly when np.any(l <= 0)."""
     l1 = np.asarray(l1, dtype=float)
-    if np.any(l1 <= 0):
+    if np.fmin.reduce(l1, axis=None, initial=math.inf) <= 0:
         raise ValueError("link length must be positive")
     theta1 = np.asarray(theta1, dtype=float)
-    return np.stack(
-        np.broadcast_arrays(l1 * np.cos(theta1), l1 * np.sin(theta1)), axis=-1
-    )
+    return _columns(l1 * np.cos(theta1), l1 * np.sin(theta1))
 
 
 def fk_two(l1, l2, theta1, theta2) -> np.ndarray:
     """Planar 2R chain: p = (l1 c1 + l2 c12, l1 s1 + l2 s12)."""
-    l1 = np.asarray(l1, dtype=float)
-    l2 = np.asarray(l2, dtype=float)
-    if np.any(l1 <= 0) or np.any(l2 <= 0):
+    l1, l2 = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)
+    if min(np.fmin.reduce(l1, axis=None, initial=math.inf),
+           np.fmin.reduce(l2, axis=None, initial=math.inf)) <= 0:
         raise ValueError("link lengths must be positive")
-    t1 = np.asarray(theta1, dtype=float)
-    t12 = t1 + np.asarray(theta2, dtype=float)
-    return np.stack(
-        np.broadcast_arrays(
-            l1 * np.cos(t1) + l2 * np.cos(t12),
-            l1 * np.sin(t1) + l2 * np.sin(t12),
-        ),
-        axis=-1,
-    )
+    return _columns(*_two_link(l1, l2, theta1, theta2))
 
 
-def fk_dual(model: DualArm, q1, q2) -> Tuple[np.ndarray, np.ndarray]:
-    """Tip positions of both arms; q1, q2 are (theta_a, theta_b) joint pairs."""
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    p1 = np.asarray(model.base1) + fk_two(*model.links1, q1[..., 0], q1[..., 1])
-    p2 = np.asarray(model.base2) + fk_two(*model.links2, q2[..., 0], q2[..., 1])
-    return p1, p2
+def fk_dual(model: DualArm, theta11, theta12, theta21, theta22) -> np.ndarray:
+    """Tips (x1, y1, x2, y2) of arm 1 at joints (theta11, theta12) and arm 2
+    at (theta21, theta22); the model checked its link lengths when built."""
+    tips = _columns(*_two_link(*model.links1, theta11, theta12),
+                    *_two_link(*model.links2, theta21, theta22))
+    tips += (*model.base1, *model.base2)
+    return tips
 
 
 # --- task cost and verification error ----------------------------------------
@@ -171,7 +177,7 @@ def wrapped_angle_distance(phi1, phi2) -> np.ndarray:
 
 def _squared_distance(tips: np.ndarray, point) -> np.ndarray:
     """dx^2 + dy^2 per row: np.sum(d**2, axis=1) without the slow short-axis reduction."""
-    d = tips - np.asarray(point, dtype=float)
+    d = tips - point
     d *= d
     return d[:, 0] + d[:, 1]
 

@@ -285,13 +285,14 @@ class TrainingSet:
     @classmethod
     def from_grid(cls, grid: ParamGrid, model,
                   sample: Optional[int] = None, seed: int = 0) -> "TrainingSet":
-        """Full-grid labels, or a seeded subsample of `sample` grid points."""
-        Z = decode_all(grid)
-        if sample is not None and sample < Z.shape[0]:
-            pick = np.random.default_rng(seed).choice(Z.shape[0], sample, replace=False)
-            Z = Z[np.sort(pick)]
-        labels = configuration_positions(model, grid.names(), Z)
-        return cls(Z, labels)
+        """Full-grid labels, or a seeded subsample of `sample` grid points;
+        only the rows used are decoded."""
+        grid.check_capacity()
+        pick = None
+        if sample is not None and sample < grid.size:
+            pick = np.sort(np.random.default_rng(seed).choice(grid.size, sample, replace=False))
+        Z = decode_all(grid, indices=pick)
+        return cls(Z, configuration_positions(model, grid.names(), Z))
 
 
 def loss(surrogate: Surrogate, data: TrainingSet,
@@ -431,18 +432,16 @@ def load_surrogate(path) -> Surrogate:
 # --- cost tables -------------------------------------------------------------------
 
 def configuration_positions(model, names: Tuple[str, ...], Z: np.ndarray) -> np.ndarray:
-    """Analytic tip positions for a (B, d) batch of parameter vectors.
+    """Analytic tip positions for a (B, d) batch, from one `fk_*` call.
 
     Columns bind by spec name (l1, theta1, ... / theta11.. for dual arms);
     lengths missing from the grid fall back to the model's fixed values.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-
-    def col(name: str, default: Optional[float] = None) -> np.ndarray:
+    def col(name: str, default: Optional[float] = None):
         if name in names:
             return Z[:, names.index(name)]
         if default is not None:
-            return np.full(Z.shape[0], default)
+            return default
         raise ValueError(f"grid has no parameter named {name!r}")
 
     if isinstance(model, OneLink):
@@ -451,30 +450,21 @@ def configuration_positions(model, names: Tuple[str, ...], Z: np.ndarray) -> np.
         return fk_two(col("l1", model.l1), col("l2", model.l2),
                       col("theta1"), col("theta2"))
     if isinstance(model, DualArm):
-        q1 = np.stack([col("theta11"), col("theta12")], axis=-1)
-        q2 = np.stack([col("theta21"), col("theta22")], axis=-1)
-        p1, p2 = fk_dual(model, q1, q2)
-        return np.concatenate([p1, p2], axis=-1)
+        return fk_dual(model, col("theta11"), col("theta12"), col("theta21"), col("theta22"))
     raise TypeError(f"unknown robot model {model!r}")
-
-
-def configuration_orientations(model, names: Tuple[str, ...],
-                               Z: np.ndarray) -> np.ndarray:
-    """Planar tip orientation (sum of joint angles) per configuration."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if isinstance(model, OneLink):
-        return Z[:, names.index("theta1")]
-    if isinstance(model, TwoLink):
-        return Z[:, names.index("theta1")] + Z[:, names.index("theta2")]
-    raise TypeError(f"orientation undefined for model {model!r}")
 
 
 def _task_rows(model, names: Tuple[str, ...], Z: np.ndarray, task,
                weights: PoseWeights) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Tip positions of each row of Z, and orientations if the task weighs them."""
+    """Tip positions of each row of Z and, if the task weighs them, the planar
+    tip orientations (the sum of the joint angles)."""
     phis = None
     if isinstance(task, PoseTarget) and weights.alpha_R > 0:
-        phis = configuration_orientations(model, names, Z)
+        if not isinstance(model, (OneLink, TwoLink)):
+            raise TypeError(f"orientation undefined for model {model!r}")
+        phis = Z[:, names.index("theta1")]
+        if isinstance(model, TwoLink):
+            phis = phis + Z[:, names.index("theta2")]
     return configuration_positions(model, names, Z), phis
 
 

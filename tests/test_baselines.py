@@ -71,6 +71,39 @@ class TestObjective:
             Objective(BOX, shifted_sphere, angular=[True])
 
 
+def reference_project(bounds, angular, x):
+    """The per-coordinate projection that the array form replaced."""
+    out = np.array(x, dtype=float)
+    for i, ((lo, hi), ang) in enumerate(zip(bounds, angular)):
+        if ang:
+            out[i] = lo + np.mod(out[i] - lo, math.tau)
+        else:
+            out[i] = min(max(out[i], lo), hi)
+    return out
+
+
+class TestProjectMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), st.integers(0, 6))
+    def test_bit_equal(self, data, d):
+        bounds, x = [], []
+        for _ in range(d):
+            lo = data.draw(st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0, -math.pi]))
+            hi = lo + data.draw(st.floats(1e-3, math.tau) | st.sampled_from([math.tau, -1.0]))
+            bounds.append((lo, hi))
+            # inside, at and just beyond each bound, signed zeros, far out, inf and NaN
+            x.append(data.draw(st.floats(-1e4, 1e4) | st.sampled_from(
+                [lo, hi, -0.0, 0.0, lo - 1e-9, hi + 1e-9, math.inf, -math.inf, math.nan])))
+        angular = data.draw(st.lists(st.booleans(), min_size=d, max_size=d))
+        obj = Objective(bounds, lambda z: 0.0, angular)
+        given_x = np.array(x)
+        with np.errstate(invalid="ignore"):  # an infinite angle wraps to NaN
+            actual = obj.project(given_x)
+            expected = reference_project(obj.bounds, angular, x)
+        assert actual.tobytes() == expected.tobytes()
+        assert given_x.tobytes() == np.array(x).tobytes()  # the input is not written
+
+
 def assert_within_box(points, bounds):
     for p in points:
         for v, (lo, hi) in zip(p, bounds):

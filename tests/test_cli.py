@@ -76,8 +76,9 @@ def keep(data):
     (keep, ["--qubits-per-param", "0"], "n_qubits"),
     (lambda data: data["search"].update(epsilon0=1e-12), [], "raise epsilon"),
     (lambda data: data["weights"].update(epsilon=1e-12), [], "raise epsilon"),
-    (lambda data: data["weights"].update(alpha_R=0.5), ["--mode", "surrogate"],
-     "'weights.alpha_R'"),
+    (lambda data: data["task"].update(phi=0.6) or data["weights"].update(alpha_R=0.5),
+     ["--mode", "surrogate"], "'weights.alpha_R'"),
+    (lambda data: data["weights"].update(alpha_R=0.5), [], "'task.phi'"),
     (lambda data: data["search"].update(epsilon0=float("nan")), [], "'search.epsilon0'"),
     (lambda data: data["weights"].update(epsilon=float("inf")), [], "'weights.epsilon'"),
     (lambda data: data.update(harness.config_to_dict(dual_arm_case(qubits_per_param=1)),
@@ -87,7 +88,8 @@ def keep(data):
         "epochs_0", "n_layers_0", "learning_rate_negative", "training_samples_0",
         "n_starts_0", "swarm_size_1", "max_evals_0", "flag_shots_0", "flag_seed_negative",
         "flag_qubits_per_param_0", "epsilon0_below_floor", "epsilon_below_floor",
-        "surrogate_orientation_weight", "epsilon0_nan", "epsilon_inf", "grasp_pose_weights"])
+        "surrogate_orientation_weight", "orientation_weight_without_phi", "epsilon0_nan",
+        "epsilon_inf", "grasp_pose_weights"])
 def test_invalid_config_exits_cleanly(edit, flags, name, tmp_path, capsys):
     data = harness.config_to_dict(one_dof_case())
     edit(data)

@@ -27,6 +27,7 @@ from qkinopt.harness import (
     sweep,
     two_dof_case,
 )
+from qkinopt.kinematics import PoseTarget, PoseWeights
 from qkinopt.qml import build_cost_table, configuration_costs, make_surrogate
 from qkinopt.qsim import CapacityError
 
@@ -40,6 +41,12 @@ def exhaustive_reference(config):
         return configuration_costs(config.model, names, Z, config.task, config.weights)
 
     return exhaustive_scan(config.grid, fn)
+
+
+def oriented_one_dof_case():
+    """one_dof with an orientation target that its weights count."""
+    return dataclasses.replace(one_dof_case(), task=PoseTarget((0.8, 0.6), phi=0.6),
+                               weights=PoseWeights(1.0, 0.5))
 
 
 class TestRunCaseOneDof:
@@ -281,9 +288,10 @@ class TestConfigSerialization:
         (one_dof_case, "weights", "alpha_p", float("inf")),
         (dual_arm_case, "weights", "alpha_p", 3.0),
         (dual_arm_case, "weights", "alpha_R", 0.5),
+        (oriented_one_dof_case, "task", "phi", None),
     ], ids=["shrink_1.5", "shrink_0", "shrink_nan", "target_inf", "center_nan", "radius_nan",
             "epsilon0_nan", "epsilon0_inf", "epsilon0_negative", "epsilon_nan", "epsilon_inf",
-            "alpha_p_inf", "grasp_alpha_p", "grasp_alpha_R"])
+            "alpha_p_inf", "grasp_alpha_p", "grasp_alpha_R", "orientation_weight_without_phi"])
     def test_from_dict_refuses_bad_value(self, case, section, key, value):
         data = config_to_dict(case())
         data[section][key] = value

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from qkinopt import qml
 from qkinopt.kinematics import (
     DualArm,
     GraspTask,
@@ -18,6 +22,7 @@ from qkinopt.kinematics import (
     task_error,
     wrapped_angle_distance,
 )
+from qkinopt.qml import configuration_positions
 
 
 def row_pose_cost(p, p_target, weights, phi=None, phi_target=None):
@@ -89,7 +94,7 @@ class TestFkTwo:
 class TestFkDual:
     def test_zero_angles(self):
         model = DualArm()
-        p1, p2 = fk_dual(model, (0.0, 0.0), (0.0, 0.0))
+        p1, p2 = np.split(fk_dual(model, 0.0, 0.0, 0.0, 0.0), 2)
         np.testing.assert_allclose(p1, [-0.8 + 2.0, 0.0])
         np.testing.assert_allclose(p2, [0.8 + 2.0, 0.0])
 
@@ -98,7 +103,7 @@ class TestFkDual:
         rng = np.random.default_rng(1)
         for _ in range(20):
             ta, tb = rng.uniform(0, 2 * math.pi, 2)
-            p1, p2 = fk_dual(model, (ta, tb), (math.pi - ta, -tb))
+            p1, p2 = np.split(fk_dual(model, ta, tb, math.pi - ta, -tb), 2)
             np.testing.assert_allclose(p2, [-p1[0], p1[1]], atol=1e-12)
 
     def test_composes_from_fk_two(self):
@@ -106,7 +111,7 @@ class TestFkDual:
                         links1=(0.9, 1.1), links2=(1.3, 0.6))
         rng = np.random.default_rng(2)
         q1, q2 = rng.uniform(0, 2 * math.pi, 2), rng.uniform(0, 2 * math.pi, 2)
-        p1, p2 = fk_dual(model, q1, q2)
+        p1, p2 = np.split(fk_dual(model, *q1, *q2), 2)
         np.testing.assert_allclose(p1, np.array([-1.0, 0.2]) + fk_two(0.9, 1.1, *q1))
         np.testing.assert_allclose(p2, np.array([0.7, -0.1]) + fk_two(1.3, 0.6, *q2))
 
@@ -244,3 +249,146 @@ class TestModels:
             TwoLink(1.0, -1.0)
         with pytest.raises(ValueError):
             DualArm(links1=(0.0, 1.0))
+
+
+# --- the stacking FK these functions replaced, kept as the bit-exact reference ---
+
+def reference_fk_one(l1, theta1):
+    l1 = np.asarray(l1, dtype=float)
+    if np.any(l1 <= 0):
+        raise ValueError("link length must be positive")
+    theta1 = np.asarray(theta1, dtype=float)
+    return np.stack(np.broadcast_arrays(l1 * np.cos(theta1), l1 * np.sin(theta1)), axis=-1)
+
+
+def reference_fk_two(l1, l2, theta1, theta2):
+    l1 = np.asarray(l1, dtype=float)
+    l2 = np.asarray(l2, dtype=float)
+    if np.any(l1 <= 0) or np.any(l2 <= 0):
+        raise ValueError("link lengths must be positive")
+    t1 = np.asarray(theta1, dtype=float)
+    t12 = t1 + np.asarray(theta2, dtype=float)
+    return np.stack(np.broadcast_arrays(l1 * np.cos(t1) + l2 * np.cos(t12),
+                                        l1 * np.sin(t1) + l2 * np.sin(t12)), axis=-1)
+
+
+def reference_fk_dual(model, q1, q2):
+    """Tips of both arms from (theta_a, theta_b) joint pairs, as two arrays."""
+    q1 = np.asarray(q1, dtype=float)
+    q2 = np.asarray(q2, dtype=float)
+    p1 = np.asarray(model.base1) + reference_fk_two(*model.links1, q1[..., 0], q1[..., 1])
+    p2 = np.asarray(model.base2) + reference_fk_two(*model.links2, q2[..., 0], q2[..., 1])
+    return p1, p2
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the exception it raised."""
+    try:
+        with np.errstate(all="ignore"):  # inf and NaN inputs
+            return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def assert_same_bits(actual, expected):
+    """Equal shape, dtype and bytes (so -0.0 and NaN payloads count), or the
+    same exception type on both sides."""
+    if isinstance(expected, type) or isinstance(actual, type):
+        assert actual is expected
+        return
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+# angles and lengths in range, at their boundaries, negative and out of range
+ANGLES = (st.floats(-1e3, 1e3)
+          | st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.tau, 2.5 * math.tau, 1e-300]))
+LENGTHS = (st.floats(0.05, 3.0)
+           | st.sampled_from([0.0, -0.0, -0.5, 1e-15, math.nan, math.inf, 2.0]))
+# scalars, 0-d, one-row, block, empty and broadcasting shapes
+SHAPES = st.sampled_from([(), (1,), (5,), (0,), (3, 1), (1, 5), (2, 3, 1)])
+
+
+def batch(elements):
+    return elements | hnp.arrays(float, SHAPES, elements=elements)
+
+
+class TestLeanFkMatchesReference:
+    """The lean FK returns the bits of the stacking FK, raises where it
+    raises, and stays one code path for every batch size."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch(LENGTHS), batch(ANGLES))
+    def test_fk_one(self, l1, theta1):
+        assert_same_bits(outcome(fk_one, l1, theta1), outcome(reference_fk_one, l1, theta1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch(LENGTHS), batch(LENGTHS), batch(ANGLES), batch(ANGLES))
+    def test_fk_two(self, l1, l2, theta1, theta2):
+        assert_same_bits(outcome(fk_two, l1, l2, theta1, theta2),
+                         outcome(reference_fk_two, l1, l2, theta1, theta2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*[st.floats(-2.0, 2.0)] * 4), st.tuples(*[st.floats(0.1, 2.0)] * 4),
+           st.lists(batch(ANGLES), min_size=4, max_size=4))
+    def test_fk_dual(self, bases, links, angles):
+        model = DualArm(bases[:2], bases[2:], links[:2], links[2:])
+        try:
+            shape = np.broadcast(*angles).shape
+        except ValueError:
+            with pytest.raises(ValueError):
+                fk_dual(model, *angles)
+            return
+        q1 = np.stack(np.broadcast_arrays(*angles[:2]), axis=-1)
+        q2 = np.stack(np.broadcast_arrays(*angles[2:]), axis=-1)
+        p1, p2 = outcome(reference_fk_dual, model, q1, q2)
+        expected = np.concatenate([np.broadcast_to(p1, shape + (2,)),
+                                   np.broadcast_to(p2, shape + (2,))], axis=-1)
+        assert_same_bits(outcome(fk_dual, model, *angles), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.data(), st.sampled_from([0.0, -0.0, -1e-300, -3.0]),
+           st.booleans())
+    def test_nonpositive_length_anywhere_raises(self, rows, data, bad, second):
+        lengths = np.full(rows, 1.0)
+        if rows > 1:  # a NaN elsewhere must not hide it
+            lengths[data.draw(st.integers(0, rows - 1))] = math.nan
+        lengths[data.draw(st.integers(0, rows - 1))] = bad
+        theta = np.zeros(rows)
+        with pytest.raises(ValueError):
+            fk_one(lengths, theta)
+        l1, l2 = (np.ones(rows), lengths) if second else (lengths, np.ones(rows))
+        with pytest.raises(ValueError):
+            fk_two(l1, l2, theta, theta)
+
+
+class TestConfigurationPositionsCallsFkOnce:
+    @pytest.mark.parametrize("model, names", [
+        (OneLink(), ("l1", "theta1")),
+        (OneLink(0.7), ("theta1",)),
+        (TwoLink(), ("theta1", "theta2", "l1", "l2")),
+        (TwoLink(0.4, 1.3), ("theta2", "theta1")),
+        (DualArm(), ("theta11", "theta12", "theta21", "theta22")),
+        (DualArm(), ("theta22", "theta11", "theta21", "theta12")),
+    ])
+    @pytest.mark.parametrize("rows", [1, 6])
+    def test_one_fk_call(self, monkeypatch, model, names, rows):
+        calls = []
+        for name in ("fk_one", "fk_two", "fk_dual"):
+            fn = getattr(qml, name)
+            monkeypatch.setattr(qml, name,
+                                lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        Z = np.random.default_rng(rows).uniform(0.1, 2.0, (rows, len(names)))
+        tips = configuration_positions(model, names, Z)
+        assert len(calls) == 1
+        assert tips.shape == (rows, 4 if isinstance(model, DualArm) else 2)
+
+    def test_dual_arm_columns_bind_by_name(self):
+        names = ("theta22", "theta11", "theta21", "theta12")
+        Z = np.random.default_rng(3).uniform(-7.0, 7.0, (9, 4))
+        col = {name: Z[:, i] for i, name in enumerate(names)}
+        q1 = np.stack([col["theta11"], col["theta12"]], axis=-1)
+        q2 = np.stack([col["theta21"], col["theta22"]], axis=-1)
+        expected = np.concatenate(reference_fk_dual(DualArm(), q1, q2), axis=-1)
+        assert_same_bits(configuration_positions(DualArm(), names, Z), expected)

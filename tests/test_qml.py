@@ -362,6 +362,39 @@ class TestTrain:
         np.testing.assert_array_equal(d1.inputs, d2.inputs)
         assert d1.inputs.shape == (10, 2)
 
+    @pytest.mark.parametrize("qubits, sample", [(2, 40), (3, 256), (6, 256)])
+    def test_from_grid_decodes_only_the_sample(self, monkeypatch, qubits, sample):
+        grid = harness.two_dof_case(qubits_per_param=qubits).grid
+        rows = []
+
+        def counting(*args, **kwargs):
+            out = decode_all(*args, **kwargs)
+            rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(qml, "decode_all", counting)
+        data = TrainingSet.from_grid(grid, TwoLink(), sample=sample, seed=5)
+        assert sum(rows) == sample
+        # the rows that decoding the whole grid and then picking gives
+        pick = np.sort(np.random.default_rng(5).choice(grid.size, sample, replace=False))
+        Z = np.concatenate([decode_all(grid, k, k + 1) for k in pick])
+        assert data.inputs.tobytes() == Z.tobytes()
+        labels = qml.configuration_positions(TwoLink(), grid.names(), Z)
+        assert data.labels.tobytes() == labels.tobytes()
+
+    def test_from_grid_keeps_capacity_check(self):
+        grid = harness.two_dof_case(qubits_per_param=7).grid  # 28 qubits
+        with pytest.raises(qsim.CapacityError):
+            TrainingSet.from_grid(grid, TwoLink(), sample=10)
+        with pytest.raises(qsim.CapacityError):
+            TrainingSet.from_grid(grid, TwoLink())
+
+    def test_from_grid_full_grid_when_sample_covers_it(self):
+        grid = one_dof_grid(2)
+        for sample in (None, grid.size, grid.size + 3):
+            data = TrainingSet.from_grid(grid, OneLink(), sample=sample)
+            assert data.inputs.tobytes() == decode_all(grid).tobytes()
+
 
 class TestCostTable:
     def test_target_at_config_zero_is_minimum(self):
