@@ -68,6 +68,9 @@ class ParamGrid:
         if not self.specs:
             raise ValueError("grid needs at least one parameter")
         object.__setattr__(self, "specs", tuple(self.specs))
+        names = self.names()
+        if len(set(names)) < len(names):
+            raise ValueError(f"duplicate parameter name {max(names, key=names.count)!r}")
 
     @property
     def total_qubits(self) -> int:

@@ -9,6 +9,10 @@ shrinks geometrically while solutions remain, and ends at the floor itself,
 the smallest value that still marks a state (pinning the search onto the
 exact grid minimum). One "optimization iteration" is one such step.
 
+A config file is the dict form of a CaseConfig. Each section's keys are the
+constructor fields of the class it builds, read and written by one reader
+and one writer that check each value against its field's declared type.
+
 Reports are byte-stable for a fixed config and seed: floats are written with
 17 significant digits and JSON keys are sorted.
 """
@@ -20,6 +24,7 @@ import functools
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -27,7 +32,7 @@ import numpy as np
 
 from . import baselines as cls_opt
 from . import grover, qsim
-from .encoding import ParamGrid, ParamSpec, bin_width, decode_all
+from .encoding import ParamGrid, ParamSpec, bin_width, decode, decode_all
 from .kinematics import (
     DualArm,
     GraspTask,
@@ -43,8 +48,10 @@ from .qml import (
     TrainingSet,
     build_cost_table,
     configuration_costs,
+    configuration_positions,
     grid_tables,
     make_surrogate,
+    min_qubits,
     train,
 )
 
@@ -104,10 +111,13 @@ class BaselineSettings:
 
 @dataclass(frozen=True)
 class CaseConfig:
-    case: str
+    """One case: the grid, model and task it searches, and its run settings.
+    Its fields, and those of the classes they hold, are the config keys."""
+
     grid: ParamGrid
     model: object
     task: object
+    case: str = "custom"
     weights: PoseWeights = PoseWeights()
     mode: str = "analytic"
     shots: int = 10000
@@ -118,10 +128,19 @@ class CaseConfig:
 
     def __post_init__(self):
         if self.mode not in ("analytic", "surrogate"):
-            raise ValueError("mode must be 'analytic' or 'surrogate'")
+            raise ValueError("config key 'mode' must be 'analytic' or 'surrogate', "
+                             f"got {self.mode!r}")
+        # one grid row through the model's FK: a parameter the model reads and
+        # the grid lacks, or a nonpositive minimum length, is refused here
+        configuration_positions(self.model, self.grid.names(), decode(self.grid, 0)[None, :])
         if self.mode == "surrogate" and self.weights.alpha_R > 0:
             raise ValueError("config key 'weights.alpha_R' must be 0 in surrogate mode, "
                              "whose surrogate predicts positions only")
+        # `train` fits the surrogate whatever the mode, so the minimum always holds
+        low = min_qubits(self.grid, self.model)
+        if self.qml.n_qubits is not None and self.qml.n_qubits < low:
+            raise ValueError(f"config key 'qml.n_qubits' must be >= {low} for this grid "
+                             f"and model, got {self.qml.n_qubits!r}")
         if isinstance(self.task, PoseTarget) and self.task.phi is None \
                 and self.weights.alpha_R > 0:
             raise ValueError("config key 'task.phi' must be set when 'weights.alpha_R' > 0")
@@ -130,36 +149,32 @@ class CaseConfig:
                 raise ValueError(f"config key 'weights.{key}' must be {default} on a grasp "
                                  "task, whose cost weighs only its contacts")
         _check_minimums(self, "", shots=1, seed=0)
+        _check_minimums(self.task, "task.", tolerance=0)
 
     def with_overrides(self, seed: Optional[int] = None, shots: Optional[int] = None,
                        mode: Optional[str] = None,
                        qubits_per_param: Optional[int] = None) -> "CaseConfig":
-        cfg = self
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        if shots is not None:
-            cfg = replace(cfg, shots=shots)
-        if mode is not None:
-            cfg = replace(cfg, mode=mode)
+        changes = {key: value for key, value in (("seed", seed), ("shots", shots),
+                                                  ("mode", mode)) if value is not None}
         if qubits_per_param is not None:
-            specs = tuple(replace(s, n_qubits=qubits_per_param) for s in cfg.grid.specs)
-            cfg = replace(cfg, grid=ParamGrid(specs))
-        return cfg
+            changes["grid"] = ParamGrid(tuple(replace(s, n_qubits=qubits_per_param)
+                                              for s in self.grid.specs))
+        return replace(self, **changes) if changes else self
 
 
 def one_dof_case(qubits_per_param: int = 5, target: Tuple[float, float] = (0.8, 0.6),
-                 seed: int = 0, shots: int = 10000, mode: str = "analytic") -> CaseConfig:
-    """Single revolute joint: optimize link length l1 and angle theta1."""
+                 **settings) -> CaseConfig:
+    """Single revolute joint: optimize link length l1 and angle theta1.
+    `settings` are further CaseConfig fields, such as seed, shots and mode."""
     grid = ParamGrid((
         ParamSpec("l1", 0.1, 2.0, qubits_per_param),
         ParamSpec("theta1", 0.0, math.tau, qubits_per_param, angular=True),
     ))
-    return CaseConfig("one_dof", grid, OneLink(), PoseTarget(tuple(target)),
-                      PoseWeights(1.0, 0.0), mode, shots, seed)
+    return CaseConfig(grid, OneLink(), PoseTarget(tuple(target)), case="one_dof", **settings)
 
 
 def two_dof_case(qubits_per_param: int = 4, target: Tuple[float, float] = (1.0, 1.0),
-                 seed: int = 0, shots: int = 10000, mode: str = "analytic") -> CaseConfig:
+                 **settings) -> CaseConfig:
     """Planar 2R arm on its toroidal joint space: optimize angles and lengths."""
     grid = ParamGrid((
         ParamSpec("theta1", 0.0, math.tau, qubits_per_param, angular=True),
@@ -167,153 +182,136 @@ def two_dof_case(qubits_per_param: int = 4, target: Tuple[float, float] = (1.0, 
         ParamSpec("l1", 0.1, 2.0, qubits_per_param),
         ParamSpec("l2", 0.1, 2.0, qubits_per_param),
     ))
-    return CaseConfig("two_dof", grid, TwoLink(), PoseTarget(tuple(target)),
-                      PoseWeights(1.0, 0.0), mode, shots, seed)
+    return CaseConfig(grid, TwoLink(), PoseTarget(tuple(target)), case="two_dof", **settings)
 
 
 def dual_arm_case(qubits_per_param: int = 4, center: Tuple[float, float] = (0.0, 1.2),
-                  radius: float = 0.3, axis: float = 0.0, seed: int = 0,
-                  shots: int = 10000, mode: str = "analytic") -> CaseConfig:
+                  radius: float = 0.3, axis: float = 0.0, **settings) -> CaseConfig:
     """Two fixed-geometry 2R arms grasping a circular object at antipodal contacts."""
     grid = ParamGrid(tuple(
         ParamSpec(name, 0.0, math.tau, qubits_per_param, angular=True)
         for name in ("theta11", "theta12", "theta21", "theta22")
     ))
-    return CaseConfig("dual_arm", grid, DualArm(),
-                      GraspTask(tuple(center), radius, axis),
-                      PoseWeights(1.0, 0.0), mode, shots, seed)
+    return CaseConfig(grid, DualArm(), GraspTask(tuple(center), radius, axis),
+                      case="dual_arm", **settings)
 
 
 # --- config (de)serialization ---------------------------------------------------
 
-_MODEL_TYPES = {"one_link": OneLink, "two_link": TwoLink, "dual_arm": DualArm}
+# config keys that differ from their field names
+_KEYS = {ParamSpec: {"lo": "min", "hi": "max", "n_qubits": "qubits"},
+         PoseTarget: {"position": "target"},
+         CaseConfig: {"grid": "params"}}
+# the classes a "type" key selects, for the CaseConfig fields declared `object`
+_TYPES = {"model": {"one_link": OneLink, "two_link": TwoLink, "dual_arm": DualArm},
+          "task": {"position": PoseTarget, "grasp": GraspTask}}
+_TYPE_NAMES = {cls: name for types in _TYPES.values() for name, cls in types.items()}
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# per declared type: what a config value must be, its test, and its conversion
+_VALUES = {
+    bool: ("a boolean", lambda v: isinstance(v, bool), bool),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    float: ("a finite number", _finite, float),
+    str: ("a string", lambda v: isinstance(v, str), str),
+    Tuple[float, float]: ("a list of two finite numbers",
+                          lambda v: (isinstance(v, (list, tuple)) and len(v) == 2
+                                     and all(map(_finite, v))),
+                          lambda v: tuple(map(float, v))),
+}
+
+
+@functools.cache  # one entry per config class: resolving annotations is slow
+def _fields(cls) -> tuple:
+    """(config key, field, declared type, whether the type is Optional) of each
+    constructor field of cls; an Optional[X] field is listed with type X."""
+    hints, keys, out = typing.get_type_hints(cls), _KEYS.get(cls, {}), []
+    for f in dataclasses.fields(cls):
+        if f.init:
+            args = typing.get_args(hints[f.name])
+            optional = type(None) in args
+            out.append((keys.get(f.name, f.name), f, args[0] if optional else hints[f.name],
+                        optional))
+    return tuple(out)
+
+
+def _read(cls, data, prefix: str = ""):
+    """Build cls from a config section; a type table in place of cls picks
+    the class by the section's "type" key."""
+    if not isinstance(data, dict):
+        where = f"config key {prefix[:-1]!r}" if prefix else "a config"
+        raise ValueError(f"{where} must be an object, got {data!r}")
+    if isinstance(cls, dict):
+        if "type" not in data:
+            raise ValueError(f"missing config key {prefix + 'type'!r}")
+        data = dict(data)
+        name = _value(str, data.pop("type"), prefix + "type")
+        if name not in cls:
+            raise ValueError(f"config key {prefix + 'type'!r} must be one of "
+                             f"{', '.join(map(repr, cls))}, got {name!r}")
+        cls = cls[name]
+    fields = _fields(cls)
+    unknown = sorted(set(data) - {key for key, *_ in fields})
+    if unknown:
+        raise ValueError(f"unknown config key {prefix + unknown[0]!r}")
+    kwargs = {}
+    for key, f, tp, optional in fields:
+        if key in data:
+            value = data[key]
+            kwargs[f.name] = None if optional and value is None else \
+                _value(tp, value, prefix + key)
+        elif f.default is dataclasses.MISSING:
+            raise ValueError(f"missing config key {prefix + key!r}")
+    return cls(**kwargs)
+
+
+def _value(tp, value, key: str):
+    """A config value checked against its field's declared type and converted."""
+    if tp in _VALUES:
+        want, valid, convert = _VALUES[tp]
+        if not valid(value):
+            raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+        return convert(value)
+    if tp is ParamGrid:
+        if not isinstance(value, list):
+            raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+        return ParamGrid(tuple(_read(ParamSpec, spec, f"{key}[{i}].")
+                               for i, spec in enumerate(value)))
+    return _read(_TYPES[key] if tp is object else tp, value, key + ".")
+
+
+def _write(value):
+    """The config form of a section object, a grid or a field value."""
+    if isinstance(value, ParamGrid):
+        return [_write(spec) for spec in value.specs]
+    if isinstance(value, tuple):
+        return list(value)
+    if not dataclasses.is_dataclass(value):
+        return value
+    out = {key: _write(getattr(value, f.name)) for key, f, *_ in _fields(type(value))}
+    if type(value) in _TYPE_NAMES:
+        out["type"] = _TYPE_NAMES[type(value)]
+    return out
 
 
 def config_to_dict(config: CaseConfig) -> dict:
-    model = config.model
-    types = [name for name, cls in _MODEL_TYPES.items() if isinstance(model, cls)]
-    if not types:
-        raise TypeError(f"unknown model {model!r}")
-    model_d = {k: list(v) if isinstance(v, tuple) else v
-               for k, v in dataclasses.asdict(model).items()}
-    model_d["type"] = types[0]
-    task = config.task
-    if isinstance(task, PoseTarget):
-        task_d = {"type": "position", "target": list(task.position),
-                  "phi": task.phi, "tolerance": task.tolerance}
-    elif isinstance(task, GraspTask):
-        task_d = {"type": "grasp", "center": list(task.center), "radius": task.radius,
-                  "axis": task.axis, "tolerance": task.tolerance}
-    else:
-        raise TypeError(f"unknown task {task!r}")
-    return {
-        "case": config.case,
-        "mode": config.mode,
-        "seed": config.seed,
-        "shots": config.shots,
-        "params": [
-            {"name": s.name, "min": s.lo, "max": s.hi,
-             "qubits": s.n_qubits, "angular": s.angular}
-            for s in config.grid.specs
-        ],
-        "model": model_d,
-        "task": task_d,
-        "weights": {"alpha_p": config.weights.alpha_p,
-                    "alpha_R": config.weights.alpha_R,
-                    "epsilon": config.weights.epsilon},
-        "search": dataclasses.asdict(config.search),
-        "qml": dataclasses.asdict(config.qml),
-        "baselines": dataclasses.asdict(config.baselines),
-    }
-
-
-_CONFIG_KEYS = ("case", "mode", "seed", "shots", "params", "model", "task", "weights",
-                "search", "qml", "baselines")
-
-
-def _check_keys(section: str, data: dict, allowed) -> None:
-    """Refuse a config key the loader would otherwise drop or choke on."""
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown config key {section + unknown[0]!r}")
-
-
-def _require(section: str, data: dict, *keys: str) -> None:
-    """Refuse a config that lacks a key the loader has no default for."""
-    for key in keys:
-        if key not in data:
-            raise ValueError(f"missing config key {section + key!r}")
-
-
-def _check_finite(key: str, values) -> None:
-    """Refuse a non-finite value; None means unset."""
-    if values is not None and not np.all(np.isfinite(np.asarray(values, dtype=float))):
-        raise ValueError(f"config key {key!r} must be finite, got {values!r}")
-
-
-def _settings(cls, data: dict, section: str):
-    value = data.get(section, {})
-    _check_keys(section + ".", value, [f.name for f in dataclasses.fields(cls)])
-    return cls(**value)
+    """The config form of a CaseConfig: one key per constructor field of each
+    section's class, under the names in _KEYS, and a model and a task "type"."""
+    return _write(config)
 
 
 def config_from_dict(data: dict) -> CaseConfig:
-    """Build a CaseConfig. An unknown or missing key, a non-finite task target
-    and an out-of-range setting raise a ValueError naming the key."""
-    _check_keys("", data, _CONFIG_KEYS)
-    _require("", data, "params", "model", "task")
-    for i, p in enumerate(data["params"]):
-        _check_keys(f"params[{i}].", p, ("name", "min", "max", "qubits", "angular"))
-        _require(f"params[{i}].", p, "name", "min", "max", "qubits")
-    specs = tuple(
-        ParamSpec(p["name"], float(p["min"]), float(p["max"]),
-                  int(p["qubits"]), bool(p.get("angular", False)))
-        for p in data["params"]
-    )
-    m = data["model"]
-    _require("model.", m, "type")
-    if m["type"] not in _MODEL_TYPES:
-        raise ValueError(f"unknown model type {m['type']!r}")
-    model_cls = _MODEL_TYPES[m["type"]]
-    _check_keys("model.", m, ["type"] + [f.name for f in dataclasses.fields(model_cls)])
-    # lengths are numbers; bases and link pairs are (x, y) and (l1, l2) tuples
-    model = model_cls(**{k: tuple(v) if isinstance(v, list) else float(v)
-                         for k, v in m.items() if k != "type"})
-    t = data["task"]
-    _require("task.", t, "type")
-    if t["type"] == "position":
-        _check_keys("task.", t, ("type", "target", "phi", "tolerance"))
-        _require("task.", t, "target")
-        _check_finite("task.target", t["target"])
-        task = PoseTarget(tuple(t["target"]), t.get("phi"), t.get("tolerance"))
-    elif t["type"] == "grasp":
-        _check_keys("task.", t, ("type", "center", "radius", "axis", "tolerance"))
-        _require("task.", t, "center", "radius")
-        _check_finite("task.center", t["center"])
-        _check_finite("task.radius", t["radius"])
-        task = GraspTask(tuple(t["center"]), float(t["radius"]),
-                         float(t.get("axis", 0.0)), tolerance=t.get("tolerance"))
-    else:
-        raise ValueError(f"unknown task type {t['type']!r}")
-    w = data.get("weights", {})
-    _check_keys("weights.", w, ("alpha_p", "alpha_R", "epsilon"))
-    for key, value in w.items():
-        _check_finite("weights." + key, value)
-    weights = PoseWeights(float(w.get("alpha_p", 1.0)), float(w.get("alpha_R", 0.0)),
-                          w.get("epsilon"))
-    return CaseConfig(
-        case=data.get("case", "custom"),
-        grid=ParamGrid(specs),
-        model=model,
-        task=task,
-        weights=weights,
-        mode=data.get("mode", "analytic"),
-        shots=int(data.get("shots", 10000)),
-        seed=int(data.get("seed", 0)),
-        search=_settings(SearchSettings, data, "search"),
-        qml=_settings(QmlSettings, data, "qml"),
-        baselines=_settings(BaselineSettings, data, "baselines"),
-    )
+    """Build a CaseConfig from its config form (see `config_to_dict`). An int
+    key takes an integer, a float key a finite number, a bool key a boolean,
+    a pair key a list of two finite numbers, and an optional key also null.
+    An unknown or missing key, a value of the wrong type and an out-of-range
+    setting raise a ValueError naming the key."""
+    return _read(CaseConfig, data)
 
 
 def load_config(path: str) -> CaseConfig:

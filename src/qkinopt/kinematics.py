@@ -76,28 +76,20 @@ def antipodal_points(center, radius: float, axis: float):
 
 @dataclass(frozen=True)
 class GraspTask:
+    """Grasp of a circular object; its two contacts derive from the center,
+    radius and axis."""
+
     center: Tuple[float, float]
     radius: float
     axis: float = 0.0
-    c_ideal1: Tuple[float, float] = field(default=None)  # type: ignore[assignment]
-    c_ideal2: Tuple[float, float] = field(default=None)  # type: ignore[assignment]
     tolerance: Optional[float] = None
+    c_ideal1: Tuple[float, float] = field(init=False)
+    c_ideal2: Tuple[float, float] = field(init=False)
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.c_ideal1 is None or self.c_ideal2 is None:
-            c1, c2 = antipodal_points(self.center, self.radius, self.axis)
-            object.__setattr__(self, "c_ideal1", tuple(c1))
-            object.__setattr__(self, "c_ideal2", tuple(c2))
-        c1 = np.asarray(self.c_ideal1)
-        c2 = np.asarray(self.c_ideal2)
-        center = np.asarray(self.center)
-        if np.max(np.abs((c1 + c2) / 2 - center)) > 1e-12:
-            raise ValueError("contact points are not antipodal about the center")
-        for c in (c1, c2):
-            if abs(np.linalg.norm(c - center) - self.radius) > 1e-9:
-                raise ValueError("contact point not on the object surface")
+        c1, c2 = antipodal_points(self.center, self.radius, self.axis)
+        object.__setattr__(self, "c_ideal1", tuple(c1))
+        object.__setattr__(self, "c_ideal2", tuple(c2))
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,11 @@ def workspace_box(model, grid: ParamGrid) -> Tuple[Tuple[float, float], ...]:
     raise TypeError(f"unknown robot model {model!r}")
 
 
+def min_qubits(grid: ParamGrid, model) -> int:
+    """Fewest qubits a surrogate of this grid and model takes: max(inputs, readouts, 2)."""
+    return max(grid.dimension, len(workspace_box(model, grid)), 2)
+
+
 def make_surrogate(grid: ParamGrid, model, n_layers: int = 2,
                    n_qubits: Optional[int] = None,
                    params: Optional[np.ndarray] = None) -> Surrogate:
@@ -159,12 +164,13 @@ def make_surrogate(grid: ParamGrid, model, n_layers: int = 2,
     With n_qubits = d every input has one qubit. A 2-D readout of an angle
     needs at least two qubits per input, one copy for each coordinate.
     """
+    low = min_qubits(grid, model)
+    if n_qubits is None:
+        n_qubits = low
+    if n_qubits < low:
+        raise ValueError(f"need at least {low} qubits")
     box = workspace_box(model, grid)
     d, out = grid.dimension, len(box)
-    if n_qubits is None:
-        n_qubits = max(d, out, 2)
-    if n_qubits < max(d, out, 2):
-        raise ValueError(f"need at least {max(d, out, 2)} qubits")
     ansatz = build_ansatz(n_qubits, n_layers)
     if params is None:
         params = np.zeros(ansatz.parameter_count)

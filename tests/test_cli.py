@@ -5,7 +5,13 @@ import pytest
 
 from qkinopt import harness
 from qkinopt.cli import main
-from qkinopt.harness import QmlSettings, dual_arm_case, one_dof_case, save_config
+from qkinopt.harness import (
+    QmlSettings,
+    dual_arm_case,
+    one_dof_case,
+    save_config,
+    two_dof_case,
+)
 
 
 @pytest.fixture
@@ -58,6 +64,19 @@ def keep(data):
     pass
 
 
+def as_case(builder, *path, **values):
+    """An edit that turns the data into `builder`'s one-qubit-per-parameter
+    config and sets `values` in the section at `path`."""
+    def edit(data):
+        data.clear()
+        data.update(harness.config_to_dict(builder(qubits_per_param=1)))
+        section = data
+        for part in path:
+            section = section[part]
+        section.update(values)
+    return edit
+
+
 @pytest.mark.parametrize("edit, flags, name", [
     (lambda data: data.pop("task"), [], "'task'"),
     (lambda data: data["search"].update(shrink=1.5), [], "'search.shrink'"),
@@ -84,12 +103,32 @@ def keep(data):
     (lambda data: data.update(harness.config_to_dict(dual_arm_case(qubits_per_param=1)),
                               weights={"alpha_p": 3.0, "alpha_R": 0.5}), [],
      "'weights.alpha_p'"),
+    (lambda data: data["params"][0].update(angular="false"), [], "'params[0].angular'"),
+    (lambda data: data["params"][0].update(qubits=2.7), [], "'params[0].qubits'"),
+    (lambda data: data.update(shots=1.5), [], "'shots'"),
+    (lambda data: data["search"].update(refine="no"), [], "'search.refine'"),
+    (lambda data: data.update(seed=True), [], "'seed'"),
+    (lambda data: data["task"].update(phi=float("nan")), [], "'task.phi'"),
+    (lambda data: data["params"][1].update(max=float("inf")), [], "'params[1].max'"),
+    (as_case(dual_arm_case, "model", base1=[float("nan"), 0.0]), [], "'model.base1'"),
+    (as_case(dual_arm_case, "model", links1=[1.0]), [], "'model.links1'"),
+    (lambda data: data["task"].update(target=[0.8, 0.6, 0.0]), [], "'task.target'"),
+    (lambda data: data["task"].update(target=0.8), [], "'task.target'"),
+    (lambda data: data["task"].update(tolerance=-1), [], "'task.tolerance'"),
+    (as_case(dual_arm_case, "qml", n_qubits=3), [], "'qml.n_qubits'"),
+    (as_case(dual_arm_case, mode="surrogate", qml={"n_qubits": 3}), [], "'qml.n_qubits'"),
+    (as_case(two_dof_case, "params", 3, name="l1"), [], "duplicate parameter name 'l1'"),
+    (lambda data: data["params"][1].update(name="phi1"), [], "no parameter named 'theta1'"),
 ], ids=["missing_task", "shrink_above_one", "nan_target", "shots_0", "seed_negative",
         "epochs_0", "n_layers_0", "learning_rate_negative", "training_samples_0",
         "n_starts_0", "swarm_size_1", "max_evals_0", "flag_shots_0", "flag_seed_negative",
         "flag_qubits_per_param_0", "epsilon0_below_floor", "epsilon_below_floor",
         "surrogate_orientation_weight", "orientation_weight_without_phi", "epsilon0_nan",
-        "epsilon_inf", "grasp_pose_weights"])
+        "epsilon_inf", "grasp_pose_weights", "angular_string", "qubits_fraction",
+        "shots_fraction", "refine_string", "seed_bool", "phi_nan", "max_inf", "base1_nan",
+        "links1_one_number", "target_three_numbers", "target_scalar", "tolerance_negative",
+        "n_qubits_3", "surrogate_n_qubits_3", "duplicate_name",
+        "missing_grid_parameter"])
 def test_invalid_config_exits_cleanly(edit, flags, name, tmp_path, capsys):
     data = harness.config_to_dict(one_dof_case())
     edit(data)

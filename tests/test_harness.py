@@ -1,14 +1,17 @@
 import dataclasses
 import json
 import math
+import pathlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkinopt import grover
 from qkinopt.baselines import exhaustive_scan
-from qkinopt.encoding import decode
+from qkinopt.encoding import ParamGrid, decode
 from qkinopt.grover import GroverPlan, NoSolutionError, OracleSpec, grover_search, threshold_ladder
 from qkinopt.harness import (
     BaselineSettings,
@@ -27,11 +30,12 @@ from qkinopt.harness import (
     sweep,
     two_dof_case,
 )
-from qkinopt.kinematics import PoseTarget, PoseWeights
+from qkinopt.kinematics import GraspTask, PoseTarget, PoseWeights
 from qkinopt.qml import build_cost_table, configuration_costs, make_surrogate
 from qkinopt.qsim import CapacityError
 
 TWO_PI = 2 * math.pi
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def exhaustive_reference(config):
@@ -41,6 +45,45 @@ def exhaustive_reference(config):
         return configuration_costs(config.model, names, Z, config.task, config.weights)
 
     return exhaustive_scan(config.grid, fn)
+
+
+finite = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def case_configs(draw):
+    """A valid CaseConfig: a shipped case with drawn ranges, task, weights and settings."""
+    mode = draw(st.sampled_from(["analytic", "surrogate"]))
+    config = draw(st.sampled_from([one_dof_case, two_dof_case, dual_arm_case]))(
+        qubits_per_param=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2 ** 32)),
+        shots=draw(st.integers(1, 10 ** 6)), mode=mode)
+    specs = []
+    for spec in config.grid.specs:
+        lo = draw(st.floats(-math.pi, 0.0) if spec.angular else st.floats(0.01, 1.0))
+        width = draw(st.floats(0.1, TWO_PI) if spec.angular else st.floats(0.01, 2.0))
+        specs.append(dataclasses.replace(spec, lo=lo, hi=lo + width))
+    tolerance = draw(st.none() | st.floats(0.0, 10.0))
+    epsilon = st.none() | st.floats(1e-9, 10.0)
+    if isinstance(config.task, GraspTask):
+        task = GraspTask((draw(finite), draw(finite)), draw(st.floats(0.01, 10.0)),
+                         draw(finite), tolerance)
+        weights = PoseWeights(epsilon=draw(epsilon))
+    else:
+        phi = draw(st.none() | finite)
+        alpha_R = 0.0 if phi is None or mode == "surrogate" else draw(st.floats(0.0, 10.0))
+        task = PoseTarget((draw(finite), draw(finite)), phi, tolerance)
+        weights = PoseWeights(draw(st.floats(0.01, 10.0)), alpha_R, draw(epsilon))
+    return dataclasses.replace(
+        config, grid=ParamGrid(tuple(specs)), case=draw(st.text(max_size=8)),
+        task=task, weights=weights,
+        search=SearchSettings(draw(st.none() | st.floats(0.0, 10.0)),
+                              draw(st.floats(0.01, 0.99)), draw(st.booleans())),
+        qml=QmlSettings(draw(st.none() | st.integers(4, 8)), draw(st.integers(1, 4)),
+                        draw(st.integers(1, 500)), draw(st.floats(0.0, 1.0)),
+                        draw(st.integers(0, 1000)), draw(st.none() | st.integers(1, 1000))),
+        baselines=BaselineSettings(draw(st.integers(1, 10 ** 4)), draw(st.integers(1, 10)),
+                                   draw(st.integers(2, 50)), draw(st.integers(1, 500)),
+                                   draw(st.integers(0, 1000))))
 
 
 def oriented_one_dof_case():
@@ -273,30 +316,76 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match=re.escape(f"missing config key '{name}'")):
             config_from_dict(data)
 
-    @pytest.mark.parametrize("case, section, key, value", [
-        (one_dof_case, "search", "shrink", 1.5),
-        (one_dof_case, "search", "shrink", 0.0),
-        (one_dof_case, "search", "shrink", float("nan")),
-        (one_dof_case, "task", "target", [0.8, float("inf")]),
-        (dual_arm_case, "task", "center", [float("nan"), 1.2]),
-        (dual_arm_case, "task", "radius", float("nan")),
-        (one_dof_case, "search", "epsilon0", float("nan")),
-        (one_dof_case, "search", "epsilon0", float("inf")),
-        (one_dof_case, "search", "epsilon0", -0.1),
-        (one_dof_case, "weights", "epsilon", float("nan")),
-        (one_dof_case, "weights", "epsilon", float("inf")),
-        (one_dof_case, "weights", "alpha_p", float("inf")),
-        (dual_arm_case, "weights", "alpha_p", 3.0),
-        (dual_arm_case, "weights", "alpha_R", 0.5),
-        (oriented_one_dof_case, "task", "phi", None),
+    @pytest.mark.parametrize("case, path, value, message", [
+        (one_dof_case, ("search", "shrink"), 1.5, None),
+        (one_dof_case, ("search", "shrink"), 0.0, None),
+        (one_dof_case, ("search", "shrink"), float("nan"), None),
+        (one_dof_case, ("task", "target"), [0.8, float("inf")], None),
+        (dual_arm_case, ("task", "center"), [float("nan"), 1.2], None),
+        (dual_arm_case, ("task", "radius"), float("nan"), None),
+        (one_dof_case, ("search", "epsilon0"), float("nan"), None),
+        (one_dof_case, ("search", "epsilon0"), float("inf"), None),
+        (one_dof_case, ("search", "epsilon0"), -0.1, None),
+        (one_dof_case, ("weights", "epsilon"), float("nan"), None),
+        (one_dof_case, ("weights", "epsilon"), float("inf"), None),
+        (one_dof_case, ("weights", "alpha_p"), float("inf"), None),
+        (dual_arm_case, ("weights", "alpha_p"), 3.0, None),
+        (dual_arm_case, ("weights", "alpha_R"), 0.5, None),
+        (oriented_one_dof_case, ("task", "phi"), None, None),
+        (one_dof_case, ("params", 0, "angular"), "false", None),
+        (one_dof_case, ("params", 0, "qubits"), 2.7, None),
+        (one_dof_case, ("shots",), 1.5, None),
+        (one_dof_case, ("search", "refine"), "no", None),
+        (one_dof_case, ("seed",), True, None),
+        (one_dof_case, ("task", "phi"), float("nan"), None),
+        (one_dof_case, ("params", 1, "max"), float("inf"), None),
+        (dual_arm_case, ("model", "base1"), [float("nan"), 0.0], None),
+        (dual_arm_case, ("model", "links1"), [1.0], None),
+        (one_dof_case, ("task", "target"), [0.8, 0.6, 0.0], None),
+        (one_dof_case, ("task", "target"), 0.8, None),
+        (one_dof_case, ("task", "tolerance"), -1, None),
+        (dual_arm_case, ("qml", "n_qubits"), 3, None),
+        (two_dof_case, ("params", 3, "name"), "l1", "duplicate parameter name 'l1'"),
+        (one_dof_case, ("params", 1, "name"), "phi1", "grid has no parameter named 'theta1'"),
     ], ids=["shrink_1.5", "shrink_0", "shrink_nan", "target_inf", "center_nan", "radius_nan",
             "epsilon0_nan", "epsilon0_inf", "epsilon0_negative", "epsilon_nan", "epsilon_inf",
-            "alpha_p_inf", "grasp_alpha_p", "grasp_alpha_R", "orientation_weight_without_phi"])
-    def test_from_dict_refuses_bad_value(self, case, section, key, value):
+            "alpha_p_inf", "grasp_alpha_p", "grasp_alpha_R", "orientation_weight_without_phi",
+            "angular_string", "qubits_fraction", "shots_fraction", "refine_string",
+            "seed_bool", "phi_nan", "max_inf", "base1_nan", "links1_one_number",
+            "target_three_numbers", "target_scalar", "tolerance_negative",
+            "n_qubits_3", "duplicate_name", "missing_grid_parameter"])
+    def test_from_dict_refuses_bad_value(self, case, path, value, message):
         data = config_to_dict(case())
-        data[section][key] = value
-        with pytest.raises(ValueError, match=f"config key '{section}.{key}' must be"):
+        section = data
+        for part in path[:-1]:
+            section = section[part]
+        section[path[-1]] = value
+        name = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+        with pytest.raises(ValueError,
+                           match=re.escape(message or f"config key '{name}' must be")):
             config_from_dict(data)
+
+    def test_number_for_float_key_reads_as_float(self):
+        data = config_to_dict(one_dof_case())
+        data["search"]["epsilon0"] = 1
+        epsilon0 = config_from_dict(data).search.epsilon0
+        assert type(epsilon0) is float and epsilon0 == 1.0
+
+    @pytest.mark.parametrize("name", ["one_dof", "two_dof", "dual_arm"])
+    def test_save_reproduces_shipped_config(self, name, tmp_path):
+        shipped = (CONFIGS / f"{name}.json").read_bytes()
+        builder = {"one_dof": one_dof_case, "two_dof": two_dof_case,
+                   "dual_arm": dual_arm_case}[name]
+        for config in (builder(), load_config(CONFIGS / f"{name}.json")):
+            save_config(config, tmp_path / "saved.json")
+            assert (tmp_path / "saved.json").read_bytes() == shipped
+
+    @settings(max_examples=200, deadline=None)
+    @given(case_configs())
+    def test_dict_round_trip(self, config):
+        loaded = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
+        assert loaded == config
+        assert config_to_dict(loaded) == config_to_dict(config)
 
     def test_overrides(self):
         config = one_dof_case().with_overrides(seed=42, shots=123, mode="surrogate",

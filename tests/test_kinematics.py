@@ -215,12 +215,6 @@ class TestGraspCost:
         p1, p2 = np.array([0.1, 1.0]), np.array([-0.2, 1.4])
         assert row_grasp_cost(p1, p2, task) == pytest.approx(row_grasp_cost(p2, p1, flipped))
 
-    def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            GraspTask((0.0, 0.0), 0.5, c_ideal1=(0.5, 0.0), c_ideal2=(0.5, 0.0))
-        with pytest.raises(ValueError):
-            GraspTask((0.0, 0.0), 0.5, c_ideal1=(0.7, 0.0), c_ideal2=(-0.7, 0.0))
-
 
 class TestAntipodalPoints:
     def test_horizontal_axis(self):
