@@ -17,6 +17,10 @@ import numpy as np
 
 from .encoding import ParamGrid, decode_all, row_blocks
 
+SIMPLEX_DIAMETER_TOL, SIMPLEX_SPREAD_TOL = 1e-8, 1e-10
+GRAD_TOL, FD_STEP, ARMIJO_C = 1e-8, 1e-6, 1e-4
+PSO_INERTIA, PSO_COGNITIVE, PSO_SOCIAL = 0.7, 1.5, 1.5
+
 
 class Objective:
     """Counting wrapper around a cost function on a box domain."""
@@ -69,14 +73,14 @@ class OptRun:
     converged: bool = False
 
 
-def nelder_mead(obj: Objective, start: Sequence[float], max_evals: int = 2000,
-                diameter_tol: float = 1e-8, spread_tol: float = 1e-10) -> OptRun:
+def nelder_mead(obj: Objective, start: Sequence[float], max_evals: int = 2000) -> OptRun:
     """Downhill simplex with reflection/expansion/contraction/shrink
     coefficients (1, 2, 0.5, 0.5).
 
-    Stops once the simplex diameter and the cost spread are both below their
-    tolerances (the spread alone can trigger ~1e-5 parameter error on flat
-    quadratics), or when the evaluation budget runs out.
+    Stops once the simplex diameter and the cost spread are both below
+    SIMPLEX_DIAMETER_TOL and SIMPLEX_SPREAD_TOL (the spread alone can trigger
+    ~1e-5 parameter error on flat quadratics), or when the evaluation budget
+    runs out.
     """
     d = obj.dimension
     x0 = np.asarray(start, dtype=float)
@@ -97,7 +101,7 @@ def nelder_mead(obj: Objective, start: Sequence[float], max_evals: int = 2000,
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
         diameter = max(np.linalg.norm(v - simplex[0]) for v in simplex[1:])
-        if diameter < diameter_tol and values[-1] - values[0] < spread_tol:
+        if diameter < SIMPLEX_DIAMETER_TOL and values[-1] - values[0] < SIMPLEX_SPREAD_TOL:
             converged = True
             break
 
@@ -130,30 +134,28 @@ def nelder_mead(obj: Objective, start: Sequence[float], max_evals: int = 2000,
                   obj.evaluations - start_evals, trace, converged)
 
 
-def _fd_gradient(obj: Objective, x: np.ndarray, step: float) -> np.ndarray:
+def _fd_gradient(obj: Objective, x: np.ndarray) -> np.ndarray:
     g = np.empty(x.size)
     for i in range(x.size):
         e = np.zeros_like(x)
-        e[i] = step
-        g[i] = (obj.evaluate(x + e) - obj.evaluate(x - e)) / (2 * step)
+        e[i] = FD_STEP
+        g[i] = (obj.evaluate(x + e) - obj.evaluate(x - e)) / (2 * FD_STEP)
     return g
 
 
-def quasi_newton(obj: Objective, start: Sequence[float], max_evals: int = 2000,
-                 grad_tol: float = 1e-8, fd_step: float = 1e-6,
-                 armijo_c: float = 1e-4) -> OptRun:
-    """BFGS with central-finite-difference gradients and a backtracking
-    (Armijo, step-halving) line search. Stops on gradient norm or budget."""
+def quasi_newton(obj: Objective, start: Sequence[float], max_evals: int = 2000) -> OptRun:
+    """BFGS with central-finite-difference gradients (FD_STEP) and a backtracking
+    (Armijo ARMIJO_C, step-halving) line search. Stops on gradient norm (GRAD_TOL) or budget."""
     x = np.asarray(start, dtype=float)
     d = x.size
     start_evals = obj.evaluations
     H = np.eye(d)
     f = obj.evaluate(x)
-    g = _fd_gradient(obj, x, fd_step)
+    g = _fd_gradient(obj, x)
     trace = [f]
     converged = False
     while obj.evaluations - start_evals < max_evals:
-        if np.linalg.norm(g) < grad_tol:
+        if np.linalg.norm(g) < GRAD_TOL:
             converged = True
             break
         p = -H @ g
@@ -167,15 +169,15 @@ def quasi_newton(obj: Objective, start: Sequence[float], max_evals: int = 2000,
         for _ in range(40):
             x_new = x + t * p
             f_new = obj.evaluate(x_new)
-            if f_new <= f + armijo_c * t * slope:
+            if f_new <= f + ARMIJO_C * t * slope:
                 break
             t *= 0.5
             if obj.evaluations - start_evals >= max_evals:
                 break
         if f_new >= f:
-            converged = np.linalg.norm(g) < 1e2 * grad_tol
+            converged = np.linalg.norm(g) < 1e2 * GRAD_TOL
             break
-        g_new = _fd_gradient(obj, x_new, fd_step)
+        g_new = _fd_gradient(obj, x_new)
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -190,8 +192,7 @@ def quasi_newton(obj: Objective, start: Sequence[float], max_evals: int = 2000,
                   obj.evaluations - start_evals, trace, converged)
 
 
-def pso(obj: Objective, swarm_size: int = 30, inertia: float = 0.7,
-        cognitive: float = 1.5, social: float = 1.5, iterations: int = 200,
+def pso(obj: Objective, swarm_size: int = 30, iterations: int = 200,
         max_evals: Optional[int] = None, seed: int = 0) -> OptRun:
     """Particle swarm with positions clamped to the box; deterministic per seed."""
     if swarm_size < 2:
@@ -214,7 +215,8 @@ def pso(obj: Objective, swarm_size: int = 30, inertia: float = 0.7,
             break
         r1 = rng.random((swarm_size, d))
         r2 = rng.random((swarm_size, d))
-        v = inertia * v + cognitive * r1 * (pbest - x) + social * r2 * (gbest - x)
+        v = (PSO_INERTIA * v + PSO_COGNITIVE * r1 * (pbest - x)
+             + PSO_SOCIAL * r2 * (gbest - x))
         x = np.clip(x + v, obj.lo, obj.hi)
         for i in range(swarm_size):
             c = obj.evaluate(x[i])

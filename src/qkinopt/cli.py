@@ -17,7 +17,7 @@ import sys
 
 from . import harness
 from .grover import NoSolutionError
-from .qml import load_surrogate, save_surrogate
+from .qml import load_surrogate, make_surrogate, save_surrogate
 from .qsim import CapacityError
 
 
@@ -36,10 +36,10 @@ class InputError(Exception):
     """A --config or --params file, or a command-line override, was refused."""
 
 
-def _read(loader, path):
+def _read(loader, path, *args):
     """Load an input file, turning its ValueError into an InputError."""
     try:
-        return loader(path)
+        return loader(path, *args)
     except ValueError as exc:
         raise InputError(f"cannot load {path}: {exc}") from exc
 
@@ -51,6 +51,19 @@ def _load(args) -> harness.CaseConfig:
                                      qubits_per_param=args.qubits_per_param)
     except ValueError as exc:
         raise InputError(f"invalid override: {exc}") from exc
+
+
+def _load_params(path: str, config: harness.CaseConfig):
+    """A --params surrogate with the maps and parameter count of this config's surrogate."""
+    if config.mode != "surrogate":
+        raise ValueError("--params needs surrogate mode")
+    surrogate = load_surrogate(path)
+    fit = make_surrogate(config.grid, config.model, surrogate.ansatz.n_layers,
+                         surrogate.ansatz.n_qubits)  # refuses too few qubits
+    if ((fit.input_map, fit.readout, fit.params.shape)
+            != (surrogate.input_map, surrogate.readout, surrogate.params.shape)):
+        raise ValueError("its maps or parameter count do not fit this grid and model")
+    return surrogate
 
 
 def _cmd_train(args) -> int:
@@ -69,7 +82,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load(args)
-    surrogate = _read(load_surrogate, args.params) if args.params else None
+    surrogate = _read(_load_params, args.params, config) if args.params else None
     report = harness.run_case(config, surrogate=surrogate)
     paths = harness.emit_report(report, args.out)
     result = report.result
@@ -117,7 +130,7 @@ def _cmd_compare(args) -> int:
     rows = harness.compare(report, runs)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "comparison.csv")
-    harness.write_comparison(path, rows)
+    harness.write_table(path, harness.COMPARISON_HEADER, rows)
     for row in rows:
         print(f"{row['method']}: {row['evaluations']} evals, "
               f"best {row['best_cost']:.6g}, x{row['evals_over_grover']:.1f} vs grover")
@@ -127,13 +140,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load(args)
-    qubit_counts = [int(q) for q in args.qubits.split(",")]
-    rows = harness.sweep(config, qubit_counts)
+    rows = harness.sweep(config, [int(q) for q in args.qubits.split(",")])
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
-    header = ["qubits_per_param", "total_qubits", "space_size", "min_cost",
-              "solutions", "iterations", "ratio", "note"]
-    harness.write_csv(path, header, [[row[h] for h in header] for row in rows])
+    harness.write_table(path, harness.SWEEP_HEADER, rows)
     for row in rows:
         note = f"  ({row['note']})" if row["note"] else ""
         print(f"q={row['qubits_per_param']}: N={row['total_qubits']} "

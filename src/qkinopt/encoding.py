@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qsim import DEFAULT_QUBIT_CAP, CapacityError
+from .qsim import QUBIT_CAP, CapacityError
 
 
 # snap-to-boundary guard for encode(decode(k)) round trips; floating point can
@@ -53,6 +53,10 @@ class ParamSpec:
     @property
     def levels(self) -> int:
         return 1 << self.n_qubits
+
+    def bin_value(self, k):
+        """Value of bin k, a sub-index or an array of them: lo + k / (2^n - 1) * (hi - lo)."""
+        return self.lo + k / (self.levels - 1) * (self.hi - self.lo)
 
 
 def bin_width(spec: ParamSpec) -> float:
@@ -95,10 +99,10 @@ class ParamGrid:
     def names(self) -> Tuple[str, ...]:
         return tuple(s.name for s in self.specs)
 
-    def check_capacity(self, cap: int = DEFAULT_QUBIT_CAP) -> None:
-        if self.total_qubits > cap:
+    def check_capacity(self) -> None:
+        if self.total_qubits > QUBIT_CAP:
             raise CapacityError(
-                f"grid needs {self.total_qubits} qubits, cap is {cap}; "
+                f"grid needs {self.total_qubits} qubits, cap is {QUBIT_CAP}; "
                 "reduce qubits per parameter"
             )
 
@@ -164,12 +168,9 @@ def encode(grid: ParamGrid, values: Sequence[float]) -> int:
 
 
 def decode(grid: ParamGrid, index: int) -> np.ndarray:
-    """Map a basis index to its parameter vector (exact inverse of encode)."""
-    ks = unpack_index(grid, index)
-    out = np.empty(grid.dimension)
-    for i, (spec, k) in enumerate(zip(grid.specs, ks)):
-        out[i] = spec.lo + k / (spec.levels - 1) * (spec.hi - spec.lo)
-    return out
+    """Map a basis index to its parameter vector (exact inverse of encode).
+    It reads one row, so unlike `decode_all` it checks no qubit capacity."""
+    return np.array([s.bin_value(k) for s, k in zip(grid.specs, unpack_index(grid, index))])
 
 
 def row_blocks(size: int):
@@ -184,6 +185,5 @@ def decode_all(grid: ParamGrid, start: int = 0, stop: Optional[int] = None,
     idx = np.arange(start, grid.size if stop is None else stop) if indices is None else indices
     out = np.empty((idx.size, grid.dimension))
     for i, (spec, shift) in enumerate(zip(grid.specs, grid.shifts)):
-        k = (idx >> shift) & (spec.levels - 1)
-        out[:, i] = spec.lo + k / (spec.levels - 1) * (spec.hi - spec.lo)
+        out[:, i] = spec.bin_value((idx >> shift) & (spec.levels - 1))
     return out

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import baselines as cls_opt
 from . import grover, qsim
+# decode_all is not called here; perfbench/tracer.py wraps harness.decode_all
 from .encoding import ParamGrid, ParamSpec, bin_width, decode, decode_all
 from .kinematics import (
     DualArm,
@@ -52,11 +53,14 @@ from .qml import (
     grid_tables,
     make_surrogate,
     min_qubits,
+    save_surrogate,
     train,
 )
 
 ITERATION_NOTE = "one optimization iteration = one adaptive-threshold search step"
 COMPARISON_HEADER = ("method", "evaluations", "best_cost", "accepted", "evals_over_grover")
+SWEEP_HEADER = ("qubits_per_param", "total_qubits", "space_size", "min_cost", "solutions",
+                "iterations", "ratio", "note")
 
 
 # --- configuration ------------------------------------------------------------
@@ -130,9 +134,19 @@ class CaseConfig:
         if self.mode not in ("analytic", "surrogate"):
             raise ValueError("config key 'mode' must be 'analytic' or 'surrogate', "
                              f"got {self.mode!r}")
-        # one grid row through the model's FK: a parameter the model reads and
-        # the grid lacks, or a nonpositive minimum length, is refused here
-        configuration_positions(self.model, self.grid.names(), decode(self.grid, 0)[None, :])
+        # FK of grid row 0, then of row 0 with each parameter NaN in turn: refuses a missing
+        # or unread parameter, a nonpositive length, and tips the task cannot use
+        names, row = self.grid.names(), decode(self.grid, 0)
+        tips = configuration_positions(self.model, names, np.vstack(
+            [row, np.where(np.eye(row.size, dtype=bool), math.nan, row)]))
+        for i, name in enumerate(names):
+            if np.isfinite(tips[i + 1]).all():
+                raise ValueError(f"config key 'params[{i}].name' must name a parameter "
+                                 f"the model reads, got {name!r}")
+        if tips.shape[1] != (4 if isinstance(self.task, GraspTask) else 2):
+            raise ValueError(f"config key 'task.type' must fit model type "
+                             f"{_TYPE_NAMES[type(self.model)]!r}, got "
+                             f"{_TYPE_NAMES[type(self.task)]!r}")
         if self.mode == "surrogate" and self.weights.alpha_R > 0:
             raise ValueError("config key 'weights.alpha_R' must be 0 in surrogate mode, "
                              "whose surrogate predicts positions only")
@@ -320,9 +334,7 @@ def load_config(path: str) -> CaseConfig:
 
 
 def save_config(config: CaseConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, config_to_dict(config))
 
 
 # --- run records -----------------------------------------------------------------
@@ -376,8 +388,7 @@ def _actual_error_table(grid: ParamGrid, model, task, weights: PoseWeights) -> n
 def train_case_surrogate(config: CaseConfig) -> Tuple[Surrogate, np.ndarray]:
     """Fit the circuit surrogate on analytic FK labels for this case's grid."""
     settings = config.qml
-    data = TrainingSet.from_grid(config.grid, config.model,
-                                 sample=settings.training_samples,
+    data = TrainingSet.from_grid(config.grid, config.model, sample=settings.training_samples,
                                  seed=settings.train_seed)
     base = make_surrogate(config.grid, config.model,
                           n_layers=settings.n_layers, n_qubits=settings.n_qubits)
@@ -392,8 +403,7 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
     NoSolutionError when even the loosest threshold marks nothing (raise
     epsilon, coarsen the grid, or retrain the surrogate).
     """
-    grid = config.grid
-    task = config.task
+    grid, task = config.grid, config.task
     # one analytic pass, which tabulates the error too when the tolerance is unset
     measures = (task_cost,) if task.tolerance is not None else (task_cost, task_error)
     analytic_costs, *errors = grid_tables(grid, config.model, task, config.weights,
@@ -423,9 +433,7 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
     result = None
     queries_total = 0
     for j, eps in enumerate(levels, start=1):
-        result, state = grover.search_with_state(
-            grid, grover.OracleSpec(costs, eps), plan
-        )
+        result, state = grover.search_with_state(grid, grover.OracleSpec(costs, eps), plan)
         queries_total += result.queries
         steps.append(AdaptiveStep(
             j, eps, result.solutions, result.queries,
@@ -439,11 +447,7 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
                                        config.weights)
     result = result.verified(e_actual, accepted)
 
-    resolution = [
-        {"name": s.name, "qubits": s.n_qubits, "min": s.lo, "max": s.hi,
-         "angular": s.angular, "bin_width": bin_width(s)}
-        for s in grid.specs
-    ]
+    resolution = [dict(_write(s), bin_width=bin_width(s)) for s in grid.specs]
     return RunReport(
         case=config.case, mode=config.mode, seed=config.seed, shots=config.shots,
         total_qubits=grid.total_qubits, space_size=grid.size,
@@ -483,8 +487,8 @@ def run_baselines(config: CaseConfig) -> List[cls_opt.OptRun]:
     runs.append(cls_opt.pso(case_objective(config), swarm_size=settings.swarm_size,
                             iterations=settings.pso_iterations, seed=settings.seed))
     idx, best_cost, evals = cls_opt.exhaustive_scan(config.grid, _cost_fn(config))
-    runs.append(cls_opt.OptRun("exhaustive", decode_all(config.grid, idx, idx + 1)[0],
-                               best_cost, evals, [best_cost], True))
+    runs.append(cls_opt.OptRun("exhaustive", decode(config.grid, idx), best_cost, evals,
+                               [best_cost], True))
     return runs
 
 
@@ -498,8 +502,7 @@ def compare(report: dict, runs: Sequence[cls_opt.OptRun]) -> List[dict]:
     methods = [("grover", report["queries_final"], report["analytic_best_cost"],
                 bool(report["result"]["accepted"]))]
     methods += [(run.method, run.evaluations, run.best_cost, run.converged) for run in runs]
-    return [{"method": name, "evaluations": evals, "best_cost": cost, "accepted": accepted,
-             "evals_over_grover": evals / grover_queries}
+    return [dict(zip(COMPARISON_HEADER, (name, evals, cost, accepted, evals / grover_queries)))
             for name, evals, cost, accepted in methods]
 
 
@@ -511,19 +514,16 @@ def sweep(config: CaseConfig, qubit_counts: Sequence[int]) -> List[dict]:
         try:
             cfg.grid.check_capacity()
         except qsim.CapacityError as exc:
-            rows.append({"qubits_per_param": q, "total_qubits": cfg.grid.total_qubits,
-                         "space_size": 1 << cfg.grid.total_qubits, "min_cost": math.nan,
-                         "solutions": 0, "iterations": 0, "ratio": math.nan,
-                         "note": str(exc)})
+            rows.append(dict(zip(SWEEP_HEADER, (q, cfg.grid.total_qubits, cfg.grid.size,
+                                                math.nan, 0, 0, math.nan, str(exc)))))
             continue
         costs = build_cost_table(cfg.grid, cfg.model, cfg.task, cfg.weights)
         levels = grover.threshold_ladder(costs, None, cfg.search.shrink, cfg.search.refine)
         m = grover.count_solutions(costs, levels[-1])
         K = grover.iteration_count(cfg.grid.size, m)
-        rows.append({"qubits_per_param": q, "total_qubits": cfg.grid.total_qubits,
-                     "space_size": cfg.grid.size, "min_cost": float(costs.min()),
-                     "solutions": m, "iterations": K,
-                     "ratio": cfg.grid.size / max(K, 1), "note": ""})
+        rows.append(dict(zip(SWEEP_HEADER, (q, cfg.grid.total_qubits, cfg.grid.size,
+                                            float(costs.min()), m, K,
+                                            cfg.grid.size / max(K, 1), ""))))
     return rows
 
 
@@ -544,9 +544,16 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> Non
         fh.write("\n".join(lines) + "\n")
 
 
-def write_comparison(path: str, rows: Sequence[dict]) -> None:
-    """comparison.csv: one COMPARISON_HEADER row per method."""
-    write_csv(path, COMPARISON_HEADER, [[row[h] for h in COMPARISON_HEADER] for row in rows])
+def write_table(path: str, header: Sequence[str], rows: Sequence[dict]) -> None:
+    """A CSV of dict rows, their values in `header` order (COMPARISON_HEADER, SWEEP_HEADER)."""
+    write_csv(path, header, [[row[h] for h in header] for row in rows])
+
+
+def write_json(path: str, payload) -> None:
+    """JSON with sorted keys, two-space indent and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def emit_report(report: RunReport, out_dir: str,
@@ -562,19 +569,15 @@ def emit_report(report: RunReport, out_dir: str,
     paths["trace"] = trace_path
 
     report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report_path, report.to_dict())
     paths["report"] = report_path
 
     if comparison is not None:
         cmp_path = os.path.join(out_dir, "comparison.csv")
-        write_comparison(cmp_path, comparison)
+        write_table(cmp_path, COMPARISON_HEADER, comparison)
         paths["comparison"] = cmp_path
 
     if report.surrogate is not None:
-        from .qml import save_surrogate
-
         params_path = os.path.join(out_dir, "surrogate.params")
         save_surrogate(report.surrogate, params_path)
         paths["surrogate"] = params_path
@@ -582,22 +585,11 @@ def emit_report(report: RunReport, out_dir: str,
 
 
 def write_optruns(runs: Sequence[cls_opt.OptRun], path: str) -> None:
-    payload = [
-        {"method": r.method, "best_x": [float(v) for v in r.best_x],
-         "best_cost": r.best_cost, "evaluations": r.evaluations,
-         "trace": [float(v) for v in r.trace], "converged": r.converged}
-        for r in runs
-    ]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """baselines.json: one object per run, keyed by the OptRun fields."""
+    write_json(path, [dict(vars(r), best_x=[float(v) for v in r.best_x],
+                           trace=[float(v) for v in r.trace]) for r in runs])
 
 
 def load_optruns(path: str) -> List[cls_opt.OptRun]:
     with open(path) as fh:
-        payload = json.load(fh)
-    return [
-        cls_opt.OptRun(r["method"], np.asarray(r["best_x"]), r["best_cost"],
-                       r["evaluations"], list(r["trace"]), r["converged"])
-        for r in payload
-    ]
+        return [cls_opt.OptRun(**dict(r, best_x=np.asarray(r["best_x"]))) for r in json.load(fh)]

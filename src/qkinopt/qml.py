@@ -16,10 +16,10 @@ qubit, which carry cos(theta) and sin(theta), are not jointly measurable.
 Gradients use the parameter-shift rule (+-pi/2 shifts of each rotation
 angle, combined through the chain rule of the squared loss). All 2P+1
 circuits of one gradient run as one pass over a stack of states, where the
-shifted copies of a parameter branch off the unshifted circuit at its gate.
-Training rows go through in blocks, so the stack holds (2P+1) * rows * 2^n
-complex values, at most GRADIENT_BLOCK_AMPS unless one row alone needs more.
-Training is full-batch Adam seeded for reproducibility.
+shifted copies of a parameter branch off the unshifted circuit at its gate;
+the unshifted slot also gives the loss. Rows go through in blocks of at most
+GRADIENT_BLOCK_AMPS stacked amplitudes, unless one row alone needs more.
+Training is full-batch Adam seeded for reproducibility, one pass per epoch.
 
 This module also builds the diagonal cost table that the search oracle
 consumes: one `kinematics.task_cost` per basis state, from the trained
@@ -165,8 +165,7 @@ def make_surrogate(grid: ParamGrid, model, n_layers: int = 2,
     needs at least two qubits per input, one copy for each coordinate.
     """
     low = min_qubits(grid, model)
-    if n_qubits is None:
-        n_qubits = low
+    n_qubits = low if n_qubits is None else n_qubits
     if n_qubits < low:
         raise ValueError(f"need at least {low} qubits")
     box = workspace_box(model, grid)
@@ -301,16 +300,19 @@ class TrainingSet:
         return cls(Z, configuration_positions(model, grid.names(), Z))
 
 
+def _mean_square(resid: np.ndarray) -> float:
+    return float(np.mean(np.sum(resid ** 2, axis=1)))
+
+
 def loss(surrogate: Surrogate, data: TrainingSet,
          params: Optional[np.ndarray] = None) -> float:
     """Mean over samples of the squared prediction error (summed over coords)."""
-    pred = _predict_batch(surrogate, data.inputs, params)
-    return float(np.mean(np.sum((pred - data.labels) ** 2, axis=1)))
+    return _mean_square(_predict_batch(surrogate, data.inputs, params) - data.labels)
 
 
 def gradient(surrogate: Surrogate, data: TrainingSet,
-             params: Optional[np.ndarray] = None) -> np.ndarray:
-    """d loss / d theta via the parameter-shift rule.
+             params: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
+    """(loss, d loss / d theta) at theta, the gradient by the parameter-shift rule.
 
     For each rotation angle theta_j the prediction derivative is
     (pred(theta_j + pi/2) - pred(theta_j - pi/2)) / 2; the squared-loss chain
@@ -322,7 +324,7 @@ def gradient(surrogate: Surrogate, data: TrainingSet,
     before it. Training rows go through in blocks of the most rows (one at
     least) that keep the stack's (2P+1) * rows * 2^n complex values within
     GRADIENT_BLOCK_AMPS. The result is bit-identical to 2P+1 separate
-    `_predict_batch` passes.
+    `_predict_batch` passes, and the loss, read off slot 0, to `loss`.
     """
     theta = np.asarray(surrogate.params if params is None else params, dtype=float)
     n = surrogate.ansatz.n_qubits
@@ -347,17 +349,17 @@ def gradient(surrogate: Surrogate, data: TrainingSet,
             live += 2
         pred[:, start:start + block.shape[0]] = _readout(surrogate, amps)
     resid = pred[0] - data.labels
-    return np.mean(np.sum(resid * (pred[1::2] - pred[2::2]), axis=2), axis=1)
+    return _mean_square(resid), np.mean(np.sum(resid * (pred[1::2] - pred[2::2]), axis=2), axis=1)
 
 
 def train(surrogate: Surrogate, data: TrainingSet, epochs: int = 200,
           learning_rate: float = 0.1, seed: int = 0) -> Tuple[Surrogate, np.ndarray]:
     """Full-batch Adam from a seed-derived uniform [-pi, pi) init.
 
-    `learning_rate` is Adam's step size; the moment decays and epsilon are
-    the fixed ADAM_BETAS and ADAM_EPS. Returns the trained surrogate and the
-    loss trace (length epochs + 1, starting at the initial loss). Identical
-    seeds reproduce identical traces.
+    `learning_rate` is Adam's step size; the moment decays and epsilon are the fixed
+    ADAM_BETAS and ADAM_EPS. Returns the trained surrogate and the loss trace (length
+    epochs + 1, starting at the initial loss), each epoch's loss from its gradient
+    pass; identical seeds give identical traces. A non-finite loss raises TrainingError.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -366,21 +368,22 @@ def train(surrogate: Surrogate, data: TrainingSet, epochs: int = 200,
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-math.pi, math.pi, size=surrogate.ansatz.parameter_count)
     trace = np.empty(epochs + 1)
-    trace[0] = loss(surrogate, data, theta)
     beta1, beta2 = ADAM_BETAS
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    for epoch in range(epochs):
-        g = gradient(surrogate, data, theta)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** (epoch + 1))
-        v_hat = v / (1.0 - beta2 ** (epoch + 1))
-        theta = theta - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        value = loss(surrogate, data, theta)
-        if not math.isfinite(value):
-            raise TrainingError(f"loss diverged at epoch {epoch + 1}")
-        trace[epoch + 1] = value
+    for epoch in range(epochs + 1):
+        if epoch == epochs:  # the final parameters take no gradient
+            trace[epoch] = loss(surrogate, data, theta)
+        else:
+            trace[epoch], g = gradient(surrogate, data, theta)
+        if not math.isfinite(trace[epoch]):
+            raise TrainingError(f"loss diverged at epoch {epoch}")
+        if epoch < epochs:
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * g * g
+            m_hat = m / (1.0 - beta1 ** (epoch + 1))
+            v_hat = v / (1.0 - beta2 ** (epoch + 1))
+            theta = theta - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return surrogate.with_params(theta), trace
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-DEFAULT_QUBIT_CAP = 24
+QUBIT_CAP = 24
 
 
 class CapacityError(ValueError):
@@ -116,24 +116,24 @@ class StateVector:
         return np.abs(self.amps) ** 2
 
 
-def check_capacity(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> None:
-    if not 1 <= n_qubits <= cap:
+def check_capacity(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= QUBIT_CAP:
         raise CapacityError(
-            f"n_qubits={n_qubits} outside supported range [1, {cap}]"
+            f"n_qubits={n_qubits} outside supported range [1, {QUBIT_CAP}]"
         )
 
 
-def new_zero_state(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def new_zero_state(n_qubits: int) -> StateVector:
     """|0...0>: amplitude 1 at index 0."""
-    check_capacity(n_qubits, cap)
+    check_capacity(n_qubits)
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(n_qubits, amps)
 
 
-def uniform_superposition(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def uniform_superposition(n_qubits: int) -> StateVector:
     """Equal real amplitude 1/sqrt(2^n) on every basis index."""
-    check_capacity(n_qubits, cap)
+    check_capacity(n_qubits)
     dim = 1 << n_qubits
     amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     return StateVector(n_qubits, amps)
@@ -204,9 +204,7 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarr
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Unitary action of one gate; returns a new StateVector."""
-    out = state.amps.copy()
-    _apply_gate_inplace(out, gate, state.n_qubits)
-    return StateVector(state.n_qubits, out)
+    return apply_circuit(state, Circuit(state.n_qubits, [gate]))
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:

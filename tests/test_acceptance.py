@@ -213,7 +213,7 @@ def test_criterion_5a_parameter_shift_gradients():
         Z = decode_all(grid)[rng.choice(grid.size, 6, replace=False)]
         labels = rng.uniform(-2.0, 2.0, size=(6, 2))
         data = TrainingSet(Z, labels)
-        g = gradient(s, data)
+        _, g = gradient(s, data)
         for j in range(s.ansatz.parameter_count):
             plus, minus = s.params.copy(), s.params.copy()
             plus[j] += h

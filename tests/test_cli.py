@@ -1,10 +1,12 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from qkinopt import harness
 from qkinopt.cli import main
+from qkinopt.encoding import ParamGrid
 from qkinopt.harness import (
     QmlSettings,
     dual_arm_case,
@@ -12,6 +14,7 @@ from qkinopt.harness import (
     save_config,
     two_dof_case,
 )
+from qkinopt.qml import make_surrogate, save_surrogate
 
 
 @pytest.fixture
@@ -119,6 +122,13 @@ def as_case(builder, *path, **values):
     (as_case(dual_arm_case, mode="surrogate", qml={"n_qubits": 3}), [], "'qml.n_qubits'"),
     (as_case(two_dof_case, "params", 3, name="l1"), [], "duplicate parameter name 'l1'"),
     (lambda data: data["params"][1].update(name="phi1"), [], "no parameter named 'theta1'"),
+    (as_case(dual_arm_case, task=harness.config_to_dict(one_dof_case())["task"]), [],
+     "'task.type'"),
+    (lambda data: data.update(task=harness.config_to_dict(dual_arm_case())["task"]), [],
+     "'task.type'"),
+    (lambda data: data["params"].append(
+        {"name": "foo", "min": 0.0, "max": 1.0, "qubits": 3, "angular": False}), [],
+     "'params[2].name'"),
 ], ids=["missing_task", "shrink_above_one", "nan_target", "shots_0", "seed_negative",
         "epochs_0", "n_layers_0", "learning_rate_negative", "training_samples_0",
         "n_starts_0", "swarm_size_1", "max_evals_0", "flag_shots_0", "flag_seed_negative",
@@ -128,7 +138,8 @@ def as_case(builder, *path, **values):
         "shots_fraction", "refine_string", "seed_bool", "phi_nan", "max_inf", "base1_nan",
         "links1_one_number", "target_three_numbers", "target_scalar", "tolerance_negative",
         "n_qubits_3", "surrogate_n_qubits_3", "duplicate_name",
-        "missing_grid_parameter"])
+        "missing_grid_parameter", "dual_arm_position_task", "one_dof_grasp_task",
+        "unread_grid_parameter"])
 def test_invalid_config_exits_cleanly(edit, flags, name, tmp_path, capsys):
     data = harness.config_to_dict(one_dof_case())
     edit(data)
@@ -175,6 +186,48 @@ def test_run_with_pretrained_params(tiny_config_path, tmp_path):
     report = json.loads((tmp_path / "r" / "report.json").read_text())
     assert report["loss_trace"] is None  # training skipped
     assert code in (0, 1)  # acceptance depends on the tiny surrogate's quality
+
+
+def test_params_refused_in_analytic_mode(tiny_config_path, tmp_path, capsys):
+    # without --params this config and mode run and exit 0 or 1
+    train_out = tmp_path / "t"
+    main(["train", "--config", tiny_config_path, "--out", str(train_out)])
+    params = str(train_out / "surrogate.params")
+    capsys.readouterr()
+    code = main(["run", "--config", tiny_config_path, "--mode", "analytic",
+                 "--out", str(tmp_path / "r"), "--params", params])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert params in err and "surrogate mode" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "r").exists()
+
+
+def longer_link_case(**settings):
+    cfg = one_dof_case(**settings)
+    l1, theta1 = cfg.grid.specs
+    return dataclasses.replace(cfg, grid=ParamGrid((dataclasses.replace(l1, hi=3.0), theta1)))
+
+
+@pytest.mark.parametrize("n_qubits, n_params, builder, message", [
+    (4, 16, two_dof_case, "do not fit"),          # other inputs and readouts
+    (2, 8, two_dof_case, "at least 4 qubits"),    # too few qubits for two_dof
+    (4, 16, longer_link_case, "do not fit"),      # another length range, other maps
+    (4, 13, one_dof_case, "do not fit"),          # a truncated parameter list
+], ids=["two_dof", "two_dof_too_few_qubits", "longer_link", "truncated_params"])
+def test_params_that_do_not_fit_refused(n_qubits, n_params, builder, message, tmp_path,
+                                        capsys):
+    trained_for = one_dof_case(qubits_per_param=2)
+    params = str(tmp_path / "surrogate.params")
+    save_surrogate(make_surrogate(trained_for.grid, trained_for.model, n_qubits=n_qubits,
+                                  params=np.zeros(n_params)), params)
+    config = tmp_path / "other.json"
+    save_config(builder(qubits_per_param=2, mode="surrogate"), config)
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "r"),
+                 "--params", params])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert params in err and message in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "r").exists()
 
 
 def test_baseline_then_compare_merges(config_path, tmp_path):

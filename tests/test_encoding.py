@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkinopt.encoding import (
     ParamGrid,
@@ -185,3 +187,40 @@ class TestDecodeAll:
         for j, spec in enumerate(grid.specs):
             assert np.all(table[:, j] >= spec.lo)
             assert np.all(table[:, j] <= spec.hi)
+
+
+finite = st.floats(-100.0, 100.0, allow_nan=False)
+
+
+@st.composite
+def grids(draw):
+    specs = []
+    for i in range(draw(st.integers(1, 4))):
+        lo = draw(finite)
+        angular = draw(st.booleans())
+        span = draw(st.floats(1e-3, TWO_PI if angular else 100.0))
+        specs.append(ParamSpec(f"p{i}", lo, lo + span, draw(st.integers(1, 6)), angular))
+    return ParamGrid(tuple(specs))
+
+
+class TestDecodeMatchesDecodeAll:
+    @settings(max_examples=200, deadline=None)
+    @given(grids(), st.data())
+    def test_rows_bit_for_bit(self, grid, data):
+        # all-top, one top register at a time, and drawn indices
+        tops = [(spec.levels - 1) << shift for spec, shift in zip(grid.specs, grid.shifts)]
+        picks = [grid.size - 1, 0] + tops + data.draw(
+            st.lists(st.integers(0, grid.size - 1), max_size=20))
+        rows = decode_all(grid, indices=np.array(picks))
+        for k, row in zip(picks, rows):
+            assert decode(grid, k).tobytes() == row.tobytes()
+        for k in (-1, grid.size):
+            with pytest.raises(ValueError):
+                decode(grid, k)
+
+    def test_decode_checks_no_capacity(self):
+        grid = ParamGrid((length_spec(13), angle_spec(13)))
+        assert grid.total_qubits == 26
+        with pytest.raises(CapacityError):
+            decode_all(grid, 0, 1)
+        np.testing.assert_array_equal(decode(grid, grid.size - 1), [2.0, TWO_PI])

@@ -347,13 +347,20 @@ class TestConfigSerialization:
         (dual_arm_case, ("qml", "n_qubits"), 3, None),
         (two_dof_case, ("params", 3, "name"), "l1", "duplicate parameter name 'l1'"),
         (one_dof_case, ("params", 1, "name"), "phi1", "grid has no parameter named 'theta1'"),
+        (dual_arm_case, ("task",), config_to_dict(one_dof_case())["task"],
+         "config key 'task.type' must fit model type 'dual_arm', got 'position'"),
+        (one_dof_case, ("task",), config_to_dict(dual_arm_case())["task"],
+         "config key 'task.type' must fit model type 'one_link', got 'grasp'"),
+        (two_dof_case, ("params", 3, "name"), "foo",
+         "config key 'params[3].name' must name a parameter the model reads, got 'foo'"),
     ], ids=["shrink_1.5", "shrink_0", "shrink_nan", "target_inf", "center_nan", "radius_nan",
             "epsilon0_nan", "epsilon0_inf", "epsilon0_negative", "epsilon_nan", "epsilon_inf",
             "alpha_p_inf", "grasp_alpha_p", "grasp_alpha_R", "orientation_weight_without_phi",
             "angular_string", "qubits_fraction", "shots_fraction", "refine_string",
             "seed_bool", "phi_nan", "max_inf", "base1_nan", "links1_one_number",
             "target_three_numbers", "target_scalar", "tolerance_negative",
-            "n_qubits_3", "duplicate_name", "missing_grid_parameter"])
+            "n_qubits_3", "duplicate_name", "missing_grid_parameter",
+            "dual_arm_position_task", "one_dof_grasp_task", "unread_grid_parameter"])
     def test_from_dict_refuses_bad_value(self, case, path, value, message):
         data = config_to_dict(case())
         section = data

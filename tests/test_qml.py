@@ -213,7 +213,7 @@ class TestGradient:
             Z = decode_all(grid)[:: 3]
             labels = rng.uniform(-1.5, 1.5, size=(Z.shape[0], 2))
             data = TrainingSet(Z, labels)
-            g = gradient(s, data)
+            _, g = gradient(s, data)
             h = 1e-6
             for j in range(s.ansatz.parameter_count):
                 plus = s.params.copy()
@@ -228,7 +228,7 @@ class TestGradient:
         s, grid = random_surrogate(rng)
         Z = decode_all(grid)
         labels = np.stack([predict(s, z) for z in Z])
-        g = gradient(s, TrainingSet(Z, labels))
+        _, g = gradient(s, TrainingSet(Z, labels))
         assert np.all(np.abs(g) <= 1e-9)
 
 
@@ -262,7 +262,9 @@ class TestStackedGradient:
         s, _ = random_surrogate(rng, n_qubits=n_qubits, n_layers=n_layers)
         data = random_training_set(rng, rows)
         expected = separate_shift_passes(s, data, s.params)
-        assert gradient(s, data).tobytes() == expected.tobytes()
+        value, got = gradient(s, data)
+        assert got.tobytes() == expected.tobytes()
+        assert np.float64(value).tobytes() == np.float64(loss(s, data)).tobytes()
 
     def test_row_blocks_equal_separate_passes(self, monkeypatch):
         rng = np.random.default_rng(10)
@@ -278,7 +280,7 @@ class TestStackedGradient:
             return input_states(surrogate, Z)
 
         monkeypatch.setattr(qml, "_input_states", recording)
-        got = gradient(s, data)
+        _, got = gradient(s, data)
         assert block_rows == [3] * 6 + [2]
         assert got.tobytes() == separate_shift_passes(s, data, s.params).tobytes()
 
@@ -345,7 +347,24 @@ class TestTrain:
         grid = one_dof_grid(2)
         s = make_surrogate(grid, OneLink(), n_qubits=4)
         train(s, self.make_data(grid), epochs=7, learning_rate=0.2, seed=3)
-        assert calls == {"gradient": 7, "loss": 8}
+        assert calls == {"gradient": 7, "loss": 1}
+
+    @pytest.mark.parametrize("epochs, learning_rate, nan_label, epoch", [
+        (1, math.nan, False, 1),  # the NaN step's parameters meet the final `loss` pass
+        (3, math.nan, False, 1),  # ... and the second gradient's loss
+        (3, 0.2, True, 0),        # a NaN label makes the initial loss NaN
+    ], ids=["nan_step_final_loss", "nan_step_gradient_loss", "nan_label_initial_loss"])
+    def test_divergence_names_first_nonfinite_epoch(self, epochs, learning_rate, nan_label,
+                                                    epoch):
+        grid = one_dof_grid(2)
+        s = make_surrogate(grid, OneLink(), n_qubits=4)
+        data = self.make_data(grid)
+        if nan_label:
+            labels = data.labels.copy()
+            labels[0, 0] = math.nan
+            data = TrainingSet(data.inputs, labels)
+        with pytest.raises(qml.TrainingError, match=f"diverged at epoch {epoch}$"):
+            train(s, data, epochs=epochs, learning_rate=learning_rate, seed=3)
 
     def test_validation(self):
         grid = one_dof_grid(2)

@@ -49,7 +49,7 @@ class TestNewZeroState:
         with pytest.raises(CapacityError):
             new_zero_state(25)
         with pytest.raises(CapacityError):
-            new_zero_state(5, cap=4)
+            uniform_superposition(25)
 
 
 class TestApplyGate:
