@@ -21,36 +21,43 @@ from .qml import load_surrogate, make_surrogate, save_surrogate
 from .qsim import CapacityError
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
-    parser.add_argument("--config", required=config_required, help="case config JSON file")
-    parser.add_argument("--seed", type=int, default=None, help="override run seed")
-    parser.add_argument("--shots", type=int, default=None, help="override shot count")
-    parser.add_argument("--mode", choices=("surrogate", "analytic"), default=None,
-                        help="override predictor mode")
-    parser.add_argument("--qubits-per-param", type=int, default=None,
-                        help="override every parameter's qubit count")
-    parser.add_argument("--out", default="out", help="output directory")
+# the CaseConfig.with_overrides keys, each the flag --key with "-" for "_"
+_OVERRIDES = {
+    "seed": dict(type=int, help="override run seed"),
+    "shots": dict(type=int, help="override shot count"),
+    "mode": dict(choices=("surrogate", "analytic"), help="override predictor mode"),
+    "qubits_per_param": dict(type=int, help="override every parameter's qubit count"),
+}
 
 
 class InputError(Exception):
-    """A --config or --params file, or a command-line override, was refused."""
+    """An input file, or a command-line value, was refused."""
 
 
 def _read(loader, path, *args):
-    """Load an input file, turning its ValueError into an InputError."""
+    """Load an input file; a missing, unreadable or malformed one is an InputError."""
     try:
         return loader(path, *args)
-    except ValueError as exc:
+    except KeyError as exc:
+        raise InputError(f"cannot load {path}: missing key {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
         raise InputError(f"cannot load {path}: {exc}") from exc
 
 
 def _load(args) -> harness.CaseConfig:
     config = _read(harness.load_config, args.config)
     try:
-        return config.with_overrides(seed=args.seed, shots=args.shots, mode=args.mode,
-                                     qubits_per_param=args.qubits_per_param)
+        return config.with_overrides(**{key: getattr(args, key, None) for key in _OVERRIDES})
     except ValueError as exc:
         raise InputError(f"invalid override: {exc}") from exc
+
+
+def _load_report(path: str) -> dict:
+    """A report.json with every key `harness.compare` reads."""
+    with open(path) as fh:
+        report = json.load(fh)
+    harness.compare(report, ())  # raises KeyError on a missing key
+    return report
 
 
 def _load_params(path: str, config: harness.CaseConfig):
@@ -112,15 +119,14 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.report and args.baselines:
-        with open(args.report) as fh:
-            report = json.load(fh)
-        runs = harness.load_optruns(args.baselines)
+    if args.report or args.baselines or args.config is None:
+        missing = [flag for flag in ("--report", "--baselines") if not getattr(args, flag[2:])]
+        if missing:
+            raise InputError(f"compare needs {' and '.join(missing)} to merge, "
+                             "or --config alone to rerun both pipelines")
+        runs = _read(harness.load_optruns, args.baselines)
+        report = _read(_load_report, args.report)
     else:
-        if args.config is None:
-            print("compare needs --config unless --report and --baselines are both given",
-                  file=sys.stderr)
-            return 2
         config = _load(args)
         quantum = harness.run_case(config)
         runs = harness.run_baselines(config)
@@ -139,8 +145,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    counts = args.qubits.split(",")
+    if not all(q.strip().isdecimal() and int(q) > 0 for q in counts):
+        raise InputError("--qubits must be comma-separated positive integers, "
+                         f"got {args.qubits!r}")
     config = _load(args)
-    rows = harness.sweep(config, [int(q) for q in args.qubits.split(",")])
+    rows = harness.sweep(config, [int(q) for q in counts])
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     harness.write_table(path, harness.SWEEP_HEADER, rows)
@@ -153,37 +163,38 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# name: (handler, help, the _OVERRIDES it takes, its own flags as (flag, default,
+# help)); every command also takes --config and --out
+_COMMANDS = {
+    "train": (_cmd_train, "fit the circuit surrogate", ("qubits_per_param",), ()),
+    "run": (_cmd_run, "run the quantum pipeline for one case", tuple(_OVERRIDES),
+            (("--params", None, "pre-trained surrogate.params file"),)),
+    "baseline": (_cmd_baseline, "run classical optimizers", ("qubits_per_param",), ()),
+    "compare": (_cmd_compare, "build the method comparison table", tuple(_OVERRIDES),
+                (("--report", None, "existing report.json to merge"),
+                 ("--baselines", None, "existing baselines.json to merge"))),
+    # --qubits sets the qubit counts, so the sweep takes no override
+    "sweep": (_cmd_sweep, "scaling table over qubits per parameter", (),
+              (("--qubits", "3,4,5", "comma-separated counts"),)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkinopt",
         description="Quantum-search manipulator optimization at desk scale",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="fit the circuit surrogate")
-    _add_common(p)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("run", help="run the quantum pipeline for one case")
-    _add_common(p)
-    p.add_argument("--params", default=None, help="pre-trained surrogate.params file")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("baseline", help="run classical optimizers")
-    _add_common(p)
-    p.set_defaults(func=_cmd_baseline)
-
-    p = sub.add_parser("compare", help="build the method comparison table")
-    _add_common(p, config_required=False)
-    p.add_argument("--report", default=None, help="existing report.json to merge")
-    p.add_argument("--baselines", default=None, help="existing baselines.json to merge")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("sweep", help="scaling table over qubits per parameter")
-    _add_common(p)
-    p.add_argument("--qubits", default="3,4,5", help="comma-separated counts")
-    p.set_defaults(func=_cmd_sweep)
-
+    for name, (func, help_text, overrides, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        # compare merges --report and --baselines files without a config
+        p.add_argument("--config", required=name != "compare", help="case config JSON file")
+        for key in overrides:
+            p.add_argument("--" + key.replace("_", "-"), **_OVERRIDES[key])
+        for flag, default, flag_help in flags:
+            p.add_argument(flag, default=default, help=flag_help)
+        p.add_argument("--out", default="out", help="output directory")
+        p.set_defaults(func=func)
     return parser
 
 

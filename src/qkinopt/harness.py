@@ -176,19 +176,17 @@ class CaseConfig:
         return replace(self, **changes) if changes else self
 
 
-def one_dof_case(qubits_per_param: int = 5, target: Tuple[float, float] = (0.8, 0.6),
-                 **settings) -> CaseConfig:
+def one_dof_case(qubits_per_param: int = 5, **settings) -> CaseConfig:
     """Single revolute joint: optimize link length l1 and angle theta1.
     `settings` are further CaseConfig fields, such as seed, shots and mode."""
     grid = ParamGrid((
         ParamSpec("l1", 0.1, 2.0, qubits_per_param),
         ParamSpec("theta1", 0.0, math.tau, qubits_per_param, angular=True),
     ))
-    return CaseConfig(grid, OneLink(), PoseTarget(tuple(target)), case="one_dof", **settings)
+    return CaseConfig(grid, OneLink(), PoseTarget((0.8, 0.6)), case="one_dof", **settings)
 
 
-def two_dof_case(qubits_per_param: int = 4, target: Tuple[float, float] = (1.0, 1.0),
-                 **settings) -> CaseConfig:
+def two_dof_case(qubits_per_param: int = 4, **settings) -> CaseConfig:
     """Planar 2R arm on its toroidal joint space: optimize angles and lengths."""
     grid = ParamGrid((
         ParamSpec("theta1", 0.0, math.tau, qubits_per_param, angular=True),
@@ -196,18 +194,16 @@ def two_dof_case(qubits_per_param: int = 4, target: Tuple[float, float] = (1.0, 
         ParamSpec("l1", 0.1, 2.0, qubits_per_param),
         ParamSpec("l2", 0.1, 2.0, qubits_per_param),
     ))
-    return CaseConfig(grid, TwoLink(), PoseTarget(tuple(target)), case="two_dof", **settings)
+    return CaseConfig(grid, TwoLink(), PoseTarget((1.0, 1.0)), case="two_dof", **settings)
 
 
-def dual_arm_case(qubits_per_param: int = 4, center: Tuple[float, float] = (0.0, 1.2),
-                  radius: float = 0.3, axis: float = 0.0, **settings) -> CaseConfig:
+def dual_arm_case(qubits_per_param: int = 4, **settings) -> CaseConfig:
     """Two fixed-geometry 2R arms grasping a circular object at antipodal contacts."""
     grid = ParamGrid(tuple(
         ParamSpec(name, 0.0, math.tau, qubits_per_param, angular=True)
         for name in ("theta11", "theta12", "theta21", "theta22")
     ))
-    return CaseConfig(grid, DualArm(), GraspTask(tuple(center), radius, axis),
-                      case="dual_arm", **settings)
+    return CaseConfig(grid, DualArm(), GraspTask((0.0, 1.2), 0.3), case="dual_arm", **settings)
 
 
 # --- config (de)serialization ---------------------------------------------------
@@ -556,10 +552,9 @@ def write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def emit_report(report: RunReport, out_dir: str,
-                comparison: Optional[List[dict]] = None) -> dict:
-    """Write trace.csv, report.json, optional comparison.csv and the trained
-    surrogate parameters; returns the path map."""
+def emit_report(report: RunReport, out_dir: str) -> dict:
+    """Write trace.csv, report.json and the trained surrogate parameters;
+    returns the path map."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
 
@@ -571,11 +566,6 @@ def emit_report(report: RunReport, out_dir: str,
     report_path = os.path.join(out_dir, "report.json")
     write_json(report_path, report.to_dict())
     paths["report"] = report_path
-
-    if comparison is not None:
-        cmp_path = os.path.join(out_dir, "comparison.csv")
-        write_table(cmp_path, COMPARISON_HEADER, comparison)
-        paths["comparison"] = cmp_path
 
     if report.surrogate is not None:
         params_path = os.path.join(out_dir, "surrogate.params")

@@ -156,10 +156,9 @@ def min_qubits(grid: ParamGrid, model) -> int:
 
 
 def make_surrogate(grid: ParamGrid, model, n_layers: int = 2,
-                   n_qubits: Optional[int] = None,
-                   params: Optional[np.ndarray] = None) -> Surrogate:
-    """Surrogate wired to a grid: input i on each qubit of its block
-    {q : q * d // n_qubits = i}, readouts on the top qubits.
+                   n_qubits: Optional[int] = None) -> Surrogate:
+    """Untrained surrogate wired to a grid: input i on each qubit of its block
+    {q : q * d // n_qubits = i}, readouts on the top qubits, all angles zero.
 
     With n_qubits = d every input has one qubit. A 2-D readout of an angle
     needs at least two qubits per input, one copy for each coordinate.
@@ -171,8 +170,6 @@ def make_surrogate(grid: ParamGrid, model, n_layers: int = 2,
     box = workspace_box(model, grid)
     d, out = grid.dimension, len(box)
     ansatz = build_ansatz(n_qubits, n_layers)
-    if params is None:
-        params = np.zeros(ansatz.parameter_count)
     inputs = tuple(
         (tuple(q for q in range(n_qubits) if q * d // n_qubits == i),
          s.lo, s.hi, s.angular)
@@ -181,7 +178,7 @@ def make_surrogate(grid: ParamGrid, model, n_layers: int = 2,
     readout = tuple(
         (n_qubits - out + j, lo, hi) for j, (lo, hi) in enumerate(box)
     )
-    return Surrogate(ansatz, np.asarray(params, dtype=float), inputs, readout)
+    return Surrogate(ansatz, np.zeros(ansatz.parameter_count), inputs, readout)
 
 
 # --- prediction ---------------------------------------------------------------

@@ -29,6 +29,7 @@ from qkinopt.grover import (
     success_probability_analytic,
 )
 from qkinopt.harness import (
+    COMPARISON_HEADER,
     QmlSettings,
     compare,
     dual_arm_case,
@@ -37,6 +38,7 @@ from qkinopt.harness import (
     run_baselines,
     run_case,
     two_dof_case,
+    write_table,
 )
 from qkinopt.kinematics import OneLink
 from qkinopt.qml import (
@@ -338,7 +340,8 @@ def test_criterion_9_determinism(tmp_path):
         config = one_dof_case(seed=17)
         report = run_case(config)
         rows = compare(report.to_dict(), run_baselines(config))
-        emit_report(report, str(directory), comparison=rows)
+        emit_report(report, str(directory))
+        write_table(str(directory / "comparison.csv"), COMPARISON_HEADER, rows)
 
     produce(tmp_path / "first")
     produce(tmp_path / "second")

@@ -51,6 +51,25 @@ def test_run_capacity_message(config_path, tmp_path, capsys):
     assert "capacity error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in ("train", "baseline", "sweep")
+    for flag in ("--seed", "--shots", "--mode")] + [("sweep", "--qubits-per-param")])
+def test_unused_flags_refused(command, flag, config_path, tmp_path):
+    value = "surrogate" if flag == "--mode" else "3"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", config_path, flag, value, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_baseline_qubits_per_param(config_path, tmp_path):
+    out = tmp_path / "b"
+    assert main(["baseline", "--config", config_path, "--qubits-per-param", "2",
+                 "--out", str(out)]) == 0
+    exhaustive = harness.load_optruns(str(out / "baselines.json"))[-1]
+    assert (exhaustive.method, exhaustive.evaluations) == ("exhaustive", 16)
+
+
 def test_unknown_config_key_exits_cleanly(tmp_path, capsys):
     data = harness.config_to_dict(one_dof_case())
     data["search"]["shrnk"] = 0.5
@@ -129,6 +148,25 @@ def as_case(builder, *path, **values):
     (lambda data: data["params"].append(
         {"name": "foo", "min": 0.0, "max": 1.0, "qubits": 3, "angular": False}), [],
      "'params[2].name'"),
+    (keep, ["run", "--config", "{tmp}/nonexist.json"], "No such file or directory"),
+    (keep, ["run", "--config", "{tmp}"], "Is a directory"),
+    (lambda data: "{", [], "Expecting property name"),
+    (keep, ["--mode", "surrogate", "--params", "{tmp}/nonexist.params"],
+     "No such file or directory"),
+    (lambda data: "[]", ["compare", "--report", "{tmp}/nope.json", "--baselines", "{bad}"],
+     "No such file or directory"),
+    (keep, ["compare", "--report", "{bad}", "--baselines", "{tmp}/nope.json"],
+     "No such file or directory"),
+    (lambda data: '[{"method": "pso"}]', ["compare", "--report", "{bad}", "--baselines", "{bad}"],
+     "missing key 'best_x'"),
+    (lambda data: '[{"best_x": [0.0], "foo": 1}]',
+     ["compare", "--report", "{bad}", "--baselines", "{bad}"], "'foo'"),
+    (lambda data: "[]", ["compare", "--report", "{config}", "--baselines", "{bad}"],
+     "missing key 'queries_final'"),
+    (keep, ["sweep", "--config", "{bad}", "--qubits", "3,,4"], "--qubits"),
+    (keep, ["sweep", "--config", "{bad}", "--qubits", "0,2"], "--qubits"),
+    (keep, ["compare", "--report", "{bad}"], "needs --baselines"),
+    (keep, ["compare", "--config", "{bad}", "--baselines", "{bad}"], "needs --report"),
 ], ids=["missing_task", "shrink_above_one", "nan_target", "shots_0", "seed_negative",
         "epochs_0", "n_layers_0", "learning_rate_negative", "training_samples_0",
         "n_starts_0", "swarm_size_1", "max_evals_0", "flag_shots_0", "flag_seed_negative",
@@ -139,13 +177,20 @@ def as_case(builder, *path, **values):
         "links1_one_number", "target_three_numbers", "target_scalar", "tolerance_negative",
         "n_qubits_3", "surrogate_n_qubits_3", "duplicate_name",
         "missing_grid_parameter", "dual_arm_position_task", "one_dof_grasp_task",
-        "unread_grid_parameter"])
-def test_invalid_config_exits_cleanly(edit, flags, name, tmp_path, capsys):
+        "unread_grid_parameter", "missing_config", "config_directory", "malformed_config",
+        "missing_params", "missing_report", "missing_baselines", "baselines_without_best_x",
+        "baselines_unknown_key", "report_missing_key", "qubits_empty_count",
+        "qubits_zero_count", "lone_report", "lone_baselines_with_config"])
+def test_invalid_config_exits_cleanly(edit, flags, name, config_path, tmp_path, capsys):
     data = harness.config_to_dict(one_dof_case())
-    edit(data)
+    text = edit(data)  # an edit changes data in place, or returns the file's text
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
-    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "x")] + flags)
+    bad.write_text(text if isinstance(text, str) else json.dumps(data))
+    # flags are appended to `run --config bad.json`, unless they start with a command;
+    # {config} is the unedited config
+    head = [] if flags and not flags[0].startswith("-") else ["run", "--config", "{bad}"]
+    code = main([arg.format(bad=bad, tmp=tmp_path, config=config_path) for arg in head + flags]
+                + ["--out", str(tmp_path / "x")])
     assert code == 2
     err = capsys.readouterr().err.strip()
     assert name in err
@@ -218,8 +263,8 @@ def test_params_that_do_not_fit_refused(n_qubits, n_params, builder, message, tm
                                         capsys):
     trained_for = one_dof_case(qubits_per_param=2)
     params = str(tmp_path / "surrogate.params")
-    save_surrogate(make_surrogate(trained_for.grid, trained_for.model, n_qubits=n_qubits,
-                                  params=np.zeros(n_params)), params)
+    save_surrogate(make_surrogate(trained_for.grid, trained_for.model, n_qubits=n_qubits)
+                   .with_params(np.zeros(n_params)), params)
     config = tmp_path / "other.json"
     save_config(builder(qubits_per_param=2, mode="surrogate"), config)
     code = main(["run", "--config", str(config), "--out", str(tmp_path / "r"),

@@ -14,6 +14,7 @@ from qkinopt.baselines import exhaustive_scan
 from qkinopt.encoding import ParamGrid, decode
 from qkinopt.grover import GroverPlan, NoSolutionError, OracleSpec, grover_search, threshold_ladder
 from qkinopt.harness import (
+    COMPARISON_HEADER,
     BaselineSettings,
     QmlSettings,
     SearchSettings,
@@ -29,6 +30,7 @@ from qkinopt.harness import (
     save_config,
     sweep,
     two_dof_case,
+    write_table,
 )
 from qkinopt.kinematics import GraspTask, PoseTarget, PoseWeights
 from qkinopt.qml import build_cost_table, configuration_costs, make_surrogate
@@ -244,7 +246,8 @@ class TestReportEmission:
             config = one_dof_case(seed=7)
             report = run_case(config)
             rows = compare(report.to_dict(), run_baselines(config))
-            emit_report(report, str(tmp_path / directory), comparison=rows)
+            emit_report(report, str(tmp_path / directory))
+            write_table(str(tmp_path / directory / "comparison.csv"), COMPARISON_HEADER, rows)
         for name in ("trace.csv", "report.json", "comparison.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
