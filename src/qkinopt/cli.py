@@ -18,7 +18,7 @@ import sys
 from . import harness
 from .grover import NoSolutionError
 from .qml import load_surrogate, make_surrogate, save_surrogate
-from .qsim import CapacityError
+from .qsim import QUBIT_CAP, CapacityError
 
 
 # the CaseConfig.with_overrides keys, each the flag --key with "-" for "_"
@@ -124,6 +124,11 @@ def _cmd_compare(args) -> int:
         if missing:
             raise InputError(f"compare needs {' and '.join(missing)} to merge, "
                              "or --config alone to rerun both pipelines")
+        unused = ["--" + key.replace("_", "-") for key in ("config", *_OVERRIDES)
+                  if getattr(args, key) is not None]
+        if unused:
+            raise InputError(f"compare merges --report and --baselines as written, "
+                             f"so it takes no {', '.join(unused)}")
         runs = _read(harness.load_optruns, args.baselines)
         report = _read(_load_report, args.report)
     else:
@@ -146,9 +151,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     counts = args.qubits.split(",")
-    if not all(q.strip().isdecimal() and int(q) > 0 for q in counts):
-        raise InputError("--qubits must be comma-separated positive integers, "
-                         f"got {args.qubits!r}")
+    valid = {str(q) for q in range(1, QUBIT_CAP + 1)}  # int() refuses 4,300+ digits
+    if not all(q.strip().lstrip("0") in valid for q in counts):
+        raise InputError(f"--qubits must be comma-separated integers from 1 to {QUBIT_CAP}, "
+                         f"the qubit cap, got {args.qubits!r}")
     config = _load(args)
     rows = harness.sweep(config, [int(q) for q in counts])
     os.makedirs(args.out, exist_ok=True)

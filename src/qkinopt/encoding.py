@@ -29,8 +29,8 @@ from .qsim import QUBIT_CAP, CapacityError
 # snap-to-boundary guard for encode(decode(k)) round trips; floating point can
 # land floor() one ulp under an exact integer
 _BOUNDARY_EPS = 1e-9
-# rows per block of a full-grid pass: a block's decoded rows, tips and
-# temporaries stay in cache, and no (2^N, dimension) array is ever built
+# rows per block of a full-grid pass: a block's tips and temporaries stay in
+# cache, and no (2^N, dimension) array is ever built
 BLOCK_ROWS = 1 << 14
 
 
@@ -176,6 +176,23 @@ def decode(grid: ParamGrid, index: int) -> np.ndarray:
 def row_blocks(size: int):
     """(start, stop) of each block of BLOCK_ROWS rows that a full-grid pass takes."""
     return ((start, min(start + BLOCK_ROWS, size)) for start in range(0, size, BLOCK_ROWS))
+
+
+def grid_columns(grid: ParamGrid, start: int, stop: int):
+    """(a, b, columns) of each maximal aligned power-of-two block [a, b) of rows
+    start..stop-1. There spec i's sub-index runs over one range, whose bin
+    values lie on axis d-1-i of the block's C-order tensor of rows."""
+    while start < stop:
+        bits = (stop - start).bit_length() - 1
+        if start:
+            bits = min(bits, (start & -start).bit_length() - 1)
+        size, cols = 1 << bits, []
+        for i, (spec, shift) in enumerate(zip(grid.specs, grid.shifts)):
+            count = 1 << min(max(bits - shift, 0), spec.n_qubits)
+            ks = ((start >> shift) & (spec.levels - 1)) + np.arange(count)
+            cols.append(spec.bin_value(ks).reshape((-1,) + (1,) * i))
+        yield start, start + size, cols
+        start += size
 
 
 def decode_all(grid: ParamGrid, start: int = 0, stop: Optional[int] = None,

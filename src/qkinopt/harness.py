@@ -137,8 +137,8 @@ class CaseConfig:
         # FK of grid row 0, then of row 0 with each parameter NaN in turn: refuses a missing
         # or unread parameter, a nonpositive length, and tips the task cannot use
         names, row = self.grid.names(), decode(self.grid, 0)
-        tips = configuration_positions(self.model, names, np.vstack(
-            [row, np.where(np.eye(row.size, dtype=bool), math.nan, row)]))
+        tips = configuration_positions(self.model, dict(zip(names, np.vstack(
+            [row, np.where(np.eye(row.size, dtype=bool), math.nan, row)]).T)))
         for i, name in enumerate(names):
             if np.isfinite(tips[i + 1]).all():
                 raise ValueError(f"config key 'params[{i}].name' must name a parameter "

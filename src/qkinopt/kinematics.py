@@ -1,7 +1,8 @@
 """Analytical planar kinematics: robot models, tasks, FK, and the task model.
 
-All FK functions broadcast over numpy arrays, so a 2^N-row grid block and a
-one-row objective take the same few numpy calls; the tips fill one array.
+All FK functions broadcast and fill one tips array, coordinates last. A grid
+block passes each parameter's bin values on an axis of its own, so cos(theta1
++ theta2) runs once per pair of bins, not once per row as on a batch of rows.
 `task_cost` (the oracle cost) and `task_error` (the verification error) are
 the one implementation of each; they take a batch of tip positions and
 orientations, whether from the analytic FK or from the QML surrogate.
@@ -168,10 +169,10 @@ def wrapped_angle_distance(phi1, phi2) -> np.ndarray:
 
 
 def _squared_distance(tips: np.ndarray, point) -> np.ndarray:
-    """dx^2 + dy^2 per row: np.sum(d**2, axis=1) without the slow short-axis reduction."""
+    """dx^2 + dy^2 per row: np.sum(d**2, axis=-1) without the slow short-axis reduction."""
     d = tips - point
     d *= d
-    return d[:, 0] + d[:, 1]
+    return d[..., 0] + d[..., 1]
 
 
 def task_cost(task, tips: np.ndarray, phis: Optional[np.ndarray],
@@ -183,8 +184,8 @@ def task_cost(task, tips: np.ndarray, phis: Optional[np.ndarray],
     costs the summed squared deviation of both tips (B, 4) from its contacts.
     """
     if isinstance(task, GraspTask):
-        return (_squared_distance(tips[:, 0:2], task.c_ideal1)
-                + _squared_distance(tips[:, 2:4], task.c_ideal2))
+        return (_squared_distance(tips[..., 0:2], task.c_ideal1)
+                + _squared_distance(tips[..., 2:4], task.c_ideal2))
     costs = weights.alpha_p * _squared_distance(tips, task.position)
     if weights.alpha_R > 0:
         if task.phi is None or phis is None:

@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import qsim
-from .encoding import ParamGrid, decode_all, row_blocks
+from .encoding import ParamGrid, decode_all, grid_columns, row_blocks
 from .kinematics import (
     DualArm,
     OneLink,
@@ -294,7 +294,7 @@ class TrainingSet:
         if sample is not None and sample < grid.size:
             pick = np.sort(np.random.default_rng(seed).choice(grid.size, sample, replace=False))
         Z = decode_all(grid, indices=pick)
-        return cls(Z, configuration_positions(model, grid.names(), Z))
+        return cls(Z, configuration_positions(model, dict(zip(grid.names(), Z.T))))
 
 
 def _mean_square(resid: np.ndarray) -> float:
@@ -437,15 +437,16 @@ def load_surrogate(path) -> Surrogate:
 
 # --- cost tables -------------------------------------------------------------------
 
-def configuration_positions(model, names: Tuple[str, ...], Z: np.ndarray) -> np.ndarray:
-    """Analytic tip positions for a (B, d) batch, from one `fk_*` call.
+def configuration_positions(model, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Analytic tip positions (..., 2 or 4) from one `fk_*` call.
 
-    Columns bind by spec name (l1, theta1, ... / theta11.. for dual arms);
-    lengths missing from the grid fall back to the model's fixed values.
+    FK arguments bind by spec name (l1, theta1, ... / theta11.. for dual arms)
+    to `columns`, arrays that broadcast together, such as the columns of a
+    (B, d) batch; lengths missing there fall back to the model's fixed values.
     """
     def col(name: str, default: Optional[float] = None):
-        if name in names:
-            return Z[:, names.index(name)]
+        if name in columns:
+            return columns[name]
         if default is not None:
             return default
         raise ValueError(f"grid has no parameter named {name!r}")
@@ -460,39 +461,40 @@ def configuration_positions(model, names: Tuple[str, ...], Z: np.ndarray) -> np.
     raise TypeError(f"unknown robot model {model!r}")
 
 
-def _task_rows(model, names: Tuple[str, ...], Z: np.ndarray, task,
+def _task_rows(model, columns: Mapping[str, np.ndarray], task,
                weights: PoseWeights) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Tip positions of each row of Z and, if the task weighs them, the planar
-    tip orientations (the sum of the joint angles)."""
+    """Tip positions of the configurations in `columns` and, if the task weighs
+    them, the planar tip orientations (the sum of the joint angles)."""
     phis = None
     if isinstance(task, PoseTarget) and weights.alpha_R > 0:
         if not isinstance(model, (OneLink, TwoLink)):
             raise TypeError(f"orientation undefined for model {model!r}")
-        phis = Z[:, names.index("theta1")]
+        phis = columns["theta1"]
         if isinstance(model, TwoLink):
-            phis = phis + Z[:, names.index("theta2")]
-    return configuration_positions(model, names, Z), phis
+            phis = phis + columns["theta2"]
+    return configuration_positions(model, columns), phis
 
 
 def configuration_costs(model, names: Tuple[str, ...], Z: np.ndarray,
                         task, weights: PoseWeights) -> np.ndarray:
     """Task cost for each row of Z using the analytical kinematics."""
-    return task_cost(task, *_task_rows(model, names, Z, task, weights), weights)
+    return task_cost(task, *_task_rows(model, dict(zip(names, Z.T)), task, weights), weights)
 
 
 def configuration_errors(model, names: Tuple[str, ...], Z: np.ndarray,
                          task, weights: PoseWeights) -> np.ndarray:
     """Analytic verification error for each row of Z."""
-    return task_error(task, *_task_rows(model, names, Z, task, weights), weights)
+    return task_error(task, *_task_rows(model, dict(zip(names, Z.T)), task, weights), weights)
 
 
 def grid_tables(grid: ParamGrid, model, task, weights: PoseWeights,
                 surrogate: Optional[Surrogate] = None,
                 measures: Sequence = (task_cost,)) -> list:
     """One length-2^N table per measure (`task_cost`, `task_error`), in one
-    pass over blocks of grid rows. Each block is decoded once and its tips
-    computed once, by the closed-form kinematics (the verification oracle) or
-    the trained surrogate; every measure reads those tips."""
+    pass over blocks of grid rows whose tips every measure reads: the trained
+    surrogate's from decoded rows, or the closed-form kinematics' (the
+    verification oracle) from each aligned part's per-parameter columns,
+    broadcast onto the part's C-order tensor of table rows."""
     if surrogate is not None and not isinstance(surrogate, Surrogate):
         raise ValueError(f"expected a trained Surrogate (None: analytic), got {surrogate!r}")
     if surrogate is not None and weights.alpha_R > 0:
@@ -501,13 +503,16 @@ def grid_tables(grid: ParamGrid, model, task, weights: PoseWeights,
     names = grid.names()
     tables = [np.empty(grid.size) for _ in measures]
     for start, stop in row_blocks(grid.size):
-        Z = decode_all(grid, start, stop)
         if surrogate is None:
-            tips, phis = _task_rows(model, names, Z, task, weights)
+            parts = [(a, b, np.broadcast_shapes(*(c.shape for c in cols)),
+                      _task_rows(model, dict(zip(names, cols)), task, weights))
+                     for a, b, cols in grid_columns(grid, start, stop)]
         else:
-            tips, phis = _predict_batch(surrogate, Z), None
-        for table, measure in zip(tables, measures):
-            table[start:stop] = measure(task, tips, phis, weights)
+            parts = [(start, stop, (stop - start,),
+                      (_predict_batch(surrogate, decode_all(grid, start, stop)), None))]
+        for a, b, shape, (tips, phis) in parts:
+            for table, measure in zip(tables, measures):
+                table[a:b].reshape(shape)[...] = measure(task, tips, phis, weights)
     return tables
 
 

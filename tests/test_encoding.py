@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkinopt import encoding
 from qkinopt.encoding import (
     ParamGrid,
     ParamSpec,
@@ -12,6 +13,7 @@ from qkinopt.encoding import (
     decode,
     decode_all,
     encode,
+    grid_columns,
     pack_indices,
     unpack_index,
 )
@@ -224,3 +226,41 @@ class TestDecodeMatchesDecodeAll:
         with pytest.raises(CapacityError):
             decode_all(grid, 0, 1)
         np.testing.assert_array_equal(decode(grid, grid.size - 1), [2.0, TWO_PI])
+
+
+def stacked_columns(grid, start, stop):
+    """Rows start..stop-1 rebuilt from `grid_columns`, checking that its blocks
+    are aligned powers of two that tile the range in order."""
+    parts, at = [], start
+    for a, b, cols in grid_columns(grid, start, stop):
+        size = b - a
+        assert a == at and size & (size - 1) == 0 and a % size == 0
+        parts.append(np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(size, grid.dimension))
+        at = b
+    assert at == stop
+    return np.concatenate(parts)
+
+
+class TestGridColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(grids(), st.integers(1, 1 << 10), st.data())
+    def test_columns_match_decode_all_bit_for_bit(self, grid, block, data):
+        start = data.draw(st.integers(0, grid.size - 1))
+        stop = data.draw(st.integers(start + 1, min(start + (1 << 12), grid.size)))
+        expected = decode_all(grid, start, stop).tobytes()
+        assert stacked_columns(grid, start, stop).tobytes() == expected
+        # the range cut into blocks of BLOCK_ROWS rows, each split on its own
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoding, "BLOCK_ROWS", block)
+            blocks = [stacked_columns(grid, start + a, start + b)
+                      for a, b in encoding.row_blocks(stop - start)]
+        assert np.concatenate(blocks).tobytes() == expected
+
+    def test_block_splits_a_register(self):
+        # 2^7 rows over 3 + 5 + 2 qubits: spec 1's sub-index runs over 16 of its 32 bins
+        grid = ParamGrid((length_spec(3), angle_spec(5), length_spec(2, "l2")))
+        [(a, b, cols)] = grid_columns(grid, 3 << 7, 4 << 7)
+        assert (a, b) == (384, 512)
+        assert [c.shape for c in cols] == [(8,), (16, 1), (1, 1, 1)]
+        np.testing.assert_array_equal(cols[1].ravel(), grid.specs[1].bin_value(np.arange(16, 32)))
+        assert stacked_columns(grid, a, b).tobytes() == decode_all(grid, a, b).tobytes()

@@ -374,7 +374,7 @@ class TestConfigurationPositionsCallsFkOnce:
             monkeypatch.setattr(qml, name,
                                 lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
         Z = np.random.default_rng(rows).uniform(0.1, 2.0, (rows, len(names)))
-        tips = configuration_positions(model, names, Z)
+        tips = configuration_positions(model, dict(zip(names, Z.T)))
         assert len(calls) == 1
         assert tips.shape == (rows, 4 if isinstance(model, DualArm) else 2)
 
@@ -385,4 +385,4 @@ class TestConfigurationPositionsCallsFkOnce:
         q1 = np.stack([col["theta11"], col["theta12"]], axis=-1)
         q2 = np.stack([col["theta21"], col["theta22"]], axis=-1)
         expected = np.concatenate(reference_fk_dual(DualArm(), q1, q2), axis=-1)
-        assert_same_bits(configuration_positions(DualArm(), names, Z), expected)
+        assert_same_bits(configuration_positions(DualArm(), dict(zip(names, Z.T))), expected)

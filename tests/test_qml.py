@@ -398,7 +398,7 @@ class TestTrain:
         pick = np.sort(np.random.default_rng(5).choice(grid.size, sample, replace=False))
         Z = np.concatenate([decode_all(grid, k, k + 1) for k in pick])
         assert data.inputs.tobytes() == Z.tobytes()
-        labels = qml.configuration_positions(TwoLink(), grid.names(), Z)
+        labels = qml.configuration_positions(TwoLink(), dict(zip(grid.names(), Z.T)))
         assert data.labels.tobytes() == labels.tobytes()
 
     def test_from_grid_keeps_capacity_check(self):
@@ -532,16 +532,21 @@ class TestStreamedTables:
     def test_blocks_cover_each_row_once(self, monkeypatch):
         monkeypatch.setattr(encoding, "BLOCK_ROWS", 3)
         assert list(encoding.row_blocks(8)) == [(0, 3), (3, 6), (6, 8)]
-        seen = []
+        seen, evaluated = [], []
 
-        def recording_decode(grid, start, stop):
+        def recording_columns(grid, start, stop):
             seen.append((start, stop))
-            return decode_all(grid, start, stop)
+            for a, b, cols in encoding.grid_columns(grid, start, stop):
+                evaluated.append((a, b))
+                yield a, b, cols
 
-        monkeypatch.setattr(qml, "decode_all", recording_decode)
+        monkeypatch.setattr(qml, "grid_columns", recording_columns)
         qml.build_cost_table(one_dof_grid(2), OneLink(), PoseTarget((0.5, 0.5)),
                              PoseWeights())
         assert seen == [(0, 3), (3, 6), (6, 9), (9, 12), (12, 15), (15, 16)]
+        # each block splits into aligned powers of two that run on in order
+        assert evaluated == [(0, 2), (2, 3), (3, 4), (4, 6), (6, 8), (8, 9), (9, 10),
+                             (10, 12), (12, 14), (14, 15), (15, 16)]
 
 
 class TestSerialization:
