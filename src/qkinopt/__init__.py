@@ -10,11 +10,8 @@ objectives for query-count comparison.
 
 from .encoding import ParamGrid, ParamSpec, bin_width, decode, encode
 from .grover import (
-    GroverPlan,
     NoSolutionError,
-    OracleSpec,
     SearchResult,
-    grover_search,
     iteration_count,
     success_probability_analytic,
     verify,
@@ -49,10 +46,8 @@ __all__ = [
     "CaseConfig",
     "DualArm",
     "GraspTask",
-    "GroverPlan",
     "NoSolutionError",
     "OneLink",
-    "OracleSpec",
     "ParamGrid",
     "ParamSpec",
     "PoseTarget",
@@ -71,7 +66,6 @@ __all__ = [
     "dual_arm_case",
     "emit_report",
     "encode",
-    "grover_search",
     "iteration_count",
     "load_config",
     "make_surrogate",

@@ -193,14 +193,14 @@ def quasi_newton(obj: Objective, start: Sequence[float], max_evals: int = 2000) 
 
 
 def pso(obj: Objective, swarm_size: int = 30, iterations: int = 200,
-        max_evals: Optional[int] = None, seed: int = 0) -> OptRun:
-    """Particle swarm with positions clamped to the box; deterministic per seed."""
+        seed: int = 0) -> OptRun:
+    """Particle swarm with positions clamped to the box; deterministic per seed.
+    Runs every iteration, swarm_size * (iterations + 1) evaluations in all."""
     if swarm_size < 2:
         raise ValueError("swarm must have at least 2 particles")
     rng = np.random.default_rng(seed)
     d = obj.dimension
     start_evals = obj.evaluations
-    budget = max_evals if max_evals is not None else swarm_size * (iterations + 1)
 
     x = rng.uniform(obj.lo, obj.hi, size=(swarm_size, d))
     v = np.zeros_like(x)
@@ -209,10 +209,7 @@ def pso(obj: Objective, swarm_size: int = 30, iterations: int = 200,
     gbest_i = int(np.argmin(pcost))
     gbest, gcost = pbest[gbest_i].copy(), float(pcost[gbest_i])
     trace = [gcost]
-    converged = False
     for _ in range(iterations):
-        if obj.evaluations - start_evals + swarm_size > budget:
-            break
         r1 = rng.random((swarm_size, d))
         r2 = rng.random((swarm_size, d))
         v = (PSO_INERTIA * v + PSO_COGNITIVE * r1 * (pbest - x)
@@ -225,10 +222,8 @@ def pso(obj: Objective, swarm_size: int = 30, iterations: int = 200,
                 if c < gcost:
                     gbest, gcost = x[i].copy(), float(c)
         trace.append(gcost)
-    else:
-        converged = True
     return OptRun("pso", obj.project(gbest), gcost,
-                  obj.evaluations - start_evals, trace, converged)
+                  obj.evaluations - start_evals, trace, True)
 
 
 def multi_start(method: Callable[..., OptRun], obj: Objective, n_starts: int = 5,

@@ -5,12 +5,16 @@ states whose cost is within the threshold (boundary inclusive, so an exact
 zero-cost solution is marked even at epsilon = 0) get their amplitude sign
 flipped. Diffusion reflects amplitudes about their mean. The solution count
 m is read exactly off the cost table rather than estimated by quantum
-counting, and the iteration count follows K = floor(pi/4 * sqrt(M/m)).
+counting. `iteration_count` is the one rule for the rounds K, which the
+search runs and the sweep reports: K = floor(pi/4 * sqrt(M/m)) while
+m <= M/2 (so K >= 1), and K = 0 once m > M/2, where amplification
+degenerates and the uniform state is sampled directly.
 
-The search computes the amplified state in closed form (`amplified_state`):
-K rounds cost O(M), not O(K * M). `apply_oracle` and `apply_diffusion` are
-the gate-level rounds, kept as the reference that the tests check the closed
-form against; no pipeline path calls them.
+`search_with_state` is the one search entry point. It computes the amplified
+state in closed form (`amplified_state`): K rounds cost O(M), not O(K * M).
+`apply_oracle` and `apply_diffusion` are the gate-level rounds, kept as the
+reference that the tests check the closed form against; no pipeline path
+calls them.
 
 `threshold_ladder` is the one adaptive threshold schedule and reads only the
 cost floor; `verify` uses the analytic error that the harness tabulates.
@@ -32,38 +36,6 @@ from .qml import configuration_errors
 
 class NoSolutionError(RuntimeError):
     """No basis state satisfies the threshold; raise epsilon and retry."""
-
-
-@dataclass(frozen=True, eq=False)
-class OracleSpec:
-    """Cost table plus marking threshold; marked = {k : costs[k] <= epsilon}."""
-
-    costs: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "costs", np.asarray(self.costs, dtype=float))
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-
-    @property
-    def marked_mask(self) -> np.ndarray:
-        return self.costs <= self.epsilon
-
-
-@dataclass(frozen=True)
-class GroverPlan:
-    """Shot/seed bookkeeping; iterations=None means use the K formula."""
-
-    shots: int = 10000
-    seed: int = 0
-    iterations: Optional[int] = None
-
-    def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if self.iterations is not None and self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -88,15 +60,14 @@ def count_solutions(costs: np.ndarray, epsilon: float) -> int:
 
 
 def iteration_count(M: int, m: int) -> int:
-    """K = floor(pi/4 * sqrt(M/m)), floored at 1 while m < M/2."""
+    """K = floor(pi/4 * sqrt(M/m)), which is >= 1 while m <= M/2; 0 once m > M/2."""
     if m == 0:
         raise NoSolutionError("no marked states; raise epsilon")
     if not 1 <= m <= M:
         raise ValueError(f"need 1 <= m <= M, got m={m}, M={M}")
-    k = math.floor(math.pi / 4 * math.sqrt(M / m))
-    if k < 1 and m < M / 2:
-        k = 1
-    return k
+    if m > M / 2:
+        return 0  # amplification degenerates; sample the uniform state directly
+    return math.floor(math.pi / 4 * math.sqrt(M / m))
 
 
 def success_probability_analytic(M: int, m: int, K: int) -> float:
@@ -107,13 +78,13 @@ def success_probability_analytic(M: int, m: int, K: int) -> float:
     return math.sin((2 * K + 1) * theta) ** 2
 
 
-def apply_oracle(state: qsim.StateVector, oracle: OracleSpec) -> qsim.StateVector:
+def apply_oracle(state: qsim.StateVector, marked: np.ndarray) -> qsim.StateVector:
     """Flip the amplitude sign on marked indices (diagonal phase gate)."""
-    if oracle.costs.shape != (state.dim,):
+    if np.shape(marked) != (state.dim,):
         raise ValueError(
-            f"cost table of length {oracle.costs.shape} does not match state dim {state.dim}"
+            f"marked mask of shape {np.shape(marked)} does not match state dim {state.dim}"
         )
-    return qsim.apply_gate(state, qsim.DiagonalPhase(np.where(oracle.marked_mask, -1.0, 1.0)))
+    return qsim.apply_gate(state, qsim.DiagonalPhase(np.where(marked, -1.0, 1.0)))
 
 
 def apply_diffusion(state: qsim.StateVector) -> qsim.StateVector:
@@ -158,47 +129,34 @@ def _best_outcome(counts: dict) -> int:
     return min(counts, key=lambda k: (-counts[k], k))
 
 
-def search_with_state(grid: ParamGrid, oracle: OracleSpec,
-                      plan: GroverPlan) -> Tuple[SearchResult, qsim.StateVector]:
-    """grover_search plus the pre-measurement amplified state (for expectation
-    traces)."""
+def search_with_state(grid: ParamGrid, costs: np.ndarray, epsilon: float, shots: int,
+                      seed: int) -> Tuple[SearchResult, qsim.StateVector]:
+    """Mark {k : costs[k] <= epsilon}, amplify for `iteration_count` rounds and
+    measure; returns the modal outcome and the pre-measurement state."""
     grid.check_capacity()
     N, M = grid.total_qubits, grid.size
-    if oracle.costs.shape != (M,):
+    costs = np.asarray(costs, dtype=float)
+    if costs.shape != (M,):
         raise ValueError(f"cost table must have length {M}")
-    marked = oracle.marked_mask
+    if epsilon < 0:
+        raise ValueError("epsilon must be non-negative")
+    marked = costs <= epsilon
     m = int(np.count_nonzero(marked))
-    if m == 0:
-        raise NoSolutionError("no marked states at this epsilon")
-    if plan.iterations is not None:
-        K = plan.iterations
-    elif m > M / 2:
-        K = 0  # amplification degenerates; sample the uniform state directly
-    else:
-        K = iteration_count(M, m)
+    K = iteration_count(M, m)
     state = amplified_state(N, marked, K)
-    counts = qsim.measure(state, plan.shots, plan.seed)
+    counts = qsim.measure(state, shots, seed)
     best = _best_outcome(counts)
     marked_hits = sum(c for k, c in counts.items() if marked[k])
     result = SearchResult(
         index=best,
         bitstring=format(best, f"0{N}b"),
         params=decode(grid, best),
-        marked_probability=marked_hits / plan.shots,
+        marked_probability=marked_hits / shots,
         queries=K,
-        epsilon=oracle.epsilon,
+        epsilon=epsilon,
         solutions=m,
     )
     return result, state
-
-
-def grover_search(grid: ParamGrid, oracle: OracleSpec, plan: GroverPlan) -> SearchResult:
-    """Prepare uniform superposition, amplify, measure, report the modal outcome.
-
-    When the marked set exceeds half the space, amplification degenerates and
-    the search falls back to sampling the uniform state directly (K = 0).
-    """
-    return search_with_state(grid, oracle, plan)[0]
 
 
 def shrink_schedule(costs: np.ndarray, epsilon0: float, shrink: float) -> list:

@@ -423,13 +423,12 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
     levels = grover.threshold_ladder(costs, start, config.search.shrink, config.search.refine)
     epsilon0 = levels[0]
 
-    plan = grover.GroverPlan(shots=config.shots, seed=config.seed)
     steps = [AdaptiveStep(0, epsilon0, grover.count_solutions(costs, epsilon0), 0,
                           float(costs.mean()), None, None)]
     result = None
     queries_total = 0
     for j, eps in enumerate(levels, start=1):
-        result, state = grover.search_with_state(grid, grover.OracleSpec(costs, eps), plan)
+        result, state = grover.search_with_state(grid, costs, eps, config.shots, config.seed)
         queries_total += result.queries
         steps.append(AdaptiveStep(
             j, eps, result.solutions, result.queries,
@@ -581,5 +580,13 @@ def write_optruns(runs: Sequence[cls_opt.OptRun], path: str) -> None:
 
 
 def load_optruns(path: str) -> List[cls_opt.OptRun]:
+    """baselines.json as `write_optruns` writes it; a scalar of the wrong type raises."""
     with open(path) as fh:
-        return [cls_opt.OptRun(**dict(r, best_x=np.asarray(r["best_x"]))) for r in json.load(fh)]
+        runs = [cls_opt.OptRun(**dict(r, best_x=np.asarray(r["best_x"]))) for r in json.load(fh)]
+    for i, run in enumerate(runs):
+        for key, tp in (("method", str), ("best_cost", float), ("evaluations", int),
+                        ("converged", bool)):
+            want, valid, _ = _VALUES[tp]
+            if not valid(getattr(run, key)):
+                raise ValueError(f"run {i} key {key!r} must be {want}, got {getattr(run, key)!r}")
+    return runs

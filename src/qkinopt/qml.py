@@ -408,6 +408,9 @@ def load_surrogate(path) -> Surrogate:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0].split() != ["qkinopt-surrogate", "1"]:
         raise ValueError("not a surrogate parameter file")
+    if len(lines) < 2:
+        raise ValueError("a file without a 'qubits <n> layers <n>' line is not in the "
+                         "current format; retrain the surrogate")
     _, nq, _, nl = lines[1].split()
     inputs, readout, params = [], [], []
     section = "maps"

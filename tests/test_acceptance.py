@@ -19,13 +19,11 @@ from qkinopt import grover, harness, qsim
 from qkinopt.baselines import exhaustive_scan
 from qkinopt.encoding import ParamGrid, ParamSpec, decode, decode_all, encode
 from qkinopt.grover import (
-    GroverPlan,
-    OracleSpec,
     apply_diffusion,
     apply_oracle,
-    grover_search,
     iteration_count,
     minimal_epsilon,
+    search_with_state,
     success_probability_analytic,
 )
 from qkinopt.harness import (
@@ -77,8 +75,7 @@ def test_criterion_1_grover_analytics():
         costs = np.ones(M)
         costs[rng.choice(M, m, replace=False)] = 0.0
         K = math.floor(math.pi / 4 * math.sqrt(M / m))
-        result = grover_search(grid, OracleSpec(costs, 0.5),
-                               GroverPlan(shots=shots, seed=101))
+        result, _ = search_with_state(grid, costs, 0.5, shots, seed=101)
         assert result.queries == K
         p = success_probability_analytic(M, m, K)
         sigma = math.sqrt(p * (1 - p) / shots)
@@ -135,8 +132,7 @@ def test_criterion_3_query_count_ratio(tmp_path):
     costs[minima] = 0.05
     eps = minimal_epsilon(costs, 1.0)
     assert grover.count_solutions(costs, eps) == 4
-    result = grover_search(grid, OracleSpec(costs, eps),
-                           GroverPlan(shots=10000, seed=3))
+    result, _ = search_with_state(grid, costs, eps, shots=10000, seed=3)
     assert result.queries == 25
     assert result.index in minima
 
@@ -287,7 +283,7 @@ def test_criterion_7_simulator_algebra():
     for involution in (
         lambda s: qsim.apply_gate(s, qsim.Hadamard(2)),
         lambda s: qsim.apply_gate(s, qsim.CNOT(1, 3)),
-        lambda s: apply_oracle(s, OracleSpec(np.where(np.arange(32) % 5 == 0, 0.0, 1.0), 0.5)),
+        lambda s: apply_oracle(s, np.arange(32) % 5 == 0),
         apply_diffusion,
     ):
         out = involution(involution(base))

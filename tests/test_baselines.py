@@ -220,11 +220,9 @@ class TestPso:
         with pytest.raises(ValueError):
             pso(make_objective(), swarm_size=1)
 
-    def test_evaluation_budget(self):
-        obj = make_objective()
-        run = pso(obj, swarm_size=10, iterations=100, max_evals=55, seed=0)
-        assert run.evaluations <= 55
-        assert not run.converged
+    def test_runs_every_iteration(self):
+        run = pso(make_objective(), swarm_size=10, iterations=5, seed=0)
+        assert (run.evaluations, len(run.trace), run.converged) == (60, 6, True)
 
 
 class TestExhaustiveScan:

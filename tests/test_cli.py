@@ -86,6 +86,12 @@ def keep(data):
     pass
 
 
+# the keys of report.json that compare reads, and one baselines.json run
+REPORT = {"queries_final": 3, "analytic_best_cost": 0.0, "result": {"accepted": True}}
+BASELINE_RUN = {"method": "pso", "best_x": [0.0], "best_cost": 0.0, "evaluations": 10,
+                "trace": [0.0], "converged": True}
+
+
 def as_case(builder, *path, **values):
     """An edit that turns the data into `builder`'s one-qubit-per-parameter
     config and sets `values` in the section at `path`."""
@@ -163,6 +169,13 @@ def as_case(builder, *path, **values):
      ["compare", "--report", "{bad}", "--baselines", "{bad}"], "'foo'"),
     (lambda data: "[]", ["compare", "--report", "{config}", "--baselines", "{bad}"],
      "missing key 'queries_final'"),
+    (lambda data: json.dumps([dict(BASELINE_RUN, evaluations="many")]),
+     ["compare", "--report", "{report}", "--baselines", "{bad}"], "'evaluations'"),
+    (lambda data: json.dumps([dict(BASELINE_RUN, best_cost=None)]),
+     ["compare", "--report", "{report}", "--baselines", "{bad}"], "'best_cost'"),
+    (lambda data: "qkinopt-surrogate 1\n",
+     ["run", "--config", "{config}", "--mode", "surrogate", "--params", "{bad}"],
+     "current format"),
     (keep, ["sweep", "--config", "{bad}", "--qubits", "3,,4"], "--qubits"),
     (keep, ["sweep", "--config", "{bad}", "--qubits", "0,2"], "--qubits"),
     (keep, ["sweep", "--config", "{bad}", "--qubits", "3,4000"], "--qubits"),
@@ -185,7 +198,8 @@ def as_case(builder, *path, **values):
         "missing_grid_parameter", "dual_arm_position_task", "one_dof_grasp_task",
         "unread_grid_parameter", "missing_config", "config_directory", "malformed_config",
         "missing_params", "missing_report", "missing_baselines", "baselines_without_best_x",
-        "baselines_unknown_key", "report_missing_key", "qubits_empty_count",
+        "baselines_unknown_key", "report_missing_key", "baselines_evaluations_string",
+        "baselines_best_cost_null", "params_header_only", "qubits_empty_count",
         "qubits_zero_count", "qubits_above_cap", "qubits_5000_digits", "lone_report",
         "lone_baselines_with_config", "merge_with_config", "merge_with_overrides"])
 def test_invalid_config_exits_cleanly(edit, flags, name, config_path, tmp_path, capsys):
@@ -193,11 +207,13 @@ def test_invalid_config_exits_cleanly(edit, flags, name, config_path, tmp_path, 
     text = edit(data)  # an edit changes data in place, or returns the file's text
     bad = tmp_path / "bad.json"
     bad.write_text(text if isinstance(text, str) else json.dumps(data))
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(REPORT))
     # flags are appended to `run --config bad.json`, unless they start with a command;
-    # {config} is the unedited config
+    # {config} is the unedited config and {report} a report.json that compare reads
     head = [] if flags and not flags[0].startswith("-") else ["run", "--config", "{bad}"]
-    code = main([arg.format(bad=bad, tmp=tmp_path, config=config_path) for arg in head + flags]
-                + ["--out", str(tmp_path / "x")])
+    code = main([arg.format(bad=bad, tmp=tmp_path, config=config_path, report=report)
+                 for arg in head + flags] + ["--out", str(tmp_path / "x")])
     assert code == 2
     err = capsys.readouterr().err.strip()
     assert name in err

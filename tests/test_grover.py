@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 from qkinopt import qsim
 from qkinopt.encoding import ParamGrid, ParamSpec, decode, encode
 from qkinopt.grover import (
-    GroverPlan,
     NoSolutionError,
-    OracleSpec,
     SearchResult,
     amplified_state,
     apply_diffusion,
     apply_oracle,
     count_solutions,
-    grover_search,
     iteration_count,
     minimal_epsilon,
     search_with_state,
@@ -41,6 +38,15 @@ def costs_with_marks(M, marked):
     costs = np.ones(M)
     costs[list(marked)] = 0.0
     return costs
+
+
+def mask(M, marked):
+    return costs_with_marks(M, marked) <= 0.5
+
+
+def search(grid, costs, epsilon, shots=10000, seed=0):
+    """The search result alone."""
+    return search_with_state(grid, costs, epsilon, shots, seed)[0]
 
 
 class TestCountSolutions:
@@ -75,6 +81,20 @@ class TestIterationCount:
         for M in (16, 64, 1024):
             for m in range(1, M // 2):
                 assert iteration_count(M, m) >= 1
+
+    def test_zero_exactly_above_half(self):
+        for M in (16, 256):
+            for m in range(1, M + 1):
+                assert (iteration_count(M, m) == 0) == (m > M / 2), (M, m)
+
+    def test_search_runs_the_scheduled_rounds(self):
+        # the K the sweep reports is the K a search runs, for every m
+        for n in (4, 8):
+            M = 1 << n
+            grid = flat_grid(n)
+            for m in range(1, M + 1):
+                result = search(grid, costs_with_marks(M, range(m)), 0.5, shots=1)
+                assert result.queries == iteration_count(M, m), (M, m)
 
     def test_query_count_law(self):
         rng = np.random.default_rng(0)
@@ -121,8 +141,7 @@ class TestSuccessProbability:
             costs = np.ones(M)
             costs[rng.choice(M, m, replace=False)] = 0.0
             grid = flat_grid(n)
-            result = grover_search(grid, OracleSpec(costs, 0.5),
-                                   GroverPlan(shots=shots, seed=77))
+            result = search(grid, costs, 0.5, shots=shots, seed=77)
             p = success_probability_analytic(M, m, result.queries)
             sigma = math.sqrt(p * (1 - p) / shots)
             assert abs(result.marked_probability - p) <= 3 * sigma + 1e-12
@@ -130,17 +149,15 @@ class TestSuccessProbability:
 
 class TestOracle:
     def test_sign_flip_on_marked(self):
-        oracle = OracleSpec(costs_with_marks(4, [2]), 0.5)
-        out = apply_oracle(qsim.uniform_superposition(2), oracle)
+        out = apply_oracle(qsim.uniform_superposition(2), mask(4, [2]))
         np.testing.assert_allclose(out.amps, [0.5, 0.5, -0.5, 0.5], atol=1e-15)
 
     def test_nothing_marked_is_identity(self):
-        oracle = OracleSpec(np.ones(4), 0.5)
         state = qsim.uniform_superposition(2)
-        np.testing.assert_array_equal(apply_oracle(state, oracle).amps, state.amps)
+        np.testing.assert_array_equal(apply_oracle(state, mask(4, [])).amps, state.amps)
 
     def test_involution(self):
-        oracle = OracleSpec(costs_with_marks(8, [1, 5]), 0.5)
+        oracle = mask(8, [1, 5])
         state = qsim.uniform_superposition(3)
         out = apply_oracle(apply_oracle(state, oracle), oracle)
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-12)
@@ -148,15 +165,16 @@ class TestOracle:
 
     def test_shape_error(self):
         with pytest.raises(ValueError):
-            apply_oracle(qsim.uniform_superposition(2), OracleSpec(np.ones(8), 0.5))
+            apply_oracle(qsim.uniform_superposition(2), mask(8, []))
 
     def test_zero_epsilon_marks_exact_solutions(self):
-        oracle = OracleSpec(costs_with_marks(4, [3]), 0.0)
-        assert list(oracle.marked_mask) == [False, False, False, True]
+        costs = costs_with_marks(4, [3]) * 1e-300  # the least positive cost stays unmarked
+        result = search(flat_grid(2), costs, 0.0, shots=100)
+        assert (result.solutions, result.index) == (1, 3)
 
     def test_negative_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            OracleSpec(np.ones(4), -0.1)
+        with pytest.raises(ValueError, match="non-negative"):
+            search(flat_grid(2), np.zeros(4), -0.1)
 
 
 class TestDiffusion:
@@ -182,10 +200,9 @@ class TestDiffusion:
 
 def dense_rounds(n, marked, K):
     """Gate-level reference: K rounds of apply_oracle then apply_diffusion."""
-    oracle = OracleSpec(np.where(marked, 0.0, 1.0), 0.5)
     state = qsim.uniform_superposition(n)
     for _ in range(K):
-        state = apply_diffusion(apply_oracle(state, oracle))
+        state = apply_diffusion(apply_oracle(state, marked))
     return state
 
 
@@ -234,8 +251,7 @@ class TestClosedForm:
 class TestGroverSearch:
     def test_single_marked_in_sixteen(self):
         grid = flat_grid(4)
-        oracle = OracleSpec(costs_with_marks(16, [11]), 0.5)
-        result = grover_search(grid, oracle, GroverPlan(shots=10000, seed=5))
+        result = search(grid, costs_with_marks(16, [11]), 0.5, seed=5)
         assert result.queries == 3
         assert result.index == 11
         # analytic success is 0.9614; binomial noise at 1e4 shots stays inside 0.02
@@ -243,17 +259,15 @@ class TestGroverSearch:
 
     def test_all_marked_samples_uniform(self):
         grid = flat_grid(3)
-        result = grover_search(grid, OracleSpec(np.zeros(8), 0.5),
-                               GroverPlan(shots=4096, seed=3))
+        result = search(grid, np.zeros(8), 0.5, shots=4096, seed=3)
         assert result.queries == 0
         assert result.marked_probability == 1.0
 
     def test_fixed_seed_reproducible(self):
         grid = flat_grid(4)
-        oracle = OracleSpec(costs_with_marks(16, [7]), 0.5)
-        plan = GroverPlan(shots=2000, seed=11)
-        r1 = grover_search(grid, oracle, plan)
-        r2 = grover_search(grid, oracle, plan)
+        costs = costs_with_marks(16, [7])
+        r1 = search(grid, costs, 0.5, shots=2000, seed=11)
+        r2 = search(grid, costs, 0.5, shots=2000, seed=11)
         assert (r1.index, r1.bitstring, r1.queries, r1.marked_probability) == \
                (r2.index, r2.bitstring, r2.queries, r2.marked_probability)
         np.testing.assert_array_equal(r1.params, r2.params)
@@ -261,46 +275,42 @@ class TestGroverSearch:
     def test_no_solutions_raises(self):
         grid = flat_grid(3)
         with pytest.raises(NoSolutionError):
-            grover_search(grid, OracleSpec(np.ones(8), 0.5), GroverPlan())
+            search(grid, np.ones(8), 0.5)
+
+    def test_bad_arguments_rejected(self):
+        grid = flat_grid(2)
+        with pytest.raises(ValueError, match="shots"):
+            search(grid, np.zeros(4), 0.5, shots=0)
+        with pytest.raises(ValueError, match="length 4"):
+            search(grid, np.zeros(8), 0.5)
 
     def test_majority_marked_short_circuits(self):
         grid = flat_grid(3)
         costs = np.zeros(8)
         costs[:3] = 1.0  # 5 of 8 marked
-        result = grover_search(grid, OracleSpec(costs, 0.5), GroverPlan(seed=1))
+        result = search(grid, costs, 0.5, seed=1)
         assert result.queries == 0
-
-    def test_iteration_override(self):
-        grid = flat_grid(4)
-        oracle = OracleSpec(costs_with_marks(16, [2]), 0.5)
-        result, state = search_with_state(grid, oracle, GroverPlan(shots=100, seed=0,
-                                                                   iterations=1))
-        assert result.queries == 1
-        expected = success_probability_analytic(16, 1, 1)
-        assert qsim.marked_probability(state, {2}) == pytest.approx(expected, abs=1e-12)
 
     def test_decoded_params_match_index(self):
         grid = ParamGrid((
             ParamSpec("l1", 0.1, 2.0, 2),
             ParamSpec("theta1", 0.0, TWO_PI, 2, angular=True),
         ))
-        oracle = OracleSpec(costs_with_marks(16, [9]), 0.5)
-        result = grover_search(grid, oracle, GroverPlan(shots=500, seed=2))
+        result = search(grid, costs_with_marks(16, [9]), 0.5, shots=500, seed=2)
         np.testing.assert_array_equal(result.params, decode(grid, 9))
 
 
-def ladder_search(grid, costs, epsilon0, shrink, plan, refine=False):
+def ladder_search(grid, costs, epsilon0, shrink, shots, seed, refine=False):
     """One search at the last threshold of the ladder."""
     levels = threshold_ladder(costs, epsilon0, shrink, refine)
-    return grover_search(grid, OracleSpec(costs, levels[-1]), plan)
+    return search(grid, costs, levels[-1], shots, seed)
 
 
 class TestAdaptiveSearch:
     def test_shrinks_to_final_level(self):
         grid = flat_grid(2)
         costs = np.array([0.5, 0.2, 0.05, 0.9])
-        result = ladder_search(grid, costs, epsilon0=0.6, shrink=0.5,
-                               plan=GroverPlan(shots=5000, seed=4))
+        result = ladder_search(grid, costs, epsilon0=0.6, shrink=0.5, shots=5000, seed=4)
         assert result.epsilon == 0.6 * 0.5 ** 3  # 0.075
         assert result.solutions == 1
         assert result.index == 2
@@ -308,8 +318,7 @@ class TestAdaptiveSearch:
     def test_tight_epsilon_no_shrinking(self):
         grid = flat_grid(2)
         costs = np.array([0.5, 0.2, 0.05, 0.9])
-        result = ladder_search(grid, costs, epsilon0=0.08, shrink=0.5,
-                               plan=GroverPlan(shots=5000, seed=4))
+        result = ladder_search(grid, costs, epsilon0=0.08, shrink=0.5, shots=5000, seed=4)
         assert result.epsilon == 0.08
         assert result.solutions == 1
 
@@ -320,8 +329,7 @@ class TestAdaptiveSearch:
             costs = rng.uniform(0.0, 1.0, 8)
             eps0 = costs.min() + rng.uniform(0.01, 2.0)
             for refine in (False, True):
-                result = ladder_search(grid, costs, eps0, 0.5, GroverPlan(shots=200, seed=0),
-                                       refine)
+                result = ladder_search(grid, costs, eps0, 0.5, 200, 0, refine)
                 assert result.epsilon <= eps0
 
     def test_default_start_is_ten_times_floor(self):
@@ -526,9 +534,3 @@ class TestResultRecord:
         v = r.verified(0.05, True)
         assert v.e_actual == 0.05 and v.accepted is True
         assert r.e_actual is None  # original untouched
-
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            GroverPlan(shots=0)
-        with pytest.raises(ValueError):
-            GroverPlan(iterations=-1)

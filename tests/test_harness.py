@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qkinopt import grover
 from qkinopt.baselines import exhaustive_scan
 from qkinopt.encoding import ParamGrid, decode
-from qkinopt.grover import GroverPlan, NoSolutionError, OracleSpec, grover_search, threshold_ladder
+from qkinopt.grover import NoSolutionError, search_with_state, threshold_ladder
 from qkinopt.harness import (
     COMPARISON_HEADER,
     BaselineSettings,
@@ -150,8 +150,8 @@ class TestAdaptiveEquivalence:
         report = run_case(config)
         costs = build_cost_table(config.grid, config.model, config.task, config.weights)
         levels = threshold_ladder(costs, report.epsilon0, 0.5, refine=False)
-        direct = grover_search(config.grid, OracleSpec(costs, levels[-1]),
-                               GroverPlan(shots=config.shots, seed=config.seed))
+        direct, _ = search_with_state(config.grid, costs, levels[-1], config.shots,
+                                      config.seed)
         assert direct.index == report.result.index
         assert direct.epsilon == report.final_epsilon
         assert direct.queries == report.queries_final
