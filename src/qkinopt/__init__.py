@@ -36,12 +36,13 @@ from .kinematics import (
     PoseWeights,
     TwoLink,
 )
-from .qml import Surrogate, TrainingSet, build_ansatz, build_cost_table, make_surrogate, train
+from .qml import Ansatz, Surrogate, TrainingSet, build_cost_table, make_surrogate, train
 from .qsim import CapacityError, StateVector, measure, uniform_superposition
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Ansatz",
     "CapacityError",
     "CaseConfig",
     "DualArm",
@@ -59,7 +60,6 @@ __all__ = [
     "TrainingSet",
     "TwoLink",
     "bin_width",
-    "build_ansatz",
     "build_cost_table",
     "compare",
     "decode",

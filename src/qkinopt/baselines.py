@@ -1,10 +1,11 @@
 """Classical optimizers over the continuous objectives, instrumented with
 exact evaluation counts for query-based comparison against the quantum search.
 
-Box bounds are enforced inside the objective: angular coordinates are wrapped
-modulo their period, the rest are clamped, and every call increments the
-counter exactly once. Local methods (simplex, quasi-Newton) are meant to run
-multi-start on the multimodal kinematic landscapes.
+Box bounds are enforced inside the objective: an angular coordinate whose
+range is one full period is wrapped modulo 2*pi, every other one is clamped,
+and every call increments the counter exactly once. Local methods (simplex,
+quasi-Newton) are meant to run multi-start on the multimodal kinematic
+landscapes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .encoding import ParamGrid, decode_all, row_blocks
+from .encoding import ParamGrid, decode_all, grid_blocks
 
 SIMPLEX_DIAMETER_TOL, SIMPLEX_SPREAD_TOL = 1e-8, 1e-10
 GRAD_TOL, FD_STEP, ARMIJO_C = 1e-8, 1e-6, 1e-4
@@ -34,10 +35,11 @@ class Objective:
         if self.angular.shape != (len(self.bounds),):
             raise ValueError("angular flags must match bounds")
         self.evaluations = 0
-        # what `project` reads, built once: clamp bounds are +-inf on angular coordinates
+        # built once for `project`: full-period angular coordinates wrap (clamp bounds +-inf)
         self.lo, self.hi = np.array(self.bounds).reshape(-1, 2).T
-        self._clamp_lo = np.where(self.angular, -math.inf, self.lo)
-        self._clamp_hi = np.where(self.angular, math.inf, self.hi)
+        self._wrap = self.angular & (np.abs(self.hi - self.lo - math.tau) <= 1e-12)
+        self._clamp_lo = np.where(self._wrap, -math.inf, self.lo)
+        self._clamp_hi = np.where(self._wrap, math.inf, self.hi)
         self._period = np.full(self.lo.size, math.tau)
 
     @property
@@ -45,14 +47,15 @@ class Objective:
         return len(self.bounds)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Wrap angular coordinates into one period, clamp the rest to the box: bit for bit
-        lo + np.mod(x - lo, 2 pi) and min(max(x, lo), hi) (np.clip may give 0.0 for -0.0)."""
+        """Wrap full-period angular coordinates into one period, clamp the rest to the box:
+        bit for bit lo + np.mod(x - lo, 2 pi) and min(max(x, lo), hi) (np.clip may give
+        0.0 for -0.0)."""
         out = np.array(x, dtype=float)
         np.putmask(out, self._clamp_lo > out, self._clamp_lo)
         np.putmask(out, self._clamp_hi < out, self._clamp_hi)
         wrapped = out - self.lo
         np.mod(wrapped, self._period, out=wrapped)
-        np.putmask(out, self.angular, wrapped + self.lo)
+        np.putmask(out, self._wrap, wrapped + self.lo)
         return out
 
     def evaluate(self, x: np.ndarray) -> float:
@@ -251,10 +254,10 @@ def multi_start(method: Callable[..., OptRun], obj: Objective, n_starts: int = 5
 
 def exhaustive_scan(grid: ParamGrid,
                     cost_fn: Callable[[np.ndarray], np.ndarray]) -> Tuple[int, float, int]:
-    """Exact argmin over all 2^N grid configurations, one block of rows at a
-    time; ties go to the lowest index. Returns (index, min cost, 2^N evaluations)."""
+    """Exact argmin over all 2^N grid configurations, one `grid_blocks` block at
+    a time; ties go to the lowest index. Returns (index, min cost, 2^N evaluations)."""
     best, best_cost = 0, math.inf
-    for start, stop in row_blocks(grid.size):
+    for start, stop, _ in grid_blocks(grid):
         costs = np.asarray(cost_fn(decode_all(grid, start, stop)), dtype=float)
         if costs.shape != (stop - start,):
             raise ValueError("cost function must return one cost per configuration")

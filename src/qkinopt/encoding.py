@@ -13,6 +13,10 @@ Out-of-range angular values wrap modulo one period (2*pi) into the modeled
 arc before binning; values already inside ``[min, max]`` are binned as-is,
 which keeps encode(decode(k)) = k an exact identity for every index (the
 top angular bin decodes to max, one period above min).
+
+Full-grid passes walk aligned blocks of 2^BLOCK_BITS rows (`grid_blocks`),
+each with one column of bin values per parameter that broadcasts onto the
+block's rows, so no pass builds a (2^N, dimension) array.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from .qsim import QUBIT_CAP, CapacityError
 # snap-to-boundary guard for encode(decode(k)) round trips; floating point can
 # land floor() one ulp under an exact integer
 _BOUNDARY_EPS = 1e-9
-# rows per block of a full-grid pass: a block's tips and temporaries stay in
-# cache, and no (2^N, dimension) array is ever built
-BLOCK_ROWS = 1 << 14
+# log2 of the rows per block of a full-grid pass: a block's tips and temporaries
+# stay in cache, and no (2^N, dimension) array is ever built
+BLOCK_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -173,26 +177,18 @@ def decode(grid: ParamGrid, index: int) -> np.ndarray:
     return np.array([s.bin_value(k) for s, k in zip(grid.specs, unpack_index(grid, index))])
 
 
-def row_blocks(size: int):
-    """(start, stop) of each block of BLOCK_ROWS rows that a full-grid pass takes."""
-    return ((start, min(start + BLOCK_ROWS, size)) for start in range(0, size, BLOCK_ROWS))
-
-
-def grid_columns(grid: ParamGrid, start: int, stop: int):
-    """(a, b, columns) of each maximal aligned power-of-two block [a, b) of rows
-    start..stop-1. There spec i's sub-index runs over one range, whose bin
-    values lie on axis d-1-i of the block's C-order tensor of rows."""
-    while start < stop:
-        bits = (stop - start).bit_length() - 1
-        if start:
-            bits = min(bits, (start & -start).bit_length() - 1)
-        size, cols = 1 << bits, []
+def grid_blocks(grid: ParamGrid):
+    """(start, stop, columns) of each aligned block of 2^min(BLOCK_BITS, N) rows, in
+    order. In a block, spec i's sub-index runs over one range, whose bin values lie
+    on axis d-1-i of the block's C-order tensor of rows."""
+    bits = min(BLOCK_BITS, grid.total_qubits)
+    for start in range(0, grid.size, 1 << bits):
+        cols = []
         for i, (spec, shift) in enumerate(zip(grid.specs, grid.shifts)):
             count = 1 << min(max(bits - shift, 0), spec.n_qubits)
             ks = ((start >> shift) & (spec.levels - 1)) + np.arange(count)
             cols.append(spec.bin_value(ks).reshape((-1,) + (1,) * i))
-        yield start, start + size, cols
-        start += size
+        yield start, start + (1 << bits), cols
 
 
 def decode_all(grid: ParamGrid, start: int = 0, stop: Optional[int] = None,

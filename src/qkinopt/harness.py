@@ -579,6 +579,20 @@ def write_optruns(runs: Sequence[cls_opt.OptRun], path: str) -> None:
                            trace=[float(v) for v in r.trace]) for r in runs])
 
 
+def load_report(path: str) -> dict:
+    """report.json as `emit_report` writes it; a value `compare` reads that is
+    missing or of the wrong type raises."""
+    with open(path) as fh:
+        report = json.load(fh)
+    for key, value, tp in (("queries_final", report["queries_final"], int),
+                           ("analytic_best_cost", report["analytic_best_cost"], float),
+                           ("result.accepted", report["result"]["accepted"], bool)):
+        want, valid, _ = _VALUES[tp]
+        if not valid(value):
+            raise ValueError(f"key {key!r} must be {want}, got {value!r}")
+    return report
+
+
 def load_optruns(path: str) -> List[cls_opt.OptRun]:
     """baselines.json as `write_optruns` writes it; a scalar of the wrong type raises."""
     with open(path) as fh:

@@ -24,9 +24,9 @@ Training is full-batch Adam seeded for reproducibility, one pass per epoch.
 This module also builds the diagonal cost table that the search oracle
 consumes: one `kinematics.task_cost` per basis state, from the trained
 surrogate's predicted tips or from the analytical kinematics, whose grid
-columns bind to FK by parameter name; `grid_tables` streams the grid in row
-blocks and can tabulate the error from the same tips. `configuration_errors`
-gives the analytic `kinematics.task_error` of any batch of configurations.
+columns bind to FK by parameter name; `grid_tables` walks `grid_blocks` and
+can tabulate the error from the same tips. `configuration_errors` gives the
+analytic `kinematics.task_error` of any batch of configurations.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import qsim
-from .encoding import ParamGrid, decode_all, grid_columns, row_blocks
+from .encoding import ParamGrid, decode_all, grid_blocks
 from .kinematics import (
     DualArm,
     OneLink,
@@ -70,6 +70,12 @@ class Ansatz:
     n_qubits: int
     n_layers: int
 
+    def __post_init__(self):
+        if self.n_qubits < 2:
+            raise ValueError("ansatz needs at least 2 qubits")
+        if self.n_layers < 1:
+            raise ValueError("ansatz needs at least 1 layer")
+
     @property
     def parameter_count(self) -> int:
         return 2 * self.n_qubits * self.n_layers
@@ -90,14 +96,6 @@ class Ansatz:
             for q in range(self.n_qubits):
                 gates.append(qsim.CNOT(q, (q + 1) % self.n_qubits))
         return gates
-
-
-def build_ansatz(n_qubits: int, n_layers: int) -> Ansatz:
-    if n_qubits < 2:
-        raise ValueError("ansatz needs at least 2 qubits")
-    if n_layers < 1:
-        raise ValueError("ansatz needs at least 1 layer")
-    return Ansatz(n_qubits, n_layers)
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,7 @@ def make_surrogate(grid: ParamGrid, model, n_layers: int = 2,
         raise ValueError(f"need at least {low} qubits")
     box = workspace_box(model, grid)
     d, out = grid.dimension, len(box)
-    ansatz = build_ansatz(n_qubits, n_layers)
+    ansatz = Ansatz(n_qubits, n_layers)
     inputs = tuple(
         (tuple(q for q in range(n_qubits) if q * d // n_qubits == i),
          s.lo, s.hi, s.angular)
@@ -205,11 +203,10 @@ def encode_input(surrogate: Surrogate, z: Sequence[float]) -> qsim.Circuit:
     if z.shape != (surrogate.n_inputs,):
         raise ValueError(f"expected {surrogate.n_inputs} inputs, got {z.shape}")
     angles = input_angles(surrogate, z)
-    circuit = qsim.Circuit(surrogate.ansatz.n_qubits)
-    for (qubits, *_), a in zip(surrogate.input_map, angles):
-        for qubit in qubits:
-            circuit.add(qsim.RY(qubit, float(a)))
-    return circuit
+    return qsim.Circuit(surrogate.ansatz.n_qubits,
+                        [qsim.RY(qubit, float(a))
+                         for (qubits, *_), a in zip(surrogate.input_map, angles)
+                         for qubit in qubits])
 
 
 def _z_signs(n_qubits: int, qubit: int) -> np.ndarray:
@@ -431,7 +428,7 @@ def load_surrogate(path) -> Surrogate:
         else:
             params.append(float(ln))
     return Surrogate(
-        build_ansatz(int(nq), int(nl)),
+        Ansatz(int(nq), int(nl)),
         np.asarray(params, dtype=float),
         tuple(inputs),
         tuple(readout),
@@ -494,10 +491,10 @@ def grid_tables(grid: ParamGrid, model, task, weights: PoseWeights,
                 surrogate: Optional[Surrogate] = None,
                 measures: Sequence = (task_cost,)) -> list:
     """One length-2^N table per measure (`task_cost`, `task_error`), in one
-    pass over blocks of grid rows whose tips every measure reads: the trained
-    surrogate's from decoded rows, or the closed-form kinematics' (the
-    verification oracle) from each aligned part's per-parameter columns,
-    broadcast onto the part's C-order tensor of table rows."""
+    pass over the `grid_blocks` whose tips every measure reads: the trained
+    surrogate's from the block's decoded rows, or the closed-form kinematics'
+    (the verification oracle) from its per-parameter columns. Either lies on
+    the block's C-order tensor of table rows."""
     if surrogate is not None and not isinstance(surrogate, Surrogate):
         raise ValueError(f"expected a trained Surrogate (None: analytic), got {surrogate!r}")
     if surrogate is not None and weights.alpha_R > 0:
@@ -505,17 +502,15 @@ def grid_tables(grid: ParamGrid, model, task, weights: PoseWeights,
     grid.check_capacity()
     names = grid.names()
     tables = [np.empty(grid.size) for _ in measures]
-    for start, stop in row_blocks(grid.size):
+    for start, stop, cols in grid_blocks(grid):
+        shape = np.broadcast_shapes(*(c.shape for c in cols))
         if surrogate is None:
-            parts = [(a, b, np.broadcast_shapes(*(c.shape for c in cols)),
-                      _task_rows(model, dict(zip(names, cols)), task, weights))
-                     for a, b, cols in grid_columns(grid, start, stop)]
+            tips, phis = _task_rows(model, dict(zip(names, cols)), task, weights)
         else:
-            parts = [(start, stop, (stop - start,),
-                      (_predict_batch(surrogate, decode_all(grid, start, stop)), None))]
-        for a, b, shape, (tips, phis) in parts:
-            for table, measure in zip(tables, measures):
-                table[a:b].reshape(shape)[...] = measure(task, tips, phis, weights)
+            tips = _predict_batch(surrogate, decode_all(grid, start, stop)).reshape(shape + (-1,))
+            phis = None
+        for table, measure in zip(tables, measures):
+            table[start:stop].reshape(shape)[...] = measure(task, tips, phis, weights)
     return tables
 
 

@@ -12,8 +12,9 @@ sequential per-index updates.
 Gates preserve the norm up to floating-point drift. Drift beyond 1e-9
 indicates a bug, not numerics, so nothing renormalises.
 
-`Circuit`, `apply_circuit` and `new_zero_state` are the gate-level
-reference that the tests check the batched `qml` kernels against.
+`Circuit` (of H, RX/RY/RZ and CNOT gates), `apply_circuit` and `new_zero_state`
+are the gate-level reference that the tests check the batched `qml` kernels
+against. Grover's oracle and diffusion act on amplitudes directly (`grover`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -63,14 +64,7 @@ class CNOT:
     target: int
 
 
-@dataclass(frozen=True, eq=False)
-class DiagonalPhase:
-    """Diagonal sign flip: amplitude at basis index k is multiplied by signs[k]."""
-
-    signs: np.ndarray
-
-
-Gate = Union[Hadamard, RX, RY, RZ, CNOT, DiagonalPhase]
+Gate = Union[Hadamard, RX, RY, RZ, CNOT]
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 
@@ -94,10 +88,6 @@ def _rz_matrix(angle: float) -> np.ndarray:
 class Circuit:
     n_qubits: int
     gates: list = field(default_factory=list)
-
-    def add(self, gate: Gate) -> "Circuit":
-        self.gates.append(gate)
-        return self
 
 
 @dataclass
@@ -187,16 +177,6 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarr
         return apply_single_qubit(amps, _rz_matrix(gate.angle), gate.target, n_qubits)
     if isinstance(gate, CNOT):
         return apply_cnot(amps, gate.control, gate.target, n_qubits)
-    if isinstance(gate, DiagonalPhase):
-        signs = np.asarray(gate.signs)
-        if signs.shape != (amps.shape[-1],):
-            raise ValueError(
-                f"DiagonalPhase needs {amps.shape[-1]} signs, got {signs.shape}"
-            )
-        if not np.all(np.abs(signs) == 1):
-            raise ValueError("DiagonalPhase signs must be +1 or -1")
-        amps *= signs
-        return amps
     raise TypeError(f"unknown gate {gate!r}")
 
 
@@ -240,12 +220,3 @@ def measure(state: StateVector, shots: int, seed: int) -> dict:
     counts = np.random.default_rng(seed).multinomial(shots, probs)
     nz = np.nonzero(counts)[0]
     return {int(k): int(counts[k]) for k in nz}
-
-
-def marked_probability(state: StateVector, marked: Iterable[int]) -> float:
-    """Total probability mass on the given basis indices."""
-    idx = np.fromiter(marked, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= state.dim):
-        raise IndexError("marked index out of range")
-    probs = state.probabilities()
-    return float(probs[idx].sum()) if idx.size else 0.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkinopt import encoding
+from qkinopt import encoding, harness
 from qkinopt.baselines import (
     Objective,
     OptRun,
@@ -16,6 +16,7 @@ from qkinopt.baselines import (
     quasi_newton,
 )
 from qkinopt.encoding import ParamGrid, ParamSpec, decode
+from qkinopt.kinematics import PoseTarget
 
 BOX = [(-5.0, 5.0), (-5.0, 5.0)]
 
@@ -72,10 +73,11 @@ class TestObjective:
 
 
 def reference_project(bounds, angular, x):
-    """The per-coordinate projection that the array form replaced."""
+    """The per-coordinate projection that the array form replaced: an angular
+    coordinate wraps only when its range is one full period."""
     out = np.array(x, dtype=float)
     for i, ((lo, hi), ang) in enumerate(zip(bounds, angular)):
-        if ang:
+        if ang and abs(hi - lo - math.tau) <= 1e-12:
             out[i] = lo + np.mod(out[i] - lo, math.tau)
         else:
             out[i] = min(max(out[i], lo), hi)
@@ -108,6 +110,20 @@ def assert_within_box(points, bounds):
     for p in points:
         for v, (lo, hi) in zip(p, bounds):
             assert lo - 1e-12 <= v <= hi + 1e-12
+
+
+def test_baselines_stay_on_a_partial_arc():
+    # theta1 covers a quarter turn and the target lies outside it: wrapping the arc
+    # modulo 2 pi would reach theta1 = 3.785, outside the box, at a cost below its minimum
+    config = harness.one_dof_case()
+    grid = ParamGrid((config.grid.specs[0],
+                      ParamSpec("theta1", 0.0, math.pi / 2, 5, angular=True)))
+    config = harness.CaseConfig(grid, config.model, PoseTarget((-0.8, -0.6)))
+    runs = harness.run_baselines(config)
+    assert_within_box([run.best_x for run in runs], [(s.lo, s.hi) for s in grid.specs])
+    scan = runs[-1]
+    assert scan.method == "exhaustive"
+    assert all(run.best_cost >= scan.best_cost - 1e-9 for run in runs)
 
 
 class TestNelderMead:
@@ -252,7 +268,7 @@ class TestExhaustiveScan:
             exhaustive_scan(self.grid(), lambda Z: np.ones(3))
 
     def test_tie_across_block_boundary_keeps_lowest_index(self, monkeypatch):
-        monkeypatch.setattr(encoding, "BLOCK_ROWS", 4)
+        monkeypatch.setattr(encoding, "BLOCK_BITS", 2)
         table = np.full(32, 2.0)
         table[[6, 9, 30]] = 1.0  # the minimum in three blocks, first in the second
         grid = ParamGrid((ParamSpec("k", 0.0, 31.0, 5),))  # row k decodes to about k
@@ -260,12 +276,12 @@ class TestExhaustiveScan:
 
     @settings(max_examples=150, deadline=None)
     @given(values=st.lists(st.integers(0, 3), min_size=32, max_size=32),
-           block=st.integers(1, 40))
-    def test_streamed_scan_is_one_shot_argmin(self, values, block):
+           block_bits=st.integers(0, 5))
+    def test_streamed_scan_is_one_shot_argmin(self, values, block_bits):
         table = np.array(values, dtype=float)
         grid = ParamGrid((ParamSpec("k", 0.0, 31.0, 5),))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(encoding, "BLOCK_ROWS", block)
+            mp.setattr(encoding, "BLOCK_BITS", block_bits)
             found = exhaustive_scan(grid, lambda Z: table[np.rint(Z[:, 0]).astype(int)])
         assert found == (int(np.argmin(table)), table.min(), 32)
 

@@ -173,6 +173,12 @@ def as_case(builder, *path, **values):
      ["compare", "--report", "{report}", "--baselines", "{bad}"], "'evaluations'"),
     (lambda data: json.dumps([dict(BASELINE_RUN, best_cost=None)]),
      ["compare", "--report", "{report}", "--baselines", "{bad}"], "'best_cost'"),
+    (lambda data: json.dumps(dict(REPORT, queries_final=2.5)),
+     ["compare", "--report", "{bad}", "--baselines", "{baselines}"], "'queries_final'"),
+    (lambda data: json.dumps(dict(REPORT, analytic_best_cost=None)),
+     ["compare", "--report", "{bad}", "--baselines", "{baselines}"], "'analytic_best_cost'"),
+    (lambda data: json.dumps(dict(REPORT, result={"accepted": "false"})),
+     ["compare", "--report", "{bad}", "--baselines", "{baselines}"], "'result.accepted'"),
     (lambda data: "qkinopt-surrogate 1\n",
      ["run", "--config", "{config}", "--mode", "surrogate", "--params", "{bad}"],
      "current format"),
@@ -199,7 +205,8 @@ def as_case(builder, *path, **values):
         "unread_grid_parameter", "missing_config", "config_directory", "malformed_config",
         "missing_params", "missing_report", "missing_baselines", "baselines_without_best_x",
         "baselines_unknown_key", "report_missing_key", "baselines_evaluations_string",
-        "baselines_best_cost_null", "params_header_only", "qubits_empty_count",
+        "baselines_best_cost_null", "report_queries_fraction", "report_best_cost_null",
+        "report_accepted_string", "params_header_only", "qubits_empty_count",
         "qubits_zero_count", "qubits_above_cap", "qubits_5000_digits", "lone_report",
         "lone_baselines_with_config", "merge_with_config", "merge_with_overrides"])
 def test_invalid_config_exits_cleanly(edit, flags, name, config_path, tmp_path, capsys):
@@ -209,10 +216,14 @@ def test_invalid_config_exits_cleanly(edit, flags, name, config_path, tmp_path, 
     bad.write_text(text if isinstance(text, str) else json.dumps(data))
     report = tmp_path / "report.json"
     report.write_text(json.dumps(REPORT))
+    baselines = tmp_path / "baselines.json"
+    baselines.write_text(json.dumps([BASELINE_RUN]))
     # flags are appended to `run --config bad.json`, unless they start with a command;
-    # {config} is the unedited config and {report} a report.json that compare reads
+    # {config} is the unedited config, and {report} and {baselines} are files that
+    # compare reads
     head = [] if flags and not flags[0].startswith("-") else ["run", "--config", "{bad}"]
-    code = main([arg.format(bad=bad, tmp=tmp_path, config=config_path, report=report)
+    code = main([arg.format(bad=bad, tmp=tmp_path, config=config_path, report=report,
+                            baselines=baselines)
                  for arg in head + flags] + ["--out", str(tmp_path / "x")])
     assert code == 2
     err = capsys.readouterr().err.strip()

@@ -13,7 +13,7 @@ from qkinopt.encoding import (
     decode,
     decode_all,
     encode,
-    grid_columns,
+    grid_blocks,
     pack_indices,
     unpack_index,
 )
@@ -228,39 +228,34 @@ class TestDecodeMatchesDecodeAll:
         np.testing.assert_array_equal(decode(grid, grid.size - 1), [2.0, TWO_PI])
 
 
-def stacked_columns(grid, start, stop):
-    """Rows start..stop-1 rebuilt from `grid_columns`, checking that its blocks
-    are aligned powers of two that tile the range in order."""
-    parts, at = [], start
-    for a, b, cols in grid_columns(grid, start, stop):
-        size = b - a
-        assert a == at and size & (size - 1) == 0 and a % size == 0
-        parts.append(np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(size, grid.dimension))
-        at = b
-    assert at == stop
-    return np.concatenate(parts)
-
-
 class TestGridColumns:
-    @settings(max_examples=200, deadline=None)
-    @given(grids(), st.integers(1, 1 << 10), st.data())
-    def test_columns_match_decode_all_bit_for_bit(self, grid, block, data):
-        start = data.draw(st.integers(0, grid.size - 1))
-        stop = data.draw(st.integers(start + 1, min(start + (1 << 12), grid.size)))
-        expected = decode_all(grid, start, stop).tobytes()
-        assert stacked_columns(grid, start, stop).tobytes() == expected
-        # the range cut into blocks of BLOCK_ROWS rows, each split on its own
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(encoding, "BLOCK_ROWS", block)
-            blocks = [stacked_columns(grid, start + a, start + b)
-                      for a, b in encoding.row_blocks(stop - start)]
-        assert np.concatenate(blocks).tobytes() == expected
+    """The per-parameter columns of each `grid_blocks` block."""
 
-    def test_block_splits_a_register(self):
-        # 2^7 rows over 3 + 5 + 2 qubits: spec 1's sub-index runs over 16 of its 32 bins
+    @settings(max_examples=200, deadline=None)
+    # at most 2^10 rows, so a walk in one-row blocks stays short
+    @given(grids().filter(lambda grid: grid.total_qubits <= 10), st.integers(0, 4))
+    def test_columns_match_decode_all_bit_for_bit(self, grid, block_bits):
+        """Blocks of 2^min(BLOCK_BITS, N) rows tile [0, 2^N) in order, and the rows
+        rebuilt from each block's broadcast columns are decode_all's."""
+        size, at = 1 << min(block_bits, grid.total_qubits), 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoding, "BLOCK_BITS", block_bits)
+            for start, stop, cols in grid_blocks(grid):
+                assert (start, stop) == (at, at + size)
+                rows = np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(size, grid.dimension)
+                assert rows.tobytes() == decode_all(grid, start, stop).tobytes()
+                at = stop
+        assert at == grid.size
+
+    def test_block_splits_a_register(self, monkeypatch):
+        # blocks of 2^7 rows over 3 + 5 + 2 qubits: spec 1's sub-index runs over 16 of
+        # its 32 bins, and spec 2's is fixed
+        monkeypatch.setattr(encoding, "BLOCK_BITS", 7)
         grid = ParamGrid((length_spec(3), angle_spec(5), length_spec(2, "l2")))
-        [(a, b, cols)] = grid_columns(grid, 3 << 7, 4 << 7)
-        assert (a, b) == (384, 512)
+        blocks = list(grid_blocks(grid))
+        assert [(a, b) for a, b, _ in blocks] == [(k << 7, (k + 1) << 7) for k in range(8)]
+        cols = blocks[3][2]
         assert [c.shape for c in cols] == [(8,), (16, 1), (1, 1, 1)]
         np.testing.assert_array_equal(cols[1].ravel(), grid.specs[1].bin_value(np.arange(16, 32)))
-        assert stacked_columns(grid, a, b).tobytes() == decode_all(grid, a, b).tobytes()
+        rows = np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(128, grid.dimension)
+        assert rows.tobytes() == decode_all(grid, 384, 512).tobytes()

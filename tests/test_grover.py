@@ -186,7 +186,7 @@ class TestDiffusion:
         # sin^2(3 arcsin(1/2)) = 1: one oracle+diffusion round is exact for M=4
         marked = np.array([False, False, True, False])
         state = amplified_state(2, marked, 1)
-        assert qsim.marked_probability(state, {2}) == pytest.approx(1.0, abs=1e-12)
+        assert state.probabilities()[2] == pytest.approx(1.0, abs=1e-12)
 
     def test_involution(self):
         rng = np.random.default_rng(2)

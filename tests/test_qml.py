@@ -18,8 +18,8 @@ from qkinopt.kinematics import (
     task_error,
 )
 from qkinopt.qml import (
+    Ansatz,
     TrainingSet,
-    build_ansatz,
     build_cost_table,
     configuration_costs,
     configuration_errors,
@@ -57,11 +57,11 @@ def random_surrogate(rng, n_qubits=3, n_layers=1):
 
 class TestBuildAnsatz:
     def test_parameter_counts(self):
-        assert build_ansatz(4, 2).parameter_count == 16
-        assert build_ansatz(3, 1).parameter_count == 6
+        assert Ansatz(4, 2).parameter_count == 16
+        assert Ansatz(3, 1).parameter_count == 6
 
     def test_two_qubit_single_layer_structure(self):
-        gates = build_ansatz(2, 1).gates([0.1, 0.2, 0.3, 0.4])
+        gates = Ansatz(2, 1).gates([0.1, 0.2, 0.3, 0.4])
         assert gates == [
             qsim.RX(0, 0.1), qsim.RY(0, 0.2),
             qsim.RX(1, 0.3), qsim.RY(1, 0.4),
@@ -70,11 +70,11 @@ class TestBuildAnsatz:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            build_ansatz(1, 1)
+            Ansatz(1, 1)
         with pytest.raises(ValueError):
-            build_ansatz(2, 0)
+            Ansatz(2, 0)
         with pytest.raises(ValueError):
-            build_ansatz(2, 1).gates([0.0])
+            Ansatz(2, 1).gates([0.0])
 
 
 class TestEncodeInput:
@@ -483,9 +483,9 @@ class TestCostTable:
         assert costs[5] == pytest.approx(expected, rel=1e-12)
 
 
-# block sizes of the streamed pass: one row per block, a size that divides no
-# grid (every grid has 2^N rows), and one block larger than any grid here
-BLOCK_SIZES = [1, 3, 1 << 20]
+# log2 block sizes of the streamed pass: one row per block, two rows, and one
+# block larger than any grid here
+BLOCK_BITS = [0, 1, 20]
 
 
 def bits(table):
@@ -495,14 +495,14 @@ def bits(table):
 class TestStreamedTables:
     """The streamed grid pass equals one-shot evaluation over the whole grid."""
 
-    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @pytest.mark.parametrize("block_bits", BLOCK_BITS)
     @settings(max_examples=60, deadline=None)
     @given(case=verification_cases())
-    def test_analytic_tables_bit_identical(self, block, case):
+    def test_analytic_tables_bit_identical(self, block_bits, case):
         grid, model, task, weights = case
         Z = decode_all(grid)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(encoding, "BLOCK_ROWS", block)
+            mp.setattr(encoding, "BLOCK_BITS", block_bits)
             errors = qml.grid_tables(grid, model, task, weights, measures=(task_error,))[0]
             np.testing.assert_array_equal(
                 bits(errors), bits(configuration_errors(model, grid.names(), Z, task, weights)))
@@ -514,39 +514,34 @@ class TestStreamedTables:
             bits(costs), bits(configuration_costs(model, grid.names(), Z, task, weights)))
         np.testing.assert_array_equal(bits(errors2), bits(errors))
 
-    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @pytest.mark.parametrize("block_bits", BLOCK_BITS)
     @settings(max_examples=30, deadline=None)
     @given(case=verification_cases(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_surrogate_table_bit_identical(self, block, case, seed):
+    def test_surrogate_table_bit_identical(self, block_bits, case, seed):
         grid, model, task, weights = case
         weights = PoseWeights(weights.alpha_p)  # the surrogate predicts positions only
         s = make_surrogate(grid, model)
         s = s.with_params(np.random.default_rng(seed).uniform(
             -math.pi, math.pi, s.ansatz.parameter_count))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(encoding, "BLOCK_ROWS", block)
+            mp.setattr(encoding, "BLOCK_BITS", block_bits)
             costs = build_cost_table(grid, model, task, weights, s)
         one_shot = task_cost(task, qml._predict_batch(s, decode_all(grid)), None, weights)
         np.testing.assert_array_equal(bits(costs), bits(one_shot))
 
     def test_blocks_cover_each_row_once(self, monkeypatch):
-        monkeypatch.setattr(encoding, "BLOCK_ROWS", 3)
-        assert list(encoding.row_blocks(8)) == [(0, 3), (3, 6), (6, 8)]
-        seen, evaluated = [], []
+        monkeypatch.setattr(encoding, "BLOCK_BITS", 2)
+        seen = []
 
-        def recording_columns(grid, start, stop):
-            seen.append((start, stop))
-            for a, b, cols in encoding.grid_columns(grid, start, stop):
-                evaluated.append((a, b))
-                yield a, b, cols
+        def recording_blocks(grid):
+            for start, stop, cols in encoding.grid_blocks(grid):
+                seen.append((start, stop))
+                yield start, stop, cols
 
-        monkeypatch.setattr(qml, "grid_columns", recording_columns)
+        monkeypatch.setattr(qml, "grid_blocks", recording_blocks)
         qml.build_cost_table(one_dof_grid(2), OneLink(), PoseTarget((0.5, 0.5)),
                              PoseWeights())
-        assert seen == [(0, 3), (3, 6), (6, 9), (9, 12), (12, 15), (15, 16)]
-        # each block splits into aligned powers of two that run on in order
-        assert evaluated == [(0, 2), (2, 3), (3, 4), (4, 6), (6, 8), (8, 9), (9, 10),
-                             (10, 12), (12, 14), (14, 15), (15, 16)]
+        assert seen == [(0, 4), (4, 8), (8, 12), (12, 16)]
 
 
 class TestSerialization:

@@ -8,7 +8,6 @@ from qkinopt.qsim import (
     CNOT,
     CapacityError,
     Circuit,
-    DiagonalPhase,
     Hadamard,
     RX,
     RY,
@@ -17,7 +16,6 @@ from qkinopt.qsim import (
     apply_circuit,
     apply_gate,
     expectation_diagonal,
-    marked_probability,
     measure,
     new_zero_state,
     uniform_superposition,
@@ -164,21 +162,6 @@ class TestMeasure:
             measure(uniform_superposition(1), shots=0, seed=0)
 
 
-class TestMarkedProbability:
-    def test_uniform_single_mark(self):
-        assert marked_probability(uniform_superposition(3), {0}) == pytest.approx(1 / 8)
-
-    def test_all_marked_is_one(self):
-        assert marked_probability(uniform_superposition(3), range(8)) == pytest.approx(1.0)
-
-    def test_bell_state(self):
-        assert marked_probability(bell_state(), {0, 3}) == pytest.approx(1.0, abs=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            marked_probability(uniform_superposition(2), {4})
-
-
 def random_gate(rng, n_qubits):
     kind = rng.integers(0, 5)
     q = int(rng.integers(0, n_qubits))
@@ -213,17 +196,6 @@ class TestInvariants:
         np.testing.assert_allclose(twice_h.amps, state.amps, atol=1e-12)
         twice_cx = apply_gate(apply_gate(state, CNOT(0, 2)), CNOT(0, 2))
         np.testing.assert_allclose(twice_cx.amps, state.amps, atol=1e-12)
-
-    def test_diagonal_phase_all_plus_is_identity(self):
-        state = uniform_superposition(3)
-        out = apply_gate(state, DiagonalPhase(np.ones(8)))
-        np.testing.assert_array_equal(out.amps, state.amps)
-
-    def test_diagonal_phase_validation(self):
-        with pytest.raises(ValueError):
-            apply_gate(uniform_superposition(2), DiagonalPhase(np.ones(3)))
-        with pytest.raises(ValueError):
-            apply_gate(uniform_superposition(2), DiagonalPhase(np.array([1.0, 0.5, 1, 1])))
 
     def test_batched_kernel_matches_per_row(self):
         rng = np.random.default_rng(2)
