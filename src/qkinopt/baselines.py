@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .encoding import ParamGrid, decode_all, grid_blocks
+from .encoding import ParamGrid, decode_all, full_turn, grid_blocks
 
 SIMPLEX_DIAMETER_TOL, SIMPLEX_SPREAD_TOL = 1e-8, 1e-10
 GRAD_TOL, FD_STEP, ARMIJO_C = 1e-8, 1e-6, 1e-4
@@ -37,7 +37,7 @@ class Objective:
         self.evaluations = 0
         # built once for `project`: full-period angular coordinates wrap (clamp bounds +-inf)
         self.lo, self.hi = np.array(self.bounds).reshape(-1, 2).T
-        self._wrap = self.angular & (np.abs(self.hi - self.lo - math.tau) <= 1e-12)
+        self._wrap = self.angular & full_turn(self.lo, self.hi)
         self._clamp_lo = np.where(self._wrap, -math.inf, self.lo)
         self._clamp_hi = np.where(self._wrap, math.inf, self.hi)
         self._period = np.full(self.lo.size, math.tau)

@@ -33,6 +33,8 @@ from .qsim import QUBIT_CAP, CapacityError
 # snap-to-boundary guard for encode(decode(k)) round trips; floating point can
 # land floor() one ulp under an exact integer
 _BOUNDARY_EPS = 1e-9
+# how far an angular range may stray from one period and still be a full turn
+_TURN_EPS = 1e-12
 # log2 of the rows per block of a full-grid pass: a block's tips and temporaries
 # stay in cache, and no (2^N, dimension) array is ever built
 BLOCK_BITS = 14
@@ -51,7 +53,7 @@ class ParamSpec:
             raise ValueError(f"{self.name}: min must be < max")
         if self.n_qubits < 1:
             raise ValueError(f"{self.name}: n_qubits must be >= 1")
-        if self.angular and self.hi - self.lo > math.tau + 1e-12:
+        if self.angular and self.hi - self.lo > math.tau + _TURN_EPS:
             raise ValueError(f"{self.name}: angular range exceeds one period")
 
     @property
@@ -61,6 +63,11 @@ class ParamSpec:
     def bin_value(self, k):
         """Value of bin k, a sub-index or an array of them: lo + k / (2^n - 1) * (hi - lo)."""
         return self.lo + k / (self.levels - 1) * (self.hi - self.lo)
+
+
+def full_turn(lo, hi):
+    """Whether [lo, hi] (scalars or arrays) spans one period, whose ends are one angle."""
+    return abs(hi - lo - math.tau) <= _TURN_EPS
 
 
 def bin_width(spec: ParamSpec) -> float:
@@ -111,19 +118,12 @@ class ParamGrid:
             )
 
 
-def _wrap_angular(value: float, lo: float) -> float:
-    w = math.fmod(value - lo, math.tau)
-    if w < 0:
-        w += math.tau
-    return lo + w
-
-
 def _bin_of(spec: ParamSpec, value: float) -> int:
     if not math.isfinite(value):
         raise ValueError(f"{spec.name}: non-finite value {value}")
     if spec.angular:
         if not spec.lo <= value <= spec.hi:  # exact max stays in the top bin
-            value = _wrap_angular(value, spec.lo)
+            value = spec.lo + (value - spec.lo) % math.tau
         if value > spec.hi + _BOUNDARY_EPS:
             raise ValueError(
                 f"{spec.name}: {value} outside angular range after wrapping"

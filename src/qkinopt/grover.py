@@ -175,25 +175,22 @@ def shrink_schedule(costs: np.ndarray, epsilon0: float, shrink: float) -> list:
 
 
 def minimal_epsilon(costs: np.ndarray, epsilon_hi: float) -> float:
-    """The smallest threshold still marking a state: the table floor.
-
-    Isolates the bit-exact minimum-cost set, refining beyond the geometric
-    ladder; used to pin the search onto the global grid minimum.
-    """
+    """The smallest threshold still marking a state: the table floor, and the
+    last step of `threshold_ladder`, which isolates the bit-exact minimum-cost
+    set below the geometric steps."""
     floor = float(np.min(costs))
     if not epsilon_hi >= floor:
         raise NoSolutionError("refinement started from an empty threshold")
     return floor
 
 
-def threshold_ladder(costs: np.ndarray, epsilon0: Optional[float], shrink: float,
-                     refine: bool) -> list:
+def threshold_ladder(costs: np.ndarray, epsilon0: Optional[float], shrink: float) -> list:
     """Thresholds of the adaptive search, loosest first.
 
     Starts at epsilon0 (None: 10x the table floor), shrinks geometrically
-    while a state stays marked and, with `refine`, ends at the table floor,
-    the smallest threshold that still marks a state (`minimal_epsilon`).
-    Only the floor of the table is read.
+    while a state stays marked, and ends at the table floor, the smallest
+    threshold that still marks a state (`minimal_epsilon`), so the last search
+    marks exactly the grid minimum. Only the floor of the table is read.
     """
     floor = float(np.min(costs))
     if epsilon0 is None:
@@ -206,10 +203,9 @@ def threshold_ladder(costs: np.ndarray, epsilon0: Optional[float], shrink: float
             "raise epsilon, coarsen the grid, or retrain the surrogate"
         )
     levels = shrink_schedule(costs, epsilon0, shrink)
-    if refine:
-        refined = minimal_epsilon(costs, levels[-1])
-        if refined < levels[-1]:
-            levels.append(refined)
+    last = minimal_epsilon(costs, levels[-1])
+    if last < levels[-1]:
+        levels.append(last)
     return levels
 
 

@@ -4,10 +4,10 @@ emits machine-readable reports.
 
 The quantum path takes the cost table, and the error table its tolerance
 comes from, from one streamed grid pass. It runs one amplified search per
-adaptive-threshold step: the threshold starts at 10x the cost-table floor,
-shrinks geometrically while solutions remain, and ends at the floor itself,
-the smallest value that still marks a state (pinning the search onto the
-exact grid minimum). One "optimization iteration" is one such step.
+adaptive-threshold step: the threshold starts at `search.epsilon0` (default
+10x the cost-table floor), shrinks geometrically while solutions remain, and
+ends at the floor, the smallest value that still marks a state, so the last
+search marks only the grid minimum. One "optimization iteration" is a step.
 
 A config file is the dict form of a CaseConfig. Each section's keys are the
 constructor fields of the class it builds, read and written by one reader
@@ -92,12 +92,14 @@ class QmlSettings:
 class SearchSettings:
     epsilon0: Optional[float] = None  # None = 10x the cost-table floor
     shrink: float = 0.5
-    refine: bool = True
+    refine: bool = True  # retired: the ladder always ends at the table floor
 
     def __post_init__(self):
         if not 0 < self.shrink < 1:
             raise ValueError(
                 f"config key 'search.shrink' must be in (0, 1), got {self.shrink!r}")
+        if not self.refine:
+            raise ValueError("config key 'search.refine' must be true; ladders end at the floor")
         _check_minimums(self, "search.", epsilon0=0)
 
 
@@ -376,6 +378,7 @@ class RunReport:
         return out
 
 
+# no src/ path calls this; it stays because perfbench/tracer.py wraps it by name
 def _actual_error_table(grid: ParamGrid, model, task, weights: PoseWeights) -> np.ndarray:
     """Verification error of every grid configuration (the streamed pass)."""
     return grid_tables(grid, model, task, weights, measures=(task_error,))[0]
@@ -419,8 +422,7 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
         surrogate = None
         costs = analytic_costs
 
-    start = config.search.epsilon0 if config.weights.epsilon is None else config.weights.epsilon
-    levels = grover.threshold_ladder(costs, start, config.search.shrink, config.search.refine)
+    levels = grover.threshold_ladder(costs, config.search.epsilon0, config.search.shrink)
     epsilon0 = levels[0]
 
     steps = [AdaptiveStep(0, epsilon0, grover.count_solutions(costs, epsilon0), 0,
@@ -513,7 +515,7 @@ def sweep(config: CaseConfig, qubit_counts: Sequence[int]) -> List[dict]:
                                                 math.nan, 0, 0, math.nan, str(exc)))))
             continue
         costs = build_cost_table(cfg.grid, cfg.model, cfg.task, cfg.weights)
-        levels = grover.threshold_ladder(costs, None, cfg.search.shrink, cfg.search.refine)
+        levels = grover.threshold_ladder(costs, None, cfg.search.shrink)
         m = grover.count_solutions(costs, levels[-1])
         K = grover.iteration_count(cfg.grid.size, m)
         rows.append(dict(zip(SWEEP_HEADER, (q, cfg.grid.total_qubits, cfg.grid.size,

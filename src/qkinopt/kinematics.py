@@ -95,10 +95,10 @@ class GraspTask:
 
 @dataclass(frozen=True)
 class PoseWeights:
-    """Position/orientation error weights and the oracle cost tolerance.
+    """Position and orientation error weights.
 
-    epsilon=None leaves the threshold to the runner, which derives it from
-    the grid-resolution cost floor.
+    epsilon is a retired config key that must stay null: the search's start
+    threshold is the config's search.epsilon0.
     """
 
     alpha_p: float = 1.0
@@ -110,8 +110,8 @@ class PoseWeights:
             raise ValueError("weights must be non-negative")
         if self.alpha_p == 0 and self.alpha_R == 0:
             raise ValueError("at least one weight must be positive")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive when given")
+        if self.epsilon is not None:
+            raise ValueError("config key 'weights.epsilon' must be null; use 'search.epsilon0'")
 
 
 # --- forward kinematics -------------------------------------------------------

@@ -5,13 +5,14 @@ qubit of its block, runs a layered RX/RY + CNOT-ring ansatz, and reads one
 <Z> expectation per output coordinate, affine-mapped onto the workspace
 interval.
 
-The upload angle is injective on each parameter's range. An angular value maps affinely
-onto [-pi, pi], whose two ends are the same pose. Any other value z is
-encoded relative to zero (Mitarai et al. 2018, "Quantum circuit learning"):
-cos(angle) = z / max(|lo|, |hi|), so z becomes the qubit's <Z> component and
-a product such as l1 * cos(theta) becomes a two-qubit parity. Uploading an
-input on several qubits gives each readout its own copy: <Z> and <X> of one
-qubit, which carry cos(theta) and sin(theta), are not jointly measurable.
+The upload angle is injective on each parameter's range. A full turn
+(`encoding.full_turn`) maps affinely onto [-pi, pi], whose ends are one
+angle. Any other value z, on a partial arc too, is encoded relative to zero
+(Mitarai et al. 2018, "Quantum circuit learning"): cos(angle) =
+z / max(|lo|, |hi|), so z becomes the qubit's <Z> component and a product
+such as l1 * cos(theta) becomes a two-qubit parity. Uploading an input on
+several qubits gives each readout its own copy: <Z> and <X> of one qubit,
+which carry cos(theta) and sin(theta), are not jointly measurable.
 
 Gradients use the parameter-shift rule (+-pi/2 shifts of each rotation
 angle, combined through the chain rule of the squared loss). All 2P+1
@@ -38,7 +39,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import qsim
-from .encoding import ParamGrid, decode_all, grid_blocks
+from .encoding import ParamGrid, decode_all, full_turn, grid_blocks
 from .kinematics import (
     DualArm,
     OneLink,
@@ -184,13 +185,13 @@ def make_surrogate(grid: ParamGrid, model, n_layers: int = 2,
 def input_angles(surrogate: Surrogate, z: np.ndarray) -> np.ndarray:
     """RY upload angle of each physical value.
 
-    Angular values map affinely onto [-pi, pi]. Other values are clamped to
-    [lo, hi], as `encode` clamps them, and encoded as arccos(z / max(|lo|, |hi|)).
+    Values on a full turn map affinely onto [-pi, pi]. Other values, on a partial
+    arc too, are clamped to [lo, hi] and encoded as arccos(z / max(|lo|, |hi|)).
     """
     z = np.asarray(z, dtype=float)
     angles = np.empty_like(z)
     for i, (_, lo, hi, angular) in enumerate(surrogate.input_map):
-        if angular:
+        if angular and full_turn(lo, hi):
             angles[..., i] = -math.pi + (z[..., i] - lo) / (hi - lo) * math.tau
         else:
             angles[..., i] = np.arccos(np.clip(z[..., i], lo, hi) / max(abs(lo), abs(hi)))

@@ -122,7 +122,7 @@ def as_case(builder, *path, **values):
     (keep, ["--seed", "-1"], "'seed'"),
     (keep, ["--qubits-per-param", "0"], "n_qubits"),
     (lambda data: data["search"].update(epsilon0=1e-12), [], "raise epsilon"),
-    (lambda data: data["weights"].update(epsilon=1e-12), [], "raise epsilon"),
+    (lambda data: data["weights"].update(epsilon=0.1), [], "'weights.epsilon'"),
     (lambda data: data["task"].update(phi=0.6) or data["weights"].update(alpha_R=0.5),
      ["--mode", "surrogate"], "'weights.alpha_R'"),
     (lambda data: data["weights"].update(alpha_R=0.5), [], "'task.phi'"),
@@ -135,6 +135,7 @@ def as_case(builder, *path, **values):
     (lambda data: data["params"][0].update(qubits=2.7), [], "'params[0].qubits'"),
     (lambda data: data.update(shots=1.5), [], "'shots'"),
     (lambda data: data["search"].update(refine="no"), [], "'search.refine'"),
+    (lambda data: data["search"].update(refine=False), [], "'search.refine'"),
     (lambda data: data.update(seed=True), [], "'seed'"),
     (lambda data: data["task"].update(phi=float("nan")), [], "'task.phi'"),
     (lambda data: data["params"][1].update(max=float("inf")), [], "'params[1].max'"),
@@ -195,12 +196,12 @@ def as_case(builder, *path, **values):
 ], ids=["missing_task", "shrink_above_one", "nan_target", "shots_0", "seed_negative",
         "epochs_0", "n_layers_0", "learning_rate_negative", "training_samples_0",
         "n_starts_0", "swarm_size_1", "max_evals_0", "flag_shots_0", "flag_seed_negative",
-        "flag_qubits_per_param_0", "epsilon0_below_floor", "epsilon_below_floor",
+        "flag_qubits_per_param_0", "epsilon0_below_floor", "weights_epsilon_set",
         "surrogate_orientation_weight", "orientation_weight_without_phi", "epsilon0_nan",
         "epsilon_inf", "grasp_pose_weights", "angular_string", "qubits_fraction",
-        "shots_fraction", "refine_string", "seed_bool", "phi_nan", "max_inf", "base1_nan",
-        "links1_one_number", "target_three_numbers", "target_scalar", "tolerance_negative",
-        "n_qubits_3", "surrogate_n_qubits_3", "duplicate_name",
+        "shots_fraction", "refine_string", "refine_false", "seed_bool", "phi_nan", "max_inf",
+        "base1_nan", "links1_one_number", "target_three_numbers", "target_scalar",
+        "tolerance_negative", "n_qubits_3", "surrogate_n_qubits_3", "duplicate_name",
         "missing_grid_parameter", "dual_arm_position_task", "one_dof_grasp_task",
         "unread_grid_parameter", "missing_config", "config_directory", "malformed_config",
         "missing_params", "missing_report", "missing_baselines", "baselines_without_best_x",

@@ -300,9 +300,9 @@ class TestGroverSearch:
         np.testing.assert_array_equal(result.params, decode(grid, 9))
 
 
-def ladder_search(grid, costs, epsilon0, shrink, shots, seed, refine=False):
+def ladder_search(grid, costs, epsilon0, shrink, shots, seed):
     """One search at the last threshold of the ladder."""
-    levels = threshold_ladder(costs, epsilon0, shrink, refine)
+    levels = threshold_ladder(costs, epsilon0, shrink)
     return search(grid, costs, levels[-1], shots, seed)
 
 
@@ -310,16 +310,19 @@ class TestAdaptiveSearch:
     def test_shrinks_to_final_level(self):
         grid = flat_grid(2)
         costs = np.array([0.5, 0.2, 0.05, 0.9])
+        # 0.6 halves to 0.075, the last geometric step that marks a state, then the floor
+        assert threshold_ladder(costs, 0.6, 0.5) == [0.6, 0.3, 0.15, 0.075, 0.05]
         result = ladder_search(grid, costs, epsilon0=0.6, shrink=0.5, shots=5000, seed=4)
-        assert result.epsilon == 0.6 * 0.5 ** 3  # 0.075
+        assert result.epsilon == 0.05
         assert result.solutions == 1
         assert result.index == 2
 
     def test_tight_epsilon_no_shrinking(self):
         grid = flat_grid(2)
         costs = np.array([0.5, 0.2, 0.05, 0.9])
+        assert threshold_ladder(costs, 0.08, 0.5) == [0.08, 0.05]
         result = ladder_search(grid, costs, epsilon0=0.08, shrink=0.5, shots=5000, seed=4)
-        assert result.epsilon == 0.08
+        assert result.epsilon == 0.05
         assert result.solutions == 1
 
     def test_final_epsilon_never_exceeds_initial(self):
@@ -328,25 +331,24 @@ class TestAdaptiveSearch:
         for _ in range(10):
             costs = rng.uniform(0.0, 1.0, 8)
             eps0 = costs.min() + rng.uniform(0.01, 2.0)
-            for refine in (False, True):
-                result = ladder_search(grid, costs, eps0, 0.5, 200, 0, refine)
-                assert result.epsilon <= eps0
+            result = ladder_search(grid, costs, eps0, 0.5, 200, 0)
+            assert result.epsilon <= eps0
 
     def test_default_start_is_ten_times_floor(self):
         costs = np.array([0.5, 0.2, 0.05, 0.9])
-        assert threshold_ladder(costs, None, 0.5, False) == [0.5, 0.25, 0.125, 0.0625]
-        assert threshold_ladder(np.array([0.0, 1.0]), None, 0.5, False) == [0.0]
+        assert threshold_ladder(costs, None, 0.5) == [0.5, 0.25, 0.125, 0.0625, 0.05]
+        assert threshold_ladder(np.array([0.0, 1.0]), None, 0.5) == [0.0]
 
     def test_refine_ends_at_minimal_epsilon(self):
         costs = np.array([0.5, 0.2, 0.05, 0.9])
-        levels = threshold_ladder(costs, 0.6, 0.5, True)
-        assert levels[:-1] == threshold_ladder(costs, 0.6, 0.5, False)
+        levels = threshold_ladder(costs, 0.6, 0.5)
+        assert levels[:-1] == shrink_schedule(costs, 0.6, 0.5)
         assert levels[-1] == minimal_epsilon(costs, 0.075)
         assert count_solutions(costs, levels[-1]) == 1 and levels[-1] < 0.075
 
     def test_start_below_floor_is_no_solution(self):
         with pytest.raises(NoSolutionError, match="raise epsilon"):
-            threshold_ladder(np.array([0.5, 0.4]), 0.1, 0.5, True)
+            threshold_ladder(np.array([0.5, 0.4]), 0.1, 0.5)
 
     def test_epsilon0_below_floor_rejected(self):
         with pytest.raises(ValueError):
@@ -362,7 +364,7 @@ class TestAdaptiveSearch:
         costs = np.array([0.5, 0.2])
         for start in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
-                threshold_ladder(costs, start, 0.5, True)
+                threshold_ladder(costs, start, 0.5)
         with pytest.raises(ValueError):
             shrink_schedule(costs, math.nan, 0.5)  # would never reach the floor
 
@@ -400,15 +402,14 @@ def bisected_minimal_epsilon(costs, epsilon_hi):
             lo = mid
 
 
-def walking_ladder(costs, epsilon0, shrink, refine):
+def walking_ladder(costs, epsilon0, shrink):
     floor = float(costs.min())
     if epsilon0 is None:
         epsilon0 = 10.0 * floor if floor > 0 else 0.0
     levels = walking_shrink_schedule(costs, epsilon0, shrink)
-    if refine:
-        refined = bisected_minimal_epsilon(costs, levels[-1])
-        if refined < levels[-1]:
-            levels.append(refined)
+    refined = bisected_minimal_epsilon(costs, levels[-1])
+    if refined < levels[-1]:
+        levels.append(refined)
     return levels
 
 
@@ -420,8 +421,8 @@ def bits(values):
 @st.composite
 def ladder_cases(draw):
     """A finite non-negative table (ties, zero floors and 1e-6-scale costs
-    included), a start at or above its floor (None: the default), a shrink
-    factor and the refine flag."""
+    included), a start at or above its floor (None: the default) and a shrink
+    factor."""
     scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3]))
     values = draw(st.lists(st.sampled_from([0.0, 0.25, 0.25, 1.0]) | st.floats(0.0, 10.0),
                            min_size=1, max_size=40))
@@ -429,21 +430,21 @@ def ladder_cases(draw):
     floor = float(costs.min())
     start = draw(st.none() | st.just(floor)
                  | st.floats(floor, floor + 20.0 * scale, allow_subnormal=False))
-    return costs, start, draw(st.floats(0.05, 0.95)), draw(st.booleans())
+    return costs, start, draw(st.floats(0.05, 0.95))
 
 
 class TestFloorOnlyLadder:
     @settings(max_examples=400, deadline=None)
     @given(case=ladder_cases())
     def test_equals_table_walking_ladder(self, case):
-        costs, start, shrink, refine = case
-        assert bits(threshold_ladder(costs, start, shrink, refine)) == bits(
-            walking_ladder(costs, start, shrink, refine))
+        costs, start, shrink = case
+        assert bits(threshold_ladder(costs, start, shrink)) == bits(
+            walking_ladder(costs, start, shrink))
 
     @settings(max_examples=200, deadline=None)
     @given(case=ladder_cases())
     def test_parts_equal_their_references(self, case):
-        costs, start, shrink, _ = case
+        costs, start, shrink = case
         start = float(costs.min()) if start is None else start
         assert bits(shrink_schedule(costs, start, shrink)) == bits(
             walking_shrink_schedule(costs, start, shrink))
@@ -454,9 +455,8 @@ class TestFloorOnlyLadder:
         for costs in (np.array([0.3, 0.1, 0.1, 0.7]), np.array([0.0, 0.0, 2.0]),
                       np.array([0.0, 1e-6, 3e-6])):
             for start in (None, 0.5, 1.0):
-                for refine in (False, True):
-                    assert bits(threshold_ladder(costs, start, 0.5, refine)) == bits(
-                        walking_ladder(costs, start, 0.5, refine))
+                assert bits(threshold_ladder(costs, start, 0.5)) == bits(
+                    walking_ladder(costs, start, 0.5))
 
 
 class TestMinimalEpsilon:

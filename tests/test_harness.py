@@ -65,21 +65,20 @@ def case_configs(draw):
         width = draw(st.floats(0.1, TWO_PI) if spec.angular else st.floats(0.01, 2.0))
         specs.append(dataclasses.replace(spec, lo=lo, hi=lo + width))
     tolerance = draw(st.none() | st.floats(0.0, 10.0))
-    epsilon = st.none() | st.floats(1e-9, 10.0)
     if isinstance(config.task, GraspTask):
         task = GraspTask((draw(finite), draw(finite)), draw(st.floats(0.01, 10.0)),
                          draw(finite), tolerance)
-        weights = PoseWeights(epsilon=draw(epsilon))
+        weights = PoseWeights()
     else:
         phi = draw(st.none() | finite)
         alpha_R = 0.0 if phi is None or mode == "surrogate" else draw(st.floats(0.0, 10.0))
         task = PoseTarget((draw(finite), draw(finite)), phi, tolerance)
-        weights = PoseWeights(draw(st.floats(0.01, 10.0)), alpha_R, draw(epsilon))
+        weights = PoseWeights(draw(st.floats(0.01, 10.0)), alpha_R)
     return dataclasses.replace(
         config, grid=ParamGrid(tuple(specs)), case=draw(st.text(max_size=8)),
         task=task, weights=weights,
         search=SearchSettings(draw(st.none() | st.floats(0.0, 10.0)),
-                              draw(st.floats(0.01, 0.99)), draw(st.booleans())),
+                              draw(st.floats(0.01, 0.99))),
         qml=QmlSettings(draw(st.none() | st.integers(4, 8)), draw(st.integers(1, 4)),
                         draw(st.integers(1, 500)), draw(st.floats(0.0, 1.0)),
                         draw(st.integers(0, 1000)), draw(st.none() | st.integers(1, 1000))),
@@ -145,11 +144,10 @@ class TestRunCaseDualArm:
 
 class TestAdaptiveEquivalence:
     def test_final_step_matches_adaptive_search(self):
-        config = dataclasses.replace(one_dof_case(seed=21),
-                                     search=SearchSettings(refine=False))
+        config = one_dof_case(seed=21)
         report = run_case(config)
         costs = build_cost_table(config.grid, config.model, config.task, config.weights)
-        levels = threshold_ladder(costs, report.epsilon0, 0.5, refine=False)
+        levels = threshold_ladder(costs, report.epsilon0, 0.5)
         direct, _ = search_with_state(config.grid, costs, levels[-1], config.shots,
                                       config.seed)
         assert direct.index == report.result.index
@@ -331,6 +329,7 @@ class TestConfigSerialization:
         (one_dof_case, ("search", "epsilon0"), -0.1, None),
         (one_dof_case, ("weights", "epsilon"), float("nan"), None),
         (one_dof_case, ("weights", "epsilon"), float("inf"), None),
+        (one_dof_case, ("weights", "epsilon"), 0.1, None),
         (one_dof_case, ("weights", "alpha_p"), float("inf"), None),
         (dual_arm_case, ("weights", "alpha_p"), 3.0, None),
         (dual_arm_case, ("weights", "alpha_R"), 0.5, None),
@@ -339,6 +338,7 @@ class TestConfigSerialization:
         (one_dof_case, ("params", 0, "qubits"), 2.7, None),
         (one_dof_case, ("shots",), 1.5, None),
         (one_dof_case, ("search", "refine"), "no", None),
+        (one_dof_case, ("search", "refine"), False, None),
         (one_dof_case, ("seed",), True, None),
         (one_dof_case, ("task", "phi"), float("nan"), None),
         (one_dof_case, ("params", 1, "max"), float("inf"), None),
@@ -358,10 +358,11 @@ class TestConfigSerialization:
          "config key 'params[3].name' must name a parameter the model reads, got 'foo'"),
     ], ids=["shrink_1.5", "shrink_0", "shrink_nan", "target_inf", "center_nan", "radius_nan",
             "epsilon0_nan", "epsilon0_inf", "epsilon0_negative", "epsilon_nan", "epsilon_inf",
-            "alpha_p_inf", "grasp_alpha_p", "grasp_alpha_R", "orientation_weight_without_phi",
-            "angular_string", "qubits_fraction", "shots_fraction", "refine_string",
-            "seed_bool", "phi_nan", "max_inf", "base1_nan", "links1_one_number",
-            "target_three_numbers", "target_scalar", "tolerance_negative",
+            "epsilon_set", "alpha_p_inf", "grasp_alpha_p", "grasp_alpha_R",
+            "orientation_weight_without_phi", "angular_string", "qubits_fraction",
+            "shots_fraction", "refine_string", "refine_false", "seed_bool", "phi_nan",
+            "max_inf", "base1_nan", "links1_one_number", "target_three_numbers",
+            "target_scalar", "tolerance_negative",
             "n_qubits_3", "duplicate_name", "missing_grid_parameter",
             "dual_arm_position_task", "one_dof_grasp_task", "unread_grid_parameter"])
     def test_from_dict_refuses_bad_value(self, case, path, value, message):

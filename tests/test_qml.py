@@ -117,6 +117,26 @@ class TestEncodeInput:
         bounds = input_angles(s, np.array([[2.0, 1.0], [0.1, 1.0]]))
         np.testing.assert_array_equal(outside, bounds)
 
+    def test_partial_arc_ends_upload_and_predict_apart(self):
+        # on a quarter turn theta1 = 0 and pi/2 are the tips (l1, 0) and (0, l1); an
+        # affine map onto [-pi, pi] would upload both as the same state, RY(-pi) and RY(pi)
+        grid = ParamGrid((ParamSpec("l1", 0.1, 2.0, 3),
+                          ParamSpec("theta1", 0.0, math.pi / 2, 3, angular=True)))
+        s = make_surrogate(grid, OneLink(), n_qubits=4)
+        s = s.with_params(np.random.default_rng(0).uniform(-math.pi, math.pi,
+                                                           s.ansatz.parameter_count))
+        ends = [[1.0, 0.0], [1.0, math.pi / 2]]
+        zero = qsim.new_zero_state(s.ansatz.n_qubits)
+        a, b = (qsim.apply_circuit(zero, encode_input(s, z)).amps for z in ends)
+        assert abs(np.vdot(a, b)) < 1 - 1e-9
+        assert np.abs(predict(s, ends[0]) - predict(s, ends[1])).max() > 1e-3
+
+    @pytest.mark.parametrize("name", ["one_dof", "two_dof", "dual_arm"])
+    def test_shipped_angles_are_full_turns(self, name):
+        # so each shipped angle keeps its affine upload onto [-pi, pi]
+        grid = harness.load_config(f"configs/{name}.json").grid
+        assert all(encoding.full_turn(s.lo, s.hi) for s in grid.specs if s.angular)
+
     def test_dimension_mismatch(self):
         s = make_surrogate(one_dof_grid(), OneLink())
         with pytest.raises(ValueError):
