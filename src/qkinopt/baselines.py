@@ -1,11 +1,11 @@
 """Classical optimizers over the continuous objectives, instrumented with
 exact evaluation counts for query-based comparison against the quantum search.
 
-Box bounds are enforced inside the objective: an angular coordinate whose
-range is one full period is wrapped modulo 2*pi, every other one is clamped,
-and every call increments the counter exactly once. Local methods (simplex,
-quasi-Newton) are meant to run multi-start on the multimodal kinematic
-landscapes.
+The objective holds the box, and every optimizer's points, PSO's swarm
+included, go through `Objective.project`: an angular coordinate whose range is
+one full period is wrapped modulo 2*pi, every other one is clamped. Every
+evaluation increments the counter exactly once. Local methods (simplex,
+quasi-Newton) are meant to run multi-start on the multimodal landscapes.
 """
 
 from __future__ import annotations
@@ -29,33 +29,27 @@ class Objective:
     def __init__(self, bounds: Sequence[Tuple[float, float]],
                  fn: Callable[[np.ndarray], float],
                  angular: Optional[Sequence[bool]] = None):
-        self.bounds = [(float(lo), float(hi)) for lo, hi in bounds]
+        self.lo, self.hi = np.array(bounds, dtype=float).reshape(-1, 2).T
         self.fn = fn
-        self.angular = np.array([False] * len(self.bounds) if angular is None else angular, bool)
-        if self.angular.shape != (len(self.bounds),):
+        angular = np.zeros(self.lo.size, bool) if angular is None else np.array(angular, bool)
+        if angular.shape != self.lo.shape:
             raise ValueError("angular flags must match bounds")
         self.evaluations = 0
         # built once for `project`: full-period angular coordinates wrap (clamp bounds +-inf)
-        self.lo, self.hi = np.array(self.bounds).reshape(-1, 2).T
-        self._wrap = self.angular & full_turn(self.lo, self.hi)
+        self._wrap = angular & full_turn(self.lo, self.hi)
         self._clamp_lo = np.where(self._wrap, -math.inf, self.lo)
         self._clamp_hi = np.where(self._wrap, math.inf, self.hi)
-        self._period = np.full(self.lo.size, math.tau)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.bounds)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Wrap full-period angular coordinates into one period, clamp the rest to the box:
-        bit for bit lo + np.mod(x - lo, 2 pi) and min(max(x, lo), hi) (np.clip may give
-        0.0 for -0.0)."""
+        """Wrap full-period angular coordinates into one period, clamp the rest to the box,
+        for one point or a (..., d) batch: bit for bit lo + np.mod(x - lo, 2 pi) and
+        min(max(x, lo), hi) (np.clip may give 0.0 for -0.0)."""
         out = np.array(x, dtype=float)
-        np.putmask(out, self._clamp_lo > out, self._clamp_lo)
-        np.putmask(out, self._clamp_hi < out, self._clamp_hi)
+        np.copyto(out, self._clamp_lo, where=self._clamp_lo > out)
+        np.copyto(out, self._clamp_hi, where=self._clamp_hi < out)
         wrapped = out - self.lo
-        np.mod(wrapped, self._period, out=wrapped)
-        np.putmask(out, self._wrap, wrapped + self.lo)
+        np.mod(wrapped, math.tau, out=wrapped)
+        np.copyto(out, wrapped + self.lo, where=self._wrap)
         return out
 
     def evaluate(self, x: np.ndarray) -> float:
@@ -63,7 +57,7 @@ class Objective:
         return float(self.fn(self.project(x)))
 
     def random_start(self, rng: np.random.Generator) -> np.ndarray:
-        return np.array([rng.uniform(lo, hi) for lo, hi in self.bounds])
+        return rng.uniform(self.lo, self.hi)
 
 
 @dataclass
@@ -85,13 +79,13 @@ def nelder_mead(obj: Objective, start: Sequence[float], max_evals: int = 2000) -
     ~1e-5 parameter error on flat quadratics), or when the evaluation budget
     runs out.
     """
-    d = obj.dimension
+    d = obj.lo.size
     x0 = np.asarray(start, dtype=float)
     start_evals = obj.evaluations
 
     simplex = [x0]
     for i in range(d):
-        step = 0.05 * (obj.bounds[i][1] - obj.bounds[i][0])
+        step = 0.05 * (obj.hi[i] - obj.lo[i])
         vertex = x0.copy()
         vertex[i] += step if step > 0 else 0.05
         simplex.append(vertex)
@@ -197,12 +191,12 @@ def quasi_newton(obj: Objective, start: Sequence[float], max_evals: int = 2000) 
 
 def pso(obj: Objective, swarm_size: int = 30, iterations: int = 200,
         seed: int = 0) -> OptRun:
-    """Particle swarm with positions clamped to the box; deterministic per seed.
-    Runs every iteration, swarm_size * (iterations + 1) evaluations in all."""
+    """Particle swarm moved through `Objective.project`, which wraps full turns; deterministic
+    per seed. Runs every iteration, swarm_size * (iterations + 1) evaluations in all."""
     if swarm_size < 2:
         raise ValueError("swarm must have at least 2 particles")
     rng = np.random.default_rng(seed)
-    d = obj.dimension
+    d = obj.lo.size
     start_evals = obj.evaluations
 
     x = rng.uniform(obj.lo, obj.hi, size=(swarm_size, d))
@@ -217,7 +211,7 @@ def pso(obj: Objective, swarm_size: int = 30, iterations: int = 200,
         r2 = rng.random((swarm_size, d))
         v = (PSO_INERTIA * v + PSO_COGNITIVE * r1 * (pbest - x)
              + PSO_SOCIAL * r2 * (gbest - x))
-        x = np.clip(x + v, obj.lo, obj.hi)
+        x = obj.project(x + v)
         for i in range(swarm_size):
             c = obj.evaluate(x[i])
             if c < pcost[i]:

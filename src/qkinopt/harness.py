@@ -165,6 +165,8 @@ class CaseConfig:
                 raise ValueError(f"config key 'weights.{key}' must be {default} on a grasp "
                                  "task, whose cost weighs only its contacts")
         _check_minimums(self, "", shots=1, seed=0)
+        if self.shots > 2**63 - 1:  # numpy's multinomial draws its counts as int64
+            raise ValueError(f"config key 'shots' must be <= 2**63 - 1, got {self.shots!r}")
         _check_minimums(self.task, "task.", tolerance=0)
 
     def with_overrides(self, seed: Optional[int] = None, shots: Optional[int] = None,
@@ -515,11 +517,11 @@ def sweep(config: CaseConfig, qubit_counts: Sequence[int]) -> List[dict]:
                                                 math.nan, 0, 0, math.nan, str(exc)))))
             continue
         costs = build_cost_table(cfg.grid, cfg.model, cfg.task, cfg.weights)
-        levels = grover.threshold_ladder(costs, None, cfg.search.shrink)
-        m = grover.count_solutions(costs, levels[-1])
+        floor = float(costs.min())  # where every threshold ladder ends
+        m = grover.count_solutions(costs, floor)
         K = grover.iteration_count(cfg.grid.size, m)
         rows.append(dict(zip(SWEEP_HEADER, (q, cfg.grid.total_qubits, cfg.grid.size,
-                                            float(costs.min()), m, K,
+                                            floor, m, K,
                                             cfg.grid.size / max(K, 1), ""))))
     return rows
 

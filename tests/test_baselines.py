@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qkinopt.encoding import ParamGrid, ParamSpec, decode
 from qkinopt.kinematics import PoseTarget
 
 BOX = [(-5.0, 5.0), (-5.0, 5.0)]
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def shifted_sphere(x):
@@ -84,26 +86,50 @@ def reference_project(bounds, angular, x):
     return out
 
 
+def draw_box(data, d):
+    """Bounds (reversed boxes and signed zeros among them) and angular flags."""
+    bounds = []
+    for _ in range(d):
+        lo = data.draw(st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0, -math.pi]))
+        hi = lo + data.draw(st.floats(1e-3, math.tau) | st.sampled_from([math.tau, -1.0]))
+        bounds.append((lo, hi))
+    return bounds, data.draw(st.lists(st.booleans(), min_size=d, max_size=d))
+
+
+def draw_point(data, bounds):
+    # inside, at and just beyond each bound, signed zeros, far out, inf and NaN
+    return [data.draw(st.floats(-1e4, 1e4) | st.sampled_from(
+        [lo, hi, -0.0, 0.0, lo - 1e-9, hi + 1e-9, math.inf, -math.inf, math.nan]))
+        for lo, hi in bounds]
+
+
 class TestProjectMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(st.data(), st.integers(0, 6))
     def test_bit_equal(self, data, d):
-        bounds, x = [], []
-        for _ in range(d):
-            lo = data.draw(st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0, -math.pi]))
-            hi = lo + data.draw(st.floats(1e-3, math.tau) | st.sampled_from([math.tau, -1.0]))
-            bounds.append((lo, hi))
-            # inside, at and just beyond each bound, signed zeros, far out, inf and NaN
-            x.append(data.draw(st.floats(-1e4, 1e4) | st.sampled_from(
-                [lo, hi, -0.0, 0.0, lo - 1e-9, hi + 1e-9, math.inf, -math.inf, math.nan])))
-        angular = data.draw(st.lists(st.booleans(), min_size=d, max_size=d))
+        bounds, angular = draw_box(data, d)
+        x = draw_point(data, bounds)
         obj = Objective(bounds, lambda z: 0.0, angular)
         given_x = np.array(x)
         with np.errstate(invalid="ignore"):  # an infinite angle wraps to NaN
             actual = obj.project(given_x)
-            expected = reference_project(obj.bounds, angular, x)
+            expected = reference_project(bounds, angular, x)
         assert actual.tobytes() == expected.tobytes()
         assert given_x.tobytes() == np.array(x).tobytes()  # the input is not written
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(0, 6), st.integers(0, 5))
+    def test_batch_is_row_by_row(self, data, d, rows):
+        bounds, angular = draw_box(data, d)
+        batch = [draw_point(data, bounds) for _ in range(rows)]
+        obj = Objective(bounds, lambda z: 0.0, angular)
+        given_x = np.array(batch).reshape(rows, d)
+        with np.errstate(invalid="ignore"):
+            actual = obj.project(given_x)
+            expected = [reference_project(bounds, angular, x) for x in batch]
+        assert actual.shape == (rows, d)
+        assert actual.tobytes() == np.array(expected).reshape(rows, d).tobytes()
+        assert given_x.tobytes() == np.array(batch).reshape(rows, d).tobytes()
 
 
 def assert_within_box(points, bounds):
@@ -231,6 +257,15 @@ class TestPso:
 
         pso(make_objective(fn), iterations=30, seed=2)
         assert_within_box(seen, BOX)
+
+    def test_swarm_crosses_the_full_turn_seam(self):
+        # the shipped dual_arm case at its baseline settings: clamping full-turn angles
+        # at the 0 / 2 pi seam stalled this swarm at cost 0.475, above the grid floor 0.0431
+        config = harness.load_config(CONFIGS / "dual_arm.json")
+        settings = config.baselines
+        run = pso(harness.case_objective(config), swarm_size=settings.swarm_size,
+                  iterations=settings.pso_iterations, seed=settings.seed)
+        assert run.best_cost < 0.0431
 
     def test_swarm_size_validation(self):
         with pytest.raises(ValueError):

@@ -337,6 +337,7 @@ class TestConfigSerialization:
         (one_dof_case, ("params", 0, "angular"), "false", None),
         (one_dof_case, ("params", 0, "qubits"), 2.7, None),
         (one_dof_case, ("shots",), 1.5, None),
+        (one_dof_case, ("shots",), 2**63, None),
         (one_dof_case, ("search", "refine"), "no", None),
         (one_dof_case, ("search", "refine"), False, None),
         (one_dof_case, ("seed",), True, None),
@@ -360,7 +361,7 @@ class TestConfigSerialization:
             "epsilon0_nan", "epsilon0_inf", "epsilon0_negative", "epsilon_nan", "epsilon_inf",
             "epsilon_set", "alpha_p_inf", "grasp_alpha_p", "grasp_alpha_R",
             "orientation_weight_without_phi", "angular_string", "qubits_fraction",
-            "shots_fraction", "refine_string", "refine_false", "seed_bool", "phi_nan",
+            "shots_fraction", "shots_2_63", "refine_string", "refine_false", "seed_bool", "phi_nan",
             "max_inf", "base1_nan", "links1_one_number", "target_three_numbers",
             "target_scalar", "tolerance_negative",
             "n_qubits_3", "duplicate_name", "missing_grid_parameter",
