@@ -10,11 +10,12 @@ search runs and the sweep reports: K = floor(pi/4 * sqrt(M/m)) while
 m <= M/2 (so K >= 1), and K = 0 once m > M/2, where amplification
 degenerates and the uniform state is sampled directly.
 
-`search_with_state` is the one search entry point. It computes the amplified
-state in closed form (`amplified_state`): K rounds cost O(M), not O(K * M).
-`apply_oracle` and `apply_diffusion` are the gate-level rounds, kept as the
-reference that the tests check the closed form against; no pipeline path
-calls them.
+`search_with_state` is the one search entry point. `amplified_state` gives
+the state after K rounds in closed form as two amplitude values, which the
+search samples and takes <C> from without building a 2^N array.
+`apply_oracle`, `apply_diffusion`, `qsim.measure` and
+`qsim.expectation_diagonal` are the dense reference the tests check these
+against; no pipeline path calls them.
 
 `threshold_ladder` is the one adaptive threshold schedule and reads only the
 cost floor; `verify` uses the analytic error that the harness tabulates.
@@ -93,7 +94,44 @@ def apply_diffusion(state: qsim.StateVector) -> qsim.StateVector:
     return qsim.StateVector(state.n_qubits, 2.0 * amps.mean() - amps)
 
 
-def amplified_state(n_qubits: int, marked: np.ndarray, iterations: int) -> qsim.StateVector:
+class AmplifiedState(qsim.StateVector):
+    """A Grover state as two amplitude values: `a` on each of the m sorted
+    `marked` indices, `b` on the M - m others; a marked index is hit with
+    probability `p_marked`. Its dense `amps` are built on each read, for the
+    reference tests only."""
+
+    def __init__(self, n_qubits: int, marked: np.ndarray, a: float, b: float,
+                 p_marked: float):
+        self.n_qubits, self.marked, self.a, self.b = n_qubits, marked, a, b
+        self.p_marked = p_marked
+
+    @property
+    def amps(self) -> np.ndarray:
+        amps = np.full(self.dim, self.b)
+        amps[self.marked] = self.a
+        return amps
+
+    def sample(self, shots: int, seed: int) -> np.ndarray:
+        """`shots` basis indices drawn from |amplitude|^2 (seeded PCG64): a
+        binomial count of marked hits, uniform over the marked indices, and
+        uniform ranks k < M - m among the unmarked, where rank k is index k plus
+        the count of marked j with marked[j] - j (the unmarked below it) <= k."""
+        if shots < 1:
+            raise ValueError("shots must be >= 1")
+        rng, m = np.random.default_rng(seed), self.marked.size
+        hits = rng.binomial(shots, self.p_marked)
+        ranks = rng.integers(0, self.dim - m, shots - hits)
+        unmarked = np.searchsorted(self.marked - np.arange(m), ranks, side="right") + ranks
+        return np.concatenate([self.marked[rng.integers(0, m, hits)], unmarked])
+
+    def expectation(self, costs: np.ndarray, total: float) -> float:
+        """<C> = a^2 sum_marked c + b^2 (total - sum_marked c), where `total` is
+        costs.sum(), which a caller that searches one table often sums once."""
+        marked = float(np.sum(costs[self.marked]))
+        return self.a * self.a * marked + self.b * self.b * (total - marked)
+
+
+def amplified_state(n_qubits: int, marked: np.ndarray, iterations: int) -> AmplifiedState:
     """Uniform superposition after `iterations` oracle+diffusion rounds, in closed form.
 
     The rounds never leave the plane of the uniform marked and uniform unmarked
@@ -101,9 +139,7 @@ def amplified_state(n_qubits: int, marked: np.ndarray, iterations: int) -> qsim.
     sqrt(m/M), K rounds leave sin((2K+1) theta)/sqrt(m) on every marked index
     and cos((2K+1) theta)/sqrt(M-m) on every unmarked one (Boyer, Brassard,
     Hoyer and Tapp 1998). With nothing marked the state stays uniform; with
-    everything marked each round negates it. The amplitudes are real and are
-    stored as float64. `apply_oracle` and `apply_diffusion` are the gate-level
-    reference that the tests compare this against.
+    everything marked each round negates it.
     """
     qsim.check_capacity(n_qubits)
     M = 1 << n_qubits
@@ -112,27 +148,21 @@ def amplified_state(n_qubits: int, marked: np.ndarray, iterations: int) -> qsim.
         raise ValueError(f"marked mask of shape {marked.shape} does not match {M} states")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    m = int(np.count_nonzero(marked))
-    if m == 0:
-        a = b = 1.0 / math.sqrt(M)
-    elif m == M:
-        a = b = (-1.0) ** iterations / math.sqrt(M)
-    else:
-        angle = (2 * iterations + 1) * math.asin(math.sqrt(m / M))
-        a = math.sin(angle) / math.sqrt(m)
-        b = math.cos(angle) / math.sqrt(M - m)
-    return qsim.StateVector(n_qubits, np.where(marked, a, b))
-
-
-def _best_outcome(counts: dict) -> int:
-    """Highest count, ties broken by lowest index."""
-    return min(counts, key=lambda k: (-counts[k], k))
+    idx = np.flatnonzero(marked)
+    m = idx.size
+    angle = (2 * iterations + 1) * math.asin(math.sqrt(m / M))
+    # m = 0 or M leaves one part empty: its value is the other's, and at m = M
+    # sin((2K+1) pi/2) rounds to (-1)^K
+    a = math.sin(angle) / math.sqrt(m) if m else 1.0 / math.sqrt(M)
+    b = math.cos(angle) / math.sqrt(M - m) if m < M else a
+    return AmplifiedState(n_qubits, idx, a, b, math.sin(angle) ** 2)
 
 
 def search_with_state(grid: ParamGrid, costs: np.ndarray, epsilon: float, shots: int,
-                      seed: int) -> Tuple[SearchResult, qsim.StateVector]:
+                      seed: int) -> Tuple[SearchResult, AmplifiedState]:
     """Mark {k : costs[k] <= epsilon}, amplify for `iteration_count` rounds and
-    measure; returns the modal outcome and the pre-measurement state."""
+    sample; returns the modal outcome (highest count, then lowest index) and
+    the two-value state, whose `expectation` gives the step's <C>."""
     grid.check_capacity()
     N, M = grid.total_qubits, grid.size
     costs = np.asarray(costs, dtype=float)
@@ -141,22 +171,20 @@ def search_with_state(grid: ParamGrid, costs: np.ndarray, epsilon: float, shots:
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     marked = costs <= epsilon
-    m = int(np.count_nonzero(marked))
-    K = iteration_count(M, m)
+    K = iteration_count(M, int(np.count_nonzero(marked)))
     state = amplified_state(N, marked, K)
-    counts = qsim.measure(state, shots, seed)
-    best = _best_outcome(counts)
-    marked_hits = sum(c for k, c in counts.items() if marked[k])
-    result = SearchResult(
+    picks = state.sample(shots, seed)
+    outcomes, counts = np.unique(picks, return_counts=True)
+    best = int(outcomes[np.argmax(counts)])
+    return SearchResult(
         index=best,
         bitstring=format(best, f"0{N}b"),
         params=decode(grid, best),
-        marked_probability=marked_hits / shots,
+        marked_probability=int(np.count_nonzero(marked[picks])) / shots,
         queries=K,
         epsilon=epsilon,
-        solutions=m,
-    )
-    return result, state
+        solutions=state.marked.size,
+    ), state
 
 
 def shrink_schedule(costs: np.ndarray, epsilon0: float, shrink: float) -> list:

@@ -165,7 +165,7 @@ class CaseConfig:
                 raise ValueError(f"config key 'weights.{key}' must be {default} on a grasp "
                                  "task, whose cost weighs only its contacts")
         _check_minimums(self, "", shots=1, seed=0)
-        if self.shots > 2**63 - 1:  # numpy's multinomial draws its counts as int64
+        if self.shots > 2**63 - 1:  # numpy draws the marked-hit count as an int64
             raise ValueError(f"config key 'shots' must be <= 2**63 - 1, got {self.shots!r}")
         _check_minimums(self.task, "task.", tolerance=0)
 
@@ -427,19 +427,17 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
     levels = grover.threshold_ladder(costs, config.search.epsilon0, config.search.shrink)
     epsilon0 = levels[0]
 
+    total = float(costs.sum())  # each step's <C> reuses it
     steps = [AdaptiveStep(0, epsilon0, grover.count_solutions(costs, epsilon0), 0,
-                          float(costs.mean()), None, None)]
+                          total / grid.size, None, None)]
     result = None
     queries_total = 0
     for j, eps in enumerate(levels, start=1):
         result, state = grover.search_with_state(grid, costs, eps, config.shots, config.seed)
         queries_total += result.queries
-        steps.append(AdaptiveStep(
-            j, eps, result.solutions, result.queries,
-            qsim.expectation_diagonal(state, costs),
-            result.index, float(costs[result.index]),
-        ))
-        del state  # free the 2^N amplitudes before the next search builds its own
+        steps.append(AdaptiveStep(j, eps, result.solutions, result.queries,
+                                  state.expectation(costs, total),
+                                  result.index, float(costs[result.index])))
     assert result is not None
 
     e_actual, accepted = grover.verify(result.index, grid, config.model, task,

@@ -168,11 +168,34 @@ def wrapped_angle_distance(phi1, phi2) -> np.ndarray:
     return np.where(d > math.pi, math.tau - d, d)
 
 
-def _squared_distance(tips: np.ndarray, point) -> np.ndarray:
-    """dx^2 + dy^2 per row: np.sum(d**2, axis=-1) without the slow short-axis reduction."""
-    d = tips - point
-    d *= d
-    return d[..., 0] + d[..., 1]
+def squared_deviation(task, tips: np.ndarray) -> np.ndarray:
+    """Squared distance of each row of tips from the pose target, or of both
+    tips (B, 4) from the grasp contacts, summed: the term both measures share,
+    so a pass that tabulates both computes it once (`OF_DEVIATION`)."""
+    grasp = isinstance(task, GraspTask)
+    d = tips - ((*task.c_ideal1, *task.c_ideal2) if grasp else task.position)
+    d *= d  # np.sum(d**2, axis=-1) without the slow short-axis reduction
+    d2 = d[..., 0] + d[..., 1]
+    return d2 + (d[..., 2] + d[..., 3]) if grasp else d2
+
+
+def _cost(task, d2: np.ndarray, phis: Optional[np.ndarray], weights: PoseWeights):
+    if isinstance(task, GraspTask):
+        return d2
+    costs = weights.alpha_p * d2
+    if weights.alpha_R > 0:
+        if task.phi is None or phis is None:
+            raise ValueError("orientation weight is positive but angles are missing")
+        costs = costs + weights.alpha_R * wrapped_angle_distance(phis, task.phi) ** 2
+    return costs
+
+
+def _error(task, d2: np.ndarray, phis: Optional[np.ndarray], weights: PoseWeights):
+    if isinstance(task, GraspTask):
+        return _cost(task, d2, phis, weights)
+    if task.phi is not None and weights.alpha_R > 0:
+        d2 = d2 + wrapped_angle_distance(phis, task.phi) ** 2
+    return np.sqrt(d2)
 
 
 def task_cost(task, tips: np.ndarray, phis: Optional[np.ndarray],
@@ -183,15 +206,7 @@ def task_cost(task, tips: np.ndarray, phis: Optional[np.ndarray],
     `phis` (tip orientations) is read only when alpha_R > 0. A grasp task
     costs the summed squared deviation of both tips (B, 4) from its contacts.
     """
-    if isinstance(task, GraspTask):
-        return (_squared_distance(tips[..., 0:2], task.c_ideal1)
-                + _squared_distance(tips[..., 2:4], task.c_ideal2))
-    costs = weights.alpha_p * _squared_distance(tips, task.position)
-    if weights.alpha_R > 0:
-        if task.phi is None or phis is None:
-            raise ValueError("orientation weight is positive but angles are missing")
-        costs = costs + weights.alpha_R * wrapped_angle_distance(phis, task.phi) ** 2
-    return costs
+    return _cost(task, squared_deviation(task, tips), phis, weights)
 
 
 def task_error(task, tips: np.ndarray, phis: Optional[np.ndarray],
@@ -202,9 +217,8 @@ def task_error(task, tips: np.ndarray, phis: Optional[np.ndarray],
     quadrature when the task sets an orientation and alpha_R > 0. A grasp
     task uses its cost.
     """
-    if isinstance(task, GraspTask):
-        return task_cost(task, tips, phis, weights)
-    err2 = _squared_distance(tips, task.position)
-    if task.phi is not None and weights.alpha_R > 0:
-        err2 = err2 + wrapped_angle_distance(phis, task.phi) ** 2
-    return np.sqrt(err2)
+    return _error(task, squared_deviation(task, tips), phis, weights)
+
+
+# each measure as a function of the rows' `squared_deviation`
+OF_DEVIATION = {task_cost: _cost, task_error: _error}

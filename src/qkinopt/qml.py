@@ -41,6 +41,7 @@ import numpy as np
 from . import qsim
 from .encoding import ParamGrid, decode_all, full_turn, grid_blocks
 from .kinematics import (
+    OF_DEVIATION,
     DualArm,
     OneLink,
     PoseTarget,
@@ -49,6 +50,7 @@ from .kinematics import (
     fk_dual,
     fk_one,
     fk_two,
+    squared_deviation,
     task_cost,
     task_error,
 )
@@ -495,7 +497,8 @@ def grid_tables(grid: ParamGrid, model, task, weights: PoseWeights,
     pass over the `grid_blocks` whose tips every measure reads: the trained
     surrogate's from the block's decoded rows, or the closed-form kinematics'
     (the verification oracle) from its per-parameter columns. Either lies on
-    the block's C-order tensor of table rows."""
+    the block's C-order tensor of table rows, and every measure reads the
+    block's one `squared_deviation`."""
     if surrogate is not None and not isinstance(surrogate, Surrogate):
         raise ValueError(f"expected a trained Surrogate (None: analytic), got {surrogate!r}")
     if surrogate is not None and weights.alpha_R > 0:
@@ -503,6 +506,7 @@ def grid_tables(grid: ParamGrid, model, task, weights: PoseWeights,
     grid.check_capacity()
     names = grid.names()
     tables = [np.empty(grid.size) for _ in measures]
+    of_deviation = [OF_DEVIATION[measure] for measure in measures]
     for start, stop, cols in grid_blocks(grid):
         shape = np.broadcast_shapes(*(c.shape for c in cols))
         if surrogate is None:
@@ -510,8 +514,9 @@ def grid_tables(grid: ParamGrid, model, task, weights: PoseWeights,
         else:
             tips = _predict_batch(surrogate, decode_all(grid, start, stop)).reshape(shape + (-1,))
             phis = None
-        for table, measure in zip(tables, measures):
-            table[start:stop].reshape(shape)[...] = measure(task, tips, phis, weights)
+        d2 = squared_deviation(task, tips)
+        for table, measure in zip(tables, of_deviation):
+            table[start:stop].reshape(shape)[...] = measure(task, d2, phis, weights)
     return tables
 
 

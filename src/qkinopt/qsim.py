@@ -2,12 +2,14 @@
 
 Amplitudes are stored as a dense array indexed by basis integer,
 little-endian qubit order: qubit 0 is the least significant bit of the basis
-index. States built by gates are complex128. Grover states
-(`grover.amplified_state`) have real amplitudes and are stored as float64;
-measurement and expectations accept either. All gate kernels operate on the
-last axis of an array, so they also accept batches of states shaped
+index. States built by gates are complex128; a Grover state
+(`grover.AmplifiedState`) holds two real values and builds its float64
+amplitudes when read. All gate kernels operate on the last axis of an
+array, so they also accept batches of states shaped
 ``(..., 2**n_qubits)``; vectorised application is element-wise identical to
-sequential per-index updates.
+sequential per-index updates. `measure` and `expectation_diagonal` read the
+dense amplitudes; no pipeline path calls them, and they stay as the reference
+for the search's two-value sampler and <C>.
 
 Gates preserve the norm up to floating-point drift. Drift beyond 1e-9
 indicates a bug, not numerics, so nothing renormalises.

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkinopt import qsim
 from qkinopt.encoding import ParamGrid, ParamSpec, decode, encode
 from qkinopt.grover import (
+    AmplifiedState,
     NoSolutionError,
     SearchResult,
     amplified_state,
@@ -246,6 +248,109 @@ class TestClosedForm:
             amplified_state(2, np.zeros(4, dtype=bool), -1)
         with pytest.raises(qsim.CapacityError):
             amplified_state(25, np.zeros(2, dtype=bool), 1)
+
+
+def pooled(counts, probs, marked, min_expected):
+    """Counts and probabilities summed over ranges of consecutive marked, and of
+    consecutive unmarked, indices, each range holding at least min_expected."""
+    out = []
+    for part in (marked, ~marked):
+        c, p = counts[part], probs[part]
+        if p.size == 0:
+            continue
+        starts, mass = [0], 0.0
+        for k, pk in enumerate(p[:-1]):
+            mass += pk
+            if mass >= min_expected:
+                starts.append(k + 1)
+                mass = 0.0
+        if mass + p[-1] < min_expected and len(starts) > 1:
+            starts.pop()  # the short last range joins the one before it
+        out.append((np.add.reduceat(c, starts), np.add.reduceat(p, starts)))
+    return np.concatenate([c for c, _ in out]), np.concatenate([p for _, p in out])
+
+
+def sampler_cases():
+    """(n, marked, K) at N <= 12: one marked state at the scheduled K, a majority
+    marked (K = 0), everything marked, and random marks at off-schedule K."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n, m in [(6, 1), (10, 1), (5, 20), (8, 200), (3, 8), (7, 128)]:
+        cases.append((n, m, iteration_count(1 << n, m)))
+    for _ in range(8):
+        n = int(rng.integers(3, 13))
+        M = 1 << n
+        m = int(rng.integers(1, M + 1))
+        cases.append((n, m, int(rng.integers(0, iteration_count(M, m) + 3))))
+    out = []
+    for i, (n, m, K) in enumerate(cases):
+        marked = np.zeros(1 << n, dtype=bool)
+        marked[np.random.default_rng(i).choice(1 << n, m, replace=False)] = True
+        out.append((n, marked, K))
+    return out
+
+
+class TestSampler:
+    """The two-value sampler and expectation against the dense reference."""
+
+    @pytest.mark.parametrize("case", sampler_cases())
+    def test_histogram_matches_dense_measure(self, case):
+        n, marked, K = case
+        M, shots = 1 << n, 20000
+        state = amplified_state(n, marked, K)
+        probs = state.probabilities()  # the distribution qsim.measure draws from
+        sampled = np.bincount(state.sample(shots, seed=5), minlength=M)
+        dense = np.zeros(M, dtype=np.int64)
+        for k, count in qsim.measure(state, shots, seed=5).items():
+            dense[k] = count
+        sampled, p = pooled(sampled, probs, marked, 10.0 / shots)
+        dense, _ = pooled(dense, probs, marked, 10.0 / shots)
+        assert p.size > 1
+        for observed in (sampled, dense):
+            assert scipy.stats.chisquare(observed, shots * p).pvalue > 1e-3
+        assert scipy.stats.chi2_contingency([sampled, dense]).pvalue > 1e-3
+
+    @settings(max_examples=200, deadline=None)
+    @given(marked_rounds(), st.integers(0, 2**32 - 1))
+    def test_expectation_matches_dense(self, case, seed):
+        n, marked, K = case
+        costs = np.random.default_rng(seed).uniform(0.0, 10.0, 1 << n) ** 3
+        state = amplified_state(n, marked, K)
+        assert state.expectation(costs, float(costs.sum())) == pytest.approx(
+            qsim.expectation_diagonal(state, costs), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(marked_rounds(), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+    def test_picks_lie_in_range_and_in_their_part(self, case, shots, seed):
+        n, marked, K = case
+        M, m = 1 << n, int(np.count_nonzero(marked))
+        state = amplified_state(n, marked, K)
+        picks = state.sample(shots, seed)
+        assert picks.shape == (shots,) and picks.min() >= 0 and picks.max() < M
+        # forced to one part, every pick lands in it
+        if m < M:
+            unmarked = AmplifiedState(n, state.marked, state.a, state.b, 0.0).sample(shots, seed)
+            assert not marked[unmarked].any()
+            if shots >= 20 * (M - m):
+                assert np.unique(unmarked).size == M - m  # reaches every unmarked index
+        if m > 0:
+            assert marked[AmplifiedState(n, state.marked, state.a, state.b, 1.0)
+                          .sample(shots, seed)].all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10), st.data(), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+    def test_search_counts_its_marked_hits(self, n, data, shots, seed):
+        M = 1 << n
+        m = data.draw(st.sampled_from([1, M // 2 + 1, M]) | st.integers(1, M))
+        chosen = np.random.default_rng(seed).choice(M, m, replace=False)
+        costs = costs_with_marks(M, chosen)
+        result, state = search_with_state(flat_grid(n), costs, 0.5, shots, seed)
+        picks = state.sample(shots, seed)  # the draw the search took
+        assert result.marked_probability == np.count_nonzero(costs[picks] <= 0.5) / shots
+        outcomes, counts = np.unique(picks, return_counts=True)
+        assert result.index == outcomes[counts == counts.max()].min()
+        if m == M:
+            assert result.marked_probability == 1.0
 
 
 class TestGroverSearch:
