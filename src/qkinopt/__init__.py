@@ -20,13 +20,10 @@ from .harness import (
     CaseConfig,
     RunReport,
     compare,
-    dual_arm_case,
     emit_report,
     load_config,
-    one_dof_case,
     run_baselines,
     run_case,
-    two_dof_case,
 )
 from .kinematics import (
     DualArm,
@@ -63,19 +60,16 @@ __all__ = [
     "build_cost_table",
     "compare",
     "decode",
-    "dual_arm_case",
     "emit_report",
     "encode",
     "iteration_count",
     "load_config",
     "make_surrogate",
     "measure",
-    "one_dof_case",
     "run_baselines",
     "run_case",
     "success_probability_analytic",
     "train",
-    "two_dof_case",
     "uniform_superposition",
     "verify",
 ]

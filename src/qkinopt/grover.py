@@ -18,7 +18,8 @@ search samples and takes <C> from without building a 2^N array.
 against; no pipeline path calls them.
 
 `threshold_ladder` is the one adaptive threshold schedule and reads only the
-cost floor; `verify` uses the analytic error that the harness tabulates.
+cost floor; `verify` checks the measured answer's analytic error, one row of
+the kinematics, against the task tolerance.
 """
 
 from __future__ import annotations
@@ -187,11 +188,11 @@ def search_with_state(grid: ParamGrid, costs: np.ndarray, epsilon: float, shots:
     ), state
 
 
-def shrink_schedule(costs: np.ndarray, epsilon0: float, shrink: float) -> list:
-    """Geometric threshold ladder: shrink until the next step falls below the floor."""
+def shrink_schedule(floor: float, epsilon0: float, shrink: float) -> list:
+    """Geometric threshold ladder: shrink until the next step falls below the
+    cost table's floor."""
     if not 0 < shrink < 1:
         raise ValueError("shrink factor must be in (0, 1)")
-    floor = float(np.min(costs))
     if not epsilon0 >= floor:
         raise ValueError("epsilon0 must be at least the minimum cost")
     levels = [epsilon0]
@@ -202,11 +203,10 @@ def shrink_schedule(costs: np.ndarray, epsilon0: float, shrink: float) -> list:
         levels.append(nxt)
 
 
-def minimal_epsilon(costs: np.ndarray, epsilon_hi: float) -> float:
-    """The smallest threshold still marking a state: the table floor, and the
-    last step of `threshold_ladder`, which isolates the bit-exact minimum-cost
-    set below the geometric steps."""
-    floor = float(np.min(costs))
+def minimal_epsilon(floor: float, epsilon_hi: float) -> float:
+    """The smallest threshold still marking a state: the cost table's floor,
+    and the last step of `threshold_ladder`, which isolates the bit-exact
+    minimum-cost set below the geometric steps."""
     if not epsilon_hi >= floor:
         raise NoSolutionError("refinement started from an empty threshold")
     return floor
@@ -218,7 +218,7 @@ def threshold_ladder(costs: np.ndarray, epsilon0: Optional[float], shrink: float
     Starts at epsilon0 (None: 10x the table floor), shrinks geometrically
     while a state stays marked, and ends at the table floor, the smallest
     threshold that still marks a state (`minimal_epsilon`), so the last search
-    marks exactly the grid minimum. Only the floor of the table is read.
+    marks exactly the grid minimum. Only the floor of the table is read, once.
     """
     floor = float(np.min(costs))
     if epsilon0 is None:
@@ -230,8 +230,8 @@ def threshold_ladder(costs: np.ndarray, epsilon0: Optional[float], shrink: float
             f"epsilon0={epsilon0} marks no configuration (cost floor {floor}); "
             "raise epsilon, coarsen the grid, or retrain the surrogate"
         )
-    levels = shrink_schedule(costs, epsilon0, shrink)
-    last = minimal_epsilon(costs, levels[-1])
+    levels = shrink_schedule(floor, epsilon0, shrink)
+    last = minimal_epsilon(floor, levels[-1])
     if last < levels[-1]:
         levels.append(last)
     return levels

@@ -1,13 +1,15 @@
-"""Case-study runner: configures the benchmark manipulator problems, drives
-the quantum search and the classical baselines on the same objectives, and
-emits machine-readable reports.
+"""Case-study runner: reads and writes case configs (the shipped cases are
+configs/*.json), drives the quantum search and the classical baselines on
+the same objectives, and emits machine-readable reports.
 
-The quantum path takes the cost table, and the error table its tolerance
-comes from, from one streamed grid pass. It runs one amplified search per
-adaptive-threshold step: the threshold starts at `search.epsilon0` (default
-10x the cost-table floor), shrinks geometrically while solutions remain, and
-ends at the floor, the smallest value that still marks a state, so the last
-search marks only the grid minimum. One "optimization iteration" is a step.
+The quantum path takes the cost table, and the analytic error floor that its
+default tolerance comes from, from one streamed grid pass, and checks only
+the measured answer against the analytic kinematics. It runs one amplified
+search per adaptive-threshold step: the threshold starts at `search.epsilon0`
+(default 10x the cost-table floor), shrinks geometrically while solutions
+remain, and ends at the floor, the smallest value that still marks a state,
+so the last search marks only the grid minimum. One "optimization iteration"
+is a step.
 
 A config file is the dict form of a CaseConfig. Each section's keys are the
 constructor fields of the class it builds, read and written by one reader
@@ -32,25 +34,15 @@ import numpy as np
 
 from . import baselines as cls_opt
 from . import grover, qsim
-# decode_all is not called here; perfbench/tracer.py wraps harness.decode_all
 from .encoding import ParamGrid, ParamSpec, bin_width, decode, decode_all
-from .kinematics import (
-    DualArm,
-    GraspTask,
-    OneLink,
-    PoseTarget,
-    PoseWeights,
-    TwoLink,
-    task_cost,
-    task_error,
-)
+from .kinematics import DualArm, GraspTask, OneLink, PoseTarget, PoseWeights, TwoLink
 from .qml import (
     Surrogate,
     TrainingSet,
     build_cost_table,
     configuration_costs,
+    configuration_errors,
     configuration_positions,
-    grid_tables,
     make_surrogate,
     min_qubits,
     save_surrogate,
@@ -178,36 +170,6 @@ class CaseConfig:
             changes["grid"] = ParamGrid(tuple(replace(s, n_qubits=qubits_per_param)
                                               for s in self.grid.specs))
         return replace(self, **changes) if changes else self
-
-
-def one_dof_case(qubits_per_param: int = 5, **settings) -> CaseConfig:
-    """Single revolute joint: optimize link length l1 and angle theta1.
-    `settings` are further CaseConfig fields, such as seed, shots and mode."""
-    grid = ParamGrid((
-        ParamSpec("l1", 0.1, 2.0, qubits_per_param),
-        ParamSpec("theta1", 0.0, math.tau, qubits_per_param, angular=True),
-    ))
-    return CaseConfig(grid, OneLink(), PoseTarget((0.8, 0.6)), case="one_dof", **settings)
-
-
-def two_dof_case(qubits_per_param: int = 4, **settings) -> CaseConfig:
-    """Planar 2R arm on its toroidal joint space: optimize angles and lengths."""
-    grid = ParamGrid((
-        ParamSpec("theta1", 0.0, math.tau, qubits_per_param, angular=True),
-        ParamSpec("theta2", 0.0, math.tau, qubits_per_param, angular=True),
-        ParamSpec("l1", 0.1, 2.0, qubits_per_param),
-        ParamSpec("l2", 0.1, 2.0, qubits_per_param),
-    ))
-    return CaseConfig(grid, TwoLink(), PoseTarget((1.0, 1.0)), case="two_dof", **settings)
-
-
-def dual_arm_case(qubits_per_param: int = 4, **settings) -> CaseConfig:
-    """Two fixed-geometry 2R arms grasping a circular object at antipodal contacts."""
-    grid = ParamGrid(tuple(
-        ParamSpec(name, 0.0, math.tau, qubits_per_param, angular=True)
-        for name in ("theta11", "theta12", "theta21", "theta22")
-    ))
-    return CaseConfig(grid, DualArm(), GraspTask((0.0, 1.2), 0.3), case="dual_arm", **settings)
 
 
 # --- config (de)serialization ---------------------------------------------------
@@ -380,10 +342,11 @@ class RunReport:
         return out
 
 
-# no src/ path calls this; it stays because perfbench/tracer.py wraps it by name
+# the reference that the tests check the error floor and `grover.verify` against;
+# no src/ path calls it, and perfbench/tracer.py wraps it by name
 def _actual_error_table(grid: ParamGrid, model, task, weights: PoseWeights) -> np.ndarray:
-    """Verification error of every grid configuration (the streamed pass)."""
-    return grid_tables(grid, model, task, weights, measures=(task_error,))[0]
+    """Verification error of every grid configuration, from its decoded rows."""
+    return configuration_errors(model, grid.names(), decode_all(grid), task, weights)
 
 
 def train_case_surrogate(config: CaseConfig) -> Tuple[Surrogate, np.ndarray]:
@@ -405,24 +368,19 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
     epsilon, coarsen the grid, or retrain the surrogate).
     """
     grid, task = config.grid, config.task
-    # one analytic pass, which tabulates the error too when the tolerance is unset
-    measures = (task_cost,) if task.tolerance is not None else (task_cost, task_error)
-    analytic_costs, *errors = grid_tables(grid, config.model, task, config.weights,
-                                          measures=measures)
-    if errors:
-        # grid resolution bounds achievable accuracy; accept up to twice the
-        # exhaustive error floor (pop frees the table before the search)
-        task = replace(task, tolerance=2.0 * float(errors.pop().min()))
     loss_trace = None
-    if config.mode == "surrogate":
-        if surrogate is None:
-            surrogate, trace_arr = train_case_surrogate(config)
-            loss_trace = [float(v) for v in trace_arr]
-        costs = build_cost_table(grid, config.model, config.task, config.weights,
-                                 surrogate)
-    else:
+    if config.mode != "surrogate":
         surrogate = None
-        costs = analytic_costs
+    elif surrogate is None:
+        surrogate, trace_arr = train_case_surrogate(config)
+        loss_trace = [float(v) for v in trace_arr]
+    # one grid pass, which keeps the analytic error floor when the tolerance is unset
+    costs, floor = build_cost_table(grid, config.model, task, config.weights, surrogate,
+                                    error_floor=task.tolerance is None)
+    if floor is not None:
+        # grid resolution bounds achievable accuracy; accept up to twice the
+        # exhaustive error floor
+        task = replace(task, tolerance=2.0 * floor)
 
     levels = grover.threshold_ladder(costs, config.search.epsilon0, config.search.shrink)
     epsilon0 = levels[0]
@@ -450,7 +408,7 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
         total_qubits=grid.total_qubits, space_size=grid.size,
         resolution=resolution, epsilon0=epsilon0, final_epsilon=levels[-1],
         tolerance=task.tolerance, steps=steps, result=result,
-        analytic_best_cost=float(analytic_costs[result.index]),
+        analytic_best_cost=float(_cost_fn(config)(result.params[None, :])[0]),
         queries_final=result.queries, queries_total=queries_total,
         loss_trace=loss_trace, surrogate=surrogate,
     )
@@ -514,7 +472,7 @@ def sweep(config: CaseConfig, qubit_counts: Sequence[int]) -> List[dict]:
             rows.append(dict(zip(SWEEP_HEADER, (q, cfg.grid.total_qubits, cfg.grid.size,
                                                 math.nan, 0, 0, math.nan, str(exc)))))
             continue
-        costs = build_cost_table(cfg.grid, cfg.model, cfg.task, cfg.weights)
+        costs, _ = build_cost_table(cfg.grid, cfg.model, cfg.task, cfg.weights)
         floor = float(costs.min())  # where every threshold ladder ends
         m = grover.count_solutions(costs, floor)
         K = grover.iteration_count(cfg.grid.size, m)

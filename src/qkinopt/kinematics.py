@@ -171,7 +171,8 @@ def wrapped_angle_distance(phi1, phi2) -> np.ndarray:
 def squared_deviation(task, tips: np.ndarray) -> np.ndarray:
     """Squared distance of each row of tips from the pose target, or of both
     tips (B, 4) from the grasp contacts, summed: the term both measures share,
-    so a pass that tabulates both computes it once (`OF_DEVIATION`)."""
+    so a pass that needs both computes it once (`cost_of_deviation`,
+    `error_of_deviation`)."""
     grasp = isinstance(task, GraspTask)
     d = tips - ((*task.c_ideal1, *task.c_ideal2) if grasp else task.position)
     d *= d  # np.sum(d**2, axis=-1) without the slow short-axis reduction
@@ -179,7 +180,9 @@ def squared_deviation(task, tips: np.ndarray) -> np.ndarray:
     return d2 + (d[..., 2] + d[..., 3]) if grasp else d2
 
 
-def _cost(task, d2: np.ndarray, phis: Optional[np.ndarray], weights: PoseWeights):
+def cost_of_deviation(task, d2: np.ndarray, phis: Optional[np.ndarray],
+                      weights: PoseWeights) -> np.ndarray:
+    """`task_cost` of rows whose `squared_deviation` is d2."""
     if isinstance(task, GraspTask):
         return d2
     costs = weights.alpha_p * d2
@@ -190,9 +193,11 @@ def _cost(task, d2: np.ndarray, phis: Optional[np.ndarray], weights: PoseWeights
     return costs
 
 
-def _error(task, d2: np.ndarray, phis: Optional[np.ndarray], weights: PoseWeights):
+def error_of_deviation(task, d2: np.ndarray, phis: Optional[np.ndarray],
+                       weights: PoseWeights) -> np.ndarray:
+    """`task_error` of rows whose `squared_deviation` is d2."""
     if isinstance(task, GraspTask):
-        return _cost(task, d2, phis, weights)
+        return cost_of_deviation(task, d2, phis, weights)
     if task.phi is not None and weights.alpha_R > 0:
         d2 = d2 + wrapped_angle_distance(phis, task.phi) ** 2
     return np.sqrt(d2)
@@ -206,7 +211,7 @@ def task_cost(task, tips: np.ndarray, phis: Optional[np.ndarray],
     `phis` (tip orientations) is read only when alpha_R > 0. A grasp task
     costs the summed squared deviation of both tips (B, 4) from its contacts.
     """
-    return _cost(task, squared_deviation(task, tips), phis, weights)
+    return cost_of_deviation(task, squared_deviation(task, tips), phis, weights)
 
 
 def task_error(task, tips: np.ndarray, phis: Optional[np.ndarray],
@@ -217,8 +222,4 @@ def task_error(task, tips: np.ndarray, phis: Optional[np.ndarray],
     quadrature when the task sets an orientation and alpha_R > 0. A grasp
     task uses its cost.
     """
-    return _error(task, squared_deviation(task, tips), phis, weights)
-
-
-# each measure as a function of the rows' `squared_deviation`
-OF_DEVIATION = {task_cost: _cost, task_error: _error}
+    return error_of_deviation(task, squared_deviation(task, tips), phis, weights)

@@ -25,9 +25,11 @@ Training is full-batch Adam seeded for reproducibility, one pass per epoch.
 This module also builds the diagonal cost table that the search oracle
 consumes: one `kinematics.task_cost` per basis state, from the trained
 surrogate's predicted tips or from the analytical kinematics, whose grid
-columns bind to FK by parameter name; `grid_tables` walks `grid_blocks` and
-can tabulate the error from the same tips. `configuration_errors` gives the
-analytic `kinematics.task_error` of any batch of configurations.
+columns bind to FK by parameter name. `build_cost_table` is the one grid
+pass: it walks `grid_blocks` and can keep the least analytic
+`kinematics.task_error` over the grid as it goes, without a table of it.
+`configuration_costs` and `configuration_errors` give the analytic cost and
+error of any batch of configurations.
 """
 
 from __future__ import annotations
@@ -41,12 +43,13 @@ import numpy as np
 from . import qsim
 from .encoding import ParamGrid, decode_all, full_turn, grid_blocks
 from .kinematics import (
-    OF_DEVIATION,
     DualArm,
     OneLink,
     PoseTarget,
     PoseWeights,
     TwoLink,
+    cost_of_deviation,
+    error_of_deviation,
     fk_dual,
     fk_one,
     fk_two,
@@ -490,37 +493,35 @@ def configuration_errors(model, names: Tuple[str, ...], Z: np.ndarray,
     return task_error(task, *_task_rows(model, dict(zip(names, Z.T)), task, weights), weights)
 
 
-def grid_tables(grid: ParamGrid, model, task, weights: PoseWeights,
-                surrogate: Optional[Surrogate] = None,
-                measures: Sequence = (task_cost,)) -> list:
-    """One length-2^N table per measure (`task_cost`, `task_error`), in one
-    pass over the `grid_blocks` whose tips every measure reads: the trained
-    surrogate's from the block's decoded rows, or the closed-form kinematics'
-    (the verification oracle) from its per-parameter columns. Either lies on
-    the block's C-order tensor of table rows, and every measure reads the
-    block's one `squared_deviation`."""
+def build_cost_table(grid: ParamGrid, model, task, weights: PoseWeights,
+                     surrogate: Optional[Surrogate] = None,
+                     error_floor: bool = False) -> Tuple[np.ndarray, Optional[float]]:
+    """The one grid pass: the length-2^N diagonal of the cost observable and,
+    if `error_floor`, the least analytic verification error over the grid
+    (else None), kept as a running minimum over the `grid_blocks`.
+
+    The cost reads the trained surrogate's tips, predicted from the block's
+    decoded rows, or else the closed-form kinematics' tips (the verification
+    oracle's) from its per-parameter columns, which the error always reads.
+    Either lies on the block's C-order tensor of table rows, and the cost and
+    error of the analytic tips share one `squared_deviation`."""
     if surrogate is not None and not isinstance(surrogate, Surrogate):
         raise ValueError(f"expected a trained Surrogate (None: analytic), got {surrogate!r}")
     if surrogate is not None and weights.alpha_R > 0:
         raise ValueError("surrogate predicts positions only")
     grid.check_capacity()
     names = grid.names()
-    tables = [np.empty(grid.size) for _ in measures]
-    of_deviation = [OF_DEVIATION[measure] for measure in measures]
+    costs = np.empty(grid.size)
+    floor = math.inf if error_floor else None
     for start, stop, cols in grid_blocks(grid):
         shape = np.broadcast_shapes(*(c.shape for c in cols))
-        if surrogate is None:
+        if surrogate is None or error_floor:
             tips, phis = _task_rows(model, dict(zip(names, cols)), task, weights)
-        else:
+            d2 = squared_deviation(task, tips)
+            if error_floor:
+                floor = min(floor, float(np.min(error_of_deviation(task, d2, phis, weights))))
+        if surrogate is not None:
             tips = _predict_batch(surrogate, decode_all(grid, start, stop)).reshape(shape + (-1,))
-            phis = None
-        d2 = squared_deviation(task, tips)
-        for table, measure in zip(tables, of_deviation):
-            table[start:stop].reshape(shape)[...] = measure(task, d2, phis, weights)
-    return tables
-
-
-def build_cost_table(grid: ParamGrid, model, task, weights: PoseWeights,
-                     surrogate: Optional[Surrogate] = None) -> np.ndarray:
-    """Length-2^N diagonal of the cost observable (`grid_tables`)."""
-    return grid_tables(grid, model, task, weights, surrogate)[0]
+            d2, phis = squared_deviation(task, tips), None
+        costs[start:stop].reshape(shape)[...] = cost_of_deviation(task, d2, phis, weights)
+    return costs, floor

@@ -30,12 +30,9 @@ from qkinopt.harness import (
     COMPARISON_HEADER,
     QmlSettings,
     compare,
-    dual_arm_case,
     emit_report,
-    one_dof_case,
     run_baselines,
     run_case,
-    two_dof_case,
     write_table,
 )
 from qkinopt.kinematics import OneLink
@@ -49,6 +46,7 @@ from qkinopt.qml import (
     predict,
     train,
 )
+from tests_support import shipped_case
 
 TWO_PI = 2 * math.pi
 
@@ -95,11 +93,11 @@ def test_criterion_2_oracle_equivalence():
     exhaustive grid minimum (bit-exact cost equality; index equality whenever
     the minimum is unique)."""
     start = time.monotonic()
-    for builder in (one_dof_case, two_dof_case, dual_arm_case):
-        config0 = builder().with_overrides(qubits_per_param=4)
+    for name in ("one_dof", "two_dof", "dual_arm"):
+        config0 = shipped_case(name, qubits_per_param=4)
         idx_ref, best_cost, _ = exhaustive_reference(config0)
-        costs = build_cost_table(config0.grid, config0.model, config0.task,
-                                 config0.weights)
+        costs, _ = build_cost_table(config0.grid, config0.model, config0.task,
+                                    config0.weights)
         unique_minimum = int((costs == best_cost).sum()) == 1
         hits = 0
         for seed in range(100):
@@ -130,7 +128,7 @@ def test_criterion_3_query_count_ratio(tmp_path):
     costs = rng.uniform(0.1, 1.0, grid.size)
     minima = rng.choice(grid.size, 4, replace=False)
     costs[minima] = 0.05
-    eps = minimal_epsilon(costs, 1.0)
+    eps = minimal_epsilon(float(costs.min()), 1.0)
     assert grover.count_solutions(costs, eps) == 4
     result, _ = search_with_state(grid, costs, eps, shots=10000, seed=3)
     assert result.queries == 25
@@ -165,7 +163,7 @@ def test_criterion_4_resolution_bound():
     """Grid resolution bounds achievable accuracy: the accepted position error
     stays within twice the exhaustive error floor, and the quantum and
     exhaustive minima coincide exactly."""
-    config = one_dof_case(seed=6)
+    config = shipped_case("one_dof", seed=6)
     report = run_case(config)
     _, best_cost, _ = exhaustive_reference(config)
     floor = math.sqrt(best_cost)  # position error of the best grid point
@@ -254,7 +252,7 @@ def test_criterion_5c_surrogate_accuracy(trained_surrogate):
 def test_criterion_6_verification_gate():
     """Configurations marked by an untrained surrogate but failing the analytic
     check are rejected rather than returned as solutions."""
-    config = one_dof_case(qubits_per_param=4, seed=1, mode="surrogate")
+    config = shipped_case("one_dof", qubits_per_param=4, seed=1, mode="surrogate")
     config = dataclasses.replace(config, qml=QmlSettings(n_qubits=4, n_layers=2))
     untrained = make_surrogate(config.grid, config.model, n_layers=2, n_qubits=4)
     report = run_case(config, surrogate=untrained)
@@ -333,7 +331,7 @@ def test_criterion_8_encoding_round_trip():
 def test_criterion_9_determinism(tmp_path):
     """Identical config and seed reproduce byte-identical CSV outputs."""
     def produce(directory):
-        config = one_dof_case(seed=17)
+        config = shipped_case("one_dof", seed=17)
         report = run_case(config)
         rows = compare(report.to_dict(), run_baselines(config))
         emit_report(report, str(directory))

@@ -18,6 +18,7 @@ from qkinopt.baselines import (
 )
 from qkinopt.encoding import ParamGrid, ParamSpec, decode
 from qkinopt.kinematics import PoseTarget
+from tests_support import shipped_case
 
 BOX = [(-5.0, 5.0), (-5.0, 5.0)]
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -141,7 +142,7 @@ def assert_within_box(points, bounds):
 def test_baselines_stay_on_a_partial_arc():
     # theta1 covers a quarter turn and the target lies outside it: wrapping the arc
     # modulo 2 pi would reach theta1 = 3.785, outside the box, at a cost below its minimum
-    config = harness.one_dof_case()
+    config = shipped_case("one_dof")
     grid = ParamGrid((config.grid.specs[0],
                       ParamSpec("theta1", 0.0, math.pi / 2, 5, angular=True)))
     config = harness.CaseConfig(grid, config.model, PoseTarget((-0.8, -0.6)))

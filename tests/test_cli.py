@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -7,26 +8,21 @@ import pytest
 from qkinopt import harness
 from qkinopt.cli import main
 from qkinopt.encoding import ParamGrid
-from qkinopt.harness import (
-    QmlSettings,
-    dual_arm_case,
-    one_dof_case,
-    save_config,
-    two_dof_case,
-)
+from qkinopt.harness import QmlSettings, save_config
 from qkinopt.qml import make_surrogate, save_surrogate
+from tests_support import shipped_case
 
 
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "one_dof.json"
-    save_config(one_dof_case(), path)
+    save_config(shipped_case("one_dof"), path)
     return str(path)
 
 
 @pytest.fixture
 def tiny_config_path(tmp_path):
-    cfg = one_dof_case(qubits_per_param=2, mode="surrogate")
+    cfg = shipped_case("one_dof", qubits_per_param=2, mode="surrogate")
     cfg = dataclasses.replace(cfg, qml=QmlSettings(n_qubits=4, epochs=3))
     path = tmp_path / "tiny.json"
     save_config(cfg, path)
@@ -71,7 +67,7 @@ def test_baseline_qubits_per_param(config_path, tmp_path):
 
 
 def test_unknown_config_key_exits_cleanly(tmp_path, capsys):
-    data = harness.config_to_dict(one_dof_case())
+    data = harness.config_to_dict(shipped_case("one_dof"))
     data["search"]["shrnk"] = 0.5
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -92,12 +88,12 @@ BASELINE_RUN = {"method": "pso", "best_x": [0.0], "best_cost": 0.0, "evaluations
                 "trace": [0.0], "converged": True}
 
 
-def as_case(builder, *path, **values):
-    """An edit that turns the data into `builder`'s one-qubit-per-parameter
-    config and sets `values` in the section at `path`."""
+def as_case(case, *path, **values):
+    """An edit that turns the data into shipped case `case` at one qubit per
+    parameter and sets `values` in the section at `path`."""
     def edit(data):
         data.clear()
-        data.update(harness.config_to_dict(builder(qubits_per_param=1)))
+        data.update(harness.config_to_dict(shipped_case(case, qubits_per_param=1)))
         section = data
         for part in path:
             section = section[part]
@@ -128,7 +124,7 @@ def as_case(builder, *path, **values):
     (lambda data: data["weights"].update(alpha_R=0.5), [], "'task.phi'"),
     (lambda data: data["search"].update(epsilon0=float("nan")), [], "'search.epsilon0'"),
     (lambda data: data["weights"].update(epsilon=float("inf")), [], "'weights.epsilon'"),
-    (lambda data: data.update(harness.config_to_dict(dual_arm_case(qubits_per_param=1)),
+    (lambda data: data.update(harness.config_to_dict(shipped_case("dual_arm", 1)),
                               weights={"alpha_p": 3.0, "alpha_R": 0.5}), [],
      "'weights.alpha_p'"),
     (lambda data: data["params"][0].update(angular="false"), [], "'params[0].angular'"),
@@ -139,19 +135,19 @@ def as_case(builder, *path, **values):
     (lambda data: data.update(seed=True), [], "'seed'"),
     (lambda data: data["task"].update(phi=float("nan")), [], "'task.phi'"),
     (lambda data: data["params"][1].update(max=float("inf")), [], "'params[1].max'"),
-    (as_case(dual_arm_case, "model", base1=[float("nan"), 0.0]), [], "'model.base1'"),
-    (as_case(dual_arm_case, "model", links1=[1.0]), [], "'model.links1'"),
+    (as_case("dual_arm", "model", base1=[float("nan"), 0.0]), [], "'model.base1'"),
+    (as_case("dual_arm", "model", links1=[1.0]), [], "'model.links1'"),
     (lambda data: data["task"].update(target=[0.8, 0.6, 0.0]), [], "'task.target'"),
     (lambda data: data["task"].update(target=0.8), [], "'task.target'"),
     (lambda data: data["task"].update(tolerance=-1), [], "'task.tolerance'"),
-    (as_case(dual_arm_case, "qml", n_qubits=3), [], "'qml.n_qubits'"),
-    (as_case(dual_arm_case, mode="surrogate", qml={"n_qubits": 3}), [], "'qml.n_qubits'"),
-    (as_case(two_dof_case, "params", 3, name="l1"), [], "duplicate parameter name 'l1'"),
+    (as_case("dual_arm", "qml", n_qubits=3), [], "'qml.n_qubits'"),
+    (as_case("dual_arm", mode="surrogate", qml={"n_qubits": 3}), [], "'qml.n_qubits'"),
+    (as_case("two_dof", "params", 3, name="l1"), [], "duplicate parameter name 'l1'"),
     (lambda data: data["params"][1].update(name="phi1"), [], "no parameter named 'theta1'"),
-    (as_case(dual_arm_case, task=harness.config_to_dict(one_dof_case())["task"]), [],
-     "'task.type'"),
-    (lambda data: data.update(task=harness.config_to_dict(dual_arm_case())["task"]), [],
-     "'task.type'"),
+    (as_case("dual_arm", task=harness.config_to_dict(shipped_case("one_dof"))["task"]),
+     [], "'task.type'"),
+    (lambda data: data.update(task=harness.config_to_dict(shipped_case("dual_arm"))["task"]),
+     [], "'task.type'"),
     (lambda data: data["params"].append(
         {"name": "foo", "min": 0.0, "max": 1.0, "qubits": 3, "angular": False}), [],
      "'params[2].name'"),
@@ -214,7 +210,7 @@ def as_case(builder, *path, **values):
         "lone_baselines_with_config", "merge_with_config", "merge_with_overrides",
         "shots_2_63", "flag_shots_huge"])
 def test_invalid_config_exits_cleanly(edit, flags, name, config_path, tmp_path, capsys):
-    data = harness.config_to_dict(one_dof_case())
+    data = harness.config_to_dict(shipped_case("one_dof"))
     text = edit(data)  # an edit changes data in place, or returns the file's text
     bad = tmp_path / "bad.json"
     bad.write_text(text if isinstance(text, str) else json.dumps(data))
@@ -286,20 +282,24 @@ def test_params_refused_in_analytic_mode(tiny_config_path, tmp_path, capsys):
 
 
 def longer_link_case(**settings):
-    cfg = one_dof_case(**settings)
+    cfg = shipped_case("one_dof", **settings)
     l1, theta1 = cfg.grid.specs
     return dataclasses.replace(cfg, grid=ParamGrid((dataclasses.replace(l1, hi=3.0), theta1)))
 
 
 @pytest.mark.parametrize("n_qubits, n_params, builder, message", [
-    (4, 16, two_dof_case, "do not fit"),          # other inputs and readouts
-    (2, 8, two_dof_case, "at least 4 qubits"),    # too few qubits for two_dof
-    (4, 16, longer_link_case, "do not fit"),      # another length range, other maps
-    (4, 13, one_dof_case, "do not fit"),          # a truncated parameter list
+    # other inputs and readouts
+    (4, 16, functools.partial(shipped_case, "two_dof"), "do not fit"),
+    # too few qubits for two_dof
+    (2, 8, functools.partial(shipped_case, "two_dof"), "at least 4 qubits"),
+    # another length range, other maps
+    (4, 16, longer_link_case, "do not fit"),
+    # a truncated parameter list
+    (4, 13, functools.partial(shipped_case, "one_dof"), "do not fit"),
 ], ids=["two_dof", "two_dof_too_few_qubits", "longer_link", "truncated_params"])
 def test_params_that_do_not_fit_refused(n_qubits, n_params, builder, message, tmp_path,
                                         capsys):
-    trained_for = one_dof_case(qubits_per_param=2)
+    trained_for = shipped_case("one_dof", qubits_per_param=2)
     params = str(tmp_path / "surrogate.params")
     save_surrogate(make_surrogate(trained_for.grid, trained_for.model, n_qubits=n_qubits)
                    .with_params(np.zeros(n_params)), params)

@@ -447,8 +447,8 @@ class TestAdaptiveSearch:
     def test_refine_ends_at_minimal_epsilon(self):
         costs = np.array([0.5, 0.2, 0.05, 0.9])
         levels = threshold_ladder(costs, 0.6, 0.5)
-        assert levels[:-1] == shrink_schedule(costs, 0.6, 0.5)
-        assert levels[-1] == minimal_epsilon(costs, 0.075)
+        assert levels[:-1] == shrink_schedule(float(costs.min()), 0.6, 0.5)
+        assert levels[-1] == minimal_epsilon(float(costs.min()), 0.075)
         assert count_solutions(costs, levels[-1]) == 1 and levels[-1] < 0.075
 
     def test_start_below_floor_is_no_solution(self):
@@ -457,11 +457,11 @@ class TestAdaptiveSearch:
 
     def test_epsilon0_below_floor_rejected(self):
         with pytest.raises(ValueError):
-            shrink_schedule(np.array([0.5, 0.4]), 0.1, 0.5)
+            shrink_schedule(0.4, 0.1, 0.5)  # the floor of [0.5, 0.4]
 
     def test_equal_costs_terminate(self):
         # all costs identical: the next shrink always empties the marked set
-        levels = shrink_schedule(np.full(8, 0.3), 0.3, 0.5)
+        levels = shrink_schedule(0.3, 0.3, 0.5)
         assert levels == [0.3]
 
 
@@ -471,7 +471,7 @@ class TestAdaptiveSearch:
             with pytest.raises(ValueError, match="finite"):
                 threshold_ladder(costs, start, 0.5)
         with pytest.raises(ValueError):
-            shrink_schedule(costs, math.nan, 0.5)  # would never reach the floor
+            shrink_schedule(float(costs.min()), math.nan, 0.5)  # would never reach the floor
 
 
 # The table-walking ladder that the floor-only one replaced, kept as the
@@ -550,10 +550,11 @@ class TestFloorOnlyLadder:
     @given(case=ladder_cases())
     def test_parts_equal_their_references(self, case):
         costs, start, shrink = case
-        start = float(costs.min()) if start is None else start
-        assert bits(shrink_schedule(costs, start, shrink)) == bits(
+        floor = float(costs.min())
+        start = floor if start is None else start
+        assert bits(shrink_schedule(floor, start, shrink)) == bits(
             walking_shrink_schedule(costs, start, shrink))
-        assert bits([minimal_epsilon(costs, start)]) == bits(
+        assert bits([minimal_epsilon(floor, start)]) == bits(
             [bisected_minimal_epsilon(costs, start)])
 
     def test_ties_and_zero_floor(self):
@@ -567,18 +568,18 @@ class TestFloorOnlyLadder:
 class TestMinimalEpsilon:
     def test_isolates_exact_minimum(self):
         costs = np.array([3.0, 1.0, 2.0, 1.0 + 1e-13])
-        eps = minimal_epsilon(costs, 3.0)
+        eps = minimal_epsilon(float(costs.min()), 3.0)
         assert count_solutions(costs, eps) == 1
         assert costs[1] <= eps < 1.0 + 1e-13
 
     def test_keeps_bit_exact_ties(self):
         costs = np.array([0.7, 0.2, 0.9, 0.2])
-        eps = minimal_epsilon(costs, 0.9)
+        eps = minimal_epsilon(float(costs.min()), 0.9)
         assert count_solutions(costs, eps) == 2
 
     def test_empty_start_rejected(self):
         with pytest.raises(NoSolutionError):
-            minimal_epsilon(np.array([1.0, 2.0]), 0.5)
+            minimal_epsilon(1.0, 0.5)  # the floor of [1.0, 2.0]
 
 
 class TestVerify:

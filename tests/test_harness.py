@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkinopt import grover
+from qkinopt import grover, harness
 from qkinopt.baselines import exhaustive_scan
 from qkinopt.encoding import ParamGrid, decode
 from qkinopt.grover import NoSolutionError, search_with_state, threshold_ladder
@@ -18,23 +18,22 @@ from qkinopt.harness import (
     BaselineSettings,
     QmlSettings,
     SearchSettings,
+    _actual_error_table,
     compare,
     config_from_dict,
     config_to_dict,
-    dual_arm_case,
     emit_report,
     load_config,
-    one_dof_case,
     run_baselines,
     run_case,
     save_config,
     sweep,
-    two_dof_case,
     write_table,
 )
 from qkinopt.kinematics import GraspTask, PoseTarget, PoseWeights
 from qkinopt.qml import build_cost_table, configuration_costs, make_surrogate
 from qkinopt.qsim import CapacityError
+from tests_support import shipped_case
 
 TWO_PI = 2 * math.pi
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -56,7 +55,8 @@ finite = st.floats(-1e3, 1e3)
 def case_configs(draw):
     """A valid CaseConfig: a shipped case with drawn ranges, task, weights and settings."""
     mode = draw(st.sampled_from(["analytic", "surrogate"]))
-    config = draw(st.sampled_from([one_dof_case, two_dof_case, dual_arm_case]))(
+    config = shipped_case(
+        draw(st.sampled_from(["one_dof", "two_dof", "dual_arm"])),
         qubits_per_param=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2 ** 32)),
         shots=draw(st.integers(1, 10 ** 6)), mode=mode)
     specs = []
@@ -89,13 +89,13 @@ def case_configs(draw):
 
 def oriented_one_dof_case():
     """one_dof with an orientation target that its weights count."""
-    return dataclasses.replace(one_dof_case(), task=PoseTarget((0.8, 0.6), phi=0.6),
+    return dataclasses.replace(shipped_case("one_dof"), task=PoseTarget((0.8, 0.6), phi=0.6),
                                weights=PoseWeights(1.0, 0.5))
 
 
 class TestRunCaseOneDof:
     def test_matches_exhaustive_minimum(self):
-        config = one_dof_case(seed=3)
+        config = shipped_case("one_dof", seed=3)
         report = run_case(config)
         idx, best_cost, _ = exhaustive_reference(config)
         assert report.result.accepted
@@ -107,7 +107,7 @@ class TestRunCaseOneDof:
         assert report.analytic_best_cost <= report.epsilon0
 
     def test_trace_records_adaptive_steps(self):
-        report = run_case(one_dof_case(seed=1))
+        report = run_case(shipped_case("one_dof", seed=1))
         assert report.steps[0].iterations == 0
         assert len(report.steps) >= 2
         assert report.steps[-1].expectation < report.steps[0].expectation
@@ -115,14 +115,14 @@ class TestRunCaseOneDof:
         assert report.queries_final == report.result.queries
 
     def test_deterministic_for_fixed_seed(self):
-        r1 = run_case(one_dof_case(seed=12))
-        r2 = run_case(one_dof_case(seed=12))
+        r1 = run_case(shipped_case("one_dof", seed=12))
+        r2 = run_case(shipped_case("one_dof", seed=12))
         assert r1.to_dict() == r2.to_dict()
 
 
 class TestRunCaseTwoDof:
     def test_matches_exhaustive_argmin(self):
-        config = two_dof_case(seed=5)
+        config = shipped_case("two_dof", seed=5)
         report = run_case(config)
         idx, best_cost, evals = exhaustive_reference(config)
         assert evals == 65536
@@ -133,7 +133,7 @@ class TestRunCaseTwoDof:
 
 class TestRunCaseDualArm:
     def test_accepted_cost_is_grid_minimum(self):
-        config = dual_arm_case(seed=9)
+        config = shipped_case("dual_arm", seed=9)
         report = run_case(config)
         _, best_cost, _ = exhaustive_reference(config)
         assert report.result.accepted
@@ -144,9 +144,9 @@ class TestRunCaseDualArm:
 
 class TestAdaptiveEquivalence:
     def test_final_step_matches_adaptive_search(self):
-        config = one_dof_case(seed=21)
+        config = shipped_case("one_dof", seed=21)
         report = run_case(config)
-        costs = build_cost_table(config.grid, config.model, config.task, config.weights)
+        costs, _ = build_cost_table(config.grid, config.model, config.task, config.weights)
         levels = threshold_ladder(costs, report.epsilon0, 0.5)
         direct, _ = search_with_state(config.grid, costs, levels[-1], config.shots,
                                       config.seed)
@@ -155,9 +155,31 @@ class TestAdaptiveEquivalence:
         assert direct.queries == report.queries_final
 
 
+class TestOneGridPass:
+    @pytest.mark.parametrize("mode", ["analytic", "surrogate"])
+    @pytest.mark.parametrize("tolerance", [None, 0.05])
+    def test_one_cost_table_per_run(self, monkeypatch, mode, tolerance):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("error_floor"))
+            return build_cost_table(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_cost_table", counting)
+        config = shipped_case("one_dof", qubits_per_param=2, mode=mode,
+                              qml=QmlSettings(n_qubits=4, epochs=3))
+        config = dataclasses.replace(
+            config, task=dataclasses.replace(config.task, tolerance=tolerance))
+        report = run_case(config)
+        # the pass keeps the error floor only when the tolerance comes from it
+        assert calls == [tolerance is None]
+        if tolerance is not None:
+            assert report.tolerance == tolerance
+
+
 class TestSurrogateMode:
     def tiny_config(self, seed=0):
-        cfg = one_dof_case(qubits_per_param=3, seed=seed, mode="surrogate")
+        cfg = shipped_case("one_dof", qubits_per_param=3, seed=seed, mode="surrogate")
         return dataclasses.replace(
             cfg, qml=QmlSettings(n_qubits=4, n_layers=2, epochs=25,
                                  learning_rate=0.3, train_seed=185)
@@ -169,6 +191,16 @@ class TestSurrogateMode:
         assert len(report.loss_trace) == 26
         assert report.loss_trace[-1] < report.loss_trace[0]
         assert report.surrogate is not None
+
+    def test_tolerance_is_twice_the_analytic_error_floor(self):
+        cfg = self.tiny_config()
+        report = run_case(cfg)
+        errors = _actual_error_table(cfg.grid, cfg.model, cfg.task, cfg.weights)
+        assert report.tolerance == 2.0 * float(errors.min())
+        assert report.result.e_actual == errors[report.result.index]
+        # the one-row analytic cost of the answer is its analytic table entry
+        analytic, _ = build_cost_table(cfg.grid, cfg.model, cfg.task, cfg.weights)
+        assert report.analytic_best_cost == analytic[report.result.index]
 
     def test_pretrained_surrogate_skips_training(self):
         cfg = self.tiny_config()
@@ -184,7 +216,7 @@ class TestSurrogateMode:
 
 class TestRunBaselines:
     def test_one_run_per_method(self):
-        config = two_dof_case(seed=2)
+        config = shipped_case("two_dof", seed=2)
         runs = run_baselines(config)
         assert [r.method for r in runs] == ["nelder_mead", "quasi_newton", "pso",
                                             "exhaustive"]
@@ -196,7 +228,7 @@ class TestRunBaselines:
         assert exhaustive.best_cost == best_cost
 
     def test_local_methods_reach_reachable_target(self):
-        config = two_dof_case(seed=0)
+        config = shipped_case("two_dof", seed=0)
         runs = run_baselines(config)
         by_name = {r.method: r for r in runs}
         attained = min(by_name["nelder_mead"].best_cost, by_name["pso"].best_cost)
@@ -205,7 +237,7 @@ class TestRunBaselines:
 
 class TestCompare:
     def test_table_rows_and_ratio(self):
-        config = one_dof_case(seed=3)
+        config = shipped_case("one_dof", seed=3)
         report = run_case(config)
         runs = run_baselines(config)
         rows = compare(report.to_dict(), runs)
@@ -219,7 +251,7 @@ class TestCompare:
         )
 
     def test_saved_report_gives_same_rows(self, tmp_path):
-        config = one_dof_case(seed=3)
+        config = shipped_case("one_dof", seed=3)
         report = run_case(config)
         runs = run_baselines(config)
         emit_report(report, str(tmp_path))
@@ -241,7 +273,7 @@ class TestCompare:
 class TestReportEmission:
     def test_byte_identical_reruns(self, tmp_path):
         for directory in ("a", "b"):
-            config = one_dof_case(seed=7)
+            config = shipped_case("one_dof", seed=7)
             report = run_case(config)
             rows = compare(report.to_dict(), run_baselines(config))
             emit_report(report, str(tmp_path / directory))
@@ -251,7 +283,7 @@ class TestReportEmission:
                    (tmp_path / "b" / name).read_bytes()
 
     def test_trace_csv_round_trips_full_precision(self, tmp_path):
-        report = run_case(one_dof_case(seed=4))
+        report = run_case(shipped_case("one_dof", seed=4))
         emit_report(report, str(tmp_path))
         lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
         assert lines[0] == "iteration,cost"
@@ -262,7 +294,7 @@ class TestReportEmission:
             assert float(cost) == step.expectation
 
     def test_surrogate_params_emitted(self, tmp_path):
-        cfg = one_dof_case(qubits_per_param=2, seed=0, mode="surrogate")
+        cfg = shipped_case("one_dof", qubits_per_param=2, seed=0, mode="surrogate")
         cfg = dataclasses.replace(cfg, qml=QmlSettings(n_qubits=4, epochs=3))
         report = run_case(cfg)
         paths = emit_report(report, str(tmp_path))
@@ -272,15 +304,15 @@ class TestReportEmission:
 
 class TestConfigSerialization:
     def test_round_trip_all_cases(self, tmp_path):
-        for builder in (one_dof_case, two_dof_case, dual_arm_case):
-            config = builder(seed=5, shots=2048)
+        for name in ("one_dof", "two_dof", "dual_arm"):
+            config = shipped_case(name, seed=5, shots=2048)
             path = tmp_path / f"{config.case}.json"
             save_config(config, path)
             loaded = load_config(path)
             assert config_to_dict(loaded) == config_to_dict(config)
 
     def test_from_dict_rejects_unknown_types(self):
-        data = config_to_dict(one_dof_case())
+        data = config_to_dict(shipped_case("one_dof"))
         data["model"] = {"type": "hexapod"}
         with pytest.raises(ValueError):
             config_from_dict(data)
@@ -290,26 +322,26 @@ class TestConfigSerialization:
         ("weights", "alpha"), ("model", "l3"), ("task", "tol"),
     ])
     def test_from_dict_names_unknown_key(self, section, key):
-        data = config_to_dict(one_dof_case())
+        data = config_to_dict(shipped_case("one_dof"))
         (data if section is None else data[section])[key] = 1
         name = key if section is None else f"{section}.{key}"
         with pytest.raises(ValueError, match=f"unknown config key '{name}'"):
             config_from_dict(data)
 
     @pytest.mark.parametrize("case, path, name", [
-        (one_dof_case, ("params",), "params"),
-        (one_dof_case, ("model",), "model"),
-        (one_dof_case, ("task",), "task"),
-        (one_dof_case, ("params", 1, "qubits"), "params[1].qubits"),
-        (one_dof_case, ("model", "type"), "model.type"),
-        (one_dof_case, ("task", "type"), "task.type"),
-        (one_dof_case, ("task", "target"), "task.target"),
-        (dual_arm_case, ("task", "center"), "task.center"),
-        (dual_arm_case, ("task", "radius"), "task.radius"),
+        (shipped_case("one_dof"), ("params",), "params"),
+        (shipped_case("one_dof"), ("model",), "model"),
+        (shipped_case("one_dof"), ("task",), "task"),
+        (shipped_case("one_dof"), ("params", 1, "qubits"), "params[1].qubits"),
+        (shipped_case("one_dof"), ("model", "type"), "model.type"),
+        (shipped_case("one_dof"), ("task", "type"), "task.type"),
+        (shipped_case("one_dof"), ("task", "target"), "task.target"),
+        (shipped_case("dual_arm"), ("task", "center"), "task.center"),
+        (shipped_case("dual_arm"), ("task", "radius"), "task.radius"),
     ], ids=["params", "model", "task", "params[1].qubits", "model.type", "task.type",
             "task.target", "task.center", "task.radius"])
     def test_from_dict_names_missing_key(self, case, path, name):
-        data = config_to_dict(case())
+        data = config_to_dict(case)
         section = data
         for part in path[:-1]:
             section = section[part]
@@ -318,44 +350,45 @@ class TestConfigSerialization:
             config_from_dict(data)
 
     @pytest.mark.parametrize("case, path, value, message", [
-        (one_dof_case, ("search", "shrink"), 1.5, None),
-        (one_dof_case, ("search", "shrink"), 0.0, None),
-        (one_dof_case, ("search", "shrink"), float("nan"), None),
-        (one_dof_case, ("task", "target"), [0.8, float("inf")], None),
-        (dual_arm_case, ("task", "center"), [float("nan"), 1.2], None),
-        (dual_arm_case, ("task", "radius"), float("nan"), None),
-        (one_dof_case, ("search", "epsilon0"), float("nan"), None),
-        (one_dof_case, ("search", "epsilon0"), float("inf"), None),
-        (one_dof_case, ("search", "epsilon0"), -0.1, None),
-        (one_dof_case, ("weights", "epsilon"), float("nan"), None),
-        (one_dof_case, ("weights", "epsilon"), float("inf"), None),
-        (one_dof_case, ("weights", "epsilon"), 0.1, None),
-        (one_dof_case, ("weights", "alpha_p"), float("inf"), None),
-        (dual_arm_case, ("weights", "alpha_p"), 3.0, None),
-        (dual_arm_case, ("weights", "alpha_R"), 0.5, None),
-        (oriented_one_dof_case, ("task", "phi"), None, None),
-        (one_dof_case, ("params", 0, "angular"), "false", None),
-        (one_dof_case, ("params", 0, "qubits"), 2.7, None),
-        (one_dof_case, ("shots",), 1.5, None),
-        (one_dof_case, ("shots",), 2**63, None),
-        (one_dof_case, ("search", "refine"), "no", None),
-        (one_dof_case, ("search", "refine"), False, None),
-        (one_dof_case, ("seed",), True, None),
-        (one_dof_case, ("task", "phi"), float("nan"), None),
-        (one_dof_case, ("params", 1, "max"), float("inf"), None),
-        (dual_arm_case, ("model", "base1"), [float("nan"), 0.0], None),
-        (dual_arm_case, ("model", "links1"), [1.0], None),
-        (one_dof_case, ("task", "target"), [0.8, 0.6, 0.0], None),
-        (one_dof_case, ("task", "target"), 0.8, None),
-        (one_dof_case, ("task", "tolerance"), -1, None),
-        (dual_arm_case, ("qml", "n_qubits"), 3, None),
-        (two_dof_case, ("params", 3, "name"), "l1", "duplicate parameter name 'l1'"),
-        (one_dof_case, ("params", 1, "name"), "phi1", "grid has no parameter named 'theta1'"),
-        (dual_arm_case, ("task",), config_to_dict(one_dof_case())["task"],
+        (shipped_case("one_dof"), ("search", "shrink"), 1.5, None),
+        (shipped_case("one_dof"), ("search", "shrink"), 0.0, None),
+        (shipped_case("one_dof"), ("search", "shrink"), float("nan"), None),
+        (shipped_case("one_dof"), ("task", "target"), [0.8, float("inf")], None),
+        (shipped_case("dual_arm"), ("task", "center"), [float("nan"), 1.2], None),
+        (shipped_case("dual_arm"), ("task", "radius"), float("nan"), None),
+        (shipped_case("one_dof"), ("search", "epsilon0"), float("nan"), None),
+        (shipped_case("one_dof"), ("search", "epsilon0"), float("inf"), None),
+        (shipped_case("one_dof"), ("search", "epsilon0"), -0.1, None),
+        (shipped_case("one_dof"), ("weights", "epsilon"), float("nan"), None),
+        (shipped_case("one_dof"), ("weights", "epsilon"), float("inf"), None),
+        (shipped_case("one_dof"), ("weights", "epsilon"), 0.1, None),
+        (shipped_case("one_dof"), ("weights", "alpha_p"), float("inf"), None),
+        (shipped_case("dual_arm"), ("weights", "alpha_p"), 3.0, None),
+        (shipped_case("dual_arm"), ("weights", "alpha_R"), 0.5, None),
+        (oriented_one_dof_case(), ("task", "phi"), None, None),
+        (shipped_case("one_dof"), ("params", 0, "angular"), "false", None),
+        (shipped_case("one_dof"), ("params", 0, "qubits"), 2.7, None),
+        (shipped_case("one_dof"), ("shots",), 1.5, None),
+        (shipped_case("one_dof"), ("shots",), 2**63, None),
+        (shipped_case("one_dof"), ("search", "refine"), "no", None),
+        (shipped_case("one_dof"), ("search", "refine"), False, None),
+        (shipped_case("one_dof"), ("seed",), True, None),
+        (shipped_case("one_dof"), ("task", "phi"), float("nan"), None),
+        (shipped_case("one_dof"), ("params", 1, "max"), float("inf"), None),
+        (shipped_case("dual_arm"), ("model", "base1"), [float("nan"), 0.0], None),
+        (shipped_case("dual_arm"), ("model", "links1"), [1.0], None),
+        (shipped_case("one_dof"), ("task", "target"), [0.8, 0.6, 0.0], None),
+        (shipped_case("one_dof"), ("task", "target"), 0.8, None),
+        (shipped_case("one_dof"), ("task", "tolerance"), -1, None),
+        (shipped_case("dual_arm"), ("qml", "n_qubits"), 3, None),
+        (shipped_case("two_dof"), ("params", 3, "name"), "l1", "duplicate parameter name 'l1'"),
+        (shipped_case("one_dof"), ("params", 1, "name"), "phi1",
+         "grid has no parameter named 'theta1'"),
+        (shipped_case("dual_arm"), ("task",), config_to_dict(shipped_case("one_dof"))["task"],
          "config key 'task.type' must fit model type 'dual_arm', got 'position'"),
-        (one_dof_case, ("task",), config_to_dict(dual_arm_case())["task"],
+        (shipped_case("one_dof"), ("task",), config_to_dict(shipped_case("dual_arm"))["task"],
          "config key 'task.type' must fit model type 'one_link', got 'grasp'"),
-        (two_dof_case, ("params", 3, "name"), "foo",
+        (shipped_case("two_dof"), ("params", 3, "name"), "foo",
          "config key 'params[3].name' must name a parameter the model reads, got 'foo'"),
     ], ids=["shrink_1.5", "shrink_0", "shrink_nan", "target_inf", "center_nan", "radius_nan",
             "epsilon0_nan", "epsilon0_inf", "epsilon0_negative", "epsilon_nan", "epsilon_inf",
@@ -367,7 +400,7 @@ class TestConfigSerialization:
             "n_qubits_3", "duplicate_name", "missing_grid_parameter",
             "dual_arm_position_task", "one_dof_grasp_task", "unread_grid_parameter"])
     def test_from_dict_refuses_bad_value(self, case, path, value, message):
-        data = config_to_dict(case())
+        data = config_to_dict(case)
         section = data
         for part in path[:-1]:
             section = section[part]
@@ -378,7 +411,7 @@ class TestConfigSerialization:
             config_from_dict(data)
 
     def test_number_for_float_key_reads_as_float(self):
-        data = config_to_dict(one_dof_case())
+        data = config_to_dict(shipped_case("one_dof"))
         data["search"]["epsilon0"] = 1
         epsilon0 = config_from_dict(data).search.epsilon0
         assert type(epsilon0) is float and epsilon0 == 1.0
@@ -386,11 +419,8 @@ class TestConfigSerialization:
     @pytest.mark.parametrize("name", ["one_dof", "two_dof", "dual_arm"])
     def test_save_reproduces_shipped_config(self, name, tmp_path):
         shipped = (CONFIGS / f"{name}.json").read_bytes()
-        builder = {"one_dof": one_dof_case, "two_dof": two_dof_case,
-                   "dual_arm": dual_arm_case}[name]
-        for config in (builder(), load_config(CONFIGS / f"{name}.json")):
-            save_config(config, tmp_path / "saved.json")
-            assert (tmp_path / "saved.json").read_bytes() == shipped
+        save_config(load_config(CONFIGS / f"{name}.json"), tmp_path / "saved.json")
+        assert (tmp_path / "saved.json").read_bytes() == shipped
 
     @settings(max_examples=200, deadline=None)
     @given(case_configs())
@@ -400,7 +430,7 @@ class TestConfigSerialization:
         assert config_to_dict(loaded) == config_to_dict(config)
 
     def test_overrides(self):
-        config = one_dof_case().with_overrides(seed=42, shots=123, mode="surrogate",
+        config = shipped_case("one_dof").with_overrides(seed=42, shots=123, mode="surrogate",
                                                qubits_per_param=3)
         assert config.seed == 42 and config.shots == 123
         assert config.mode == "surrogate"
@@ -410,13 +440,13 @@ class TestConfigSerialization:
 class TestCapacityAndFailure:
     def test_full_resolution_rejected_at_runtime(self):
         # the 9-qubit-per-parameter setting parses but exceeds the simulator cap
-        config = two_dof_case().with_overrides(qubits_per_param=9)
+        config = shipped_case("two_dof").with_overrides(qubits_per_param=9)
         assert config.grid.total_qubits == 36
         with pytest.raises(CapacityError):
             run_case(config)
 
     def test_no_solution_guidance(self):
-        config = dataclasses.replace(one_dof_case(),
+        config = dataclasses.replace(shipped_case("one_dof"),
                                      search=SearchSettings(epsilon0=1e-12))
         with pytest.raises(NoSolutionError, match="raise epsilon"):
             run_case(config)
@@ -424,7 +454,7 @@ class TestCapacityAndFailure:
 
 class TestSweep:
     def test_rows_and_capacity_note(self):
-        config = two_dof_case()
+        config = shipped_case("two_dof")
         rows = sweep(config, [3, 4, 9])
         assert [r["qubits_per_param"] for r in rows] == [3, 4, 9]
         assert rows[0]["ratio"] > 1.0
@@ -436,7 +466,7 @@ class TestSweep:
 class TestBaselineSettingsPlumbing:
     def test_custom_budgets_respected(self):
         config = dataclasses.replace(
-            one_dof_case(seed=1),
+            shipped_case("one_dof", seed=1),
             baselines=BaselineSettings(max_evals=100, n_starts=2, swarm_size=5,
                                        pso_iterations=10, seed=3),
         )

@@ -15,14 +15,12 @@ from qkinopt.kinematics import (
     TwoLink,
     fk_one,
     task_cost,
-    task_error,
 )
 from qkinopt.qml import (
     Ansatz,
     TrainingSet,
     build_cost_table,
     configuration_costs,
-    configuration_errors,
     encode_input,
     gradient,
     input_angles,
@@ -34,7 +32,7 @@ from qkinopt.qml import (
     train,
     workspace_box,
 )
-from tests_support import verification_cases
+from tests_support import shipped_case, verification_cases
 
 TWO_PI = 2 * math.pi
 
@@ -403,7 +401,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("qubits, sample", [(2, 40), (3, 256), (6, 256)])
     def test_from_grid_decodes_only_the_sample(self, monkeypatch, qubits, sample):
-        grid = harness.two_dof_case(qubits_per_param=qubits).grid
+        grid = shipped_case("two_dof", qubits_per_param=qubits).grid
         rows = []
 
         def counting(*args, **kwargs):
@@ -422,7 +420,7 @@ class TestTrain:
         assert data.labels.tobytes() == labels.tobytes()
 
     def test_from_grid_keeps_capacity_check(self):
-        grid = harness.two_dof_case(qubits_per_param=7).grid  # 28 qubits
+        grid = shipped_case("two_dof", qubits_per_param=7).grid  # 28 qubits
         with pytest.raises(qsim.CapacityError):
             TrainingSet.from_grid(grid, TwoLink(), sample=10)
         with pytest.raises(qsim.CapacityError):
@@ -439,15 +437,15 @@ class TestCostTable:
     def test_target_at_config_zero_is_minimum(self):
         grid = one_dof_grid(3)
         target = fk_one(*decode(grid, 0))
-        costs = build_cost_table(grid, OneLink(), PoseTarget(tuple(target)),
-                                 PoseWeights(1.0, 0.0))
+        costs, _ = build_cost_table(grid, OneLink(), PoseTarget(tuple(target)),
+                                    PoseWeights(1.0, 0.0))
         assert costs[0] == 0.0
         assert costs.min() == 0.0
 
     def test_all_entries_non_negative(self):
         grid = one_dof_grid(3)
-        costs = build_cost_table(grid, OneLink(), PoseTarget((0.4, 0.3)),
-                                 PoseWeights(1.0, 0.0))
+        costs, _ = build_cost_table(grid, OneLink(), PoseTarget((0.4, 0.3)),
+                                    PoseWeights(1.0, 0.0))
         assert np.all(costs >= 0.0)
 
     def test_matches_direct_cost_exhaustively(self):
@@ -460,7 +458,7 @@ class TestCostTable:
         ))
         task = PoseTarget((1.0, 1.0))
         weights = PoseWeights(1.0, 0.0)
-        costs = build_cost_table(grid, TwoLink(), task, weights)
+        costs, _ = build_cost_table(grid, TwoLink(), task, weights)
         from qkinopt.kinematics import fk_two
 
         for k in range(grid.size):
@@ -473,8 +471,8 @@ class TestCostTable:
         grid = one_dof_grid(2)
         s = make_surrogate(grid, OneLink(), n_qubits=4)
         s = s.with_params(rng.uniform(-1, 1, s.ansatz.parameter_count))
-        costs = build_cost_table(grid, OneLink(), PoseTarget((0.5, 0.5)),
-                                 PoseWeights(1.0, 0.0), s)
+        costs, _ = build_cost_table(grid, OneLink(), PoseTarget((0.5, 0.5)),
+                                    PoseWeights(1.0, 0.0), s)
         assert costs.shape == (grid.size,)
         assert np.all(costs >= 0.0)
         tips = qml._predict_batch(s, decode_all(grid))
@@ -495,8 +493,8 @@ class TestCostTable:
 
     def test_orientation_weighted_table(self):
         grid = one_dof_grid(3)
-        costs = build_cost_table(grid, OneLink(), PoseTarget((0.5, 0.5), phi=0.7),
-                                 PoseWeights(1.0, 0.5))
+        costs, _ = build_cost_table(grid, OneLink(), PoseTarget((0.5, 0.5), phi=0.7),
+                                    PoseWeights(1.0, 0.5))
         z = decode(grid, 5)
         expected = task_cost(PoseTarget((0.5, 0.5), phi=0.7), fk_one(*z)[None, :],
                              np.array([z[1]]), PoseWeights(1.0, 0.5))[0]
@@ -512,27 +510,49 @@ def bits(table):
     return np.asarray(table, dtype=float).view(np.uint64)
 
 
+def no_cost(task, weights):
+    """An orientation weight without an orientation target: an error, no cost."""
+    return isinstance(task, PoseTarget) and task.phi is None and weights.alpha_R > 0
+
+
 class TestStreamedTables:
-    """The streamed grid pass equals one-shot evaluation over the whole grid."""
+    """The one grid pass equals one-shot evaluation over the whole grid, and its
+    error floor the least entry of the reference error table."""
 
     @pytest.mark.parametrize("block_bits", BLOCK_BITS)
     @settings(max_examples=60, deadline=None)
     @given(case=verification_cases())
     def test_analytic_tables_bit_identical(self, block_bits, case):
         grid, model, task, weights = case
-        Z = decode_all(grid)
+        reference = harness._actual_error_table(grid, model, task, weights)
+        if no_cost(task, weights):
+            with pytest.raises(ValueError, match="angles are missing"):
+                build_cost_table(grid, model, task, weights, error_floor=True)
+            # the error reads no orientation without a target, so the pass
+            # without the weight has the same error floor
+            weights = PoseWeights(weights.alpha_p)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(encoding, "BLOCK_BITS", block_bits)
-            errors = qml.grid_tables(grid, model, task, weights, measures=(task_error,))[0]
-            np.testing.assert_array_equal(
-                bits(errors), bits(configuration_errors(model, grid.names(), Z, task, weights)))
-            if isinstance(task, PoseTarget) and task.phi is None and weights.alpha_R > 0:
-                return  # an orientation weight without a target has no cost
-            costs, errors2 = qml.grid_tables(grid, model, task, weights,
-                                             measures=(task_cost, task_error))
+            costs, floor = build_cost_table(grid, model, task, weights, error_floor=True)
+            costs_only, no_floor = build_cost_table(grid, model, task, weights)
+        Z = decode_all(grid)
         np.testing.assert_array_equal(
             bits(costs), bits(configuration_costs(model, grid.names(), Z, task, weights)))
-        np.testing.assert_array_equal(bits(errors2), bits(errors))
+        np.testing.assert_array_equal(bits(costs_only), bits(costs))
+        assert no_floor is None
+        assert floor.hex() == float(reference.min()).hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=verification_cases())
+    def test_one_row_cost_is_table_entry(self, case):
+        grid, model, task, weights = case
+        if no_cost(task, weights):
+            weights = PoseWeights(weights.alpha_p)
+        costs, _ = build_cost_table(grid, model, task, weights)
+        for k in range(grid.size):
+            row = configuration_costs(model, grid.names(), decode(grid, k)[None, :], task,
+                                      weights)
+            np.testing.assert_array_equal(bits(row), bits(costs[k:k + 1]))
 
     @pytest.mark.parametrize("block_bits", BLOCK_BITS)
     @settings(max_examples=30, deadline=None)
@@ -545,9 +565,12 @@ class TestStreamedTables:
             -math.pi, math.pi, s.ansatz.parameter_count))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(encoding, "BLOCK_BITS", block_bits)
-            costs = build_cost_table(grid, model, task, weights, s)
+            costs, floor = build_cost_table(grid, model, task, weights, s, error_floor=True)
         one_shot = task_cost(task, qml._predict_batch(s, decode_all(grid)), None, weights)
         np.testing.assert_array_equal(bits(costs), bits(one_shot))
+        # the error floor is the analytic one, whatever tips the cost reads
+        reference = harness._actual_error_table(grid, model, task, weights)
+        assert floor.hex() == float(reference.min()).hex()
 
     def test_blocks_cover_each_row_once(self, monkeypatch):
         monkeypatch.setattr(encoding, "BLOCK_BITS", 2)

@@ -1,15 +1,26 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
 import math
+import pathlib
 
 import numpy as np
 from hypothesis import strategies as st
 
-from qkinopt import qsim
+from qkinopt import harness, qsim
 from qkinopt.encoding import ParamGrid, ParamSpec
 from qkinopt.kinematics import DualArm, GraspTask, OneLink, PoseTarget, PoseWeights, TwoLink
 
 TWO_PI = 2 * math.pi
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped_case(name, qubits_per_param=None, **fields):
+    """The shipped case configs/<name>.json, at `qubits_per_param` qubits per
+    parameter (None: the file's) and with `fields` replaced (seed, mode, ...)."""
+    config = harness.load_config(CONFIGS / f"{name}.json")
+    return dataclasses.replace(config.with_overrides(qubits_per_param=qubits_per_param),
+                               **fields)
 
 
 def random_gate_stream(count, n_qubits, seed):
