@@ -1,21 +1,20 @@
 """Amplitude-amplification search over the discretized configuration space.
 
-The oracle is a diagonal phase operator driven by the cost table: basis
-states whose cost is within the threshold (boundary inclusive, so an exact
-zero-cost solution is marked even at epsilon = 0) get their amplitude sign
-flipped. Diffusion reflects amplitudes about their mean. The solution count
-m is read exactly off the cost table rather than estimated by quantum
-counting. `iteration_count` is the one rule for the rounds K, which the
-search runs and the sweep reports: K = floor(pi/4 * sqrt(M/m)) while
-m <= M/2 (so K >= 1), and K = 0 once m > M/2, where amplification
-degenerates and the uniform state is sampled directly.
+A marked set is the sorted indices of the basis states whose cost is within
+the threshold (boundary inclusive, so an exact zero-cost solution is marked
+even at epsilon = 0); its size m is exact, not estimated by quantum
+counting. The oracle flips their amplitude signs; diffusion reflects
+amplitudes about their mean. `iteration_count` is the one rule for the
+rounds K, which the search runs and the sweep reports: K = floor(pi/4 *
+sqrt(M/m)) while m <= M/2 (so K >= 1), and K = 0 once m > M/2, where
+amplification degenerates and the uniform state is sampled directly.
 
-`search_with_state` is the one search entry point. `amplified_state` gives
-the state after K rounds in closed form as two amplitude values, which the
-search samples and takes <C> from without building a 2^N array.
-`apply_oracle`, `apply_diffusion`, `qsim.measure` and
-`qsim.expectation_diagonal` are the dense reference the tests check these
-against; no pipeline path calls them.
+`search_with_state` is the one search entry point; it takes a marked set,
+never the cost table. `amplified_state` gives the state after K rounds in
+closed form as two amplitude values, which the search samples and takes <C>
+from without building a 2^N array. `apply_oracle`, `apply_diffusion`,
+`qsim.measure` and `qsim.expectation_diagonal` are the dense reference the
+tests check these against; no pipeline path calls them.
 
 `threshold_ladder` is the one adaptive threshold schedule and reads only the
 cost floor; `verify` checks the measured answer's analytic error, one row of
@@ -112,18 +111,18 @@ class AmplifiedState(qsim.StateVector):
         amps[self.marked] = self.a
         return amps
 
-    def sample(self, shots: int, seed: int) -> np.ndarray:
-        """`shots` basis indices drawn from |amplitude|^2 (seeded PCG64): a
-        binomial count of marked hits, uniform over the marked indices, and
-        uniform ranks k < M - m among the unmarked, where rank k is index k plus
-        the count of marked j with marked[j] - j (the unmarked below it) <= k."""
+    def sample(self, shots: int, seed: int) -> Tuple[np.ndarray, int]:
+        """`shots` basis indices drawn from |amplitude|^2 (seeded PCG64) and how
+        many are marked: a binomial count of hits, uniform over the marked
+        indices, then uniform ranks k < M - m among the unmarked, where rank k is
+        index k plus the count of marked j with marked[j] - j (unmarked below it) <= k."""
         if shots < 1:
             raise ValueError("shots must be >= 1")
         rng, m = np.random.default_rng(seed), self.marked.size
         hits = rng.binomial(shots, self.p_marked)
         ranks = rng.integers(0, self.dim - m, shots - hits)
         unmarked = np.searchsorted(self.marked - np.arange(m), ranks, side="right") + ranks
-        return np.concatenate([self.marked[rng.integers(0, m, hits)], unmarked])
+        return np.concatenate([self.marked[rng.integers(0, m, hits)], unmarked]), int(hits)
 
     def expectation(self, costs: np.ndarray, total: float) -> float:
         """<C> = a^2 sum_marked c + b^2 (total - sum_marked c), where `total` is
@@ -133,7 +132,7 @@ class AmplifiedState(qsim.StateVector):
 
 
 def amplified_state(n_qubits: int, marked: np.ndarray, iterations: int) -> AmplifiedState:
-    """Uniform superposition after `iterations` oracle+diffusion rounds, in closed form.
+    """Uniform superposition after `iterations` rounds marking `marked`, in closed form.
 
     The rounds never leave the plane of the uniform marked and uniform unmarked
     states, so the result holds two amplitude values. With sin(theta) =
@@ -143,45 +142,37 @@ def amplified_state(n_qubits: int, marked: np.ndarray, iterations: int) -> Ampli
     everything marked each round negates it.
     """
     qsim.check_capacity(n_qubits)
-    M = 1 << n_qubits
-    marked = np.asarray(marked, dtype=bool)
-    if marked.shape != (M,):
-        raise ValueError(f"marked mask of shape {marked.shape} does not match {M} states")
+    M, m = 1 << n_qubits, marked.size
+    # sorted, so its ends bound every index; a boolean mask is refused
+    if marked.ndim != 1 or marked.dtype.kind != "i" or \
+            m and not 0 <= marked[0] <= marked[-1] < M:
+        raise ValueError(f"marked must be sorted integer indices in [0, {M}) on one axis")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    idx = np.flatnonzero(marked)
-    m = idx.size
     angle = (2 * iterations + 1) * math.asin(math.sqrt(m / M))
     # m = 0 or M leaves one part empty: its value is the other's, and at m = M
     # sin((2K+1) pi/2) rounds to (-1)^K
     a = math.sin(angle) / math.sqrt(m) if m else 1.0 / math.sqrt(M)
     b = math.cos(angle) / math.sqrt(M - m) if m < M else a
-    return AmplifiedState(n_qubits, idx, a, b, math.sin(angle) ** 2)
+    return AmplifiedState(n_qubits, marked, a, b, math.sin(angle) ** 2)
 
 
-def search_with_state(grid: ParamGrid, costs: np.ndarray, epsilon: float, shots: int,
+def search_with_state(grid: ParamGrid, marked: np.ndarray, epsilon: float, shots: int,
                       seed: int) -> Tuple[SearchResult, AmplifiedState]:
-    """Mark {k : costs[k] <= epsilon}, amplify for `iteration_count` rounds and
-    sample; returns the modal outcome (highest count, then lowest index) and
-    the two-value state, whose `expectation` gives the step's <C>."""
-    grid.check_capacity()
-    N, M = grid.total_qubits, grid.size
-    costs = np.asarray(costs, dtype=float)
-    if costs.shape != (M,):
-        raise ValueError(f"cost table must have length {M}")
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    marked = costs <= epsilon
-    K = iteration_count(M, int(np.count_nonzero(marked)))
+    """Amplify the sorted indices `marked`, those of {k : costs[k] <= epsilon},
+    for `iteration_count` rounds and sample; returns the modal outcome (highest
+    count, then lowest index) and the two-value state, whose `expectation`
+    gives the step's <C>. `epsilon` is only recorded."""
+    N, K = grid.total_qubits, iteration_count(grid.size, marked.size)
     state = amplified_state(N, marked, K)
-    picks = state.sample(shots, seed)
+    picks, hits = state.sample(shots, seed)
     outcomes, counts = np.unique(picks, return_counts=True)
     best = int(outcomes[np.argmax(counts)])
     return SearchResult(
         index=best,
         bitstring=format(best, f"0{N}b"),
         params=decode(grid, best),
-        marked_probability=int(np.count_nonzero(marked[picks])) / shots,
+        marked_probability=hits / shots,
         queries=K,
         epsilon=epsilon,
         solutions=state.marked.size,

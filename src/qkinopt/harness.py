@@ -8,8 +8,10 @@ the measured answer against the analytic kinematics. It runs one amplified
 search per adaptive-threshold step: the threshold starts at `search.epsilon0`
 (default 10x the cost-table floor), shrinks geometrically while solutions
 remain, and ends at the floor, the smallest value that still marks a state,
-so the last search marks only the grid minimum. One "optimization iteration"
-is a step.
+so the last search marks only the grid minimum. The table is compared with
+a threshold once, at the start; each step's search takes the sorted marked
+indices, narrowed from the step's before. One "optimization iteration" is a
+step.
 
 A config file is the dict form of a CaseConfig. Each section's keys are the
 constructor fields of the class it builds, read and written by one reader
@@ -157,8 +159,9 @@ class CaseConfig:
                 raise ValueError(f"config key 'weights.{key}' must be {default} on a grasp "
                                  "task, whose cost weighs only its contacts")
         _check_minimums(self, "", shots=1, seed=0)
-        if self.shots > 2**63 - 1:  # numpy draws the marked-hit count as an int64
-            raise ValueError(f"config key 'shots' must be <= 2**63 - 1, got {self.shots!r}")
+        if self.shots > 10**8:
+            raise ValueError("config key 'shots' must be <= 10**8, as a search keeps about "
+                             f"17 bytes of memory per shot, got {self.shots!r}")
         _check_minimums(self.task, "task.", tolerance=0)
 
     def with_overrides(self, seed: Optional[int] = None, shots: Optional[int] = None,
@@ -384,14 +387,15 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
 
     levels = grover.threshold_ladder(costs, config.search.epsilon0, config.search.shrink)
     epsilon0 = levels[0]
+    marked = np.flatnonzero(costs <= epsilon0)  # the table's one threshold read
 
     total = float(costs.sum())  # each step's <C> reuses it
-    steps = [AdaptiveStep(0, epsilon0, grover.count_solutions(costs, epsilon0), 0,
-                          total / grid.size, None, None)]
+    steps = [AdaptiveStep(0, epsilon0, marked.size, 0, total / grid.size, None, None)]
     result = None
     queries_total = 0
     for j, eps in enumerate(levels, start=1):
-        result, state = grover.search_with_state(grid, costs, eps, config.shots, config.seed)
+        marked = marked[costs[marked] <= eps]  # each level narrows the one before
+        result, state = grover.search_with_state(grid, marked, eps, config.shots, config.seed)
         queries_total += result.queries
         steps.append(AdaptiveStep(j, eps, result.solutions, result.queries,
                                   state.expectation(costs, total),

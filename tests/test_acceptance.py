@@ -73,7 +73,8 @@ def test_criterion_1_grover_analytics():
         costs = np.ones(M)
         costs[rng.choice(M, m, replace=False)] = 0.0
         K = math.floor(math.pi / 4 * math.sqrt(M / m))
-        result, _ = search_with_state(grid, costs, 0.5, shots, seed=101)
+        result, _ = search_with_state(grid, np.flatnonzero(costs <= 0.5), 0.5, shots,
+                                      seed=101)
         assert result.queries == K
         p = success_probability_analytic(M, m, K)
         sigma = math.sqrt(p * (1 - p) / shots)
@@ -130,7 +131,8 @@ def test_criterion_3_query_count_ratio(tmp_path):
     costs[minima] = 0.05
     eps = minimal_epsilon(float(costs.min()), 1.0)
     assert grover.count_solutions(costs, eps) == 4
-    result, _ = search_with_state(grid, costs, eps, shots=10000, seed=3)
+    result, _ = search_with_state(grid, np.flatnonzero(costs <= eps), eps, shots=10000,
+                                  seed=3)
     assert result.queries == 25
     assert result.index in minima
 

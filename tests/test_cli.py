@@ -191,6 +191,8 @@ def as_case(case, *path, **values):
             "--qubits-per-param", "13"], "no --seed, --qubits-per-param"),
     (lambda data: data.update(shots=2**63), [], "'shots'"),
     (keep, ["--shots", "9999999999999999999999"], "'shots'"),
+    (lambda data: data.update(shots=10**8 + 1), [], "'shots'"),
+    (keep, ["--shots", "100000001"], "'shots'"),
 ], ids=["missing_task", "shrink_above_one", "nan_target", "shots_0", "seed_negative",
         "epochs_0", "n_layers_0", "learning_rate_negative", "training_samples_0",
         "n_starts_0", "swarm_size_1", "max_evals_0", "flag_shots_0", "flag_seed_negative",
@@ -208,7 +210,7 @@ def as_case(case, *path, **values):
         "report_accepted_string", "params_header_only", "qubits_empty_count",
         "qubits_zero_count", "qubits_above_cap", "qubits_5000_digits", "lone_report",
         "lone_baselines_with_config", "merge_with_config", "merge_with_overrides",
-        "shots_2_63", "flag_shots_huge"])
+        "shots_2_63", "flag_shots_huge", "shots_1e8_plus_1", "flag_shots_1e8_plus_1"])
 def test_invalid_config_exits_cleanly(edit, flags, name, config_path, tmp_path, capsys):
     data = harness.config_to_dict(shipped_case("one_dof"))
     text = edit(data)  # an edit changes data in place, or returns the file's text

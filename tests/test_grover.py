@@ -47,8 +47,8 @@ def mask(M, marked):
 
 
 def search(grid, costs, epsilon, shots=10000, seed=0):
-    """The search result alone."""
-    return search_with_state(grid, costs, epsilon, shots, seed)[0]
+    """The search result alone, marking {k : costs[k] <= epsilon} as `run_case` does."""
+    return search_with_state(grid, np.flatnonzero(costs <= epsilon), epsilon, shots, seed)[0]
 
 
 class TestCountSolutions:
@@ -126,7 +126,7 @@ class TestSuccessProbability:
             K = int(rng.integers(0, 4))
             marked = np.zeros(M, dtype=bool)
             marked[rng.choice(M, m, replace=False)] = True
-            state = amplified_state(n, marked, K)
+            state = amplified_state(n, np.flatnonzero(marked), K)
             simulated = float(state.probabilities()[marked].sum())
             assert simulated == pytest.approx(
                 success_probability_analytic(M, m, K), abs=1e-12
@@ -175,8 +175,9 @@ class TestOracle:
         assert (result.solutions, result.index) == (1, 3)
 
     def test_negative_epsilon_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            search(flat_grid(2), np.zeros(4), -0.1)
+        # a search reads no threshold; a negative one is refused by the ladder
+        with pytest.raises(NoSolutionError, match="marks no configuration"):
+            threshold_ladder(np.zeros(4), -0.1, 0.5)
 
 
 class TestDiffusion:
@@ -186,8 +187,7 @@ class TestDiffusion:
 
     def test_single_round_on_four_states(self):
         # sin^2(3 arcsin(1/2)) = 1: one oracle+diffusion round is exact for M=4
-        marked = np.array([False, False, True, False])
-        state = amplified_state(2, marked, 1)
+        state = amplified_state(2, np.array([2]), 1)
         assert state.probabilities()[2] == pytest.approx(1.0, abs=1e-12)
 
     def test_involution(self):
@@ -226,7 +226,7 @@ class TestClosedForm:
     @given(marked_rounds())
     def test_matches_gate_level_rounds(self, case):
         n, marked, K = case
-        state = amplified_state(n, marked, K)
+        state = amplified_state(n, np.flatnonzero(marked), K)
         assert state.amps.dtype == np.float64
         np.testing.assert_allclose(state.amps, dense_rounds(n, marked, K).amps,
                                    rtol=0, atol=1e-12)
@@ -236,18 +236,27 @@ class TestClosedForm:
         marked = np.zeros(M, dtype=bool)
         marked[np.random.default_rng(4).choice(M, 5, replace=False)] = True
         K = iteration_count(M, 5)
-        state = amplified_state(n, marked, K)
+        state = amplified_state(n, np.flatnonzero(marked), K)
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
         assert float(state.probabilities()[marked].sum()) == pytest.approx(
             success_probability_analytic(M, 5, K), abs=1e-12)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            amplified_state(3, np.zeros(4, dtype=bool), 1)
+            amplified_state(2, np.array([4]), 1)  # an index of 3 qubits' grid
         with pytest.raises(ValueError):
-            amplified_state(2, np.zeros(4, dtype=bool), -1)
+            amplified_state(2, np.array([], dtype=np.int64), -1)
         with pytest.raises(qsim.CapacityError):
-            amplified_state(25, np.zeros(2, dtype=bool), 1)
+            amplified_state(25, np.arange(2), 1)
+
+    @pytest.mark.parametrize("marked", [
+        np.array([[0, 1], [2, 3]]), np.array([-1, 2]), np.array([8]), np.array([0, 3, 9]),
+        np.array([5, 2]), np.ones(8, dtype=bool), np.array([0.0, 1.0]),
+    ], ids=["two_axes", "negative", "index_M", "last_above_M", "reversed_ends", "bool_mask",
+            "float"])
+    def test_refuses_indices_that_are_not_a_marked_set(self, marked):
+        with pytest.raises(ValueError, match=r"sorted integer indices in \[0, 8\)"):
+            amplified_state(3, marked, 1)
 
 
 def pooled(counts, probs, marked, min_expected):
@@ -297,9 +306,9 @@ class TestSampler:
     def test_histogram_matches_dense_measure(self, case):
         n, marked, K = case
         M, shots = 1 << n, 20000
-        state = amplified_state(n, marked, K)
+        state = amplified_state(n, np.flatnonzero(marked), K)
         probs = state.probabilities()  # the distribution qsim.measure draws from
-        sampled = np.bincount(state.sample(shots, seed=5), minlength=M)
+        sampled = np.bincount(state.sample(shots, seed=5)[0], minlength=M)
         dense = np.zeros(M, dtype=np.int64)
         for k, count in qsim.measure(state, shots, seed=5).items():
             dense[k] = count
@@ -315,7 +324,7 @@ class TestSampler:
     def test_expectation_matches_dense(self, case, seed):
         n, marked, K = case
         costs = np.random.default_rng(seed).uniform(0.0, 10.0, 1 << n) ** 3
-        state = amplified_state(n, marked, K)
+        state = amplified_state(n, np.flatnonzero(marked), K)
         assert state.expectation(costs, float(costs.sum())) == pytest.approx(
             qsim.expectation_diagonal(state, costs), rel=1e-12)
 
@@ -324,18 +333,21 @@ class TestSampler:
     def test_picks_lie_in_range_and_in_their_part(self, case, shots, seed):
         n, marked, K = case
         M, m = 1 << n, int(np.count_nonzero(marked))
-        state = amplified_state(n, marked, K)
-        picks = state.sample(shots, seed)
+        state = amplified_state(n, np.flatnonzero(marked), K)
+        picks, hits = state.sample(shots, seed)
         assert picks.shape == (shots,) and picks.min() >= 0 and picks.max() < M
+        assert hits == np.count_nonzero(marked[picks])
         # forced to one part, every pick lands in it
         if m < M:
-            unmarked = AmplifiedState(n, state.marked, state.a, state.b, 0.0).sample(shots, seed)
-            assert not marked[unmarked].any()
+            unmarked, hits = AmplifiedState(n, state.marked, state.a, state.b,
+                                            0.0).sample(shots, seed)
+            assert not marked[unmarked].any() and hits == 0
             if shots >= 20 * (M - m):
                 assert np.unique(unmarked).size == M - m  # reaches every unmarked index
         if m > 0:
-            assert marked[AmplifiedState(n, state.marked, state.a, state.b, 1.0)
-                          .sample(shots, seed)].all()
+            picks, hits = AmplifiedState(n, state.marked, state.a, state.b,
+                                         1.0).sample(shots, seed)
+            assert marked[picks].all() and hits == shots
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 10), st.data(), st.integers(1, 3000), st.integers(0, 2**32 - 1))
@@ -344,8 +356,8 @@ class TestSampler:
         m = data.draw(st.sampled_from([1, M // 2 + 1, M]) | st.integers(1, M))
         chosen = np.random.default_rng(seed).choice(M, m, replace=False)
         costs = costs_with_marks(M, chosen)
-        result, state = search_with_state(flat_grid(n), costs, 0.5, shots, seed)
-        picks = state.sample(shots, seed)  # the draw the search took
+        result, state = search_with_state(flat_grid(n), np.sort(chosen), 0.5, shots, seed)
+        picks, _ = state.sample(shots, seed)  # the draw the search took
         assert result.marked_probability == np.count_nonzero(costs[picks] <= 0.5) / shots
         outcomes, counts = np.unique(picks, return_counts=True)
         assert result.index == outcomes[counts == counts.max()].min()
@@ -386,8 +398,8 @@ class TestGroverSearch:
         grid = flat_grid(2)
         with pytest.raises(ValueError, match="shots"):
             search(grid, np.zeros(4), 0.5, shots=0)
-        with pytest.raises(ValueError, match="length 4"):
-            search(grid, np.zeros(8), 0.5)
+        with pytest.raises(ValueError, match=r"in \[0, 4\)"):
+            search_with_state(grid, np.array([0, 5]), 0.5, 100, 0)  # a marked set of 3 qubits
 
     def test_majority_marked_short_circuits(self):
         grid = flat_grid(3)
@@ -563,6 +575,71 @@ class TestFloorOnlyLadder:
             for start in (None, 0.5, 1.0):
                 assert bits(threshold_ladder(costs, start, 0.5)) == bits(
                     walking_ladder(costs, start, 0.5))
+
+
+# The mask-based search that the index form replaced, kept as the reference: it
+# compares the whole table with its threshold, counts the mask, and looks each
+# pick up in it.
+
+def mask_search_with_state(grid, costs, epsilon, shots, seed):
+    N, M = grid.total_qubits, grid.size
+    marked = np.asarray(costs, dtype=float) <= epsilon
+    K = iteration_count(M, int(np.count_nonzero(marked)))
+    state = amplified_state(N, np.flatnonzero(marked), K)
+    picks, _ = state.sample(shots, seed)
+    outcomes, counts = np.unique(picks, return_counts=True)
+    best = int(outcomes[np.argmax(counts)])
+    return SearchResult(
+        index=best,
+        bitstring=format(best, f"0{N}b"),
+        params=decode(grid, best),
+        marked_probability=int(np.count_nonzero(marked[picks])) / shots,
+        queries=K,
+        epsilon=epsilon,
+        solutions=state.marked.size,
+    ), state
+
+
+@st.composite
+def narrowing_cases(draw):
+    """A 2^n-entry table of up to six values (so ties are common; zero floors and
+    1e-6-scale costs included), a start from the floor to past the maximum (so
+    majority- and all-marked levels occur), a shrink factor, shots and a seed.
+    Each level runs two searches, so positive costs stay within 1e4 of each
+    other, and a zero floor under a positive start, which shrinks down through
+    the subnormals (about 1075 / -log2(shrink) levels), gets a shrink <= 0.1."""
+    n = draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    values = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(1e-3, 10.0),
+                           min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    costs = rng.choice(values, 1 << n) * scale
+    start = draw(st.none() | st.sampled_from([costs.min(), np.median(costs), costs.max()])
+                 | st.floats(float(costs.min()), 2.0 * float(costs.max()) + scale,
+                             allow_subnormal=False))
+    start = None if start is None else float(start)
+    shrink = draw(st.floats(0.05, 0.1 if costs.min() == 0 and start else 0.95))
+    return n, costs, start, shrink, draw(st.integers(1, 500)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestNarrowedMarkedSets:
+    @settings(max_examples=200, deadline=None)
+    @given(case=narrowing_cases())
+    def test_each_level_equals_the_mask_search(self, case):
+        n, costs, start, shrink, shots, seed = case
+        grid, total = flat_grid(n), float(costs.sum())
+        levels = threshold_ladder(costs, start, shrink)
+        marked = np.flatnonzero(costs <= levels[0])
+        for eps in levels:  # narrowed as run_case narrows it
+            marked = marked[costs[marked] <= eps]
+            assert marked.dtype == np.int64
+            np.testing.assert_array_equal(marked, np.flatnonzero(costs <= eps))
+            result, state = search_with_state(grid, marked, eps, shots, seed)
+            ref, ref_state = mask_search_with_state(grid, costs, eps, shots, seed)
+            assert (result.index, result.solutions, result.queries) == \
+                (ref.index, ref.solutions, ref.queries)
+            assert bits([result.marked_probability, state.expectation(costs, total)]) == \
+                bits([ref.marked_probability, ref_state.expectation(costs, total)])
 
 
 class TestMinimalEpsilon:

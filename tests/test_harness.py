@@ -148,11 +148,31 @@ class TestAdaptiveEquivalence:
         report = run_case(config)
         costs, _ = build_cost_table(config.grid, config.model, config.task, config.weights)
         levels = threshold_ladder(costs, report.epsilon0, 0.5)
-        direct, _ = search_with_state(config.grid, costs, levels[-1], config.shots,
-                                      config.seed)
+        direct, _ = search_with_state(config.grid, np.flatnonzero(costs <= levels[-1]),
+                                      levels[-1], config.shots, config.seed)
         assert direct.index == report.result.index
         assert direct.epsilon == report.final_epsilon
         assert direct.queries == report.queries_final
+
+    def test_searches_narrow_one_sorted_index_array(self, monkeypatch):
+        seen = []
+
+        def recording(grid, marked, *args):
+            seen.append(marked)
+            return search_with_state(grid, marked, *args)
+
+        monkeypatch.setattr(grover, "search_with_state", recording)
+        config = shipped_case("one_dof", seed=21)
+        report = run_case(config)
+        costs, _ = build_cost_table(config.grid, config.model, config.task, config.weights)
+        assert len(seen) == len(report.steps) - 1 > 1
+        # the first level's set is the table's one threshold read
+        np.testing.assert_array_equal(seen[0], np.flatnonzero(costs <= report.epsilon0))
+        assert report.steps[0].solutions == seen[0].size
+        for before, marked, step in zip(seen[:1] + seen, seen, report.steps[1:]):
+            assert marked.dtype == np.int64 and (np.diff(marked) > 0).all()
+            assert np.isin(marked, before).all()  # each level narrows the one before
+            np.testing.assert_array_equal(marked, np.flatnonzero(costs <= step.epsilon))
 
 
 class TestOneGridPass:
@@ -370,6 +390,7 @@ class TestConfigSerialization:
         (shipped_case("one_dof"), ("params", 0, "qubits"), 2.7, None),
         (shipped_case("one_dof"), ("shots",), 1.5, None),
         (shipped_case("one_dof"), ("shots",), 2**63, None),
+        (shipped_case("one_dof"), ("shots",), 10**8 + 1, None),
         (shipped_case("one_dof"), ("search", "refine"), "no", None),
         (shipped_case("one_dof"), ("search", "refine"), False, None),
         (shipped_case("one_dof"), ("seed",), True, None),
@@ -394,7 +415,8 @@ class TestConfigSerialization:
             "epsilon0_nan", "epsilon0_inf", "epsilon0_negative", "epsilon_nan", "epsilon_inf",
             "epsilon_set", "alpha_p_inf", "grasp_alpha_p", "grasp_alpha_R",
             "orientation_weight_without_phi", "angular_string", "qubits_fraction",
-            "shots_fraction", "shots_2_63", "refine_string", "refine_false", "seed_bool", "phi_nan",
+            "shots_fraction", "shots_2_63", "shots_1e8_plus_1", "refine_string", "refine_false",
+            "seed_bool", "phi_nan",
             "max_inf", "base1_nan", "links1_one_number", "target_three_numbers",
             "target_scalar", "tolerance_negative",
             "n_qubits_3", "duplicate_name", "missing_grid_parameter",
