@@ -16,9 +16,9 @@ from without building a 2^N array. `apply_oracle`, `apply_diffusion`,
 `qsim.measure` and `qsim.expectation_diagonal` are the dense reference the
 tests check these against; no pipeline path calls them.
 
-`threshold_ladder` is the one adaptive threshold schedule and reads only the
-cost floor; `verify` checks the measured answer's analytic error, one row of
-the kinematics, against the task tolerance.
+`threshold_ladder` is the one threshold schedule; it reads the cost floor
+(on a zero floor also the least positive cost). `verify` checks the answer's
+analytic error, one row of the kinematics, against the task tolerance.
 """
 
 from __future__ import annotations
@@ -110,6 +110,14 @@ class AmplifiedState(qsim.StateVector):
         amps = np.full(self.dim, self.b)
         amps[self.marked] = self.a
         return amps
+
+    def __repr__(self) -> str:  # the dataclass repr and == would build `amps`
+        return (f"AmplifiedState(n_qubits={self.n_qubits}, m={self.marked.size}, "
+                f"a={self.a!r}, b={self.b!r}, p_marked={self.p_marked!r})")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, AmplifiedState) and repr(self) == repr(other)
+                and np.array_equal(self.marked, other.marked))
 
     def sample(self, shots: int, seed: int) -> Tuple[np.ndarray, int]:
         """`shots` basis indices drawn from |amplitude|^2 (seeded PCG64) and how
@@ -209,7 +217,8 @@ def threshold_ladder(costs: np.ndarray, epsilon0: Optional[float], shrink: float
     Starts at epsilon0 (None: 10x the table floor), shrinks geometrically
     while a state stays marked, and ends at the table floor, the smallest
     threshold that still marks a state (`minimal_epsilon`), so the last search
-    marks exactly the grid minimum. Only the floor of the table is read, once.
+    marks exactly the grid minimum. Only the floor of the table is read, once,
+    and on a zero floor the least positive cost, where the halving stops.
     """
     floor = float(np.min(costs))
     if epsilon0 is None:
@@ -219,9 +228,9 @@ def threshold_ladder(costs: np.ndarray, epsilon0: Optional[float], shrink: float
     if epsilon0 < floor:
         raise NoSolutionError(
             f"epsilon0={epsilon0} marks no configuration (cost floor {floor}); "
-            "raise epsilon, coarsen the grid, or retrain the surrogate"
-        )
-    levels = shrink_schedule(floor, epsilon0, shrink)
+            "raise epsilon, coarsen the grid, or retrain the surrogate")
+    lowest = floor if floor > 0 else float(np.min(costs, where=costs > 0, initial=math.inf))
+    levels = shrink_schedule(min(lowest, epsilon0), epsilon0, shrink)
     last = minimal_epsilon(floor, levels[-1])
     if last < levels[-1]:
         levels.append(last)

@@ -23,17 +23,18 @@ GRADIENT_BLOCK_AMPS stacked amplitudes, unless one row alone needs more.
 Training is full-batch Adam seeded for reproducibility, one pass per epoch.
 
 This module also builds the diagonal cost table that the search oracle
-consumes: one `kinematics.task_cost` per basis state, from the trained
-surrogate's predicted tips or from the analytical kinematics, whose grid
-columns bind to FK by parameter name. `build_cost_table` is the one grid
-pass: it walks `grid_blocks` and can keep the least analytic
-`kinematics.task_error` over the grid as it goes, without a table of it.
+consumes: one `kinematics.cost_of_deviation` per basis state, from the
+trained surrogate's predicted tips or from the analytical kinematics, whose
+grid columns bind to FK by parameter name. `build_cost_table` is the one grid
+pass, over `grid_blocks`, and can keep the least analytic
+`kinematics.error_of_deviation` over the grid without a table of it.
 `configuration_costs` and `configuration_errors` give the analytic cost and
-error of any batch of configurations.
+error of any batch of configurations. `save_surrogate` writes sorted-key JSON.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Tuple
@@ -63,6 +64,8 @@ ADAM_EPS = 1e-8
 # complex values in one gradient stack (1 MiB): it stays in cache, and on the
 # 65,536-row two_dof grid larger blocks measured both slower and heavier
 GRADIENT_BLOCK_AMPS = 1 << 16
+# marks a saved surrogate file as current; a file without it must be retrained
+SURROGATE_FORMAT = "qkinopt-surrogate 2"
 
 
 class TrainingError(RuntimeError):
@@ -390,55 +393,34 @@ def train(surrogate: Surrogate, data: TrainingSet, epochs: int = 200,
 # --- serialization ----------------------------------------------------------------
 
 def save_surrogate(surrogate: Surrogate, path) -> None:
-    """Plain-text dump: ansatz metadata, input and readout maps, then one
-    parameter per line. An input line reads `input <q,q,...> <lo> <hi>
-    angular|linear`."""
-    lines = ["qkinopt-surrogate 1"]
-    lines.append(f"qubits {surrogate.ansatz.n_qubits} layers {surrogate.ansatz.n_layers}")
-    for qubits, lo, hi, angular in surrogate.input_map:
-        kind = "angular" if angular else "linear"
-        lines.append(f"input {','.join(map(str, qubits))} {lo!r} {hi!r} {kind}")
-    for qubit, lo, hi in surrogate.readout:
-        lines.append(f"readout {qubit} {lo!r} {hi!r}")
-    lines.append("params")
-    lines.extend(repr(float(p)) for p in surrogate.params)
+    """Sorted-key JSON, as `harness.write_json` writes it: the format marker, the ansatz
+    size, the maps and the parameters, whose float reprs read back bit for bit."""
+    payload = {"format": SURROGATE_FORMAT, "qubits": surrogate.ansatz.n_qubits,
+               "layers": surrogate.ansatz.n_layers, "params": surrogate.params.tolist(),
+               "inputs": [{"qubits": list(q), "lo": lo, "hi": hi, "angular": angular}
+                          for q, lo, hi, angular in surrogate.input_map],
+               "readout": [{"qubit": q, "lo": lo, "hi": hi} for q, lo, hi in surrogate.readout]}
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_surrogate(path) -> Surrogate:
+    """The surrogate `save_surrogate` wrote. A file that is not JSON or lacks the
+    format marker raises ValueError, a missing key KeyError, and a qubit or layer
+    count that is not an integer TypeError."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0].split() != ["qkinopt-surrogate", "1"]:
-        raise ValueError("not a surrogate parameter file")
-    if len(lines) < 2:
-        raise ValueError("a file without a 'qubits <n> layers <n>' line is not in the "
-                         "current format; retrain the surrogate")
-    _, nq, _, nl = lines[1].split()
-    inputs, readout, params = [], [], []
-    section = "maps"
-    for ln in lines[2:]:
-        if ln == "params":
-            section = "params"
-            continue
-        if section == "maps":
-            kind, qubits, lo, hi, *flag = ln.split()
-            if kind == "readout" and not flag:
-                readout.append((int(qubits), float(lo), float(hi)))
-            elif kind == "input" and flag in (["angular"], ["linear"]):
-                inputs.append((tuple(int(q) for q in qubits.split(",")),
-                               float(lo), float(hi), flag == ["angular"]))
-            else:
-                raise ValueError(f"map line {ln!r} is not in the current format "
-                                 "(an input line ends in angular|linear); retrain the surrogate")
-        else:
-            params.append(float(ln))
+        try:
+            data = json.load(fh)
+        except ValueError:  # not JSON
+            data = None
+    if not isinstance(data, dict) or data.get("format") != SURROGATE_FORMAT:
+        raise ValueError("not in the current format; retrain the surrogate")
+    if type(data["qubits"]) is not int or type(data["layers"]) is not int:
+        raise TypeError("'qubits' and 'layers' must be integers")
     return Surrogate(
-        Ansatz(int(nq), int(nl)),
-        np.asarray(params, dtype=float),
-        tuple(inputs),
-        tuple(readout),
-    )
+        Ansatz(data["qubits"], data["layers"]), np.asarray(data["params"], dtype=float),
+        tuple((tuple(i["qubits"]), i["lo"], i["hi"], i["angular"]) for i in data["inputs"]),
+        tuple((r["qubit"], r["lo"], r["hi"]) for r in data["readout"]))
 
 
 # --- cost tables -------------------------------------------------------------------

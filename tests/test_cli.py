@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from qkinopt import harness
 from qkinopt.cli import main
 from qkinopt.encoding import ParamGrid
 from qkinopt.harness import QmlSettings, save_config
-from qkinopt.qml import make_surrogate, save_surrogate
-from tests_support import shipped_case
+from qkinopt.qml import load_surrogate, make_surrogate, save_surrogate
+from tests_support import first_format_text, shipped_case
 
 
 @pytest.fixture
@@ -101,6 +103,21 @@ def as_case(case, *path, **values):
     return edit
 
 
+def surrogate_json(**values):
+    """An edit that returns the file of an untrained surrogate of the shipped
+    one_dof case with `values` set, or removed where a value is None."""
+    def edit(data):
+        config = shipped_case("one_dof")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "surrogate.params")
+            save_surrogate(make_surrogate(config.grid, config.model), path)
+            with open(path) as fh:
+                surrogate = json.load(fh)
+        surrogate.update(values)
+        return json.dumps({k: v for k, v in surrogate.items() if v is not None})
+    return edit
+
+
 @pytest.mark.parametrize("edit, flags, name", [
     (lambda data: data.pop("task"), [], "'task'"),
     (lambda data: data["search"].update(shrink=1.5), [], "'search.shrink'"),
@@ -179,6 +196,12 @@ def as_case(case, *path, **values):
     (lambda data: "qkinopt-surrogate 1\n",
      ["run", "--config", "{config}", "--mode", "surrogate", "--params", "{bad}"],
      "current format"),
+    (surrogate_json(params=None),
+     ["run", "--config", "{config}", "--mode", "surrogate", "--params", "{bad}"],
+     "missing key 'params'"),
+    (surrogate_json(qubits="4"),
+     ["run", "--config", "{config}", "--mode", "surrogate", "--params", "{bad}"],
+     "'qubits' and 'layers' must be integers"),
     (keep, ["sweep", "--config", "{bad}", "--qubits", "3,,4"], "--qubits"),
     (keep, ["sweep", "--config", "{bad}", "--qubits", "0,2"], "--qubits"),
     (keep, ["sweep", "--config", "{bad}", "--qubits", "3,4000"], "--qubits"),
@@ -207,7 +230,8 @@ def as_case(case, *path, **values):
         "missing_params", "missing_report", "missing_baselines", "baselines_without_best_x",
         "baselines_unknown_key", "report_missing_key", "baselines_evaluations_string",
         "baselines_best_cost_null", "report_queries_fraction", "report_best_cost_null",
-        "report_accepted_string", "params_header_only", "qubits_empty_count",
+        "report_accepted_string", "params_header_only", "params_missing_key",
+        "params_qubits_string", "qubits_empty_count",
         "qubits_zero_count", "qubits_above_cap", "qubits_5000_digits", "lone_report",
         "lone_baselines_with_config", "merge_with_config", "merge_with_overrides",
         "shots_2_63", "flag_shots_huge", "shots_1e8_plus_1", "flag_shots_1e8_plus_1"])
@@ -237,10 +261,8 @@ def test_old_format_params_exit_cleanly(tiny_config_path, tmp_path, capsys):
     train_out = tmp_path / "t"
     main(["train", "--config", tiny_config_path, "--out", str(train_out)])
     params = train_out / "surrogate.params"
-    # the flagless single-qubit input line of the old surrogate format
-    lines = ["input 0 0.1 2.0" if ln.startswith("input ") else ln
-             for ln in params.read_text().splitlines()]
-    params.write_text("\n".join(lines) + "\n")
+    # the same trained surrogate in the plain-text format that JSON replaced
+    params.write_text(first_format_text(load_surrogate(params)))
     capsys.readouterr()
     code = main(["run", "--config", tiny_config_path, "--out", str(tmp_path / "r"),
                  "--params", str(params)])
@@ -253,7 +275,7 @@ def test_old_format_params_exit_cleanly(tiny_config_path, tmp_path, capsys):
 def test_train_writes_params(tiny_config_path, tmp_path):
     out = tmp_path / "train"
     assert main(["train", "--config", tiny_config_path, "--out", str(out)]) == 0
-    assert (out / "surrogate.params").read_text().startswith("qkinopt-surrogate 1")
+    assert json.loads((out / "surrogate.params").read_text())["format"] == "qkinopt-surrogate 2"
     trace = (out / "training_trace.csv").read_text().strip().splitlines()
     assert trace[0] == "epoch,loss"
     assert len(trace) == 5  # header + initial loss + 3 epochs

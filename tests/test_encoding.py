@@ -1,4 +1,7 @@
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -259,3 +262,13 @@ class TestGridColumns:
         np.testing.assert_array_equal(cols[1].ravel(), grid.specs[1].bin_value(np.arange(16, 32)))
         rows = np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(128, grid.dimension)
         assert rows.tobytes() == decode_all(grid, 384, 512).tobytes()
+
+
+def test_import_loads_only_the_modules_encoding_uses():
+    # the package namespace re-exports nothing, so a module loads only its own imports
+    src = str(pathlib.Path(encoding.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qkinopt.encoding; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'qkinopt'))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == ["qkinopt", "qkinopt.encoding", "qkinopt.qsim"]

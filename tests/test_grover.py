@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,23 @@ class TestClosedForm:
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
         assert float(state.probabilities()[marked].sum()) == pytest.approx(
             success_probability_analytic(M, 5, K), abs=1e-12)
+
+    def test_repr_and_equality_build_no_dense_state(self):
+        state = amplified_state(24, np.array([5, 9]), 3)
+        tracemalloc.start()
+        try:
+            text = repr(state)
+            same = state == state and state == amplified_state(24, np.array([5, 9]), 3)
+            other = state == amplified_state(24, np.array([5, 10]), 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert text == (f"AmplifiedState(n_qubits=24, m=2, a={state.a!r}, b={state.b!r}, "
+                        f"p_marked={state.p_marked!r})")
+        assert same and not other
+        assert state != amplified_state(24, np.array([5, 9]), 2)
+        assert state != qsim.uniform_superposition(3)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -523,7 +541,16 @@ def walking_ladder(costs, epsilon0, shrink):
     floor = float(costs.min())
     if epsilon0 is None:
         epsilon0 = 10.0 * floor if floor > 0 else 0.0
-    levels = walking_shrink_schedule(costs, epsilon0, shrink)
+    if floor > 0:
+        levels = walking_shrink_schedule(costs, epsilon0, shrink)
+    else:
+        # a zero floor is marked at every threshold, so the walk counts the
+        # positive costs and stops above the least of them
+        positive = costs[costs > 0]
+        levels = [epsilon0]
+        while levels[-1] * shrink != levels[-1] and \
+                count_solutions(positive, levels[-1] * shrink) >= 1:
+            levels.append(levels[-1] * shrink)
     refined = bisected_minimal_epsilon(costs, levels[-1])
     if refined < levels[-1]:
         levels.append(refined)

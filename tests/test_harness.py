@@ -31,7 +31,12 @@ from qkinopt.harness import (
     write_table,
 )
 from qkinopt.kinematics import GraspTask, PoseTarget, PoseWeights
-from qkinopt.qml import build_cost_table, configuration_costs, make_surrogate
+from qkinopt.qml import (
+    build_cost_table,
+    configuration_costs,
+    configuration_positions,
+    make_surrogate,
+)
 from qkinopt.qsim import CapacityError
 from tests_support import shipped_case
 
@@ -173,6 +178,24 @@ class TestAdaptiveEquivalence:
             assert marked.dtype == np.int64 and (np.diff(marked) > 0).all()
             assert np.isin(marked, before).all()  # each level narrows the one before
             np.testing.assert_array_equal(marked, np.flatnonzero(costs <= step.epsilon))
+
+    def test_zero_floor_ladder_stops_at_least_positive_cost(self):
+        # the target on grid point 77's tip gives a cost floor of exactly 0; the
+        # geometric steps stop at the least positive cost, then the floor follows
+        config = shipped_case("one_dof", qubits_per_param=4)
+        tip = configuration_positions(config.model,
+                                      dict(zip(config.grid.names(), decode(config.grid, 77))))
+        config = dataclasses.replace(
+            config, task=dataclasses.replace(config.task, position=tuple(map(float, tip))),
+            search=dataclasses.replace(config.search, epsilon0=1.0))
+        report = run_case(config)
+        costs, _ = build_cost_table(config.grid, config.model, config.task, config.weights)
+        lowest = float(costs[costs > 0].min())
+        epsilons = [step.epsilon for step in report.steps[1:]]
+        assert (len(epsilons), report.queries_total) == (7, 42)
+        assert epsilons[-1] == 0.0 and epsilons[-2] * config.search.shrink < lowest <= epsilons[-2]
+        assert (report.result.index, report.steps[-1].best_cost) == (77, 0.0)
+        assert report.result.accepted
 
 
 class TestOneGridPass:

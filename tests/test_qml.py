@@ -1,5 +1,8 @@
 import collections
+import json
 import math
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from qkinopt.qml import (
     train,
     workspace_box,
 )
-from tests_support import shipped_case, verification_cases
+from tests_support import first_format_text, shipped_case, verification_cases
 
 TWO_PI = 2 * math.pi
 
@@ -587,6 +590,27 @@ class TestStreamedTables:
         assert seen == [(0, 4), (4, 8), (8, 12), (12, 16)]
 
 
+SPECIAL_FLOATS = [-0.0, 5e-324, 1.7e308, -1.7e308]
+
+
+@st.composite
+def saved_surrogates(draw):
+    """A surrogate of 2-5 qubits and 1-3 layers with random input and readout
+    maps, whose parameters hold a signed zero, the least subnormal and values
+    near both ends of the float range among random finite floats."""
+    n, layers = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    qubit, bound = st.integers(0, n - 1), st.floats(0.1, 5.0)
+    inputs = tuple((tuple(draw(st.lists(qubit, min_size=1, max_size=n, unique=True))),
+                    -draw(bound), draw(bound), draw(st.booleans()))
+                   for _ in range(draw(st.integers(1, 3))))
+    readout = tuple((draw(qubit), -draw(bound), draw(bound))
+                    for _ in range(draw(st.integers(1, 4))))
+    rest = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=2 * n * layers - 4, max_size=2 * n * layers - 4)
+    params = np.array(draw(st.permutations(SPECIAL_FLOATS + draw(rest))))
+    return qml.Surrogate(Ansatz(n, layers), params, inputs, readout)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -605,12 +629,52 @@ class TestSerialization:
         rng = np.random.default_rng(8)
         s, _ = random_surrogate(rng)
         path = tmp_path / "surrogate.params"
+        text = first_format_text(s)
+        # the plain-text format JSON replaced, and that format with the
+        # single-qubit, flagless input line that the affine encoding wrote
+        flagless = "".join("input 0 0.1 2.0\n" if ln.startswith("input 0,") else ln
+                           for ln in text.splitlines(keepends=True))
+        for old in (text, flagless):
+            path.write_text(old)
+            with pytest.raises(ValueError, match="not in the current format"):
+                load_surrogate(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=saved_surrogates())
+    def test_round_trip_is_bit_exact(self, s):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "surrogate.params"
+            save_surrogate(s, path)
+            data = json.loads(path.read_text())
+            loaded = load_surrogate(path)
+        assert data["format"] == "qkinopt-surrogate 2"
+        assert loaded.ansatz == s.ansatz
+        assert loaded.params.tobytes() == s.params.tobytes()
+        assert repr((loaded.input_map, loaded.readout)) == repr((s.input_map, s.readout))
+        z = [(lo + hi) / 2 for _, lo, hi, _ in s.input_map]
+        np.testing.assert_array_equal(predict(loaded, z), predict(s, z))
+
+    @pytest.mark.parametrize("key", ["qubits", "layers", "params", "inputs", "readout"])
+    def test_missing_key_raises_key_error(self, key, tmp_path):
+        s, _ = random_surrogate(np.random.default_rng(8))
+        path = tmp_path / "surrogate.params"
         save_surrogate(s, path)
-        lines = path.read_text().splitlines()
-        # the single-qubit, flagless input line that the affine encoding wrote
-        lines = ["input 0 0.1 2.0" if ln.startswith("input 0,") else ln for ln in lines]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="current format"):
+        data = json.loads(path.read_text())
+        del data[key]
+        path.write_text(json.dumps(data))
+        with pytest.raises(KeyError, match=key):
+            load_surrogate(path)
+
+    @pytest.mark.parametrize("edit, error", [
+        ({"qubits": "3"}, TypeError), ({"layers": 1.0}, TypeError),
+        ({"format": "qkinopt-surrogate 1"}, ValueError), ({"format": None}, ValueError),
+    ], ids=["qubits_string", "layers_float", "first_format_marker", "no_marker"])
+    def test_wrong_types_and_markers_refused(self, edit, error, tmp_path):
+        s, _ = random_surrogate(np.random.default_rng(8))
+        path = tmp_path / "surrogate.params"
+        save_surrogate(s, path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        with pytest.raises(error):
             load_surrogate(path)
 
     def test_rejects_other_files(self, tmp_path):

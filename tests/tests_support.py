@@ -71,3 +71,17 @@ def verification_cases(draw):
                       tolerance=0.5)
     alpha_R = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.01, 5.0))
     return grid, model, task, PoseWeights(1.0, alpha_R)
+
+
+def first_format_text(surrogate):
+    """A surrogate file in the plain-text format that JSON replaced: a header,
+    `qubits <n> layers <n>`, one `input <q,q,...> <lo> <hi> angular|linear` and
+    one `readout <q> <lo> <hi>` line per map, then `params` and one parameter a line."""
+    lines = ["qkinopt-surrogate 1",
+             f"qubits {surrogate.ansatz.n_qubits} layers {surrogate.ansatz.n_layers}"]
+    lines += [f"input {','.join(map(str, qubits))} {lo!r} {hi!r} "
+              f"{'angular' if angular else 'linear'}"
+              for qubits, lo, hi, angular in surrogate.input_map]
+    lines += [f"readout {qubit} {lo!r} {hi!r}" for qubit, lo, hi in surrogate.readout]
+    lines += ["params"] + [repr(float(p)) for p in surrogate.params]
+    return "\n".join(lines) + "\n"
