@@ -14,13 +14,12 @@ such as l1 * cos(theta) becomes a two-qubit parity. Uploading an input on
 several qubits gives each readout its own copy: <Z> and <X> of one qubit,
 which carry cos(theta) and sin(theta), are not jointly measurable.
 
-Gradients use the parameter-shift rule (+-pi/2 shifts of each rotation
-angle, combined through the chain rule of the squared loss). All 2P+1
-circuits of one gradient run as one pass over a stack of states, where the
-shifted copies of a parameter branch off the unshifted circuit at its gate;
-the unshifted slot also gives the loss. Rows go through in blocks of at most
-GRADIENT_BLOCK_AMPS stacked amplitudes, unless one row alone needs more.
-Training is full-batch Adam seeded for reproducibility, one pass per epoch.
+The circuit is read in the Heisenberg picture (Schuld, Sweke & Meyer 2021):
+the uploads act on |0...0>, so a row's input state psi(z) is a real product
+state, and each readout is psi^T O_q psi with O_q = Re(U^H Z_q U), one matrix
+for every row. Gradients take the parameter-shift rule (+-pi/2 shifts of each
+angle, through the chain rule of the squared loss) on the 2P+1 shifted
+observables. Training is full-batch Adam, seeded, one gradient per epoch.
 
 This module also builds the diagonal cost table that the search oracle
 consumes: one `kinematics.cost_of_deviation` per basis state, from the
@@ -34,6 +33,7 @@ error of any batch of configurations. `save_surrogate` writes sorted-key JSON.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -61,9 +61,6 @@ from .kinematics import (
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
-# complex values in one gradient stack (1 MiB): it stays in cache, and on the
-# 65,536-row two_dof grid larger blocks measured both slower and heavier
-GRADIENT_BLOCK_AMPS = 1 << 16
 # marks a saved surrogate file as current; a file without it must be retrained
 SURROGATE_FORMAT = "qkinopt-surrogate 2"
 
@@ -89,21 +86,20 @@ class Ansatz:
     def parameter_count(self) -> int:
         return 2 * self.n_qubits * self.n_layers
 
-    def gates(self, params: Sequence[float]) -> list:
+    def angles(self, params: Sequence[float]) -> np.ndarray:
+        """(n_layers, n_qubits, 2) RX and RY angles of a parameter vector."""
         params = np.asarray(params, dtype=float)
         if params.shape != (self.parameter_count,):
-            raise ValueError(
-                f"ansatz expects {self.parameter_count} parameters, got {params.shape}"
-            )
+            raise ValueError(f"ansatz takes {self.parameter_count} parameters, got {params.shape}")
+        return params.reshape(self.n_layers, self.n_qubits, 2)
+
+    def gates(self, params: Sequence[float]) -> list:
+        """The gate-level circuit, which the tests check the layer unitaries against."""
         gates = []
-        p = 0
-        for _ in range(self.n_layers):
-            for q in range(self.n_qubits):
-                gates.append(qsim.RX(q, float(params[p])))
-                gates.append(qsim.RY(q, float(params[p + 1])))
-                p += 2
-            for q in range(self.n_qubits):
-                gates.append(qsim.CNOT(q, (q + 1) % self.n_qubits))
+        for layer in self.angles(params):
+            for q, (rx, ry) in enumerate(layer):
+                gates += [qsim.RX(q, float(rx)), qsim.RY(q, float(ry))]
+            gates += [qsim.CNOT(q, (q + 1) % self.n_qubits) for q in range(self.n_qubits)]
         return gates
 
 
@@ -206,25 +202,8 @@ def input_angles(surrogate: Surrogate, z: np.ndarray) -> np.ndarray:
     return angles
 
 
-def encode_input(surrogate: Surrogate, z: Sequence[float]) -> qsim.Circuit:
-    """One RY per input parameter on each qubit of its block."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (surrogate.n_inputs,):
-        raise ValueError(f"expected {surrogate.n_inputs} inputs, got {z.shape}")
-    angles = input_angles(surrogate, z)
-    return qsim.Circuit(surrogate.ansatz.n_qubits,
-                        [qsim.RY(qubit, float(a))
-                         for (qubits, *_), a in zip(surrogate.input_map, angles)
-                         for qubit in qubits])
-
-
-def _z_signs(n_qubits: int, qubit: int) -> np.ndarray:
-    idx = np.arange(1 << n_qubits)
-    return 1.0 - 2.0 * ((idx >> qubit) & 1)
-
-
 def _input_states(surrogate: Surrogate, Z: np.ndarray) -> np.ndarray:
-    """(B, 2^n) complex128 input states of a (B, d) batch.
+    """(B, 2^n) float64 input states of a (B, d) batch.
 
     The uploads act on |0...0>, so each row's input state is a product of one
     RY(a)|0> = cos(a/2)|0> + sin(a/2)|1> factor per qubit, where a sums the
@@ -242,31 +221,54 @@ def _input_states(surrogate: Surrogate, Z: np.ndarray) -> np.ndarray:
     amps = np.ones((Z.shape[0], 1))
     for q in range(n):  # qubit q becomes the high bit of the index so far
         amps = np.concatenate([amps * cos[:, q:q + 1], amps * sin[:, q:q + 1]], axis=1)
-    return amps.astype(np.complex128)
+    return amps
 
 
-def _readout(surrogate: Surrogate, amps: np.ndarray) -> np.ndarray:
-    """Outputs (..., n_outputs) of states (..., 2^n): each readout's <Z>
-    mapped affinely onto its interval."""
-    n = surrogate.ansatz.n_qubits
-    probs = np.abs(amps) ** 2
-    out = np.empty(amps.shape[:-1] + (surrogate.n_outputs,))
-    for j, (qubit, lo, hi) in enumerate(surrogate.readout):
-        # fixed-order pairwise sum over the last axis: a state reduces
-        # identically whatever batch or stack it sits in
-        z_expect = (probs * _z_signs(n, qubit)).sum(axis=-1)
-        out[..., j] = lo + (z_expect + 1.0) / 2.0 * (hi - lo)
-    return out
+def _layer_unitaries(n_qubits: int, angles: np.ndarray) -> np.ndarray:
+    """(..., 2^n, 2^n) unitaries of ansatz layers given their (..., n, 2) RX and
+    RY angles: the Kronecker product of each qubit's RY(b).RX(a), qubit 0 the
+    last factor (the least significant bit), then the CNOT ring i -> i+1."""
+    rot = qsim._ry_matrix(angles[..., 1]) @ qsim._rx_matrix(angles[..., 0])  # (..., n, 2, 2)
+    u = rot[..., n_qubits - 1, :, :]
+    for q in range(n_qubits - 2, -1, -1):  # each factor doubles both axes
+        u = (u[..., :, None, :, None] * rot[..., q, None, :, None, :]).reshape(
+            rot.shape[:-3] + (2 * u.shape[-1],) * 2)
+    ring = np.arange(1 << n_qubits)  # basis index each output index reads, gate by gate
+    for q in range(n_qubits):
+        ring = ring[qsim._cnot_source(q, (q + 1) % n_qubits, n_qubits)]
+    return u[..., ring, :]
+
+
+def _running_products(layers: np.ndarray) -> list:
+    """[L_0, L_1 L_0, ..., U]: the circuit up to and including each layer."""
+    return list(itertools.accumulate(layers, lambda done, layer: layer @ done))
+
+
+def _observables(surrogate: Surrogate, u: np.ndarray) -> np.ndarray:
+    """(..., n_outputs, 2^n, 2^n) observables Re(U^H Z_q U) = V^T diag(z_q, z_q) V of
+    circuit unitaries U (..., 2^n, 2^n), where V stacks Re U on Im U."""
+    idx = np.arange(2 << surrogate.ansatz.n_qubits)  # V's rows: bit n tells Re from Im
+    signs = np.stack([1.0 - 2.0 * ((idx >> q) & 1) for q, _, _ in surrogate.readout])
+    v = np.concatenate([u.real, u.imag], axis=-2)
+    return (np.swapaxes(v, -1, -2)[..., None, :, :] * signs[:, None, :]) @ v[..., None, :, :]
+
+
+def _readout(surrogate: Surrogate, states: np.ndarray, observables: np.ndarray) -> np.ndarray:
+    """Outputs (B, n_outputs) of real states (B, 2^n): each readout's <Z>, the
+    quadratic form of its observable, mapped affinely onto its interval."""
+    # stacked one-row products: a row reduces identically whatever batch it sits in
+    z_expect = (states[:, None, None, :] @ observables @ states[:, None, :, None])[..., 0, 0]
+    lo, hi = np.array([(lo, hi) for _, lo, hi in surrogate.readout]).T
+    return lo + (z_expect + 1.0) / 2.0 * (hi - lo)
 
 
 def _predict_batch(surrogate: Surrogate, Z: np.ndarray,
                    params: Optional[np.ndarray] = None) -> np.ndarray:
     """Vectorised prediction over a (B, d) batch; returns (B, n_outputs)."""
+    ansatz = surrogate.ansatz
     theta = surrogate.params if params is None else params
-    amps = _input_states(surrogate, Z)
-    for gate in surrogate.ansatz.gates(theta):
-        qsim._apply_gate_inplace(amps, gate, surrogate.ansatz.n_qubits)
-    return _readout(surrogate, amps)
+    u = _running_products(_layer_unitaries(ansatz.n_qubits, ansatz.angles(theta)))[-1]
+    return _readout(surrogate, _input_states(surrogate, Z), _observables(surrogate, u))
 
 
 def predict(surrogate: Surrogate, z: Sequence[float]) -> np.ndarray:
@@ -317,42 +319,29 @@ def gradient(surrogate: Surrogate, data: TrainingSet,
              params: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
     """(loss, d loss / d theta) at theta, the gradient by the parameter-shift rule.
 
-    For each rotation angle theta_j the prediction derivative is
-    (pred(theta_j + pi/2) - pred(theta_j - pi/2)) / 2; the squared-loss chain
-    rule contributes 2 * (pred - label).
-
-    All 2P+1 circuits run in one pass over a stack of states: slot 0 holds
-    the circuit at theta, and the two shifted copies of parameter j are
-    copied from slot 0 just before theta_j's gate, so they share the gates
-    before it. Training rows go through in blocks of the most rows (one at
-    least) that keep the stack's (2P+1) * rows * 2^n complex values within
-    GRADIENT_BLOCK_AMPS. The result is bit-identical to 2P+1 separate
-    `_predict_batch` passes, and the loss, read off slot 0, to `loss`.
+    A prediction derivative is (pred(theta_j + pi/2) - pred(theta_j - pi/2)) / 2,
+    and the squared loss adds 2 * (pred - label), so d loss / d theta_j is
+    sum_q <G_q, O_q(+pi/2) - O_q(-pi/2)> with G_q = sum_b w_bq psi_b psi_b^T, w the
+    residual times readout q's half span over the row count. The circuit at theta_j
+    +- pi/2 is (layers after) . (its shifted layer) . (layers before). The loss is `loss`'s.
     """
-    theta = np.asarray(surrogate.params if params is None else params, dtype=float)
     n = surrogate.ansatz.n_qubits
-    slots = 2 * theta.size + 1
-    rows = max(1, GRADIENT_BLOCK_AMPS // (slots << n))
-    circuits = [surrogate.ansatz.gates(t)
-                for t in (theta, theta + math.pi / 2, theta - math.pi / 2)]
-    pred = np.empty((slots, data.inputs.shape[0], surrogate.n_outputs))
-    for start in range(0, data.inputs.shape[0], rows):
-        block = data.inputs[start:start + rows]
-        amps = np.empty((slots, block.shape[0], 1 << n), dtype=np.complex128)
-        amps[0] = _input_states(surrogate, block)
-        live = 1
-        for gate, plus, minus in zip(*circuits):
-            if isinstance(gate, qsim.CNOT):  # the ansatz's only gate without a parameter
-                qsim._apply_gate_inplace(amps[:live], gate, n)
-                continue
-            amps[live:live + 2] = amps[0]
-            qsim._apply_gate_inplace(amps[:live], gate, n)
-            qsim._apply_gate_inplace(amps[live], plus, n)
-            qsim._apply_gate_inplace(amps[live + 1], minus, n)
-            live += 2
-        pred[:, start:start + block.shape[0]] = _readout(surrogate, amps)
-    resid = pred[0] - data.labels
-    return _mean_square(resid), np.mean(np.sum(resid * (pred[1::2] - pred[2::2]), axis=2), axis=1)
+    angles = surrogate.ansatz.angles(surrogate.params if params is None else params)
+    layers = _layer_unitaries(n, angles)
+    products = _running_products(layers)
+    states = _input_states(surrogate, data.inputs)
+    resid = _readout(surrogate, states, _observables(surrogate, products[-1])) - data.labels
+    j = np.arange(surrogate.ansatz.parameter_count)  # j = 2 (layer * n + qubit) + (0: RX, 1: RY)
+    layer, bump = j // (2 * n), np.eye(2 * n)[j % (2 * n)].reshape(j.size, n, 2)
+    shifted = angles[layer] + np.multiply.outer([math.pi / 2, -math.pi / 2], bump)
+    before = np.stack([np.eye(1 << n)] + products[:-1])
+    after = np.stack([*itertools.accumulate(layers[:0:-1], np.matmul,
+                                            initial=np.eye(1 << n))][::-1])
+    u = after[layer] @ _layer_unitaries(n, shifted) @ before[layer]
+    plus, minus = _observables(surrogate, u)  # (P, n_outputs, 2^n, 2^n) each
+    weights = resid * np.array([(hi - lo) / 2.0 for _, lo, hi in surrogate.readout]) / len(resid)
+    g = (states.T * weights.T[:, None, :]) @ states  # G_q, (n_outputs, 2^n, 2^n)
+    return _mean_square(resid), (plus - minus).reshape(j.size, -1) @ g.ravel()
 
 
 def train(surrogate: Surrogate, data: TrainingSet, epochs: int = 200,
@@ -404,10 +393,18 @@ def save_surrogate(surrogate: Surrogate, path) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _typed(kind, value, key: str):
+    """kind(value) for a JSON value of that kind (an integer serves as a float);
+    another value, such as a string or a bool among numbers, raises TypeError."""
+    if type(value) not in {float: (int, float), int: (int,), bool: (bool,)}[kind]:
+        raise TypeError(f"{key!r} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def load_surrogate(path) -> Surrogate:
     """The surrogate `save_surrogate` wrote. A file that is not JSON or lacks the
-    format marker raises ValueError, a missing key KeyError, and a qubit or layer
-    count that is not an integer TypeError."""
+    format marker raises ValueError, a missing key KeyError, and a count, qubit
+    index, parameter, bound or flag of another JSON type TypeError."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -415,12 +412,18 @@ def load_surrogate(path) -> Surrogate:
             data = None
     if not isinstance(data, dict) or data.get("format") != SURROGATE_FORMAT:
         raise ValueError("not in the current format; retrain the surrogate")
-    if type(data["qubits"]) is not int or type(data["layers"]) is not int:
-        raise TypeError("'qubits' and 'layers' must be integers")
-    return Surrogate(
-        Ansatz(data["qubits"], data["layers"]), np.asarray(data["params"], dtype=float),
-        tuple((tuple(i["qubits"]), i["lo"], i["hi"], i["angular"]) for i in data["inputs"]),
-        tuple((r["qubit"], r["lo"], r["hi"]) for r in data["readout"]))
+
+    def fields(record, where, **kinds):
+        return tuple(_typed(kind, record[key], where + key) for key, kind in kinds.items())
+
+    params = [_typed(float, p, f"params[{k}]") for k, p in enumerate(data["params"])]
+    inputs = tuple((tuple(_typed(int, q, f"inputs[{k}].qubits") for q in i["qubits"]),
+                    *fields(i, f"inputs[{k}].", lo=float, hi=float, angular=bool))
+                   for k, i in enumerate(data["inputs"]))
+    readout = tuple(fields(r, f"readout[{k}].", qubit=int, lo=float, hi=float)
+                    for k, r in enumerate(data["readout"]))
+    return Surrogate(Ansatz(*fields(data, "", qubits=int, layers=int)),
+                     np.array(params, dtype=float), inputs, readout)
 
 
 # --- cost tables -------------------------------------------------------------------

@@ -1,22 +1,17 @@
-"""Dense statevector simulator.
+"""Dense statevector simulator: the gate-level reference.
 
 Amplitudes are stored as a dense array indexed by basis integer,
 little-endian qubit order: qubit 0 is the least significant bit of the basis
 index. States built by gates are complex128; a Grover state
 (`grover.AmplifiedState`) holds two real values and builds its float64
-amplitudes when read. All gate kernels operate on the last axis of an
-array, so they also accept batches of states shaped
-``(..., 2**n_qubits)``; vectorised application is element-wise identical to
-sequential per-index updates. `measure` and `expectation_diagonal` read the
-dense amplitudes; no pipeline path calls them, and they stay as the reference
-for the search's two-value sampler and <C>.
+amplitudes when read. Gate kernels act on the last axis, so they also take
+batches of states ``(..., 2**n_qubits)``. Gates preserve the norm up to
+floating-point drift; drift beyond 1e-9 is a bug, so nothing renormalises.
 
-Gates preserve the norm up to floating-point drift. Drift beyond 1e-9
-indicates a bug, not numerics, so nothing renormalises.
-
-`Circuit` (of H, RX/RY/RZ and CNOT gates), `apply_circuit` and `new_zero_state`
-are the gate-level reference that the tests check the batched `qml` kernels
-against. Grover's oracle and diffusion act on amplitudes directly (`grover`).
+No pipeline path runs `Circuit`, `apply_circuit`, the kernels, `measure` or
+`expectation_diagonal`: they are what the tests check the surrogate's
+observables, the search's two-value sampler and its <C> against. `qml` takes
+only the rotation matrices and the CNOT permutation from here.
 """
 
 from __future__ import annotations
@@ -71,14 +66,16 @@ Gate = Union[Hadamard, RX, RY, RZ, CNOT]
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 
 
-def _rx_matrix(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+def _rx_matrix(angle) -> np.ndarray:
+    """RX(angle), or one per entry, (..., 2, 2), of an array of angles."""
+    c, s = np.cos(np.divide(angle, 2)), np.sin(np.divide(angle, 2))
+    return np.moveaxis(np.array([[c, -1j * s], [-1j * s, c]], dtype=complex), (0, 1), (-2, -1))
 
 
-def _ry_matrix(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+def _ry_matrix(angle) -> np.ndarray:
+    """RY(angle), or one per entry, (..., 2, 2), of an array of angles."""
+    c, s = np.cos(np.divide(angle, 2)), np.sin(np.divide(angle, 2))
+    return np.moveaxis(np.array([[c, -s], [s, c]], dtype=complex), (0, 1), (-2, -1))
 
 
 def _rz_matrix(angle: float) -> np.ndarray:

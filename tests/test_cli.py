@@ -105,7 +105,8 @@ def as_case(case, *path, **values):
 
 def surrogate_json(**values):
     """An edit that returns the file of an untrained surrogate of the shipped
-    one_dof case with `values` set, or removed where a value is None."""
+    one_dof case with `values` set, removed where a value is None, or replaced
+    by its result where a value is a function of the saved one."""
     def edit(data):
         config = shipped_case("one_dof")
         with tempfile.TemporaryDirectory() as tmp:
@@ -113,7 +114,7 @@ def surrogate_json(**values):
             save_surrogate(make_surrogate(config.grid, config.model), path)
             with open(path) as fh:
                 surrogate = json.load(fh)
-        surrogate.update(values)
+        surrogate.update({k: v(surrogate[k]) if callable(v) else v for k, v in values.items()})
         return json.dumps({k: v for k, v in surrogate.items() if v is not None})
     return edit
 
@@ -201,7 +202,13 @@ def surrogate_json(**values):
      "missing key 'params'"),
     (surrogate_json(qubits="4"),
      ["run", "--config", "{config}", "--mode", "surrogate", "--params", "{bad}"],
-     "'qubits' and 'layers' must be integers"),
+     "'qubits' must be int"),
+    (surrogate_json(params=lambda params: [str(p) for p in params]),
+     ["run", "--config", "{config}", "--mode", "surrogate", "--params", "{bad}"],
+     "'params[0]' must be float"),
+    (surrogate_json(inputs=lambda inputs: [dict(inputs[0], lo="0.1")] + inputs[1:]),
+     ["run", "--config", "{config}", "--mode", "surrogate", "--params", "{bad}"],
+     "'inputs[0].lo' must be float"),
     (keep, ["sweep", "--config", "{bad}", "--qubits", "3,,4"], "--qubits"),
     (keep, ["sweep", "--config", "{bad}", "--qubits", "0,2"], "--qubits"),
     (keep, ["sweep", "--config", "{bad}", "--qubits", "3,4000"], "--qubits"),
@@ -231,7 +238,7 @@ def surrogate_json(**values):
         "baselines_unknown_key", "report_missing_key", "baselines_evaluations_string",
         "baselines_best_cost_null", "report_queries_fraction", "report_best_cost_null",
         "report_accepted_string", "params_header_only", "params_missing_key",
-        "params_qubits_string", "qubits_empty_count",
+        "params_qubits_string", "params_strings", "params_bound_string", "qubits_empty_count",
         "qubits_zero_count", "qubits_above_cap", "qubits_5000_digits", "lone_report",
         "lone_baselines_with_config", "merge_with_config", "merge_with_overrides",
         "shots_2_63", "flag_shots_huge", "shots_1e8_plus_1", "flag_shots_1e8_plus_1"])

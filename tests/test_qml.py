@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from qkinopt.qml import (
     TrainingSet,
     build_cost_table,
     configuration_costs,
-    encode_input,
     gradient,
     input_angles,
     load_surrogate,
@@ -35,7 +35,7 @@ from qkinopt.qml import (
     train,
     workspace_box,
 )
-from tests_support import first_format_text, shipped_case, verification_cases
+from tests_support import encode_input, first_format_text, shipped_case, verification_cases
 
 TWO_PI = 2 * math.pi
 
@@ -47,6 +47,21 @@ def one_dof_grid(n=3):
     ))
 
 
+def gate_level_predictions(s, Z, theta):
+    """(rows, outputs): each row's own circuit, its uploads then the ansatz at
+    theta, through qsim.apply_circuit, and each readout's <Z> mapped affinely."""
+    n = s.ansatz.n_qubits
+    idx = np.arange(1 << n)
+    out = []
+    for z in Z:
+        circuit = encode_input(s, z)
+        circuit.gates.extend(s.ansatz.gates(theta))
+        state = qsim.apply_circuit(qsim.new_zero_state(n), circuit)
+        out.append([lo + (qsim.expectation_diagonal(state, 1.0 - 2.0 * ((idx >> q) & 1)) + 1.0)
+                    / 2.0 * (hi - lo) for q, lo, hi in s.readout])
+    return np.array(out)
+
+
 def random_surrogate(rng, n_qubits=3, n_layers=1):
     grid = ParamGrid((
         ParamSpec("l1", 0.1, 2.0, 2),
@@ -54,6 +69,12 @@ def random_surrogate(rng, n_qubits=3, n_layers=1):
     ))
     s = make_surrogate(grid, OneLink(), n_layers=n_layers, n_qubits=n_qubits)
     return s.with_params(rng.uniform(-math.pi, math.pi, s.ansatz.parameter_count)), grid
+
+
+def random_training_set(rng, rows):
+    # lengths run past the grid's [0.1, 2.0] so clamping is exercised too
+    Z = np.column_stack([rng.uniform(0.0, 2.2, rows), rng.uniform(0.0, TWO_PI, rows)])
+    return TrainingSet(Z, rng.uniform(-2.0, 2.0, size=(rows, 2)))
 
 
 class TestBuildAnsatz:
@@ -168,15 +189,21 @@ class TestPredict:
         for n_qubits in (2, 3, 4):
             s, grid = random_surrogate(rng, n_qubits=n_qubits, n_layers=2)
             for z in decode_all(grid):
-                circuit = encode_input(s, z)
-                circuit.gates.extend(s.ansatz.gates(s.params))
-                state = qsim.apply_circuit(qsim.new_zero_state(n_qubits), circuit)
-                idx = np.arange(1 << n_qubits)
-                expected = []
-                for q, lo, hi in s.readout:
-                    z_expect = qsim.expectation_diagonal(state, 1.0 - 2.0 * ((idx >> q) & 1))
-                    expected.append(lo + (z_expect + 1.0) / 2.0 * (hi - lo))
-                np.testing.assert_allclose(predict(s, z), expected, atol=1e-12)
+                np.testing.assert_allclose(predict(s, z),
+                                           gate_level_predictions(s, [z], s.params)[0],
+                                           atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 3), st.integers(1, 8),
+           st.integers(0, 2**32 - 1))
+    def test_layer_unitaries_match_gate_level_circuit(self, n_qubits, n_layers, rows, seed):
+        # the Kronecker product of each layer's rotations and the CNOT ring's
+        # permutation, against the gates one by one
+        rng = np.random.default_rng(seed)
+        s, _ = random_surrogate(rng, n_qubits=n_qubits, n_layers=n_layers)
+        Z = random_training_set(rng, rows).inputs
+        np.testing.assert_allclose(qml._predict_batch(s, Z),
+                                   gate_level_predictions(s, Z, s.params), rtol=0, atol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
@@ -253,78 +280,64 @@ class TestGradient:
         assert np.all(np.abs(g) <= 1e-9)
 
 
-def separate_shift_passes(s, data, theta):
-    """Reference: one `_predict_batch` pass at theta and at theta +- pi/2 e_j."""
-    resid = qml._predict_batch(s, data.inputs, theta) - data.labels
+def shift_rule_gradient(predictions, data, theta):
+    """Reference: the parameter-shift gradient from predictions(Z, params) at
+    theta and at theta +- pi/2 e_j."""
+    resid = predictions(data.inputs, theta) - data.labels
     grad = np.empty(theta.size)
     for j in range(theta.size):
         plus = theta.copy()
         plus[j] += math.pi / 2
         minus = theta.copy()
         minus[j] -= math.pi / 2
-        dpred = (qml._predict_batch(s, data.inputs, plus)
-                 - qml._predict_batch(s, data.inputs, minus))
+        dpred = predictions(data.inputs, plus) - predictions(data.inputs, minus)
         grad[j] = float(np.mean(np.sum(resid * dpred, axis=1)))
     return grad
 
 
-def random_training_set(rng, rows):
-    # lengths run past the grid's [0.1, 2.0] so clamping is exercised too
-    Z = np.column_stack([rng.uniform(0.0, 2.2, rows), rng.uniform(0.0, TWO_PI, rows)])
-    return TrainingSet(Z, rng.uniform(-2.0, 2.0, size=(rows, 2)))
+def separate_shift_passes(s, data, theta):
+    """Reference: one `_predict_batch` pass at theta and at theta +- pi/2 e_j."""
+    return shift_rule_gradient(lambda Z, t: qml._predict_batch(s, Z, t), data, theta)
 
 
-class TestStackedGradient:
+def assert_close_in_max_norm(got, expected, rel):
+    assert np.max(np.abs(got - expected)) <= rel * np.max(np.abs(expected))
+
+
+class TestObservableGradient:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 40),
            st.integers(0, 2**32 - 1))
-    def test_equals_separate_passes_bit_for_bit(self, n_qubits, n_layers, rows, seed):
+    def test_equals_separate_and_gate_level_passes(self, n_qubits, n_layers, rows, seed):
         rng = np.random.default_rng(seed)
         s, _ = random_surrogate(rng, n_qubits=n_qubits, n_layers=n_layers)
         data = random_training_set(rng, rows)
-        expected = separate_shift_passes(s, data, s.params)
         value, got = gradient(s, data)
-        assert got.tobytes() == expected.tobytes()
+        assert_close_in_max_norm(got, separate_shift_passes(s, data, s.params), 1e-12)
         assert np.float64(value).tobytes() == np.float64(loss(s, data)).tobytes()
+        # each of the first rows through its own 2P+1 gate-level circuits
+        head = TrainingSet(data.inputs[:3], data.labels[:3])
+        reference = shift_rule_gradient(
+            lambda Z, t: gate_level_predictions(s, Z, t), head, s.params)
+        assert_close_in_max_norm(gradient(s, head)[1], reference, 1e-12)
 
-    def test_row_blocks_equal_separate_passes(self, monkeypatch):
-        rng = np.random.default_rng(10)
-        s, _ = random_surrogate(rng, n_qubits=3, n_layers=2)
-        data = random_training_set(rng, 20)
-        slots = 2 * s.ansatz.parameter_count + 1
-        monkeypatch.setattr(qml, "GRADIENT_BLOCK_AMPS", 3 * slots * 8)  # 3 rows of 2^3 amplitudes
-        block_rows = []
-        input_states = qml._input_states
-
-        def recording(surrogate, Z):
-            block_rows.append(len(Z))
-            return input_states(surrogate, Z)
-
-        monkeypatch.setattr(qml, "_input_states", recording)
-        _, got = gradient(s, data)
-        assert block_rows == [3] * 6 + [2]
-        assert got.tobytes() == separate_shift_passes(s, data, s.params).tobytes()
-
-    def test_stack_within_budget_on_shipped_two_dof(self, monkeypatch):
-        # the shipped two_dof surrogate trains on its whole 2^16-row grid: unblocked,
-        # its 33-slot stack would hold 33 * 65536 * 16 complex values (553 MB)
+    def test_peak_memory_on_shipped_two_dof(self):
+        # the shipped two_dof surrogate trains on its whole 2^16-row grid; a
+        # gradient that ran its 33 circuits over every row would hold 33 * 65536
+        # * 16 complex values (553 MB). The bound is the peak measured for one
+        # gradient, 27.7 MB, plus 25%
         config = harness.load_config("configs/two_dof.json")
         s = make_surrogate(config.grid, config.model, n_layers=config.qml.n_layers,
                            n_qubits=config.qml.n_qubits)
         data = TrainingSet.from_grid(config.grid, config.model)
         assert data.inputs.shape[0] == 65536
-        sizes = []
-
-        def recording(kernel):
-            def run(amps, *args):
-                sizes.append(amps.size)
-                return kernel(amps, *args)
-            return run
-
-        for name in ("apply_single_qubit", "apply_cnot"):
-            monkeypatch.setattr(qsim, name, recording(getattr(qsim, name)))
-        gradient(s, data)
-        assert 0 < max(sizes) <= qml.GRADIENT_BLOCK_AMPS
+        tracemalloc.start()
+        try:
+            gradient(s, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 27.7e6
 
 
 class TestTrain:
@@ -666,16 +679,45 @@ class TestSerialization:
             load_surrogate(path)
 
     @pytest.mark.parametrize("edit, error", [
-        ({"qubits": "3"}, TypeError), ({"layers": 1.0}, TypeError),
-        ({"format": "qkinopt-surrogate 1"}, ValueError), ({"format": None}, ValueError),
-    ], ids=["qubits_string", "layers_float", "first_format_marker", "no_marker"])
+        (lambda d: d.update(qubits="3"), TypeError),
+        (lambda d: d.update(layers=1.0), TypeError),
+        (lambda d: d.update(format="qkinopt-surrogate 1"), ValueError),
+        (lambda d: d.update(format=None), ValueError),
+        # hand-edited files: each value is converted only from its own JSON type
+        (lambda d: d.update(params=[str(p) for p in d["params"]]), TypeError),
+        (lambda d: d["params"].__setitem__(0, True), TypeError),
+        (lambda d: d["inputs"][0].update(lo="0.1"), TypeError),
+        (lambda d: d["inputs"][0].update(qubits=[0.0]), TypeError),
+        (lambda d: d["inputs"][1].update(angular=1), TypeError),
+        (lambda d: d["readout"][0].update(qubit=True), TypeError),
+        (lambda d: d["readout"][1].update(hi=None), TypeError),
+    ], ids=["qubits_string", "layers_float", "first_format_marker", "no_marker",
+            "params_strings", "param_bool", "bound_string", "input_qubit_float",
+            "angular_int", "readout_qubit_bool", "bound_null"])
     def test_wrong_types_and_markers_refused(self, edit, error, tmp_path):
         s, _ = random_surrogate(np.random.default_rng(8))
         path = tmp_path / "surrogate.params"
         save_surrogate(s, path)
-        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
         with pytest.raises(error):
             load_surrogate(path)
+
+    def test_loaded_values_have_their_types(self, tmp_path):
+        # integral bounds and parameters, as a hand-written file may hold them,
+        # load as floats
+        s, _ = random_surrogate(np.random.default_rng(8))
+        path = tmp_path / "surrogate.params"
+        save_surrogate(s, path)
+        data = json.loads(path.read_text())
+        data["params"][0] = 1
+        data["inputs"][0].update(lo=0, hi=2)
+        path.write_text(json.dumps(data))
+        loaded = load_surrogate(path)
+        assert loaded.params.dtype == np.float64 and loaded.params[0] == 1.0
+        assert [type(v) for v in loaded.input_map[0]] == [tuple, float, float, bool]
+        assert [type(v) for v in loaded.readout[0]] == [int, float, float]
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "junk.txt"

@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 from hypothesis import strategies as st
 
-from qkinopt import harness, qsim
+from qkinopt import harness, qml, qsim
 from qkinopt.encoding import ParamGrid, ParamSpec
 from qkinopt.kinematics import DualArm, GraspTask, OneLink, PoseTarget, PoseWeights, TwoLink
 
@@ -21,6 +21,19 @@ def shipped_case(name, qubits_per_param=None, **fields):
     config = harness.load_config(CONFIGS / f"{name}.json")
     return dataclasses.replace(config.with_overrides(qubits_per_param=qubits_per_param),
                                **fields)
+
+
+def encode_input(surrogate, z):
+    """The gate-level uploads of one row: one RY per input parameter on each
+    qubit of its block."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != (surrogate.n_inputs,):
+        raise ValueError(f"expected {surrogate.n_inputs} inputs, got {z.shape}")
+    angles = qml.input_angles(surrogate, z)
+    return qsim.Circuit(surrogate.ansatz.n_qubits,
+                        [qsim.RY(qubit, float(a))
+                         for (qubits, *_), a in zip(surrogate.input_map, angles)
+                         for qubit in qubits])
 
 
 def random_gate_stream(count, n_qubits, seed):
