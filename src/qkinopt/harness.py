@@ -11,7 +11,7 @@ remain, and ends at the floor, the smallest value that still marks a state,
 so the last search marks only the grid minimum. The table is compared with
 a threshold once, at the start; each step's search takes the sorted marked
 indices, narrowed from the step's before. One "optimization iteration" is a
-step.
+step. The sweep keeps only each cost block's floor and tie count, no table.
 
 A config file is the dict form of a CaseConfig. Each section's keys are the
 constructor fields of the class it builds, read and written by one reader
@@ -45,6 +45,7 @@ from .qml import (
     configuration_costs,
     configuration_errors,
     configuration_positions,
+    cost_blocks,
     make_surrogate,
     min_qubits,
     save_surrogate,
@@ -466,7 +467,7 @@ def compare(report: dict, runs: Sequence[cls_opt.OptRun]) -> List[dict]:
 
 
 def sweep(config: CaseConfig, qubit_counts: Sequence[int]) -> List[dict]:
-    """Scaling table: resolution vs search effort at each qubits-per-parameter."""
+    """Scaling table: resolution vs search effort at each qubits-per-parameter (analytic cost)."""
     rows = []
     for q in qubit_counts:
         cfg = config.with_overrides(qubits_per_param=q)
@@ -476,9 +477,13 @@ def sweep(config: CaseConfig, qubit_counts: Sequence[int]) -> List[dict]:
             rows.append(dict(zip(SWEEP_HEADER, (q, cfg.grid.total_qubits, cfg.grid.size,
                                                 math.nan, 0, 0, math.nan, str(exc)))))
             continue
-        costs, _ = build_cost_table(cfg.grid, cfg.model, cfg.task, cfg.weights)
-        floor = float(costs.min())  # where every threshold ladder ends
-        m = grover.count_solutions(costs, floor)
+        floor, m = math.inf, 0  # where every threshold ladder ends, and its ties
+        for *_, block, _ in cost_blocks(cfg.grid, cfg.model, cfg.task, cfg.weights, None, False):
+            low = float(block.min())
+            if low < floor:
+                floor, m = low, 0
+            if low == floor:
+                m += grover.count_solutions(block, low)
         K = grover.iteration_count(cfg.grid.size, m)
         rows.append(dict(zip(SWEEP_HEADER, (q, cfg.grid.total_qubits, cfg.grid.size,
                                             floor, m, K,

@@ -24,9 +24,10 @@ observables. Training is full-batch Adam, seeded, one gradient per epoch.
 This module also builds the diagonal cost table that the search oracle
 consumes: one `kinematics.cost_of_deviation` per basis state, from the
 trained surrogate's predicted tips or from the analytical kinematics, whose
-grid columns bind to FK by parameter name. `build_cost_table` is the one grid
-pass, over `grid_blocks`, and can keep the least analytic
-`kinematics.error_of_deviation` over the grid without a table of it.
+grid columns bind to FK by parameter name. `cost_blocks` is the one block-cost
+path, over `grid_blocks`. `build_cost_table` writes its blocks into the table
+and keeps their least analytic `kinematics.error_of_deviation` as a running
+minimum; `harness.sweep` keeps only each block's floor and tie count.
 `configuration_costs` and `configuration_errors` give the analytic cost and
 error of any batch of configurations. `save_surrogate` writes sorted-key JSON.
 """
@@ -478,35 +479,39 @@ def configuration_errors(model, names: Tuple[str, ...], Z: np.ndarray,
     return task_error(task, *_task_rows(model, dict(zip(names, Z.T)), task, weights), weights)
 
 
+def cost_blocks(grid: ParamGrid, model, task, weights: PoseWeights,
+                surrogate: Optional[Surrogate], error_floor: bool):
+    """(start, stop, costs, least error) of each `grid_blocks` block. The costs lie
+    on the block's C-order tensor of rows and read the trained surrogate's tips,
+    predicted from its decoded rows, or else the closed-form kinematics' tips from
+    its columns. Its least analytic verification error (inf unless `error_floor`)
+    shares their `squared_deviation`. The callers check the qubit cap."""
+    names = grid.names()
+    for start, stop, cols in grid_blocks(grid):
+        shape, low = np.broadcast_shapes(*(c.shape for c in cols)), math.inf
+        if surrogate is None or error_floor:
+            tips, phis = _task_rows(model, dict(zip(names, cols)), task, weights)
+            d2 = squared_deviation(task, tips)
+            if error_floor:
+                low = float(np.min(error_of_deviation(task, d2, phis, weights)))
+        if surrogate is not None:
+            tips = _predict_batch(surrogate, decode_all(grid, start, stop)).reshape(shape + (-1,))
+            d2, phis = squared_deviation(task, tips), None
+        yield start, stop, np.broadcast_to(cost_of_deviation(task, d2, phis, weights), shape), low
+
+
 def build_cost_table(grid: ParamGrid, model, task, weights: PoseWeights,
                      surrogate: Optional[Surrogate] = None,
                      error_floor: bool = False) -> Tuple[np.ndarray, Optional[float]]:
-    """The one grid pass: the length-2^N diagonal of the cost observable and,
-    if `error_floor`, the least analytic verification error over the grid
-    (else None), kept as a running minimum over the `grid_blocks`.
-
-    The cost reads the trained surrogate's tips, predicted from the block's
-    decoded rows, or else the closed-form kinematics' tips (the verification
-    oracle's) from its per-parameter columns, which the error always reads.
-    Either lies on the block's C-order tensor of table rows, and the cost and
-    error of the analytic tips share one `squared_deviation`."""
+    """The length-2^N diagonal of the cost observable, from the `cost_blocks`,
+    and, if `error_floor`, their least analytic verification error (else None)."""
     if surrogate is not None and not isinstance(surrogate, Surrogate):
         raise ValueError(f"expected a trained Surrogate (None: analytic), got {surrogate!r}")
     if surrogate is not None and weights.alpha_R > 0:
         raise ValueError("surrogate predicts positions only")
     grid.check_capacity()
-    names = grid.names()
-    costs = np.empty(grid.size)
-    floor = math.inf if error_floor else None
-    for start, stop, cols in grid_blocks(grid):
-        shape = np.broadcast_shapes(*(c.shape for c in cols))
-        if surrogate is None or error_floor:
-            tips, phis = _task_rows(model, dict(zip(names, cols)), task, weights)
-            d2 = squared_deviation(task, tips)
-            if error_floor:
-                floor = min(floor, float(np.min(error_of_deviation(task, d2, phis, weights))))
-        if surrogate is not None:
-            tips = _predict_batch(surrogate, decode_all(grid, start, stop)).reshape(shape + (-1,))
-            d2, phis = squared_deviation(task, tips), None
-        costs[start:stop].reshape(shape)[...] = cost_of_deviation(task, d2, phis, weights)
-    return costs, floor
+    costs, floor = np.empty(grid.size), math.inf
+    for start, stop, block, low in cost_blocks(grid, model, task, weights, surrogate, error_floor):
+        costs[start:stop].reshape(block.shape)[...] = block
+        floor = min(floor, low)
+    return costs, floor if error_floor else None

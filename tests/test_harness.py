@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from qkinopt import grover, harness
 from qkinopt.baselines import exhaustive_scan
-from qkinopt.encoding import ParamGrid, decode
+from qkinopt.encoding import BLOCK_BITS, ParamGrid, decode
 from qkinopt.grover import NoSolutionError, search_with_state, threshold_ladder
 from qkinopt.harness import (
     COMPARISON_HEADER,
@@ -38,7 +39,7 @@ from qkinopt.qml import (
     make_surrogate,
 )
 from qkinopt.qsim import CapacityError
-from tests_support import shipped_case
+from tests_support import shipped_case, table_sweep
 
 TWO_PI = 2 * math.pi
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -90,6 +91,38 @@ def case_configs(draw):
         baselines=BaselineSettings(draw(st.integers(1, 10 ** 4)), draw(st.integers(1, 10)),
                                    draw(st.integers(2, 50)), draw(st.integers(1, 500)),
                                    draw(st.integers(0, 1000))))
+
+
+def on_grid_tip(config, index):
+    """config with its position target on the tip of grid point `index`."""
+    tip = configuration_positions(config.model,
+                                  dict(zip(config.grid.names(), decode(config.grid, index))))
+    return dataclasses.replace(
+        config, task=dataclasses.replace(config.task, position=tuple(map(float, tip))))
+
+
+@st.composite
+def sweep_cases(draw):
+    """A shipped case at one drawn qubit count, up to 20 qubits, so past
+    BLOCK_BITS a grid has several blocks: a position task, with an orientation
+    target and weight or its target on a grid tip, or a grasp: a drawn one, or
+    the shipped one, whose mirror minima tie across blocks at 4 qubits."""
+    name = draw(st.sampled_from(["one_dof", "two_dof", "dual_arm"]))
+    config = shipped_case(name)
+    q = draw(st.integers(1, 20 // config.grid.dimension))
+    config = shipped_case(name, qubits_per_param=q)
+    if isinstance(config.task, GraspTask):
+        if draw(st.booleans()):
+            return config
+        task = GraspTask((draw(st.floats(-1.0, 1.0)), draw(st.floats(0.5, 2.0))),
+                         draw(st.floats(0.1, 0.5)), draw(st.floats(-10.0, 10.0)))
+        return dataclasses.replace(config, task=task)
+    if draw(st.booleans()):
+        return on_grid_tip(config, draw(st.integers(0, config.grid.size - 1)))
+    phi = draw(st.none() | st.floats(-10.0, 10.0))
+    alpha_R = 0.0 if phi is None else draw(st.floats(0.01, 5.0))
+    task = PoseTarget((draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))), phi)
+    return dataclasses.replace(config, task=task, weights=PoseWeights(1.0, alpha_R))
 
 
 def oriented_one_dof_case():
@@ -182,12 +215,9 @@ class TestAdaptiveEquivalence:
     def test_zero_floor_ladder_stops_at_least_positive_cost(self):
         # the target on grid point 77's tip gives a cost floor of exactly 0; the
         # geometric steps stop at the least positive cost, then the floor follows
-        config = shipped_case("one_dof", qubits_per_param=4)
-        tip = configuration_positions(config.model,
-                                      dict(zip(config.grid.names(), decode(config.grid, 77))))
+        config = on_grid_tip(shipped_case("one_dof", qubits_per_param=4), 77)
         config = dataclasses.replace(
-            config, task=dataclasses.replace(config.task, position=tuple(map(float, tip))),
-            search=dataclasses.replace(config.search, epsilon0=1.0))
+            config, search=dataclasses.replace(config.search, epsilon0=1.0))
         report = run_case(config)
         costs, _ = build_cost_table(config.grid, config.model, config.task, config.weights)
         lowest = float(costs[costs > 0].min())
@@ -506,6 +536,52 @@ class TestSweep:
         assert rows[1]["space_size"] == 65536
         assert rows[2]["note"] != ""
         assert math.isnan(rows[2]["ratio"])
+
+    @pytest.mark.parametrize("case, top", [("two_dof", 6), ("dual_arm", 6), ("one_dof", 12)])
+    def test_rows_equal_the_table_sweep_byte_for_byte(self, tmp_path, case, top):
+        config, counts = shipped_case(case), list(range(1, top + 1))
+        write_table(tmp_path / "streamed.csv", harness.SWEEP_HEADER, sweep(config, counts))
+        write_table(tmp_path / "table.csv", harness.SWEEP_HEADER, table_sweep(config, counts))
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_cases())
+    def test_streamed_floor_and_ties_equal_the_table(self, config):
+        costs, _ = build_cost_table(config.grid, config.model, config.task, config.weights)
+        row, = sweep(config, [config.grid.specs[0].n_qubits])
+        floor = costs.min()
+        assert float(row["min_cost"]).hex() == float(floor).hex()
+        assert row["solutions"] == grover.count_solutions(costs, floor) >= 1
+
+    def test_ties_across_blocks_are_all_counted(self):
+        # dual_arm's grasp minimum at 4 qubits per parameter is two mirror
+        # configurations, one in each of two 2^14-row blocks
+        config = shipped_case("dual_arm", qubits_per_param=4)
+        costs, _ = build_cost_table(config.grid, config.model, config.task, config.weights)
+        ties = np.flatnonzero(costs == costs.min())
+        assert list(ties >> BLOCK_BITS) == [1, 2]
+        assert sweep(config, [4])[0]["solutions"] == 2
+
+    @pytest.mark.parametrize("case, q, index", [("one_dof", 4, 77), ("two_dof", 4, 40000),
+                                                ("one_dof", 8, 65535)])
+    def test_zero_floor_on_a_grid_tip(self, case, q, index):
+        config = on_grid_tip(shipped_case(case, qubits_per_param=q), index)
+        row, = sweep(config, [q])
+        assert (row["min_cost"], row["solutions"]) == (0.0, 1)
+        assert [row] == table_sweep(config, [q])
+
+    def test_keeps_no_cost_table(self):
+        # two_dof at 5 qubits per parameter is a 2^20-row grid: its float64
+        # table alone would be 8 MB
+        config = shipped_case("two_dof")
+        tracemalloc.start()
+        try:
+            row, = sweep(config, [5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row["space_size"] == 2 ** 20
+        assert peak < 4e6
 
 
 class TestBaselineSettingsPlumbing:

@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 from hypothesis import strategies as st
 
-from qkinopt import harness, qml, qsim
+from qkinopt import grover, harness, qml, qsim
 from qkinopt.encoding import ParamGrid, ParamSpec
 from qkinopt.kinematics import DualArm, GraspTask, OneLink, PoseTarget, PoseWeights, TwoLink
 
@@ -21,6 +21,29 @@ def shipped_case(name, qubits_per_param=None, **fields):
     config = harness.load_config(CONFIGS / f"{name}.json")
     return dataclasses.replace(config.with_overrides(qubits_per_param=qubits_per_param),
                                **fields)
+
+
+def table_sweep(config, qubit_counts):
+    """`harness.sweep` rows from a whole 2^N cost table, read once for its floor
+    and once for the floor's tie count: the reference that the streamed sweep
+    must match byte for byte."""
+    rows = []
+    for q in qubit_counts:
+        cfg = config.with_overrides(qubits_per_param=q)
+        grid = cfg.grid
+        try:
+            grid.check_capacity()
+        except qsim.CapacityError as exc:
+            rows.append(dict(zip(harness.SWEEP_HEADER, (q, grid.total_qubits, grid.size,
+                                                        math.nan, 0, 0, math.nan, str(exc)))))
+            continue
+        costs, _ = qml.build_cost_table(grid, cfg.model, cfg.task, cfg.weights)
+        floor = float(costs.min())
+        m = grover.count_solutions(costs, floor)
+        K = grover.iteration_count(grid.size, m)
+        rows.append(dict(zip(harness.SWEEP_HEADER, (q, grid.total_qubits, grid.size, floor, m,
+                                                    K, grid.size / max(K, 1), ""))))
+    return rows
 
 
 def encode_input(surrogate, z):
