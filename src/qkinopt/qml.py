@@ -17,9 +17,9 @@ which carry cos(theta) and sin(theta), are not jointly measurable.
 The circuit is read in the Heisenberg picture (Schuld, Sweke & Meyer 2021):
 the uploads act on |0...0>, so a row's input state psi(z) is a real product
 state, and each readout is psi^T O_q psi with O_q = Re(U^H Z_q U), one matrix
-for every row. Gradients take the parameter-shift rule (+-pi/2 shifts of each
-angle, through the chain rule of the squared loss) on the 2P+1 shifted
-observables. Training is full-batch Adam, seeded, one gradient per epoch.
+for every row. Gradients are adjoint (Jones & Gacon 2020), one pass back
+through the layers. Training is full-batch Adam, seeded, one gradient per
+epoch, from input states built once per training set.
 
 This module also builds the diagonal cost table that the search oracle
 consumes: one `kinematics.cost_of_deviation` per basis state, from the
@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -122,10 +122,6 @@ class Surrogate:
     @property
     def n_inputs(self) -> int:
         return len(self.input_map)
-
-    @property
-    def n_outputs(self) -> int:
-        return len(self.readout)
 
     def with_params(self, params: np.ndarray) -> "Surrogate":
         return replace(self, params=np.asarray(params, dtype=float))
@@ -241,8 +237,9 @@ def _layer_unitaries(n_qubits: int, angles: np.ndarray) -> np.ndarray:
 
 
 def _running_products(layers: np.ndarray) -> list:
-    """[L_0, L_1 L_0, ..., U]: the circuit up to and including each layer."""
-    return list(itertools.accumulate(layers, lambda done, layer: layer @ done))
+    """[I, L_0, L_1 L_0, ..., U]: the circuit before each layer, then all of it."""
+    return list(itertools.accumulate(layers, lambda done, layer: layer @ done,
+                                     initial=np.eye(layers.shape[-1])))
 
 
 def _observables(surrogate: Surrogate, u: np.ndarray) -> np.ndarray:
@@ -263,13 +260,13 @@ def _readout(surrogate: Surrogate, states: np.ndarray, observables: np.ndarray) 
     return lo + (z_expect + 1.0) / 2.0 * (hi - lo)
 
 
-def _predict_batch(surrogate: Surrogate, Z: np.ndarray,
+def _predict_batch(surrogate: Surrogate, Z: np.ndarray | TrainingSet,
                    params: Optional[np.ndarray] = None) -> np.ndarray:
-    """Vectorised prediction over a (B, d) batch; returns (B, n_outputs)."""
-    ansatz = surrogate.ansatz
-    theta = surrogate.params if params is None else params
-    u = _running_products(_layer_unitaries(ansatz.n_qubits, ansatz.angles(theta)))[-1]
-    return _readout(surrogate, _input_states(surrogate, Z), _observables(surrogate, u))
+    """Predictions (B, n_outputs) of a (B, d) batch or of a TrainingSet's input states."""
+    angles = surrogate.ansatz.angles(surrogate.params if params is None else params)
+    u = _running_products(_layer_unitaries(surrogate.ansatz.n_qubits, angles))[-1]
+    states = Z.states(surrogate) if isinstance(Z, TrainingSet) else _input_states(surrogate, Z)
+    return _readout(surrogate, states, _observables(surrogate, u))
 
 
 def predict(surrogate: Surrogate, z: Sequence[float]) -> np.ndarray:
@@ -288,6 +285,7 @@ class TrainingSet:
 
     inputs: np.ndarray   # (B, d)
     labels: np.ndarray   # (B, n_outputs)
+    _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.inputs.shape[0] != self.labels.shape[0] or self.inputs.shape[0] == 0:
@@ -305,6 +303,13 @@ class TrainingSet:
         Z = decode_all(grid, indices=pick)
         return cls(Z, configuration_positions(model, dict(zip(grid.names(), Z.T))))
 
+    def states(self, surrogate: Surrogate) -> np.ndarray:
+        """(B, 2^n) input states of `inputs`, built once per qubit count and input map."""
+        key = (surrogate.ansatz.n_qubits, surrogate.input_map)
+        if key not in self._states:
+            self._states[key] = _input_states(surrogate, self.inputs)
+        return self._states[key]
+
 
 def _mean_square(resid: np.ndarray) -> float:
     return float(np.mean(np.sum(resid ** 2, axis=1)))
@@ -313,36 +318,31 @@ def _mean_square(resid: np.ndarray) -> float:
 def loss(surrogate: Surrogate, data: TrainingSet,
          params: Optional[np.ndarray] = None) -> float:
     """Mean over samples of the squared prediction error (summed over coords)."""
-    return _mean_square(_predict_batch(surrogate, data.inputs, params) - data.labels)
+    return _mean_square(_predict_batch(surrogate, data, params) - data.labels)
 
 
 def gradient(surrogate: Surrogate, data: TrainingSet,
              params: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
-    """(loss, d loss / d theta) at theta, the gradient by the parameter-shift rule.
-
-    A prediction derivative is (pred(theta_j + pi/2) - pred(theta_j - pi/2)) / 2,
-    and the squared loss adds 2 * (pred - label), so d loss / d theta_j is
-    sum_q <G_q, O_q(+pi/2) - O_q(-pi/2)> with G_q = sum_b w_bq psi_b psi_b^T, w the
-    residual times readout q's half span over the row count. The circuit at theta_j
-    +- pi/2 is (layers after) . (its shifted layer) . (layers before). The loss is `loss`'s.
-    """
-    n = surrogate.ansatz.n_qubits
+    """(loss, d loss / d theta) at theta by adjoint differentiation (Jones & Gacon 2020): with
+    G_q = sum_b w_bq psi_b psi_b^T, w the residual times readout q's half span over the row
+    count, and H = sum_q G_q U^H Z_q U, an angle of layer l has derivative 2 Im tr(N_l P),
+    N_l = B_l H B_l^H, B_l the layers before it and P its generator on its qubit: X for RX,
+    RX(a)^H Y RX(a) = cos(a) Y - sin(a) Z for RY. The loss is `loss`'s."""
     angles = surrogate.ansatz.angles(surrogate.params if params is None else params)
-    layers = _layer_unitaries(n, angles)
-    products = _running_products(layers)
-    states = _input_states(surrogate, data.inputs)
-    resid = _readout(surrogate, states, _observables(surrogate, products[-1])) - data.labels
-    j = np.arange(surrogate.ansatz.parameter_count)  # j = 2 (layer * n + qubit) + (0: RX, 1: RY)
-    layer, bump = j // (2 * n), np.eye(2 * n)[j % (2 * n)].reshape(j.size, n, 2)
-    shifted = angles[layer] + np.multiply.outer([math.pi / 2, -math.pi / 2], bump)
-    before = np.stack([np.eye(1 << n)] + products[:-1])
-    after = np.stack([*itertools.accumulate(layers[:0:-1], np.matmul,
-                                            initial=np.eye(1 << n))][::-1])
-    u = after[layer] @ _layer_unitaries(n, shifted) @ before[layer]
-    plus, minus = _observables(surrogate, u)  # (P, n_outputs, 2^n, 2^n) each
+    products = _running_products(_layer_unitaries(surrogate.ansatz.n_qubits, angles))
+    u, before, states = products[-1], np.stack(products[:-1]), data.states(surrogate)
+    resid = _readout(surrogate, states, _observables(surrogate, u)) - data.labels
+    value = _mean_square(resid)  # first: after a complex BLAS product its reduction ran 10x slower
     weights = resid * np.array([(hi - lo) / 2.0 for _, lo, hi in surrogate.readout]) / len(resid)
     g = (states.T * weights.T[:, None, :]) @ states  # G_q, (n_outputs, 2^n, 2^n)
-    return _mean_square(resid), (plus - minus).reshape(j.size, -1) @ g.ravel()
+    idx, bits = np.arange(len(u)), 1 << np.arange(surrogate.ansatz.n_qubits)[:, None]
+    signs = np.where(idx & bits, -1.0, 1.0)  # (n, 2^n): the diagonal of each Z_q
+    zu = u.conj().T * signs[[q for q, _, _ in surrogate.readout], None, :]  # U^H Z_q
+    nl = before @ ((g @ zu).sum(axis=0) @ u) @ before.conj().swapaxes(-1, -2)  # (L, 2^n, 2^n)
+    flip = nl[:, idx, idx ^ bits]  # (L, n, 2^n); tr(N_l Y_q) = i sum_i signs[q, i] flip[l, q, i]
+    ry = (np.cos(angles[..., 0]) * (flip * signs).sum(axis=-1).real
+          - np.sin(angles[..., 0]) * (nl[:, idx, idx] @ signs.T).imag)  # RY after RX(a)
+    return value, 2.0 * np.stack([flip.sum(axis=-1).imag, ry], axis=-1).ravel()
 
 
 def train(surrogate: Surrogate, data: TrainingSet, epochs: int = 200,

@@ -195,8 +195,10 @@ def trained_surrogate():
 
 
 def test_criterion_5a_parameter_shift_gradients():
-    """Shift-rule gradients match central finite differences on 50 random
-    surrogates of up to 4 qubits."""
+    """The gradients match central finite differences on 50 random surrogates
+    of up to 4 qubits. `qml.gradient` differentiates by one adjoint pass; the
+    parameter-shift rule is the reference that tests/test_qml.py checks it
+    against."""
     rng = np.random.default_rng(42)
     grid = ParamGrid((
         ParamSpec("l1", 0.1, 2.0, 2),

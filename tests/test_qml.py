@@ -300,8 +300,18 @@ def separate_shift_passes(s, data, theta):
     return shift_rule_gradient(lambda Z, t: qml._predict_batch(s, Z, t), data, theta)
 
 
-def assert_close_in_max_norm(got, expected, rel):
-    assert np.max(np.abs(got - expected)) <= rel * np.max(np.abs(expected))
+def assert_close_in_max_norm(got, expected, rel, scale=None):
+    """max |got - expected| within rel of max |expected|, or of `scale` if given."""
+    scale = np.max(np.abs(expected)) if scale is None else scale
+    assert np.max(np.abs(got - expected)) <= rel * scale
+
+
+def gradient_bound(s, data):
+    """The largest size a loss-gradient entry can take: |d<Z_q>/d theta_j| <= 1,
+    so |d loss / d theta_j| <= mean_b sum_q |r_bq| (hi_q - lo_q), r the residuals."""
+    resid = qml._predict_batch(s, data.inputs) - data.labels
+    spans = np.array([hi - lo for _, lo, hi in s.readout])
+    return float(np.mean(np.sum(np.abs(resid) * spans, axis=1)))
 
 
 class TestObservableGradient:
@@ -321,11 +331,31 @@ class TestObservableGradient:
             lambda Z, t: gate_level_predictions(s, Z, t), head, s.params)
         assert_close_in_max_norm(gradient(s, head)[1], reference, 1e-12)
 
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(5, 8), st.integers(1, 4), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_bit_order_past_four_qubits(self, n_qubits, n_layers, rows, seed):
+        # the adjoint gradient reads N_l at (i, i ^ 2^q) for qubit q: against the
+        # parameter-shift references on registers wider than the fixture's. Past
+        # 4 qubits a readout can be a parity of many factors, whose gradient is
+        # 1e-4 of its bound while both sides sum terms of the bound's size, so
+        # the error is taken relative to the bound
+        rng = np.random.default_rng(seed)
+        s, _ = random_surrogate(rng, n_qubits=n_qubits, n_layers=n_layers)
+        data = random_training_set(rng, rows)
+        assert_close_in_max_norm(gradient(s, data)[1], separate_shift_passes(s, data, s.params),
+                                 1e-12, gradient_bound(s, data))
+        head = TrainingSet(data.inputs[:1], data.labels[:1])
+        reference = shift_rule_gradient(
+            lambda Z, t: gate_level_predictions(s, Z, t), head, s.params)
+        assert_close_in_max_norm(gradient(s, head)[1], reference, 1e-12, gradient_bound(s, head))
+
     def test_peak_memory_on_shipped_two_dof(self):
         # the shipped two_dof surrogate trains on its whole 2^16-row grid; a
-        # gradient that ran its 33 circuits over every row would hold 33 * 65536
-        # * 16 complex values (553 MB). The bound is the peak measured for one
-        # gradient, 27.7 MB, plus 25%
+        # gradient that ran the parameter-shift rule's 33 circuits over every row
+        # would hold 33 * 65536 * 16 complex values (553 MB). The bound is the
+        # peak measured for one gradient from the 33 shifted observables, 27.7 MB,
+        # plus 25%; the adjoint gradient peaks at 27.4 MB, its input states included
         config = harness.load_config("configs/two_dof.json")
         s = make_surrogate(config.grid, config.model, n_layers=config.qml.n_layers,
                            n_qubits=config.qml.n_qubits)
@@ -382,6 +412,29 @@ class TestTrain:
         s = make_surrogate(grid, OneLink(), n_qubits=4)
         train(s, self.make_data(grid), epochs=7, learning_rate=0.2, seed=3)
         assert calls == {"gradient": 7, "loss": 1}
+
+    @pytest.mark.parametrize("epochs", [1, 12])
+    def test_input_states_built_once_per_training(self, monkeypatch, epochs):
+        # the states do not change during training: the gradients and the
+        # final loss read the ones the training set built first
+        calls = collections.Counter()
+        build = qml._input_states
+
+        def counted(*args):
+            calls["states"] += 1
+            return build(*args)
+
+        monkeypatch.setattr(qml, "_input_states", counted)
+        grid = one_dof_grid(2)
+        s = make_surrogate(grid, OneLink(), n_qubits=4)
+        data = self.make_data(grid)
+        train(s, data, epochs=epochs, learning_rate=0.2, seed=3)
+        assert calls["states"] == 1
+        np.testing.assert_array_equal(data.states(s), build(s, data.inputs))
+        # another register width has other states
+        wider = make_surrogate(grid, OneLink(), n_qubits=5)
+        assert data.states(wider).shape == (data.inputs.shape[0], 32)
+        assert calls["states"] == 2
 
     @pytest.mark.parametrize("epochs, learning_rate, nan_label, epoch", [
         (1, math.nan, False, 1),  # the NaN step's parameters meet the final `loss` pass
