@@ -70,7 +70,7 @@ class OptRun:
     converged: bool = False
 
 
-def nelder_mead(obj: Objective, start: Sequence[float], max_evals: int = 2000) -> OptRun:
+def nelder_mead(obj: Objective, start: Sequence[float], max_evals: int) -> OptRun:
     """Downhill simplex with reflection/expansion/contraction/shrink
     coefficients (1, 2, 0.5, 0.5).
 
@@ -140,7 +140,7 @@ def _fd_gradient(obj: Objective, x: np.ndarray) -> np.ndarray:
     return g
 
 
-def quasi_newton(obj: Objective, start: Sequence[float], max_evals: int = 2000) -> OptRun:
+def quasi_newton(obj: Objective, start: Sequence[float], max_evals: int) -> OptRun:
     """BFGS with central-finite-difference gradients (FD_STEP) and a backtracking
     (Armijo ARMIJO_C, step-halving) line search. Stops on gradient norm (GRAD_TOL) or budget."""
     x = np.asarray(start, dtype=float)

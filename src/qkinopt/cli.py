@@ -52,15 +52,14 @@ def _load(args) -> harness.CaseConfig:
 
 
 def _load_params(path: str, config: harness.CaseConfig):
-    """A --params surrogate with the maps and parameter count of this config's surrogate."""
+    """A --params surrogate with this config's maps (the loader checked its parameter count)."""
     if config.mode != "surrogate":
         raise ValueError("--params needs surrogate mode")
     surrogate = load_surrogate(path)
     fit = make_surrogate(config.grid, config.model, surrogate.ansatz.n_layers,
                          surrogate.ansatz.n_qubits)  # refuses too few qubits
-    if ((fit.input_map, fit.readout, fit.params.shape)
-            != (surrogate.input_map, surrogate.readout, surrogate.params.shape)):
-        raise ValueError("its maps or parameter count do not fit this grid and model")
+    if (fit.input_map, fit.readout) != (surrogate.input_map, surrogate.readout):
+        raise ValueError("its maps do not fit this grid and model")
     return surrogate
 
 

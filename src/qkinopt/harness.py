@@ -265,24 +265,20 @@ def _value(tp, value, key: str):
     return _read(_TYPES[key] if tp is object else tp, value, key + ".")
 
 
-def _write(value):
-    """The config form of a section object, a grid or a field value."""
+def config_to_dict(value):
+    """The config form of a CaseConfig, a section object, a grid or a field value:
+    one key per constructor field of each section's class, under the names in
+    _KEYS, and a model and a task "type"."""
     if isinstance(value, ParamGrid):
-        return [_write(spec) for spec in value.specs]
+        return [config_to_dict(spec) for spec in value.specs]
     if isinstance(value, tuple):
         return list(value)
     if not dataclasses.is_dataclass(value):
         return value
-    out = {key: _write(getattr(value, f.name)) for key, f, *_ in _fields(type(value))}
+    out = {key: config_to_dict(getattr(value, f.name)) for key, f, *_ in _fields(type(value))}
     if type(value) in _TYPE_NAMES:
         out["type"] = _TYPE_NAMES[type(value)]
     return out
-
-
-def config_to_dict(config: CaseConfig) -> dict:
-    """The config form of a CaseConfig: one key per constructor field of each
-    section's class, under the names in _KEYS, and a model and a task "type"."""
-    return _write(config)
 
 
 def config_from_dict(data: dict) -> CaseConfig:
@@ -297,10 +293,6 @@ def config_from_dict(data: dict) -> CaseConfig:
 def load_config(path: str) -> CaseConfig:
     with open(path) as fh:
         return config_from_dict(json.load(fh))
-
-
-def save_config(config: CaseConfig, path: str) -> None:
-    write_json(path, config_to_dict(config))
 
 
 # --- run records -----------------------------------------------------------------
@@ -407,7 +399,7 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
                                        config.weights)
     result = result.verified(e_actual, accepted)
 
-    resolution = [dict(_write(s), bin_width=bin_width(s)) for s in grid.specs]
+    resolution = [dict(config_to_dict(s), bin_width=bin_width(s)) for s in grid.specs]
     return RunReport(
         case=config.case, mode=config.mode, seed=config.seed, shots=config.shots,
         total_qubits=grid.total_qubits, space_size=grid.size,

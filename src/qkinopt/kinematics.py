@@ -4,8 +4,9 @@ All FK functions broadcast and fill one tips array, coordinates last. A grid
 block passes each parameter's bin values on an axis of its own, so cos(theta1
 + theta2) runs once per pair of bins, not once per row as on a batch of rows.
 `task_cost` (the oracle cost) and `task_error` (the verification error) are
-the one implementation of each; they take a batch of tip positions and
-orientations, whether from the analytic FK or from the QML surrogate.
+the one implementation of each; they take the `squared_deviation` of a batch
+of tip positions, whether from the analytic FK or from the QML surrogate, and
+the tip orientations.
 """
 
 from __future__ import annotations
@@ -170,9 +171,8 @@ def wrapped_angle_distance(phi1, phi2) -> np.ndarray:
 
 def squared_deviation(task, tips: np.ndarray) -> np.ndarray:
     """Squared distance of each row of tips from the pose target, or of both
-    tips (B, 4) from the grasp contacts, summed: the term both measures share,
-    so a pass that needs both computes it once (`cost_of_deviation`,
-    `error_of_deviation`)."""
+    tips (B, 4) from the grasp contacts, summed: the term `task_cost` and
+    `task_error` both take, so a pass that needs both computes it once."""
     grasp = isinstance(task, GraspTask)
     d = tips - ((*task.c_ideal1, *task.c_ideal2) if grasp else task.position)
     d *= d  # np.sum(d**2, axis=-1) without the slow short-axis reduction
@@ -180,9 +180,14 @@ def squared_deviation(task, tips: np.ndarray) -> np.ndarray:
     return d2 + (d[..., 2] + d[..., 3]) if grasp else d2
 
 
-def cost_of_deviation(task, d2: np.ndarray, phis: Optional[np.ndarray],
-                      weights: PoseWeights) -> np.ndarray:
-    """`task_cost` of rows whose `squared_deviation` is d2."""
+def task_cost(task, d2: np.ndarray, phis: Optional[np.ndarray],
+              weights: PoseWeights) -> np.ndarray:
+    """Oracle cost of each row whose `squared_deviation` is d2.
+
+    A pose task costs alpha_p ||p - p_target||^2 + alpha_R d(phi, phi_target)^2;
+    `phis` (tip orientations) is read only when alpha_R > 0. A grasp task
+    costs d2, the summed squared deviation of both tips from its contacts.
+    """
     if isinstance(task, GraspTask):
         return d2
     costs = weights.alpha_p * d2
@@ -193,33 +198,17 @@ def cost_of_deviation(task, d2: np.ndarray, phis: Optional[np.ndarray],
     return costs
 
 
-def error_of_deviation(task, d2: np.ndarray, phis: Optional[np.ndarray],
-                       weights: PoseWeights) -> np.ndarray:
-    """`task_error` of rows whose `squared_deviation` is d2."""
-    if isinstance(task, GraspTask):
-        return cost_of_deviation(task, d2, phis, weights)
-    if task.phi is not None and weights.alpha_R > 0:
-        d2 = d2 + wrapped_angle_distance(phis, task.phi) ** 2
-    return np.sqrt(d2)
-
-
-def task_cost(task, tips: np.ndarray, phis: Optional[np.ndarray],
-              weights: PoseWeights) -> np.ndarray:
-    """Oracle cost of each row of `tips`.
-
-    A pose task costs alpha_p ||p - p_target||^2 + alpha_R d(phi, phi_target)^2;
-    `phis` (tip orientations) is read only when alpha_R > 0. A grasp task
-    costs the summed squared deviation of both tips (B, 4) from its contacts.
-    """
-    return cost_of_deviation(task, squared_deviation(task, tips), phis, weights)
-
-
-def task_error(task, tips: np.ndarray, phis: Optional[np.ndarray],
+def task_error(task, d2: np.ndarray, phis: Optional[np.ndarray],
                weights: PoseWeights) -> np.ndarray:
-    """Verification error of each row, checked against the task tolerance.
+    """Verification error of each row whose `squared_deviation` is d2, checked
+    against the task tolerance.
 
     A pose task uses the Euclidean tip error, with the orientation error in
     quadrature when the task sets an orientation and alpha_R > 0. A grasp
-    task uses its cost.
+    task uses its cost, d2.
     """
-    return error_of_deviation(task, squared_deviation(task, tips), phis, weights)
+    if isinstance(task, GraspTask):
+        return d2
+    if task.phi is not None and weights.alpha_R > 0:
+        d2 = d2 + wrapped_angle_distance(phis, task.phi) ** 2
+    return np.sqrt(d2)

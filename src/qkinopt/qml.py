@@ -22,12 +22,12 @@ through the layers. Training is full-batch Adam, seeded, one gradient per
 epoch, from input states built once per training set.
 
 This module also builds the diagonal cost table that the search oracle
-consumes: one `kinematics.cost_of_deviation` per basis state, from the
-trained surrogate's predicted tips or from the analytical kinematics, whose
-grid columns bind to FK by parameter name. `cost_blocks` is the one block-cost
+consumes: one `kinematics.task_cost` per basis state, from the trained
+surrogate's predicted tips or from the analytical kinematics, whose grid
+columns bind to FK by parameter name. `cost_blocks` is the one block-cost
 path, over `grid_blocks`. `build_cost_table` writes its blocks into the table
-and keeps their least analytic `kinematics.error_of_deviation` as a running
-minimum; `harness.sweep` keeps only each block's floor and tie count.
+and keeps their least analytic `kinematics.task_error` as a running minimum;
+`harness.sweep` keeps only each block's floor and tie count.
 `configuration_costs` and `configuration_errors` give the analytic cost and
 error of any batch of configurations. `save_surrogate` writes sorted-key JSON.
 """
@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -50,8 +51,6 @@ from .kinematics import (
     PoseTarget,
     PoseWeights,
     TwoLink,
-    cost_of_deviation,
-    error_of_deviation,
     fk_dual,
     fk_one,
     fk_two,
@@ -396,16 +395,21 @@ def save_surrogate(surrogate: Surrogate, path) -> None:
 
 def _typed(kind, value, key: str):
     """kind(value) for a JSON value of that kind (an integer serves as a float);
-    another value, such as a string or a bool among numbers, raises TypeError."""
+    another value, such as a string or a bool among numbers, raises TypeError,
+    and a float that is NaN, infinite or an integer past the float range ValueError."""
     if type(value) not in {float: (int, float), int: (int,), bool: (bool,)}[kind]:
         raise TypeError(f"{key!r} must be {kind.__name__}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN compares False
+        raise ValueError(f"{key!r} must be a finite float, got {value!r}")
     return kind(value)
 
 
 def load_surrogate(path) -> Surrogate:
     """The surrogate `save_surrogate` wrote. A file that is not JSON or lacks the
     format marker raises ValueError, a missing key KeyError, and a count, qubit
-    index, parameter, bound or flag of another JSON type TypeError."""
+    index, parameter, bound or flag of another JSON type TypeError. A value no
+    surrogate can use raises ValueError: a non-finite number, a qubit index
+    outside [0, qubits) or a parameter count other than 2 * qubits * layers."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -417,14 +421,19 @@ def load_surrogate(path) -> Surrogate:
     def fields(record, where, **kinds):
         return tuple(_typed(kind, record[key], where + key) for key, kind in kinds.items())
 
-    params = [_typed(float, p, f"params[{k}]") for k, p in enumerate(data["params"])]
+    ansatz = Ansatz(*fields(data, "", qubits=int, layers=int))
+    params = np.array([_typed(float, p, f"params[{k}]") for k, p in enumerate(data["params"])])
+    if params.size != ansatz.parameter_count:
+        raise ValueError(f"'params' must hold {ansatz.parameter_count} values, got {params.size}")
     inputs = tuple((tuple(_typed(int, q, f"inputs[{k}].qubits") for q in i["qubits"]),
                     *fields(i, f"inputs[{k}].", lo=float, hi=float, angular=bool))
                    for k, i in enumerate(data["inputs"]))
     readout = tuple(fields(r, f"readout[{k}].", qubit=int, lo=float, hi=float)
                     for k, r in enumerate(data["readout"]))
-    return Surrogate(Ansatz(*fields(data, "", qubits=int, layers=int)),
-                     np.array(params, dtype=float), inputs, readout)
+    for q in [q for qubits, *_ in inputs for q in qubits] + [q for q, *_ in readout]:
+        if not 0 <= q < ansatz.n_qubits:
+            raise ValueError(f"qubit {q} lies outside [0, {ansatz.n_qubits})")
+    return Surrogate(ansatz, params, inputs, readout)
 
 
 # --- cost tables -------------------------------------------------------------------
@@ -455,8 +464,8 @@ def configuration_positions(model, columns: Mapping[str, np.ndarray]) -> np.ndar
 
 def _task_rows(model, columns: Mapping[str, np.ndarray], task,
                weights: PoseWeights) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Tip positions of the configurations in `columns` and, if the task weighs
-    them, the planar tip orientations (the sum of the joint angles)."""
+    """The `squared_deviation` of the configurations in `columns` and, if the task
+    weighs them, the planar tip orientations (the sum of the joint angles)."""
     phis = None
     if isinstance(task, PoseTarget) and weights.alpha_R > 0:
         if not isinstance(model, (OneLink, TwoLink)):
@@ -464,7 +473,7 @@ def _task_rows(model, columns: Mapping[str, np.ndarray], task,
         phis = columns["theta1"]
         if isinstance(model, TwoLink):
             phis = phis + columns["theta2"]
-    return configuration_positions(model, columns), phis
+    return squared_deviation(task, configuration_positions(model, columns)), phis
 
 
 def configuration_costs(model, names: Tuple[str, ...], Z: np.ndarray,
@@ -490,14 +499,13 @@ def cost_blocks(grid: ParamGrid, model, task, weights: PoseWeights,
     for start, stop, cols in grid_blocks(grid):
         shape, low = np.broadcast_shapes(*(c.shape for c in cols)), math.inf
         if surrogate is None or error_floor:
-            tips, phis = _task_rows(model, dict(zip(names, cols)), task, weights)
-            d2 = squared_deviation(task, tips)
+            d2, phis = _task_rows(model, dict(zip(names, cols)), task, weights)
             if error_floor:
-                low = float(np.min(error_of_deviation(task, d2, phis, weights)))
+                low = float(np.min(task_error(task, d2, phis, weights)))
         if surrogate is not None:
             tips = _predict_batch(surrogate, decode_all(grid, start, stop)).reshape(shape + (-1,))
             d2, phis = squared_deviation(task, tips), None
-        yield start, stop, np.broadcast_to(cost_of_deviation(task, d2, phis, weights), shape), low
+        yield start, stop, np.broadcast_to(task_cost(task, d2, phis, weights), shape), low
 
 
 def build_cost_table(grid: ParamGrid, model, task, weights: PoseWeights,

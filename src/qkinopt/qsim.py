@@ -8,7 +8,7 @@ amplitudes when read. Gate kernels act on the last axis, so they also take
 batches of states ``(..., 2**n_qubits)``. Gates preserve the norm up to
 floating-point drift; drift beyond 1e-9 is a bug, so nothing renormalises.
 
-No pipeline path runs `Circuit`, `apply_circuit`, the kernels, `measure` or
+No pipeline path runs `apply_circuit`, the kernels, `measure` or
 `expectation_diagonal`: they are what the tests check the surrogate's
 observables, the search's two-value sampler and its <C> against. `qml` takes
 only the rotation matrices and the CNOT permutation from here.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -81,12 +81,6 @@ def _ry_matrix(angle) -> np.ndarray:
 def _rz_matrix(angle: float) -> np.ndarray:
     e = np.exp(-0.5j * angle)
     return np.array([[e, 0], [0, e.conjugate()]], dtype=np.complex128)
-
-
-@dataclass
-class Circuit:
-    n_qubits: int
-    gates: list = field(default_factory=list)
 
 
 @dataclass
@@ -181,19 +175,11 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarr
 
 # --- public operations ------------------------------------------------------
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Unitary action of one gate; returns a new StateVector."""
-    return apply_circuit(state, Circuit(state.n_qubits, [gate]))
-
-
-def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply circuit gates in order."""
-    if circuit.n_qubits != state.n_qubits:
-        raise ValueError(
-            f"circuit is for {circuit.n_qubits} qubits, state has {state.n_qubits}"
-        )
+def apply_circuit(state: StateVector, gates: Sequence[Gate]) -> StateVector:
+    """Apply the gates in order; returns a new StateVector. A gate on a qubit
+    outside the state's register raises IndexError."""
     out = state.amps.copy()
-    for gate in circuit.gates:
+    for gate in gates:
         _apply_gate_inplace(out, gate, state.n_qubits)
     return StateVector(state.n_qubits, out)
 

@@ -274,7 +274,7 @@ def test_criterion_7_simulator_algebra():
 
     state = qsim.uniform_superposition(6)
     for gate in random_gate_stream(10000, n_qubits=6, seed=0):
-        state = qsim.apply_gate(state, gate)
+        state = qsim.apply_circuit(state, [gate])
         drift = abs(state.norm() ** 2 - 1.0)
         assert drift <= 1e-9
 
@@ -283,8 +283,8 @@ def test_criterion_7_simulator_algebra():
     amps /= np.linalg.norm(amps)
     base = qsim.StateVector(5, amps)
     for involution in (
-        lambda s: qsim.apply_gate(s, qsim.Hadamard(2)),
-        lambda s: qsim.apply_gate(s, qsim.CNOT(1, 3)),
+        lambda s: qsim.apply_circuit(s, [qsim.Hadamard(2)]),
+        lambda s: qsim.apply_circuit(s, [qsim.CNOT(1, 3)]),
         lambda s: apply_oracle(s, np.arange(32) % 5 == 0),
         apply_diffusion,
     ):

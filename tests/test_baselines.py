@@ -156,20 +156,20 @@ def test_baselines_stay_on_a_partial_arc():
 class TestNelderMead:
     def test_finds_quadratic_minimum(self):
         obj = make_objective()
-        run = nelder_mead(obj, [0.0, 0.0])
+        run = nelder_mead(obj, [0.0, 0.0], max_evals=2000)
         assert np.max(np.abs(run.best_x - [1.0, 1.0])) <= 1e-6
         assert run.converged
 
     def test_start_at_optimum(self):
         obj = make_objective()
-        run = nelder_mead(obj, [1.0, 1.0])
+        run = nelder_mead(obj, [1.0, 1.0], max_evals=2000)
         assert run.best_cost == 0.0
         assert run.converged
         assert run.evaluations <= 200
 
     def test_trace_non_increasing(self):
         obj = make_objective(lambda x: float(np.cos(3 * x[0]) + (x[1] - 0.5) ** 2))
-        run = nelder_mead(obj, [2.0, -2.0])
+        run = nelder_mead(obj, [2.0, -2.0], max_evals=2000)
         assert all(a >= b for a, b in zip(run.trace, run.trace[1:]))
 
     def test_budget_exhaustion_flags_unconverged(self):
@@ -185,7 +185,7 @@ class TestNelderMead:
             seen.append(x.copy())
             return shifted_sphere(x)
 
-        run = nelder_mead(make_objective(fn), [4.9, 4.9])
+        run = nelder_mead(make_objective(fn), [4.9, 4.9], max_evals=2000)
         assert_within_box(seen, BOX)
         assert run.evaluations == len(seen)
 
@@ -198,14 +198,14 @@ class TestQuasiNewton:
             return float(x @ A @ x)
 
         obj = make_objective(fn)
-        run = quasi_newton(obj, [3.0, -2.0])
+        run = quasi_newton(obj, [3.0, -2.0], max_evals=2000)
         assert run.converged
         assert len(run.trace) <= 26  # quadratic termination well inside 25 iterations
         assert np.max(np.abs(run.best_x)) <= 1e-6
 
     def test_gradient_small_at_solution(self):
         obj = make_objective()
-        run = quasi_newton(obj, [-3.0, 4.0])
+        run = quasi_newton(obj, [-3.0, 4.0], max_evals=2000)
         h = 1e-6
         g = np.array([
             (shifted_sphere(run.best_x + [h, 0]) - shifted_sphere(run.best_x - [h, 0])) / (2 * h),
@@ -215,14 +215,14 @@ class TestQuasiNewton:
 
     def test_start_at_optimum_immediate(self):
         obj = make_objective()
-        run = quasi_newton(obj, [1.0, 1.0])
+        run = quasi_newton(obj, [1.0, 1.0], max_evals=2000)
         assert run.converged
         assert run.best_cost == 0.0
         assert run.evaluations == 5  # f(x) plus one central-difference gradient
 
     def test_trace_non_increasing(self):
         obj = make_objective(lambda x: float((x[0] - 0.3) ** 4 + x[1] ** 2))
-        run = quasi_newton(obj, [2.0, 2.0])
+        run = quasi_newton(obj, [2.0, 2.0], max_evals=2000)
         assert all(a >= b for a, b in zip(run.trace, run.trace[1:]))
 
     def test_budget_exhaustion(self):
@@ -332,7 +332,7 @@ class TestMultiStart:
         assert run.evaluations >= len(run.trace)
 
     def test_seeded_starts_reproducible(self):
-        r1 = multi_start(nelder_mead, make_objective(), n_starts=3, seed=5)
-        r2 = multi_start(nelder_mead, make_objective(), n_starts=3, seed=5)
+        r1 = multi_start(nelder_mead, make_objective(), n_starts=3, seed=5, max_evals=2000)
+        r2 = multi_start(nelder_mead, make_objective(), n_starts=3, seed=5, max_evals=2000)
         assert r1.best_cost == r2.best_cost
         assert r1.evaluations == r2.evaluations

@@ -10,7 +10,7 @@ import pytest
 from qkinopt import harness
 from qkinopt.cli import main
 from qkinopt.encoding import ParamGrid
-from qkinopt.harness import QmlSettings, save_config
+from qkinopt.harness import QmlSettings, config_to_dict, write_json
 from qkinopt.qml import load_surrogate, make_surrogate, save_surrogate
 from tests_support import first_format_text, shipped_case
 
@@ -18,7 +18,7 @@ from tests_support import first_format_text, shipped_case
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "one_dof.json"
-    save_config(shipped_case("one_dof"), path)
+    write_json(path, config_to_dict(shipped_case("one_dof")))
     return str(path)
 
 
@@ -27,7 +27,7 @@ def tiny_config_path(tmp_path):
     cfg = shipped_case("one_dof", qubits_per_param=2, mode="surrogate")
     cfg = dataclasses.replace(cfg, qml=QmlSettings(n_qubits=4, epochs=3))
     path = tmp_path / "tiny.json"
-    save_config(cfg, path)
+    write_json(path, config_to_dict(cfg))
     return str(path)
 
 
@@ -325,8 +325,8 @@ def longer_link_case(**settings):
     (2, 8, functools.partial(shipped_case, "two_dof"), "at least 4 qubits"),
     # another length range, other maps
     (4, 16, longer_link_case, "do not fit"),
-    # a truncated parameter list
-    (4, 13, functools.partial(shipped_case, "one_dof"), "do not fit"),
+    # a truncated parameter list, refused as the file loads
+    (4, 13, functools.partial(shipped_case, "one_dof"), "'params' must hold 16 values, got 13"),
 ], ids=["two_dof", "two_dof_too_few_qubits", "longer_link", "truncated_params"])
 def test_params_that_do_not_fit_refused(n_qubits, n_params, builder, message, tmp_path,
                                         capsys):
@@ -335,7 +335,7 @@ def test_params_that_do_not_fit_refused(n_qubits, n_params, builder, message, tm
     save_surrogate(make_surrogate(trained_for.grid, trained_for.model, n_qubits=n_qubits)
                    .with_params(np.zeros(n_params)), params)
     config = tmp_path / "other.json"
-    save_config(builder(qubits_per_param=2, mode="surrogate"), config)
+    write_json(config, config_to_dict(builder(qubits_per_param=2, mode="surrogate")))
     code = main(["run", "--config", str(config), "--out", str(tmp_path / "r"),
                  "--params", params])
     assert code == 2

@@ -27,8 +27,8 @@ from qkinopt.harness import (
     load_config,
     run_baselines,
     run_case,
-    save_config,
     sweep,
+    write_json,
     write_table,
 )
 from qkinopt.kinematics import GraspTask, PoseTarget, PoseWeights
@@ -380,7 +380,7 @@ class TestConfigSerialization:
         for name in ("one_dof", "two_dof", "dual_arm"):
             config = shipped_case(name, seed=5, shots=2048)
             path = tmp_path / f"{config.case}.json"
-            save_config(config, path)
+            write_json(path, config_to_dict(config))
             loaded = load_config(path)
             assert config_to_dict(loaded) == config_to_dict(config)
 
@@ -494,7 +494,7 @@ class TestConfigSerialization:
     @pytest.mark.parametrize("name", ["one_dof", "two_dof", "dual_arm"])
     def test_save_reproduces_shipped_config(self, name, tmp_path):
         shipped = (CONFIGS / f"{name}.json").read_bytes()
-        save_config(load_config(CONFIGS / f"{name}.json"), tmp_path / "saved.json")
+        write_json(tmp_path / "saved.json", config_to_dict(load_config(CONFIGS / f"{name}.json")))
         assert (tmp_path / "saved.json").read_bytes() == shipped
 
     @settings(max_examples=200, deadline=None)

@@ -18,6 +18,7 @@ from qkinopt.kinematics import (
     fk_dual,
     fk_one,
     fk_two,
+    squared_deviation,
     task_cost,
     task_error,
     wrapped_angle_distance,
@@ -29,13 +30,14 @@ def row_pose_cost(p, p_target, weights, phi=None, phi_target=None):
     """task_cost of one tip position, through a one-row array."""
     phis = None if phi is None else np.array([phi])
     task = PoseTarget(tuple(p_target), phi_target)
-    return float(task_cost(task, np.asarray(p, dtype=float)[None, :], phis, weights)[0])
+    d2 = squared_deviation(task, np.asarray(p, dtype=float)[None, :])
+    return float(task_cost(task, d2, phis, weights)[0])
 
 
 def row_grasp_cost(p1, p2, task):
     """task_cost of one pair of tips, through a one-row array."""
     tips = np.concatenate([p1, p2]).astype(float)[None, :]
-    return float(task_cost(task, tips, None, PoseWeights())[0])
+    return float(task_cost(task, squared_deviation(task, tips), None, PoseWeights())[0])
 
 
 class TestFkOne:
@@ -167,12 +169,14 @@ class TestPoseCost:
     def test_error_is_euclidean_with_orientation_in_quadrature(self):
         tips = np.array([[0.3, 0.4]])
         task = PoseTarget((0.0, 0.0), phi=0.0)
-        assert task_error(task, tips, np.array([0.1]), PoseWeights(1.0, 0.0))[0] == 0.5
-        assert task_error(task, tips, np.array([1.2]), PoseWeights(1.0, 2.0))[0] \
+        d2 = squared_deviation(task, tips)
+        assert task_error(task, d2, np.array([0.1]), PoseWeights(1.0, 0.0))[0] == 0.5
+        assert task_error(task, d2, np.array([1.2]), PoseWeights(1.0, 2.0))[0] \
             == pytest.approx(math.sqrt(0.25 + 1.44))
         # no orientation target: orientation weight and angles are ignored
         untargeted = PoseTarget((0.0, 0.0))
-        assert task_error(untargeted, tips, None, PoseWeights(1.0, 2.0))[0] == 0.5
+        assert task_error(untargeted, squared_deviation(untargeted, tips), None,
+                          PoseWeights(1.0, 2.0))[0] == 0.5
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):
@@ -204,9 +208,9 @@ class TestGraspCost:
 
     def test_error_equals_cost(self):
         task = GraspTask((0.2, 1.5), 0.4, axis=0.3)
-        tips = np.random.default_rng(9).normal(size=(5, 4))
-        np.testing.assert_array_equal(task_error(task, tips, None, PoseWeights()),
-                                      task_cost(task, tips, None, PoseWeights()))
+        d2 = squared_deviation(task, np.random.default_rng(9).normal(size=(5, 4)))
+        np.testing.assert_array_equal(task_error(task, d2, None, PoseWeights()),
+                                      task_cost(task, d2, None, PoseWeights()))
 
     def test_swap_invariance(self):
         task = GraspTask((0.0, 1.2), 0.3, axis=0.0)

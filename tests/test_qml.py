@@ -18,6 +18,7 @@ from qkinopt.kinematics import (
     PoseWeights,
     TwoLink,
     fk_one,
+    squared_deviation,
     task_cost,
 )
 from qkinopt.qml import (
@@ -54,9 +55,8 @@ def gate_level_predictions(s, Z, theta):
     idx = np.arange(1 << n)
     out = []
     for z in Z:
-        circuit = encode_input(s, z)
-        circuit.gates.extend(s.ansatz.gates(theta))
-        state = qsim.apply_circuit(qsim.new_zero_state(n), circuit)
+        state = qsim.apply_circuit(qsim.new_zero_state(n),
+                                   encode_input(s, z) + s.ansatz.gates(theta))
         out.append([lo + (qsim.expectation_diagonal(state, 1.0 - 2.0 * ((idx >> q) & 1)) + 1.0)
                     / 2.0 * (hi - lo) for q, lo, hi in s.readout])
     return np.array(out)
@@ -104,16 +104,16 @@ class TestEncodeInput:
         # the identity rotation sits at the angular midpoint theta = pi and, for
         # the length encoded relative to zero, at l1 = max(|lo|, |hi|) = 2.0
         s = make_surrogate(one_dof_grid(), OneLink())
-        circuit = encode_input(s, [2.0, math.pi])
-        assert all(isinstance(g, qsim.RY) for g in circuit.gates)
-        assert [g.angle for g in circuit.gates] == pytest.approx([0.0, 0.0], abs=1e-12)
+        gates = encode_input(s, [2.0, math.pi])
+        assert all(isinstance(g, qsim.RY) for g in gates)
+        assert [g.angle for g in gates] == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_minimum_gives_minus_pi(self):
         # theta = 0 still maps to -pi; the length minimum l1 = 0.1 maps to
         # arccos(0.1 / 2.0), so that cos(angle) is the length over its bound
         s = make_surrogate(one_dof_grid(), OneLink())
-        circuit = encode_input(s, [0.1, 0.0])
-        assert [g.angle for g in circuit.gates] == pytest.approx([math.acos(0.05), -math.pi])
+        gates = encode_input(s, [0.1, 0.0])
+        assert [g.angle for g in gates] == pytest.approx([math.acos(0.05), -math.pi])
 
     def test_injective_across_bins(self):
         # compare encoded states up to a global phase: angles of -pi and pi
@@ -130,8 +130,7 @@ class TestEncodeInput:
     def test_each_input_uploaded_on_its_block(self):
         s = make_surrogate(one_dof_grid(), OneLink(), n_qubits=4)
         assert [qubits for qubits, *_ in s.input_map] == [(0, 1), (2, 3)]
-        circuit = encode_input(s, [1.0, 0.5])
-        assert [g.target for g in circuit.gates] == [0, 1, 2, 3]
+        assert [g.target for g in encode_input(s, [1.0, 0.5])] == [0, 1, 2, 3]
 
     def test_lengths_outside_range_are_clamped(self):
         s = make_surrogate(one_dof_grid(), OneLink())
@@ -245,7 +244,7 @@ class TestGradient:
     def test_shift_rule_single_qubit(self):
         # f(t) = <Z> after RX(t) is cos t; at t = pi/2 the derivative is -1
         def f(t):
-            state = qsim.apply_gate(qsim.new_zero_state(1), qsim.RX(0, t))
+            state = qsim.apply_circuit(qsim.new_zero_state(1), [qsim.RX(0, t)])
             return qsim.expectation_diagonal(state, [1.0, -1.0])
 
         t = math.pi / 2
@@ -532,7 +531,8 @@ class TestCostTable:
 
         for k in range(grid.size):
             t1, t2, l1, l2 = decode(grid, k)
-            direct = task_cost(task, fk_two(l1, l2, t1, t2)[None, :], None, weights)[0]
+            d2 = squared_deviation(task, fk_two(l1, l2, t1, t2)[None, :])
+            direct = task_cost(task, d2, None, weights)[0]
             assert costs[k] == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
     def test_surrogate_table_runs(self):
@@ -565,7 +565,8 @@ class TestCostTable:
         costs, _ = build_cost_table(grid, OneLink(), PoseTarget((0.5, 0.5), phi=0.7),
                                     PoseWeights(1.0, 0.5))
         z = decode(grid, 5)
-        expected = task_cost(PoseTarget((0.5, 0.5), phi=0.7), fk_one(*z)[None, :],
+        task = PoseTarget((0.5, 0.5), phi=0.7)
+        expected = task_cost(task, squared_deviation(task, fk_one(*z)[None, :]),
                              np.array([z[1]]), PoseWeights(1.0, 0.5))[0]
         assert costs[5] == pytest.approx(expected, rel=1e-12)
 
@@ -635,7 +636,8 @@ class TestStreamedTables:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(encoding, "BLOCK_BITS", block_bits)
             costs, floor = build_cost_table(grid, model, task, weights, s, error_floor=True)
-        one_shot = task_cost(task, qml._predict_batch(s, decode_all(grid)), None, weights)
+        one_shot = task_cost(task, squared_deviation(task, qml._predict_batch(s, decode_all(grid))),
+                             None, weights)
         np.testing.assert_array_equal(bits(costs), bits(one_shot))
         # the error floor is the analytic one, whatever tips the cost reads
         reference = harness._actual_error_table(grid, model, task, weights)
@@ -744,9 +746,22 @@ class TestSerialization:
         (lambda d: d["inputs"][1].update(angular=1), TypeError),
         (lambda d: d["readout"][0].update(qubit=True), TypeError),
         (lambda d: d["readout"][1].update(hi=None), TypeError),
+        # values of the right JSON type that no surrogate can use
+        (lambda d: [r.update(qubit=12 + k) for k, r in enumerate(d["readout"])], ValueError),
+        (lambda d: d["inputs"][0].update(qubits=[-1]), ValueError),
+        (lambda d: d["params"].append(0.0), ValueError),
+        (lambda d: d["params"].pop(), ValueError),
+        (lambda d: d["params"].__setitem__(0, math.nan), ValueError),
+        (lambda d: d["params"].__setitem__(0, -math.inf), ValueError),
+        (lambda d: d["inputs"][1].update(hi=math.inf), ValueError),
+        (lambda d: d["readout"][0].update(lo=math.nan), ValueError),
+        (lambda d: d["params"].__setitem__(0, 10**400), ValueError),
     ], ids=["qubits_string", "layers_float", "first_format_marker", "no_marker",
             "params_strings", "param_bool", "bound_string", "input_qubit_float",
-            "angular_int", "readout_qubit_bool", "bound_null"])
+            "angular_int", "readout_qubit_bool", "bound_null", "readout_qubits_past_register",
+            "input_qubit_negative", "params_too_many", "params_too_few", "param_nan",
+            "param_minus_infinity", "input_bound_infinity", "readout_bound_nan",
+            "param_past_float_range"])
     def test_wrong_types_and_markers_refused(self, edit, error, tmp_path):
         s, _ = random_surrogate(np.random.default_rng(8))
         path = tmp_path / "surrogate.params"
@@ -797,6 +812,7 @@ class TestWorkspaceBox:
         z = np.array([1.0, 0.5])
         got = configuration_costs(OneLink(), grid.names(), z[None, :],
                                   PoseTarget((0.2, 0.1)), PoseWeights(1.0, 0.0))
-        expected = task_cost(PoseTarget((0.2, 0.1)), fk_one(1.0, 0.5)[None, :], None,
+        task = PoseTarget((0.2, 0.1))
+        expected = task_cost(task, squared_deviation(task, fk_one(1.0, 0.5)[None, :]), None,
                              PoseWeights(1.0, 0.0))[0]
         assert got[0] == pytest.approx(expected, rel=1e-14)

@@ -7,14 +7,12 @@ from qkinopt import qsim
 from qkinopt.qsim import (
     CNOT,
     CapacityError,
-    Circuit,
     Hadamard,
     RX,
     RY,
     RZ,
     StateVector,
     apply_circuit,
-    apply_gate,
     expectation_diagonal,
     measure,
     new_zero_state,
@@ -25,8 +23,7 @@ INV_SQRT2 = 1 / math.sqrt(2)
 
 
 def bell_state() -> StateVector:
-    circuit = Circuit(2, [Hadamard(0), CNOT(0, 1)])
-    return apply_circuit(new_zero_state(2), circuit)
+    return apply_circuit(new_zero_state(2), [Hadamard(0), CNOT(0, 1)])
 
 
 class TestNewZeroState:
@@ -52,47 +49,47 @@ class TestNewZeroState:
 
 class TestApplyGate:
     def test_hadamard_on_zero(self):
-        out = apply_gate(new_zero_state(1), Hadamard(0))
+        out = apply_circuit(new_zero_state(1), [Hadamard(0)])
         np.testing.assert_allclose(out.amps, [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
     def test_rx_pi(self):
         # dense 2x2 product: RX(pi) |0> = [cos(pi/2), -i sin(pi/2)] = [0, -i]
-        out = apply_gate(new_zero_state(1), RX(0, math.pi))
+        out = apply_circuit(new_zero_state(1), [RX(0, math.pi)])
         np.testing.assert_allclose(out.amps, [0, -1j], atol=1e-15)
 
     def test_cnot_truth_table(self):
         # |10> = index 2 (qubit 1 set); control=1 flips target 0 -> |11>
         state = StateVector(2, np.array([0, 0, 1, 0], dtype=complex))
-        out = apply_gate(state, CNOT(control=1, target=0))
+        out = apply_circuit(state, [CNOT(control=1, target=0)])
         np.testing.assert_array_equal(out.amps, [0, 0, 0, 1])
 
     def test_little_endian_targets(self):
         # Hadamard on qubit 1 of |00> spreads over indices {0, 2}
-        out = apply_gate(new_zero_state(2), Hadamard(1))
+        out = apply_circuit(new_zero_state(2), [Hadamard(1)])
         np.testing.assert_allclose(out.amps, [INV_SQRT2, 0, INV_SQRT2, 0], atol=1e-15)
 
     def test_invalid_index(self):
         with pytest.raises(IndexError):
-            apply_gate(new_zero_state(2), Hadamard(2))
+            apply_circuit(new_zero_state(2), [Hadamard(2)])
         with pytest.raises(IndexError):
-            apply_gate(new_zero_state(2), CNOT(0, 5))
+            apply_circuit(new_zero_state(2), [CNOT(0, 5)])
         with pytest.raises(ValueError):
-            apply_gate(new_zero_state(2), CNOT(1, 1))
+            apply_circuit(new_zero_state(2), [CNOT(1, 1)])
 
     def test_does_not_mutate_input(self):
         state = new_zero_state(1)
-        apply_gate(state, Hadamard(0))
+        apply_circuit(state, [Hadamard(0)])
         np.testing.assert_array_equal(state.amps, [1, 0])
 
 
 class TestApplyCircuit:
     def test_empty_circuit_identity(self):
-        state = apply_gate(new_zero_state(2), Hadamard(0))
-        out = apply_circuit(state, Circuit(2))
+        state = apply_circuit(new_zero_state(2), [Hadamard(0)])
+        out = apply_circuit(state, [])
         np.testing.assert_array_equal(out.amps, state.amps)
 
     def test_hadamard_squared(self):
-        out = apply_circuit(new_zero_state(1), Circuit(1, [Hadamard(0), Hadamard(0)]))
+        out = apply_circuit(new_zero_state(1), [Hadamard(0), Hadamard(0)])
         np.testing.assert_allclose(out.amps, [1, 0], atol=1e-12)
 
     def test_bell_state(self):
@@ -102,8 +99,14 @@ class TestApplyCircuit:
         )
 
     def test_qubit_count_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_circuit(new_zero_state(2), Circuit(3, [Hadamard(0)]))
+        # a gate list for a larger register: every gate type refuses a target or
+        # control outside the state's two qubits, and the state is left as it was
+        state = new_zero_state(2)
+        for q in (2, 3, -1):
+            for gate in (Hadamard(q), RX(q, 0.3), RY(q, 0.3), RZ(q, 0.3), CNOT(q, 0), CNOT(0, q)):
+                with pytest.raises(IndexError):
+                    apply_circuit(state, [Hadamard(0), gate])
+        np.testing.assert_array_equal(state.amps, [1, 0, 0, 0])
 
 
 class TestUniformSuperposition:
@@ -119,8 +122,7 @@ class TestUniformSuperposition:
         np.testing.assert_allclose(uniform_superposition(2).amps, [0.5] * 4)
 
     def test_matches_hadamard_layer(self):
-        circuit = Circuit(3, [Hadamard(q) for q in range(3)])
-        out = apply_circuit(new_zero_state(3), circuit)
+        out = apply_circuit(new_zero_state(3), [Hadamard(q) for q in range(3)])
         np.testing.assert_allclose(out.amps, uniform_superposition(3).amps, atol=1e-15)
 
 
@@ -184,7 +186,7 @@ class TestInvariants:
         rng = np.random.default_rng(0)
         state = uniform_superposition(5)
         for _ in range(500):
-            state = apply_gate(state, random_gate(rng, 5))
+            state = apply_circuit(state, [random_gate(rng, 5)])
             assert abs(state.norm() ** 2 - 1.0) <= 1e-9
 
     def test_involutions(self):
@@ -192,9 +194,9 @@ class TestInvariants:
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
         state = StateVector(3, amps)
-        twice_h = apply_gate(apply_gate(state, Hadamard(1)), Hadamard(1))
+        twice_h = apply_circuit(apply_circuit(state, [Hadamard(1)]), [Hadamard(1)])
         np.testing.assert_allclose(twice_h.amps, state.amps, atol=1e-12)
-        twice_cx = apply_gate(apply_gate(state, CNOT(0, 2)), CNOT(0, 2))
+        twice_cx = apply_circuit(apply_circuit(state, [CNOT(0, 2)]), [CNOT(0, 2)])
         np.testing.assert_allclose(twice_cx.amps, state.amps, atol=1e-12)
 
     def test_batched_kernel_matches_per_row(self):

@@ -53,10 +53,8 @@ def encode_input(surrogate, z):
     if z.shape != (surrogate.n_inputs,):
         raise ValueError(f"expected {surrogate.n_inputs} inputs, got {z.shape}")
     angles = qml.input_angles(surrogate, z)
-    return qsim.Circuit(surrogate.ansatz.n_qubits,
-                        [qsim.RY(qubit, float(a))
-                         for (qubits, *_), a in zip(surrogate.input_map, angles)
-                         for qubit in qubits])
+    return [qsim.RY(qubit, float(a))
+            for (qubits, *_), a in zip(surrogate.input_map, angles) for qubit in qubits]
 
 
 def random_gate_stream(count, n_qubits, seed):
