@@ -51,8 +51,8 @@ class ParamSpec:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"{self.name}: min must be < max")
-        if self.n_qubits < 1:
-            raise ValueError(f"{self.name}: n_qubits must be >= 1")
+        if not 1 <= self.n_qubits <= QUBIT_CAP:  # no grid with more can run
+            raise ValueError(f"{self.name}: n_qubits must be from 1 to {QUBIT_CAP}, the qubit cap")
         if self.angular and self.hi - self.lo > math.tau + _TURN_EPS:
             raise ValueError(f"{self.name}: angular range exceeds one period")
 

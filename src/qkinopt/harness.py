@@ -15,7 +15,8 @@ step. The sweep keeps only each cost block's floor and tie count, no table.
 
 A config file is the dict form of a CaseConfig. Each section's keys are the
 constructor fields of the class it builds, read and written by one reader
-and one writer that check each value against its field's declared type.
+and one writer; the reader checks each value against its field's declared
+type by `qml.json_value`, the one value rule of every file reader.
 
 Reports are byte-stable for a fixed config and seed: floats are written with
 17 significant digits and JSON keys are sorted.
@@ -46,6 +47,7 @@ from .qml import (
     configuration_errors,
     configuration_positions,
     cost_blocks,
+    json_value,
     make_surrogate,
     min_qubits,
     save_surrogate,
@@ -188,24 +190,6 @@ _TYPES = {"model": {"one_link": OneLink, "two_link": TwoLink, "dual_arm": DualAr
 _TYPE_NAMES = {cls: name for types in _TYPES.values() for name, cls in types.items()}
 
 
-def _finite(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-# per declared type: what a config value must be, its test, and its conversion
-_VALUES = {
-    bool: ("a boolean", lambda v: isinstance(v, bool), bool),
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
-    float: ("a finite number", _finite, float),
-    str: ("a string", lambda v: isinstance(v, str), str),
-    Tuple[float, float]: ("a list of two finite numbers",
-                          lambda v: (isinstance(v, (list, tuple)) and len(v) == 2
-                                     and all(map(_finite, v))),
-                          lambda v: tuple(map(float, v))),
-}
-
-
 @functools.cache  # one entry per config class: resolving annotations is slow
 def _fields(cls) -> tuple:
     """(config key, field, declared type, whether the type is Optional) of each
@@ -252,14 +236,16 @@ def _read(cls, data, prefix: str = ""):
 
 def _value(tp, value, key: str):
     """A config value checked against its field's declared type and converted."""
-    if tp in _VALUES:
-        want, valid, convert = _VALUES[tp]
-        if not valid(value):
-            raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
-        return convert(value)
+    name = f"config key {key!r}"
+    if tp in (bool, int, float, str):
+        return json_value(tp, value, name)
+    if tp == Tuple[float, float]:
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ValueError(f"{name} must be a list of two finite numbers, got {value!r}")
+        return tuple(json_value(float, v, name) for v in value)
     if tp is ParamGrid:
         if not isinstance(value, list):
-            raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+            raise ValueError(f"{name} must be a list, got {value!r}")
         return ParamGrid(tuple(_read(ParamSpec, spec, f"{key}[{i}].")
                                for i, spec in enumerate(value)))
     return _read(_TYPES[key] if tp is object else tp, value, key + ".")
@@ -282,11 +268,10 @@ def config_to_dict(value):
 
 
 def config_from_dict(data: dict) -> CaseConfig:
-    """Build a CaseConfig from its config form (see `config_to_dict`). An int
-    key takes an integer, a float key a finite number, a bool key a boolean,
-    a pair key a list of two finite numbers, and an optional key also null.
-    An unknown or missing key, a value of the wrong type and an out-of-range
-    setting raise a ValueError naming the key."""
+    """Build a CaseConfig from its config form (see `config_to_dict`). A key takes
+    a value of its field's kind by `qml.json_value`, a pair key a list of two finite
+    numbers, and an optional key also null. An unknown or missing key, a value of
+    the wrong kind and an out-of-range setting raise a ValueError naming the key."""
     return _read(CaseConfig, data)
 
 
@@ -542,26 +527,25 @@ def write_optruns(runs: Sequence[cls_opt.OptRun], path: str) -> None:
 
 def load_report(path: str) -> dict:
     """report.json as `emit_report` writes it; a value `compare` reads that is
-    missing or of the wrong type raises."""
+    missing raises KeyError, and one that `json_value` refuses ValueError."""
     with open(path) as fh:
         report = json.load(fh)
-    for key, value, tp in (("queries_final", report["queries_final"], int),
-                           ("analytic_best_cost", report["analytic_best_cost"], float),
-                           ("result.accepted", report["result"]["accepted"], bool)):
-        want, valid, _ = _VALUES[tp]
-        if not valid(value):
-            raise ValueError(f"key {key!r} must be {want}, got {value!r}")
+    json_value(int, report["queries_final"], "key 'queries_final'")
+    json_value(float, report["analytic_best_cost"], "key 'analytic_best_cost'")
+    json_value(bool, report["result"]["accepted"], "key 'result.accepted'")
     return report
 
 
 def load_optruns(path: str) -> List[cls_opt.OptRun]:
-    """baselines.json as `write_optruns` writes it; a scalar of the wrong type raises."""
+    """baselines.json as `write_optruns` writes it; a missing `best_x` raises KeyError,
+    another missing or unknown key TypeError, and a value `json_value` refuses ValueError."""
     with open(path) as fh:
-        runs = [cls_opt.OptRun(**dict(r, best_x=np.asarray(r["best_x"]))) for r in json.load(fh)]
-    for i, run in enumerate(runs):
-        for key, tp in (("method", str), ("best_cost", float), ("evaluations", int),
-                        ("converged", bool)):
-            want, valid, _ = _VALUES[tp]
-            if not valid(getattr(run, key)):
-                raise ValueError(f"run {i} key {key!r} must be {want}, got {getattr(run, key)!r}")
-    return runs
+        runs = [cls_opt.OptRun(**dict(r, best_x=r["best_x"])) for r in json.load(fh)]
+    return [cls_opt.OptRun(
+        json_value(str, run.method, f"run {i} key 'method'"),
+        np.array([json_value(float, v, f"run {i} key 'best_x[{j}]'")
+                  for j, v in enumerate(run.best_x)]),
+        json_value(float, run.best_cost, f"run {i} key 'best_cost'"),
+        json_value(int, run.evaluations, f"run {i} key 'evaluations'"),
+        [json_value(float, v, f"run {i} key 'trace[{j}]'") for j, v in enumerate(run.trace)],
+        json_value(bool, run.converged, f"run {i} key 'converged'")) for i, run in enumerate(runs)]

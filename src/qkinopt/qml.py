@@ -30,6 +30,7 @@ and keeps their least analytic `kinematics.task_error` as a running minimum;
 `harness.sweep` keeps only each block's floor and tie count.
 `configuration_costs` and `configuration_errors` give the analytic cost and
 error of any batch of configurations. `save_surrogate` writes sorted-key JSON.
+`json_value` is the one value rule of `load_surrogate` and the harness readers.
 """
 
 from __future__ import annotations
@@ -363,19 +364,18 @@ def train(surrogate: Surrogate, data: TrainingSet, epochs: int = 200,
     beta1, beta2 = ADAM_BETAS
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    for epoch in range(epochs + 1):
-        if epoch == epochs:  # the final parameters take no gradient
-            trace[epoch] = loss(surrogate, data, theta)
-        else:
-            trace[epoch], g = gradient(surrogate, data, theta)
+    for epoch in range(epochs):
+        trace[epoch], g = gradient(surrogate, data, theta)
         if not math.isfinite(trace[epoch]):
             raise TrainingError(f"loss diverged at epoch {epoch}")
-        if epoch < epochs:
-            m = beta1 * m + (1.0 - beta1) * g
-            v = beta2 * v + (1.0 - beta2) * g * g
-            m_hat = m / (1.0 - beta1 ** (epoch + 1))
-            v_hat = v / (1.0 - beta2 ** (epoch + 1))
-            theta = theta - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1 ** (epoch + 1))
+        v_hat = v / (1.0 - beta2 ** (epoch + 1))
+        theta = theta - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    trace[epochs] = loss(surrogate, data, theta)  # the final parameters take no gradient
+    if not math.isfinite(trace[epochs]):
+        raise TrainingError(f"loss diverged at epoch {epochs}")
     return surrogate.with_params(theta), trace
 
 
@@ -393,23 +393,26 @@ def save_surrogate(surrogate: Surrogate, path) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _typed(kind, value, key: str):
-    """kind(value) for a JSON value of that kind (an integer serves as a float);
-    another value, such as a string or a bool among numbers, raises TypeError,
-    and a float that is NaN, infinite or an integer past the float range ValueError."""
-    if type(value) not in {float: (int, float), int: (int,), bool: (bool,)}[kind]:
-        raise TypeError(f"{key!r} must be {kind.__name__}, got {value!r}")
-    if kind is float and not abs(value) <= sys.float_info.max:  # NaN compares False
-        raise ValueError(f"{key!r} must be a finite float, got {value!r}")
+def json_value(kind, value, name: str):
+    """kind(value) for a JSON value of kind bool, int, float or str: an integer counts as
+    a float only within float range, and a boolean never counts as a number. Any other
+    value, NaN and infinities too, raises one ValueError that begins with `name`, the key."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    want, valid = {bool: ("a boolean", isinstance(value, bool)),
+                   int: ("an integer", number and isinstance(value, int)),
+                   float: ("a finite number", number and abs(value) <= sys.float_info.max),
+                   str: ("a string", isinstance(value, str))}[kind]
+    if not valid:
+        raise ValueError(f"{name} must be {want}, got {value!r}")
     return kind(value)
 
 
 def load_surrogate(path) -> Surrogate:
-    """The surrogate `save_surrogate` wrote. A file that is not JSON or lacks the
-    format marker raises ValueError, a missing key KeyError, and a count, qubit
-    index, parameter, bound or flag of another JSON type TypeError. A value no
-    surrogate can use raises ValueError: a non-finite number, a qubit index
-    outside [0, qubits) or a parameter count other than 2 * qubits * layers."""
+    """The surrogate `save_surrogate` wrote. A missing key raises KeyError. A file
+    that is not JSON or lacks the format marker raises ValueError, and so does a
+    value that no surrogate can use: a count, qubit index, parameter, bound or flag
+    that `json_value` refuses as its kind, a qubit index outside [0, qubits) or a
+    parameter count other than 2 * qubits * layers."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -419,13 +422,15 @@ def load_surrogate(path) -> Surrogate:
         raise ValueError("not in the current format; retrain the surrogate")
 
     def fields(record, where, **kinds):
-        return tuple(_typed(kind, record[key], where + key) for key, kind in kinds.items())
+        return tuple(json_value(k, record[key], repr(where + key)) for key, k in kinds.items())
 
     ansatz = Ansatz(*fields(data, "", qubits=int, layers=int))
-    params = np.array([_typed(float, p, f"params[{k}]") for k, p in enumerate(data["params"])])
+    params = np.array([json_value(float, p, f"'params[{k}]'")
+                       for k, p in enumerate(data["params"])])
     if params.size != ansatz.parameter_count:
         raise ValueError(f"'params' must hold {ansatz.parameter_count} values, got {params.size}")
-    inputs = tuple((tuple(_typed(int, q, f"inputs[{k}].qubits") for q in i["qubits"]),
+    inputs = tuple((tuple(json_value(int, q, f"'inputs[{k}].qubits[{j}]'")
+                          for j, q in enumerate(i["qubits"])),
                     *fields(i, f"inputs[{k}].", lo=float, hi=float, angular=bool))
                    for k, i in enumerate(data["inputs"]))
     readout = tuple(fields(r, f"readout[{k}].", qubit=int, lo=float, hi=float)

@@ -202,13 +202,13 @@ def surrogate_json(**values):
      "missing key 'params'"),
     (surrogate_json(qubits="4"),
      ["run", "--config", "{config}", "--mode", "surrogate", "--params", "{bad}"],
-     "'qubits' must be int"),
+     "'qubits' must be an integer"),
     (surrogate_json(params=lambda params: [str(p) for p in params]),
      ["run", "--config", "{config}", "--mode", "surrogate", "--params", "{bad}"],
-     "'params[0]' must be float"),
+     "'params[0]' must be a finite number"),
     (surrogate_json(inputs=lambda inputs: [dict(inputs[0], lo="0.1")] + inputs[1:]),
      ["run", "--config", "{config}", "--mode", "surrogate", "--params", "{bad}"],
-     "'inputs[0].lo' must be float"),
+     "'inputs[0].lo' must be a finite number"),
     (keep, ["sweep", "--config", "{bad}", "--qubits", "3,,4"], "--qubits"),
     (keep, ["sweep", "--config", "{bad}", "--qubits", "0,2"], "--qubits"),
     (keep, ["sweep", "--config", "{bad}", "--qubits", "3,4000"], "--qubits"),
@@ -223,6 +223,17 @@ def surrogate_json(**values):
     (keep, ["--shots", "9999999999999999999999"], "'shots'"),
     (lambda data: data.update(shots=10**8 + 1), [], "'shots'"),
     (keep, ["--shots", "100000001"], "'shots'"),
+    # integers past the float range, as a number and as a qubit count
+    (lambda data: data["weights"].update(alpha_p=10**400), [], "'weights.alpha_p'"),
+    (lambda data: data["task"].update(target=[10**400, 0]), [], "'task.target'"),
+    (lambda data: json.dumps(dict(REPORT, analytic_best_cost=10**400)),
+     ["compare", "--report", "{bad}", "--baselines", "{baselines}"], "'analytic_best_cost'"),
+    (lambda data: json.dumps([dict(BASELINE_RUN, best_cost=10**400)]),
+     ["compare", "--report", "{report}", "--baselines", "{bad}"], "'best_cost'"),
+    (lambda data: data["params"][0].update(qubits=10**400), [], "l1: n_qubits"),
+    (keep, ["--qubits-per-param", str(10**400)], "l1: n_qubits"),
+    (lambda data: data["params"][0].update(qubits=10**400),
+     ["sweep", "--config", "{bad}", "--qubits", "3"], "l1: n_qubits"),
 ], ids=["missing_task", "shrink_above_one", "nan_target", "shots_0", "seed_negative",
         "epochs_0", "n_layers_0", "learning_rate_negative", "training_samples_0",
         "n_starts_0", "swarm_size_1", "max_evals_0", "flag_shots_0", "flag_seed_negative",
@@ -241,7 +252,10 @@ def surrogate_json(**values):
         "params_qubits_string", "params_strings", "params_bound_string", "qubits_empty_count",
         "qubits_zero_count", "qubits_above_cap", "qubits_5000_digits", "lone_report",
         "lone_baselines_with_config", "merge_with_config", "merge_with_overrides",
-        "shots_2_63", "flag_shots_huge", "shots_1e8_plus_1", "flag_shots_1e8_plus_1"])
+        "shots_2_63", "flag_shots_huge", "shots_1e8_plus_1", "flag_shots_1e8_plus_1",
+        "alpha_p_past_float_range", "target_past_float_range",
+        "report_best_cost_past_float_range", "baselines_best_cost_past_float_range",
+        "qubits_10_400", "flag_qubits_per_param_10_400", "sweep_config_qubits_10_400"])
 def test_invalid_config_exits_cleanly(edit, flags, name, config_path, tmp_path, capsys):
     data = harness.config_to_dict(shipped_case("one_dof"))
     text = edit(data)  # an edit changes data in place, or returns the file's text

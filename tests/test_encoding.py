@@ -20,7 +20,7 @@ from qkinopt.encoding import (
     pack_indices,
     unpack_index,
 )
-from qkinopt.qsim import CapacityError
+from qkinopt.qsim import QUBIT_CAP, CapacityError
 
 TWO_PI = 2 * math.pi
 
@@ -41,6 +41,12 @@ class TestParamSpec:
             ParamSpec("x", 0.0, 1.0, 0)
         with pytest.raises(ValueError):
             ParamSpec("x", 0.0, 3 * math.pi, 3, angular=True)
+        # no grid with a parameter past the cap can run, and a huge count would make
+        # the grid size a big-integer computation
+        for n in (QUBIT_CAP + 1, 10**9, 10**400):
+            with pytest.raises(ValueError, match=f"x: n_qubits must be from 1 to {QUBIT_CAP}"):
+                ParamSpec("x", 0.0, 1.0, n)
+        assert ParamSpec("x", 0.0, 1.0, QUBIT_CAP).levels == 2 ** QUBIT_CAP
 
     def test_angular_full_period_allowed(self):
         ParamSpec("x", -math.pi, math.pi, 5, angular=True)

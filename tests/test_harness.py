@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import json
 import math
+import os
 import pathlib
 import re
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -25,10 +28,13 @@ from qkinopt.harness import (
     config_to_dict,
     emit_report,
     load_config,
+    load_optruns,
+    load_report,
     run_baselines,
     run_case,
     sweep,
     write_json,
+    write_optruns,
     write_table,
 )
 from qkinopt.kinematics import GraspTask, PoseTarget, PoseWeights
@@ -36,7 +42,9 @@ from qkinopt.qml import (
     build_cost_table,
     configuration_costs,
     configuration_positions,
+    load_surrogate,
     make_surrogate,
+    save_surrogate,
 )
 from qkinopt.qsim import CapacityError
 from tests_support import shipped_case, table_sweep
@@ -595,3 +603,108 @@ class TestBaselineSettingsPlumbing:
         by_name = {r.method: r for r in runs}
         assert by_name["nelder_mead"].evaluations <= 2 * 100 + 10
         assert by_name["pso"].evaluations <= 5 * 11
+
+
+
+# --- one value rule for every file qkinopt reads ------------------------------------
+
+# a value of each kind: a string, a boolean, null, a list, NaN, +-inf and an integer
+# past the float range
+OTHER_KINDS = ["text", True, None, [1.0, 2.0], math.nan, math.inf, -math.inf, 10**400]
+# the config keys that also take null, and the kind of their other values
+OPTIONAL_KEYS = {"qml.n_qubits": int, "qml.training_samples": int, "search.epsilon0": float,
+                 "task.phi": float, "task.tolerance": float, "weights.epsilon": float}
+
+
+def scalar_paths(value, path=()):
+    """The path, of dict keys and list indices, of every scalar in a JSON value."""
+    if isinstance(value, dict):
+        return [p for k, v in value.items() for p in scalar_paths(v, path + (k,))]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in scalar_paths(v, path + (i,))]
+    return [path]
+
+
+def key_name(path):
+    """A path as the readers name it: "params[0].min", "inputs[1].qubits[0]"."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+def config_key(path):
+    # a config's only lists of scalars are pairs, such as task.target, which are
+    # refused under their own name
+    return key_name(path[:-1] if isinstance(path[-1], int) else path)
+
+
+@functools.cache
+def written_inputs():
+    """name: (file text, reader, writer, the scalar paths to edit, each path's name in
+    a refusal) of the shipped configs and of a surrogate.params, a report.json (its
+    keys that `compare` reads) and a baselines.json, each text as its writer wrote it."""
+    out = {}
+    for case in ("one_dof", "two_dof", "dual_arm"):
+        out[case] = (shipped_case(case), load_config,
+                     lambda config, path: write_json(path, config_to_dict(config)),
+                     None, lambda p: f"config key {config_key(p)!r}")
+    config = shipped_case("one_dof", qubits_per_param=2)
+    surrogate = make_surrogate(config.grid, config.model, n_qubits=4)
+    surrogate = surrogate.with_params(np.random.default_rng(0).uniform(
+        -math.pi, math.pi, surrogate.ansatz.parameter_count))
+    out["surrogate"] = (surrogate, load_surrogate, save_surrogate, None,
+                        lambda p: repr(key_name(p)))
+    out["report"] = (run_case(config).to_dict(), load_report,
+                     lambda report, path: write_json(path, report),
+                     [("queries_final",), ("analytic_best_cost",), ("result", "accepted")],
+                     lambda p: f"key {key_name(p)!r}")
+    config = dataclasses.replace(config, baselines=BaselineSettings(
+        max_evals=40, n_starts=1, swarm_size=3, pso_iterations=4))
+    out["baselines"] = (run_baselines(config), load_optruns,
+                        lambda runs, path: write_optruns(runs, path), None,
+                        lambda p: f"run {p[0]} key {key_name(p[1:])!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        for name, (value, reader, writer, paths, refusal) in out.items():
+            writer(value, path)
+            with open(path) as fh:
+                text = fh.read()
+            # every scalar key is walked but the surrogate's format marker, whose
+            # refusal says that the file is of another format
+            paths = paths or [p for p in scalar_paths(json.loads(text)) if p != ("format",)]
+            out[name] = (text, reader, writer, paths, refusal)
+    return out
+
+
+INPUTS = ["one_dof", "two_dof", "dual_arm", "surrogate", "report", "baselines"]
+
+
+class TestOneValueRule:
+    @pytest.mark.parametrize("name", INPUTS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_value_of_another_kind_is_refused_by_key(self, name, data):
+        text, reader, _, paths, refusal = written_inputs()[name]
+        path = data.draw(st.sampled_from(paths), label="path")
+        content = json.loads(text)
+        *parents, last = path
+        section = functools.reduce(lambda d, p: d[p], parents, content)
+        optional = name in INPUTS[:3] and config_key(path) in OPTIONAL_KEYS
+        kind = OPTIONAL_KEYS[config_key(path)] if optional else type(section[last])
+        # leave out the value of the key's own kind (10**400 for an int key): none
+        # listed is a finite float
+        value = data.draw(st.sampled_from([v for v in OTHER_KINDS if not (
+            type(v) is kind and kind is not float or v is None and optional)]), label="value")
+        section[last] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            file = os.path.join(tmp, "input.json")
+            with open(file, "w") as fh:
+                json.dump(content, fh)
+            with pytest.raises(ValueError) as exc:
+                reader(file)
+        assert str(exc.value).startswith(f"{refusal(path)} must be a")
+
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_unchanged_files_load_equal(self, name, tmp_path):
+        text, reader, writer, *_ = written_inputs()[name]
+        (tmp_path / "input.json").write_text(text)
+        writer(reader(str(tmp_path / "input.json")), str(tmp_path / "output.json"))
+        assert (tmp_path / "output.json").read_text() == text

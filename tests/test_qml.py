@@ -2,6 +2,7 @@ import collections
 import json
 import math
 import pathlib
+import re
 import tempfile
 import tracemalloc
 
@@ -733,43 +734,46 @@ class TestSerialization:
         with pytest.raises(KeyError, match=key):
             load_surrogate(path)
 
-    @pytest.mark.parametrize("edit, error", [
-        (lambda d: d.update(qubits="3"), TypeError),
-        (lambda d: d.update(layers=1.0), TypeError),
-        (lambda d: d.update(format="qkinopt-surrogate 1"), ValueError),
-        (lambda d: d.update(format=None), ValueError),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(qubits="3"), "'qubits' must be an integer"),
+        (lambda d: d.update(layers=1.0), "'layers' must be an integer"),
+        (lambda d: d.update(format="qkinopt-surrogate 1"), "not in the current format"),
+        (lambda d: d.update(format=None), "not in the current format"),
         # hand-edited files: each value is converted only from its own JSON type
-        (lambda d: d.update(params=[str(p) for p in d["params"]]), TypeError),
-        (lambda d: d["params"].__setitem__(0, True), TypeError),
-        (lambda d: d["inputs"][0].update(lo="0.1"), TypeError),
-        (lambda d: d["inputs"][0].update(qubits=[0.0]), TypeError),
-        (lambda d: d["inputs"][1].update(angular=1), TypeError),
-        (lambda d: d["readout"][0].update(qubit=True), TypeError),
-        (lambda d: d["readout"][1].update(hi=None), TypeError),
+        (lambda d: d.update(params=[str(p) for p in d["params"]]),
+         "'params[0]' must be a finite number"),
+        (lambda d: d["params"].__setitem__(0, True), "'params[0]' must be a finite number"),
+        (lambda d: d["inputs"][0].update(lo="0.1"), "'inputs[0].lo' must be a finite number"),
+        (lambda d: d["inputs"][0].update(qubits=[0.0]), "'inputs[0].qubits[0]' must be an integer"),
+        (lambda d: d["inputs"][1].update(angular=1), "'inputs[1].angular' must be a boolean"),
+        (lambda d: d["readout"][0].update(qubit=True), "'readout[0].qubit' must be an integer"),
+        (lambda d: d["readout"][1].update(hi=None), "'readout[1].hi' must be a finite number"),
         # values of the right JSON type that no surrogate can use
-        (lambda d: [r.update(qubit=12 + k) for k, r in enumerate(d["readout"])], ValueError),
-        (lambda d: d["inputs"][0].update(qubits=[-1]), ValueError),
-        (lambda d: d["params"].append(0.0), ValueError),
-        (lambda d: d["params"].pop(), ValueError),
-        (lambda d: d["params"].__setitem__(0, math.nan), ValueError),
-        (lambda d: d["params"].__setitem__(0, -math.inf), ValueError),
-        (lambda d: d["inputs"][1].update(hi=math.inf), ValueError),
-        (lambda d: d["readout"][0].update(lo=math.nan), ValueError),
-        (lambda d: d["params"].__setitem__(0, 10**400), ValueError),
+        (lambda d: [r.update(qubit=12 + k) for k, r in enumerate(d["readout"])],
+         "qubit 12 lies outside"),
+        (lambda d: d["inputs"][0].update(qubits=[-1]), "qubit -1 lies outside"),
+        (lambda d: d["params"].append(0.0), "'params' must hold"),
+        (lambda d: d["params"].pop(), "'params' must hold"),
+        (lambda d: d["params"].__setitem__(0, math.nan), "'params[0]' must be a finite number"),
+        (lambda d: d["params"].__setitem__(0, -math.inf), "'params[0]' must be a finite number"),
+        (lambda d: d["inputs"][1].update(hi=math.inf), "'inputs[1].hi' must be a finite number"),
+        (lambda d: d["readout"][0].update(lo=math.nan), "'readout[0].lo' must be a finite number"),
+        (lambda d: d["params"].__setitem__(0, 10**400), "'params[0]' must be a finite number"),
     ], ids=["qubits_string", "layers_float", "first_format_marker", "no_marker",
             "params_strings", "param_bool", "bound_string", "input_qubit_float",
             "angular_int", "readout_qubit_bool", "bound_null", "readout_qubits_past_register",
             "input_qubit_negative", "params_too_many", "params_too_few", "param_nan",
             "param_minus_infinity", "input_bound_infinity", "readout_bound_nan",
             "param_past_float_range"])
-    def test_wrong_types_and_markers_refused(self, edit, error, tmp_path):
+    def test_wrong_types_and_markers_refused(self, edit, message, tmp_path):
+        # every refusal is one ValueError, and a wrong JSON type names its key
         s, _ = random_surrogate(np.random.default_rng(8))
         path = tmp_path / "surrogate.params"
         save_surrogate(s, path)
         data = json.loads(path.read_text())
         edit(data)
         path.write_text(json.dumps(data))
-        with pytest.raises(error):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_surrogate(path)
 
     def test_loaded_values_have_their_types(self, tmp_path):
