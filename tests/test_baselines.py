@@ -1,5 +1,4 @@
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -18,10 +17,9 @@ from qkinopt.baselines import (
 )
 from qkinopt.encoding import ParamGrid, ParamSpec, decode
 from qkinopt.kinematics import PoseTarget
-from tests_support import shipped_case
+from tests_support import CONFIGS, shipped_case
 
 BOX = [(-5.0, 5.0), (-5.0, 5.0)]
-CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def shifted_sphere(x):

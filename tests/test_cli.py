@@ -234,6 +234,15 @@ def surrogate_json(**values):
     (keep, ["--qubits-per-param", str(10**400)], "l1: n_qubits"),
     (lambda data: data["params"][0].update(qubits=10**400),
      ["sweep", "--config", "{bad}", "--qubits", "3"], "l1: n_qubits"),
+    # count keys past their caps
+    (lambda data: data["qml"].update(n_qubits=13), [], "'qml.n_qubits'"),
+    (lambda data: data["qml"].update(n_qubits=10**400), [], "'qml.n_qubits'"),
+    (lambda data: data["qml"].update(n_layers=10**400), [], "'qml.n_layers'"),
+    (lambda data: data["qml"].update(epochs=10**400), [], "'qml.epochs'"),
+    (lambda data: data["baselines"].update(swarm_size=10**400), [], "'baselines.swarm_size'"),
+    (lambda data: data["baselines"].update(pso_iterations=10**400), [],
+     "'baselines.pso_iterations'"),
+    (lambda data: data["baselines"].update(n_starts=10**400), [], "'baselines.n_starts'"),
 ], ids=["missing_task", "shrink_above_one", "nan_target", "shots_0", "seed_negative",
         "epochs_0", "n_layers_0", "learning_rate_negative", "training_samples_0",
         "n_starts_0", "swarm_size_1", "max_evals_0", "flag_shots_0", "flag_seed_negative",
@@ -255,7 +264,9 @@ def surrogate_json(**values):
         "shots_2_63", "flag_shots_huge", "shots_1e8_plus_1", "flag_shots_1e8_plus_1",
         "alpha_p_past_float_range", "target_past_float_range",
         "report_best_cost_past_float_range", "baselines_best_cost_past_float_range",
-        "qubits_10_400", "flag_qubits_per_param_10_400", "sweep_config_qubits_10_400"])
+        "qubits_10_400", "flag_qubits_per_param_10_400", "sweep_config_qubits_10_400",
+        "qml_n_qubits_13", "qml_n_qubits_10_400", "n_layers_10_400", "epochs_10_400",
+        "swarm_size_10_400", "pso_iterations_10_400", "n_starts_10_400"])
 def test_invalid_config_exits_cleanly(edit, flags, name, config_path, tmp_path, capsys):
     data = harness.config_to_dict(shipped_case("one_dof"))
     text = edit(data)  # an edit changes data in place, or returns the file's text

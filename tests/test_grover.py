@@ -14,22 +14,25 @@ from qkinopt.grover import (
     NoSolutionError,
     SearchResult,
     amplified_state,
-    apply_diffusion,
-    apply_oracle,
     count_solutions,
     iteration_count,
     minimal_epsilon,
     search_with_state,
     shrink_schedule,
-    success_probability_analytic,
     threshold_ladder,
     verify,
 )
 from qkinopt.harness import _actual_error_table
 from qkinopt.kinematics import OneLink, PoseTarget, PoseWeights, fk_one
-from tests_support import verification_cases
-
-TWO_PI = 2 * math.pi
+from reference import (
+    StateVector,
+    apply_diffusion,
+    apply_oracle,
+    dense_rounds,
+    success_probability,
+    uniform_superposition,
+)
+from tests_support import TWO_PI, verification_cases
 
 
 def flat_grid(n_total):
@@ -109,16 +112,16 @@ class TestIterationCount:
 
 class TestSuccessProbability:
     def test_eight_one_two(self):
-        assert success_probability_analytic(8, 1, 2) == pytest.approx(0.9453, abs=1e-4)
+        assert amplified_state(3, np.array([0]), 2).p_marked == pytest.approx(0.9453, abs=1e-4)
 
     def test_four_one_one_is_certain(self):
-        assert success_probability_analytic(4, 1, 1) >= 1.0 - 1e-9
+        assert amplified_state(2, np.array([1]), 1).p_marked >= 1.0 - 1e-9
 
     def test_zero_iterations_is_uniform(self):
-        assert success_probability_analytic(64, 3, 0) == pytest.approx(3 / 64)
+        assert amplified_state(6, np.array([0, 9, 40]), 0).p_marked == pytest.approx(3 / 64)
 
     def test_matches_simulated_amplification(self):
-        # independent check: simulate the amplified state and compare masses
+        # independent check: the gate-level rounds' marked mass, and the formula's
         rng = np.random.default_rng(1)
         for _ in range(10):
             n = int(rng.integers(2, 7))
@@ -128,10 +131,9 @@ class TestSuccessProbability:
             marked = np.zeros(M, dtype=bool)
             marked[rng.choice(M, m, replace=False)] = True
             state = amplified_state(n, np.flatnonzero(marked), K)
-            simulated = float(state.probabilities()[marked].sum())
-            assert simulated == pytest.approx(
-                success_probability_analytic(M, m, K), abs=1e-12
-            )
+            simulated = float((np.abs(dense_rounds(n, marked, K).amps[marked]) ** 2).sum())
+            assert state.p_marked == pytest.approx(simulated, abs=1e-12)
+            assert state.p_marked == pytest.approx(success_probability(M, m, K), abs=1e-12)
 
     def test_empirical_probability_within_three_sigma(self):
         # shot-level check at the scheduled iteration count over sampled (M, m)
@@ -143,32 +145,33 @@ class TestSuccessProbability:
             m = int(rng.integers(1, max(2, M // 8)))
             costs = np.ones(M)
             costs[rng.choice(M, m, replace=False)] = 0.0
-            grid = flat_grid(n)
-            result = search(grid, costs, 0.5, shots=shots, seed=77)
-            p = success_probability_analytic(M, m, result.queries)
+            result, state = search_with_state(flat_grid(n), np.flatnonzero(costs <= 0.5), 0.5,
+                                              shots, seed=77)
+            p = state.p_marked
+            assert p == pytest.approx(success_probability(M, m, result.queries), abs=1e-12)
             sigma = math.sqrt(p * (1 - p) / shots)
             assert abs(result.marked_probability - p) <= 3 * sigma + 1e-12
 
 
 class TestOracle:
     def test_sign_flip_on_marked(self):
-        out = apply_oracle(qsim.uniform_superposition(2), mask(4, [2]))
+        out = apply_oracle(uniform_superposition(2), mask(4, [2]))
         np.testing.assert_allclose(out.amps, [0.5, 0.5, -0.5, 0.5], atol=1e-15)
 
     def test_nothing_marked_is_identity(self):
-        state = qsim.uniform_superposition(2)
+        state = uniform_superposition(2)
         np.testing.assert_array_equal(apply_oracle(state, mask(4, [])).amps, state.amps)
 
     def test_involution(self):
         oracle = mask(8, [1, 5])
-        state = qsim.uniform_superposition(3)
+        state = uniform_superposition(3)
         out = apply_oracle(apply_oracle(state, oracle), oracle)
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-12)
-        assert abs(out.norm() - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(out.amps) - 1.0) <= 1e-12
 
     def test_shape_error(self):
         with pytest.raises(ValueError):
-            apply_oracle(qsim.uniform_superposition(2), mask(8, []))
+            apply_oracle(uniform_superposition(2), mask(8, []))
 
     def test_zero_epsilon_marks_exact_solutions(self):
         costs = costs_with_marks(4, [3]) * 1e-300  # the least positive cost stays unmarked
@@ -183,30 +186,22 @@ class TestOracle:
 
 class TestDiffusion:
     def test_uniform_is_fixed_point(self):
-        state = qsim.uniform_superposition(3)
+        state = uniform_superposition(3)
         np.testing.assert_allclose(apply_diffusion(state).amps, state.amps, atol=1e-15)
 
     def test_single_round_on_four_states(self):
         # sin^2(3 arcsin(1/2)) = 1: one oracle+diffusion round is exact for M=4
         state = amplified_state(2, np.array([2]), 1)
-        assert state.probabilities()[2] == pytest.approx(1.0, abs=1e-12)
+        assert state.amps[2] ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_involution(self):
         rng = np.random.default_rng(2)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
-        state = qsim.StateVector(3, amps)
+        state = StateVector(3, amps)
         out = apply_diffusion(apply_diffusion(state))
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-12)
-        assert abs(out.norm() - 1.0) <= 1e-12
-
-
-def dense_rounds(n, marked, K):
-    """Gate-level reference: K rounds of apply_oracle then apply_diffusion."""
-    state = qsim.uniform_superposition(n)
-    for _ in range(K):
-        state = apply_diffusion(apply_oracle(state, marked))
-    return state
+        assert abs(np.linalg.norm(out.amps) - 1.0) <= 1e-12
 
 
 @st.composite
@@ -238,9 +233,9 @@ class TestClosedForm:
         marked[np.random.default_rng(4).choice(M, 5, replace=False)] = True
         K = iteration_count(M, 5)
         state = amplified_state(n, np.flatnonzero(marked), K)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
-        assert float(state.probabilities()[marked].sum()) == pytest.approx(
-            success_probability_analytic(M, 5, K), abs=1e-12)
+        assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-12)
+        assert float((state.amps[marked] ** 2).sum()) == pytest.approx(state.p_marked, abs=1e-12)
+        assert state.p_marked == pytest.approx(success_probability(M, 5, K), abs=1e-12)
 
     def test_repr_and_equality_build_no_dense_state(self):
         state = amplified_state(24, np.array([5, 9]), 3)
@@ -257,7 +252,7 @@ class TestClosedForm:
                         f"p_marked={state.p_marked!r})")
         assert same and not other
         assert state != amplified_state(24, np.array([5, 9]), 2)
-        assert state != qsim.uniform_superposition(3)
+        assert state != uniform_superposition(3)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -325,7 +320,7 @@ class TestSampler:
         n, marked, K = case
         M, shots = 1 << n, 20000
         state = amplified_state(n, np.flatnonzero(marked), K)
-        probs = state.probabilities()  # the distribution qsim.measure draws from
+        probs = state.amps ** 2  # the distribution qsim.measure draws from
         sampled = np.bincount(state.sample(shots, seed=5)[0], minlength=M)
         dense = np.zeros(M, dtype=np.int64)
         for k, count in qsim.measure(state, shots, seed=5).items():

@@ -3,7 +3,6 @@ import functools
 import json
 import math
 import os
-import pathlib
 import re
 import tempfile
 import tracemalloc
@@ -47,10 +46,7 @@ from qkinopt.qml import (
     save_surrogate,
 )
 from qkinopt.qsim import CapacityError
-from tests_support import shipped_case, table_sweep
-
-TWO_PI = 2 * math.pi
-CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+from tests_support import CONFIGS, TWO_PI, shipped_case, table_sweep
 
 
 def exhaustive_reference(config):
@@ -492,6 +488,13 @@ class TestConfigSerialization:
         with pytest.raises(ValueError,
                            match=re.escape(message or f"config key '{name}' must be")):
             config_from_dict(data)
+
+    def test_count_keys_at_their_caps_load(self):
+        data = config_to_dict(shipped_case("one_dof"))
+        data["qml"].update(n_qubits=12, n_layers=1000, epochs=10**6)
+        data["baselines"].update(swarm_size=10**4, pso_iterations=10**5, n_starts=10**3)
+        data["shots"] = 10**8
+        assert config_to_dict(config_from_dict(data)) == data
 
     def test_number_for_float_key_reads_as_float(self):
         data = config_to_dict(shipped_case("one_dof"))

@@ -37,9 +37,8 @@ from qkinopt.qml import (
     train,
     workspace_box,
 )
-from tests_support import encode_input, first_format_text, shipped_case, verification_cases
-
-TWO_PI = 2 * math.pi
+from reference import ansatz_gates, apply_circuit, encode_input, new_zero_state, rx, ry
+from tests_support import TWO_PI, first_format_text, shipped_case, verification_cases
 
 
 def one_dof_grid(n=3):
@@ -51,13 +50,12 @@ def one_dof_grid(n=3):
 
 def gate_level_predictions(s, Z, theta):
     """(rows, outputs): each row's own circuit, its uploads then the ansatz at
-    theta, through qsim.apply_circuit, and each readout's <Z> mapped affinely."""
+    theta, through the gate-level reference, and each readout's <Z> mapped affinely."""
     n = s.ansatz.n_qubits
     idx = np.arange(1 << n)
     out = []
     for z in Z:
-        state = qsim.apply_circuit(qsim.new_zero_state(n),
-                                   encode_input(s, z) + s.ansatz.gates(theta))
+        state = apply_circuit(new_zero_state(n), encode_input(s, z) + ansatz_gates(s.ansatz, theta))
         out.append([lo + (qsim.expectation_diagonal(state, 1.0 - 2.0 * ((idx >> q) & 1)) + 1.0)
                     / 2.0 * (hi - lo) for q, lo, hi in s.readout])
     return np.array(out)
@@ -84,12 +82,11 @@ class TestBuildAnsatz:
         assert Ansatz(3, 1).parameter_count == 6
 
     def test_two_qubit_single_layer_structure(self):
-        gates = Ansatz(2, 1).gates([0.1, 0.2, 0.3, 0.4])
-        assert gates == [
-            qsim.RX(0, 0.1), qsim.RY(0, 0.2),
-            qsim.RX(1, 0.3), qsim.RY(1, 0.4),
-            qsim.CNOT(0, 1), qsim.CNOT(1, 0),
-        ]
+        gates = ansatz_gates(Ansatz(2, 1), [0.1, 0.2, 0.3, 0.4])
+        expected = [(rx(0.1), 0), (ry(0.2), 0), (rx(0.3), 1), (ry(0.4), 1), (0, 1), (1, 0)]
+        assert [target for _, target in gates] == [target for _, target in expected]
+        for (first, _), (want, _) in zip(gates, expected):
+            np.testing.assert_array_equal(first, want)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -97,7 +94,7 @@ class TestBuildAnsatz:
         with pytest.raises(ValueError):
             Ansatz(2, 0)
         with pytest.raises(ValueError):
-            Ansatz(2, 1).gates([0.0])
+            ansatz_gates(Ansatz(2, 1), [0.0])
 
 
 class TestEncodeInput:
@@ -106,23 +103,23 @@ class TestEncodeInput:
         # the length encoded relative to zero, at l1 = max(|lo|, |hi|) = 2.0
         s = make_surrogate(one_dof_grid(), OneLink())
         gates = encode_input(s, [2.0, math.pi])
-        assert all(isinstance(g, qsim.RY) for g in gates)
-        assert [g.angle for g in gates] == pytest.approx([0.0, 0.0], abs=1e-12)
+        np.testing.assert_allclose([m for m, _ in gates], ry(np.zeros(2)), rtol=0, atol=1e-12)
 
     def test_minimum_gives_minus_pi(self):
         # theta = 0 still maps to -pi; the length minimum l1 = 0.1 maps to
         # arccos(0.1 / 2.0), so that cos(angle) is the length over its bound
         s = make_surrogate(one_dof_grid(), OneLink())
         gates = encode_input(s, [0.1, 0.0])
-        assert [g.angle for g in gates] == pytest.approx([math.acos(0.05), -math.pi])
+        np.testing.assert_allclose([m for m, _ in gates],
+                                   ry(np.array([math.acos(0.05), -math.pi])), atol=1e-12)
 
     def test_injective_across_bins(self):
         # compare encoded states up to a global phase: angles of -pi and pi
         # differ as numbers but give the same state
         grid = ParamGrid((ParamSpec("a", 0.0, 1.0, 1), ParamSpec("b", 2.0, 3.0, 1)))
         s = make_surrogate(grid, OneLink())  # box irrelevant for angles
-        zero = qsim.new_zero_state(s.ansatz.n_qubits)
-        states = [qsim.apply_circuit(zero, encode_input(s, decode(grid, k))).amps
+        zero = new_zero_state(s.ansatz.n_qubits)
+        states = [apply_circuit(zero, encode_input(s, decode(grid, k))).amps
                   for k in range(grid.size)]
         for j in range(grid.size):
             for k in range(j):
@@ -131,7 +128,7 @@ class TestEncodeInput:
     def test_each_input_uploaded_on_its_block(self):
         s = make_surrogate(one_dof_grid(), OneLink(), n_qubits=4)
         assert [qubits for qubits, *_ in s.input_map] == [(0, 1), (2, 3)]
-        assert [g.target for g in encode_input(s, [1.0, 0.5])] == [0, 1, 2, 3]
+        assert [target for _, target in encode_input(s, [1.0, 0.5])] == [0, 1, 2, 3]
 
     def test_lengths_outside_range_are_clamped(self):
         s = make_surrogate(one_dof_grid(), OneLink())
@@ -148,8 +145,8 @@ class TestEncodeInput:
         s = s.with_params(np.random.default_rng(0).uniform(-math.pi, math.pi,
                                                            s.ansatz.parameter_count))
         ends = [[1.0, 0.0], [1.0, math.pi / 2]]
-        zero = qsim.new_zero_state(s.ansatz.n_qubits)
-        a, b = (qsim.apply_circuit(zero, encode_input(s, z)).amps for z in ends)
+        zero = new_zero_state(s.ansatz.n_qubits)
+        a, b = (apply_circuit(zero, encode_input(s, z)).amps for z in ends)
         assert abs(np.vdot(a, b)) < 1 - 1e-9
         assert np.abs(predict(s, ends[0]) - predict(s, ends[1])).max() > 1e-3
 
@@ -245,7 +242,7 @@ class TestGradient:
     def test_shift_rule_single_qubit(self):
         # f(t) = <Z> after RX(t) is cos t; at t = pi/2 the derivative is -1
         def f(t):
-            state = qsim.apply_circuit(qsim.new_zero_state(1), [qsim.RX(0, t)])
+            state = apply_circuit(new_zero_state(1), [(rx(t), 0)])
             return qsim.expectation_diagonal(state, [1.0, -1.0])
 
         t = math.pi / 2

@@ -4,7 +4,6 @@ import dataclasses
 import math
 import pathlib
 
-import numpy as np
 from hypothesis import strategies as st
 
 from qkinopt import grover, harness, qml, qsim
@@ -44,38 +43,6 @@ def table_sweep(config, qubit_counts):
         rows.append(dict(zip(harness.SWEEP_HEADER, (q, grid.total_qubits, grid.size, floor, m,
                                                     K, grid.size / max(K, 1), ""))))
     return rows
-
-
-def encode_input(surrogate, z):
-    """The gate-level uploads of one row: one RY per input parameter on each
-    qubit of its block."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (surrogate.n_inputs,):
-        raise ValueError(f"expected {surrogate.n_inputs} inputs, got {z.shape}")
-    angles = qml.input_angles(surrogate, z)
-    return [qsim.RY(qubit, float(a))
-            for (qubits, *_), a in zip(surrogate.input_map, angles) for qubit in qubits]
-
-
-def random_gate_stream(count, n_qubits, seed):
-    """Seeded stream of random single- and two-qubit gates."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        kind = rng.integers(0, 5)
-        q = int(rng.integers(0, n_qubits))
-        angle = float(rng.uniform(-math.pi, math.pi))
-        if kind == 0:
-            yield qsim.Hadamard(q)
-        elif kind == 1:
-            yield qsim.RX(q, angle)
-        elif kind == 2:
-            yield qsim.RY(q, angle)
-        elif kind == 3:
-            yield qsim.RZ(q, angle)
-        else:
-            c = int(rng.integers(0, n_qubits))
-            t = (c + 1 + int(rng.integers(0, n_qubits - 1))) % n_qubits
-            yield qsim.CNOT(c, t)
 
 
 angles = st.floats(-10.0, 10.0)
