@@ -249,10 +249,12 @@ def multi_start(method: Callable[..., OptRun], obj: Objective, n_starts: int = 5
 def exhaustive_scan(grid: ParamGrid,
                     cost_fn: Callable[[np.ndarray], np.ndarray]) -> Tuple[int, float, int]:
     """Exact argmin over all 2^N grid configurations, one `grid_blocks` block at
-    a time; ties go to the lowest index. Returns (index, min cost, 2^N evaluations)."""
+    a time; ties go to the lowest index. Returns (index, min cost, 2^N evaluations).
+    Raises CapacityError past the qubit cap, before any row is decoded."""
+    grid.check_capacity()
     best, best_cost = 0, math.inf
     for start, stop, _ in grid_blocks(grid):
-        costs = np.asarray(cost_fn(decode_all(grid, start, stop)), dtype=float)
+        costs = np.asarray(cost_fn(decode_all(grid, np.arange(start, stop))), dtype=float)
         if costs.shape != (stop - start,):
             raise ValueError("cost function must return one cost per configuration")
         k = int(np.argmin(costs))

@@ -5,18 +5,20 @@ basis index with spec order = ascending bit significance (the first spec
 occupies the least significant bits, matching the simulator's little-endian
 amplitude layout).
 
-Binning uses ``k = floor((z - min)/(max - min) * (2^n - 1))`` and decoding
-inverts it with the same ``2^n - 1`` denominator, so the reported bin width
-is ``range / (2^n - 1)``.
+Bin k decodes to ``min + k/(2^n - 1) * (max - min)``, so the reported bin
+width is ``range / (2^n - 1)``. A value falls in the last bin whose decoded
+value does not exceed it, so encode(decode(k)) = k holds exactly wherever
+adjacent bins decode to distinct floats.
 
 Out-of-range angular values wrap modulo one period (2*pi) into the modeled
-arc before binning; values already inside ``[min, max]`` are binned as-is,
-which keeps encode(decode(k)) = k an exact identity for every index (the
-top angular bin decodes to max, one period above min).
+arc before binning; values already inside ``[min, max]`` are binned as-is
+(the top angular bin decodes to max, one period above min).
 
-Full-grid passes walk aligned blocks of 2^BLOCK_BITS rows (`grid_blocks`),
-each with one column of bin values per parameter that broadcasts onto the
-block's rows, so no pass builds a (2^N, dimension) array.
+`decode_all` is the one map from basis indices to parameter rows; `decode`
+is its one-row case. Streamed passes walk aligned blocks of 2^BLOCK_BITS rows
+(`grid_blocks`), each with one column of bin values per parameter that
+broadcasts onto the block's rows. Only `decode_all` of the whole grid, for
+the full training set and the reference error table, builds a (2^N, d) array.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ import numpy as np
 from .qsim import QUBIT_CAP, CapacityError
 
 
-# snap-to-boundary guard for encode(decode(k)) round trips; floating point can
-# land floor() one ulp under an exact integer
+# how far a value may stray outside its range and still fall in the end bin
 _BOUNDARY_EPS = 1e-9
 # how far an angular range may stray from one period and still be a full turn
 _TURN_EPS = 1e-12
@@ -130,33 +131,13 @@ def _bin_of(spec: ParamSpec, value: float) -> int:
             )
     elif value < spec.lo - _BOUNDARY_EPS or value > spec.hi + _BOUNDARY_EPS:
         raise ValueError(f"{spec.name}: {value} outside [{spec.lo}, {spec.hi}]")
-    t = (value - spec.lo) / (spec.hi - spec.lo) * (spec.levels - 1)
-    k = math.floor(t)
-    if t - k >= 1.0 - _BOUNDARY_EPS:  # snap when floor sits one ulp under an integer
-        k += 1
-    return min(max(k, 0), spec.levels - 1)
-
-
-def pack_indices(grid: ParamGrid, ks: Sequence[int]) -> int:
-    """Pack per-parameter sub-indices into one basis index."""
-    if len(ks) != grid.dimension:
-        raise ValueError(f"expected {grid.dimension} sub-indices, got {len(ks)}")
-    out = 0
-    for spec, shift, k in zip(grid.specs, grid.shifts, ks):
-        if not 0 <= k < spec.levels:
-            raise ValueError(f"{spec.name}: sub-index {k} out of range")
-        out |= int(k) << shift
-    return out
-
-
-def unpack_index(grid: ParamGrid, index: int) -> Tuple[int, ...]:
-    """Split a basis index into per-parameter sub-indices."""
-    if not 0 <= index < grid.size:
-        raise ValueError(f"index {index} out of range for grid of size {grid.size}")
-    return tuple(
-        (index >> shift) & (spec.levels - 1)
-        for spec, shift in zip(grid.specs, grid.shifts)
-    )
+    # the last bin whose decoded value is <= value, found by bisection, as bin values
+    # never decrease: exact for every decoded value, however far lo is from zero
+    k, top = 0, spec.levels - 1
+    while k < top:
+        mid = (k + top + 1) // 2
+        k, top = (mid, top) if spec.bin_value(mid) <= value else (k, mid - 1)
+    return k
 
 
 def encode(grid: ParamGrid, values: Sequence[float]) -> int:
@@ -168,13 +149,15 @@ def encode(grid: ParamGrid, values: Sequence[float]) -> int:
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.dimension,):
         raise ValueError(f"expected {grid.dimension} values, got {values.shape}")
-    return pack_indices(grid, [_bin_of(s, v) for s, v in zip(grid.specs, values)])
+    return sum(_bin_of(s, v) << shift for s, v, shift in zip(grid.specs, values, grid.shifts))
 
 
 def decode(grid: ParamGrid, index: int) -> np.ndarray:
-    """Map a basis index to its parameter vector (exact inverse of encode).
-    It reads one row, so unlike `decode_all` it checks no qubit capacity."""
-    return np.array([s.bin_value(k) for s, k in zip(grid.specs, unpack_index(grid, index))])
+    """Map a basis index to its parameter vector (exact inverse of encode): its row of
+    `decode_all`, so no qubit cap is checked."""
+    if not 0 <= index < grid.size:
+        raise ValueError(f"index {index} out of range for grid of size {grid.size}")
+    return decode_all(grid, np.array([index]))[0]
 
 
 def grid_blocks(grid: ParamGrid):
@@ -191,12 +174,13 @@ def grid_blocks(grid: ParamGrid):
         yield start, start + (1 << bits), cols
 
 
-def decode_all(grid: ParamGrid, start: int = 0, stop: Optional[int] = None,
-               indices: Optional[np.ndarray] = None) -> np.ndarray:
-    """Decode indices start..stop-1 (default: all) or just `indices`; shape (rows, dimension)."""
-    grid.check_capacity()
-    idx = np.arange(start, grid.size if stop is None else stop) if indices is None else indices
-    out = np.empty((idx.size, grid.dimension))
+def decode_all(grid: ParamGrid, indices: Optional[np.ndarray] = None) -> np.ndarray:
+    """Parameter rows (len(indices), dimension) of the basis `indices`, or of the whole
+    grid; only the whole grid checks the qubit cap."""
+    if indices is None:
+        grid.check_capacity()
+        indices = np.arange(grid.size)
+    out = np.empty((indices.size, grid.dimension))
     for i, (spec, shift) in enumerate(zip(grid.specs, grid.shifts)):
-        out[:, i] = spec.bin_value((idx >> shift) & (spec.levels - 1))
+        out[:, i] = spec.bin_value((indices >> shift) & (spec.levels - 1))
     return out

@@ -52,6 +52,7 @@ from .qml import (
     min_qubits,
     save_surrogate,
     train,
+    write_json,
 )
 
 ITERATION_NOTE = "one optimization iteration = one adaptive-threshold search step"
@@ -71,6 +72,9 @@ EPOCHS_CAP = (10**6, "as each epoch is one full-batch gradient, 38 ms on two_dof
 SWARM_CAP = (10**4, "as PSO evaluates its particles one at a time, about 40 us each")
 PSO_ITERATIONS_CAP = (10**5, "as each PSO iteration evaluates the swarm, about 40 us a particle")
 STARTS_CAP = (10**3, "as each start may spend the whole max_evals budget")
+# training keeps one 2^n input state per row: one epoch on 2^24 amplitudes peaked at
+# 530 MB RSS (two_dof, 20 qubits) and 690 MB (one_dof, 22 qubits)
+TRAINING_AMPLITUDES_CAP = (1 << 24, "as one epoch on that many peaked at 530-690 MB")
 
 
 def _check_range(settings, section: str, **bounds) -> None:
@@ -345,12 +349,18 @@ def _actual_error_table(grid: ParamGrid, model, task, weights: PoseWeights) -> n
 
 
 def train_case_surrogate(config: CaseConfig) -> Tuple[Surrogate, np.ndarray]:
-    """Fit the circuit surrogate on analytic FK labels for this case's grid."""
-    settings = config.qml
-    data = TrainingSet.from_grid(config.grid, config.model, sample=settings.training_samples,
-                                 seed=settings.train_seed)
+    """Fit the circuit surrogate on analytic FK labels for this case's grid. Raises
+    CapacityError, before a row is decoded, when the input states would not fit."""
+    settings, (cap, reason) = config.qml, TRAINING_AMPLITUDES_CAP
     base = make_surrogate(config.grid, config.model,
                           n_layers=settings.n_layers, n_qubits=settings.n_qubits)
+    rows, n = min(settings.training_samples or math.inf, config.grid.size), base.ansatz.n_qubits
+    if rows << n > cap:
+        raise qsim.CapacityError(
+            f"training on {rows:,} rows at {n} qubits holds {rows << n:,} state amplitudes, "
+            f"cap is {cap:,}, {reason}; set qml.training_samples or reduce qubits per parameter")
+    data = TrainingSet.from_grid(config.grid, config.model, sample=settings.training_samples,
+                                 seed=settings.train_seed)
     return train(base, data, epochs=settings.epochs,
                  learning_rate=settings.learning_rate, seed=settings.train_seed)
 
@@ -502,13 +512,6 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> Non
 def write_table(path: str, header: Sequence[str], rows: Sequence[dict]) -> None:
     """A CSV of dict rows, their values in `header` order (COMPARISON_HEADER, SWEEP_HEADER)."""
     write_csv(path, header, [[row[h] for h in header] for row in rows])
-
-
-def write_json(path: str, payload) -> None:
-    """JSON with sorted keys, two-space indent and a final newline."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def emit_report(report: RunReport, out_dir: str) -> dict:

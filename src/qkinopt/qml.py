@@ -25,12 +25,15 @@ This module also builds the diagonal cost table that the search oracle
 consumes: one `kinematics.task_cost` per basis state, from the trained
 surrogate's predicted tips or from the analytical kinematics, whose grid
 columns bind to FK by parameter name. `cost_blocks` is the one block-cost
-path, over `grid_blocks`. `build_cost_table` writes its blocks into the table
-and keeps their least analytic `kinematics.task_error` as a running minimum;
-`harness.sweep` keeps only each block's floor and tie count.
+path over `grid_blocks` of the oracle's cost: `build_cost_table` writes its
+blocks into the table and keeps their least analytic `kinematics.task_error`
+as a running minimum; `harness.sweep` keeps only each block's floor and tie
+count. `baselines.exhaustive_scan` walks the same blocks on decoded rows,
+with a caller's cost function.
 `configuration_costs` and `configuration_errors` give the analytic cost and
-error of any batch of configurations. `save_surrogate` writes sorted-key JSON.
-`json_value` is the one value rule of `load_surrogate` and the harness readers.
+error of any batch of configurations. `write_json` is the one JSON writer, of
+`save_surrogate` and the harness reports, and `json_value` the one value rule
+of `load_surrogate` and the harness readers.
 """
 
 from __future__ import annotations
@@ -291,7 +294,7 @@ class TrainingSet:
         pick = None
         if sample is not None and sample < grid.size:
             pick = np.sort(np.random.default_rng(seed).choice(grid.size, sample, replace=False))
-        Z = decode_all(grid, indices=pick)
+        Z = decode_all(grid, pick)
         return cls(Z, configuration_positions(model, dict(zip(grid.names(), Z.T))))
 
     def states(self, surrogate: Surrogate) -> np.ndarray:
@@ -372,16 +375,22 @@ def train(surrogate: Surrogate, data: TrainingSet, epochs: int = 200,
 
 # --- serialization ----------------------------------------------------------------
 
-def save_surrogate(surrogate: Surrogate, path) -> None:
-    """Sorted-key JSON, as `harness.write_json` writes it: the format marker, the ansatz
-    size, the maps and the parameters, whose float reprs read back bit for bit."""
-    payload = {"format": SURROGATE_FORMAT, "qubits": surrogate.ansatz.n_qubits,
-               "layers": surrogate.ansatz.n_layers, "params": surrogate.params.tolist(),
-               "inputs": [{"qubits": list(q), "lo": lo, "hi": hi, "angular": angular}
-                          for q, lo, hi, angular in surrogate.input_map],
-               "readout": [{"qubit": q, "lo": lo, "hi": hi} for q, lo, hi in surrogate.readout]}
+def write_json(path, payload) -> None:
+    """JSON with sorted keys, two-space indent and a final newline."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def save_surrogate(surrogate: Surrogate, path) -> None:
+    """The format marker, the ansatz size, the maps and the parameters, by `write_json`;
+    the parameters' float reprs read back bit for bit."""
+    write_json(path, {
+        "format": SURROGATE_FORMAT, "qubits": surrogate.ansatz.n_qubits,
+        "layers": surrogate.ansatz.n_layers, "params": surrogate.params.tolist(),
+        "inputs": [{"qubits": list(q), "lo": lo, "hi": hi, "angular": angular}
+                   for q, lo, hi, angular in surrogate.input_map],
+        "readout": [{"qubit": q, "lo": lo, "hi": hi} for q, lo, hi in surrogate.readout]})
 
 
 def json_value(kind, value, name: str):
@@ -499,8 +508,8 @@ def cost_blocks(grid: ParamGrid, model, task, weights: PoseWeights,
             if error_floor:
                 low = float(np.min(task_error(task, d2, phis, weights)))
         if surrogate is not None:
-            tips = _predict_batch(surrogate, decode_all(grid, start, stop)).reshape(shape + (-1,))
-            d2, phis = squared_deviation(task, tips), None
+            tips = _predict_batch(surrogate, decode_all(grid, np.arange(start, stop)))
+            d2, phis = squared_deviation(task, tips.reshape(shape + (-1,))), None
         yield start, stop, np.broadcast_to(task_cost(task, d2, phis, weights), shape), low
 
 

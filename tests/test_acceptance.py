@@ -304,6 +304,10 @@ def test_criterion_8_encoding_round_trip():
             ParamSpec("l", 0.1, 2.0, n),
             ParamSpec("t", 0.0, TWO_PI, n, angular=True),
             ParamSpec("s", -3.7, 11.3, n),
+            # a narrow range far from zero, where (z - min) / range * (2^n - 1) rounds
+            # across a bin boundary: flooring it put 57 of 256 indices one bin low at
+            # n = 8, and 441 of 1,024 at n = 10
+            ParamSpec("f", 100.0, 100.001, n),
         ):
             grid = ParamGrid((spec,))
             for k in range(grid.size):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkinopt import encoding, harness
+from qkinopt import baselines, encoding, harness, qsim
 from qkinopt.baselines import (
     Objective,
     OptRun,
@@ -307,6 +307,17 @@ class TestExhaustiveScan:
         table[[6, 9, 30]] = 1.0  # the minimum in three blocks, first in the second
         grid = ParamGrid((ParamSpec("k", 0.0, 31.0, 5),))  # row k decodes to about k
         assert exhaustive_scan(grid, lambda Z: table[np.rint(Z[:, 0]).astype(int)]) == (6, 1.0, 32)
+
+    def test_capacity_error_before_any_row(self, monkeypatch):
+        grid = ParamGrid((ParamSpec("a", 0.0, 1.0, 13), ParamSpec("b", 0.0, 1.0, 13)))
+        assert grid.total_qubits == 26
+
+        def decoded(*args):
+            raise AssertionError("a row was decoded")
+
+        monkeypatch.setattr(baselines, "decode_all", decoded)
+        with pytest.raises(qsim.CapacityError):
+            exhaustive_scan(grid, decoded)
 
     @settings(max_examples=150, deadline=None)
     @given(values=st.lists(st.integers(0, 3), min_size=32, max_size=32),

@@ -3,16 +3,17 @@ import functools
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qkinopt import harness
+from qkinopt import harness, qml
 from qkinopt.cli import main
 from qkinopt.encoding import ParamGrid
 from qkinopt.harness import QmlSettings, config_to_dict, write_json
 from qkinopt.qml import load_surrogate, make_surrogate, save_surrogate
-from tests_support import first_format_text, shipped_case
+from tests_support import CONFIGS, first_format_text, shipped_case
 
 
 @pytest.fixture
@@ -47,6 +48,28 @@ def test_run_capacity_message(config_path, tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 2
     assert "capacity error" in capsys.readouterr().err
+
+
+def test_train_past_the_amplitude_cap_exits_before_a_row(tmp_path, capsys, monkeypatch):
+    # two_dof at 6 qubits per parameter: 2^24 rows of 2^4 amplitudes, which would
+    # take about 8 GB at the measured 530 MB per 2^24 amplitudes
+    def decoded(*args):
+        raise AssertionError("a training row was decoded")
+
+    monkeypatch.setattr(qml, "decode_all", decoded)
+    tracemalloc.start()
+    try:
+        code = main(["train", "--config", str(CONFIGS / "two_dof.json"),
+                     "--qubits-per-param", "6", "--out", str(tmp_path / "x")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert peak < 1e6
+    assert err.count("\n") == 1 and err.startswith("capacity error: training on 16,777,216 rows")
+    assert "qml.training_samples" in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -531,6 +531,30 @@ class TestCapacityAndFailure:
         with pytest.raises(CapacityError):
             run_case(config)
 
+    def test_training_amplitude_cap_is_rows_times_state_size(self, monkeypatch):
+        config = shipped_case("one_dof", qubits_per_param=3)
+        config = dataclasses.replace(config, qml=QmlSettings(epochs=1))
+        rows, n = config.grid.size, make_surrogate(config.grid, config.model).ansatz.n_qubits
+        monkeypatch.setattr(harness, "TRAINING_AMPLITUDES_CAP", (rows << n, "as set"))
+        assert len(harness.train_case_surrogate(config)[1]) == 2
+        monkeypatch.setattr(harness, "TRAINING_AMPLITUDES_CAP", ((rows << n) - 1, "as set"))
+        with pytest.raises(CapacityError, match=f"training on {rows} rows at {n} qubits .* "
+                           "as set; set qml.training_samples or reduce qubits per parameter$"):
+            harness.train_case_surrogate(config)
+        # a sample of one row fewer fits again
+        sampled = dataclasses.replace(config.qml, training_samples=rows - 1)
+        assert len(harness.train_case_surrogate(dataclasses.replace(config, qml=sampled))[1]) == 2
+
+    def test_shipped_training_sizes(self):
+        # two_dof on its whole grid trains at 4 qubits per parameter, 2^16 rows of 2^4
+        # amplitudes; at 6 (2^28 amplitudes, refused in test_cli) it trains on a sample
+        config = shipped_case("two_dof")
+        config = dataclasses.replace(config, qml=QmlSettings(epochs=1))
+        assert len(harness.train_case_surrogate(config)[1]) == 2
+        sampled = dataclasses.replace(config, qml=QmlSettings(epochs=1, training_samples=1000))
+        assert len(harness.train_case_surrogate(
+            sampled.with_overrides(qubits_per_param=6))[1]) == 2
+
     def test_no_solution_guidance(self):
         config = dataclasses.replace(shipped_case("one_dof"),
                                      search=SearchSettings(epsilon0=1e-12))

@@ -480,7 +480,7 @@ class TestTrain:
         assert sum(rows) == sample
         # the rows that decoding the whole grid and then picking gives
         pick = np.sort(np.random.default_rng(5).choice(grid.size, sample, replace=False))
-        Z = np.concatenate([decode_all(grid, k, k + 1) for k in pick])
+        Z = np.concatenate([decode_all(grid, np.array([k])) for k in pick])
         assert data.inputs.tobytes() == Z.tobytes()
         labels = qml.configuration_positions(TwoLink(), dict(zip(grid.names(), Z.T)))
         assert data.labels.tobytes() == labels.tobytes()
