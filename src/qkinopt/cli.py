@@ -52,10 +52,11 @@ def _load(args) -> harness.CaseConfig:
 
 
 def _load_params(path: str, config: harness.CaseConfig):
-    """A --params surrogate with this config's maps (the loader checked its parameter count)."""
+    """A --params surrogate within the qml caps and with this config's maps."""
     if config.mode != "surrogate":
         raise ValueError("--params needs surrogate mode")
     surrogate = load_surrogate(path)
+    harness._check_range(surrogate.ansatz, "", "surrogate", **harness.CIRCUIT_BOUNDS)
     fit = make_surrogate(config.grid, config.model, surrogate.ansatz.n_layers,
                          surrogate.ansatz.n_qubits)  # refuses too few qubits
     if (fit.input_map, fit.readout) != (surrogate.input_map, surrogate.readout):

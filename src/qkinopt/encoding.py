@@ -50,8 +50,8 @@ class ParamSpec:
     angular: bool = False
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"{self.name}: min must be < max")
+        if not 0 < self.hi - self.lo < math.inf:  # a width past the float range decodes to NaN
+            raise ValueError(f"{self.name}: min must be < max, and max - min finite")
         if not 1 <= self.n_qubits <= QUBIT_CAP:  # no grid with more can run
             raise ValueError(f"{self.name}: n_qubits must be from 1 to {QUBIT_CAP}, the qubit cap")
         if self.angular and self.hi - self.lo > math.tau + _TURN_EPS:

@@ -200,9 +200,12 @@ def threshold_ladder(costs: np.ndarray, epsilon0: Optional[float], shrink: float
     while a state stays marked, and ends at the table floor, the smallest
     threshold that still marks a state (`minimal_epsilon`), so the last search
     marks exactly the grid minimum. Only the floor of the table is read, once,
-    and on a zero floor the least positive cost, where the halving stops.
+    and on a zero floor the least positive cost, where the halving stops. A
+    floor, or a default start, that is not finite raises NoSolutionError.
     """
     floor = float(np.min(costs))
+    if not math.isfinite(10.0 * floor if epsilon0 is None else floor):
+        raise NoSolutionError(f"cost floor {floor} leaves no finite threshold; move the target")
     if epsilon0 is None:
         epsilon0 = 10.0 * floor if floor > 0 else 0.0
     if not math.isfinite(epsilon0):

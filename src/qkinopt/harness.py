@@ -75,9 +75,11 @@ STARTS_CAP = (10**3, "as each start may spend the whole max_evals budget")
 # training keeps one 2^n input state per row: one epoch on 2^24 amplitudes peaked at
 # 530 MB RSS (two_dof, 20 qubits) and 690 MB (one_dof, 22 qubits)
 TRAINING_AMPLITUDES_CAP = (1 << 24, "as one epoch on that many peaked at 530-690 MB")
+# a surrogate circuit's size bounds: of the qml config keys, and of a --params file
+CIRCUIT_BOUNDS = {"n_qubits": (2, QML_QUBITS_CAP), "n_layers": (1, LAYERS_CAP)}
 
 
-def _check_range(settings, section: str, **bounds) -> None:
+def _check_range(settings, section: str, kind: str = "config key", **bounds) -> None:
     """Refuse a setting below its minimum, not finite, or above its cap; None
     means unset. A bound is a minimum, or a (minimum, (cap, reason)) pair."""
     for name, bound in bounds.items():
@@ -86,9 +88,9 @@ def _check_range(settings, section: str, **bounds) -> None:
         if value is None:
             continue
         if not low <= value < math.inf:
-            raise ValueError(f"config key {key!r} must be finite and >= {low}, got {value!r}")
+            raise ValueError(f"{kind} {key!r} must be finite and >= {low}, got {value!r}")
         if value > high:
-            raise ValueError(f"config key {key!r} must be <= {high:,}, {reason}, got {value!r}")
+            raise ValueError(f"{kind} {key!r} must be <= {high:,}, {reason}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,8 @@ class QmlSettings:
     training_samples: Optional[int] = None  # None = full grid
 
     def __post_init__(self):
-        _check_range(self, "qml.", n_qubits=(2, QML_QUBITS_CAP), n_layers=(1, LAYERS_CAP),
-                     epochs=(1, EPOCHS_CAP), learning_rate=0, train_seed=0, training_samples=1)
+        _check_range(self, "qml.", **CIRCUIT_BOUNDS, epochs=(1, EPOCHS_CAP),
+                     learning_rate=0, train_seed=0, training_samples=1)
 
 
 @dataclass(frozen=True)
@@ -154,16 +156,15 @@ class CaseConfig:
         if self.mode not in ("analytic", "surrogate"):
             raise ValueError("config key 'mode' must be 'analytic' or 'surrogate', "
                              f"got {self.mode!r}")
-        # FK of grid row 0, then of row 0 with each parameter NaN in turn: refuses a missing
-        # or unread parameter, a nonpositive length, and tips the task cannot use
-        names, row = self.grid.names(), decode(self.grid, 0)
-        tips = configuration_positions(self.model, dict(zip(names, np.vstack(
-            [row, np.where(np.eye(row.size, dtype=bool), math.nan, row)]).T)))
+        # FK of grid row 0 refuses a missing parameter, a nonpositive length and tips the
+        # task cannot use; the model reads only the parameters its LINKS and JOINTS name
+        names = self.grid.names()
+        tips = configuration_positions(self.model, dict(zip(names, decode(self.grid, 0))))
         for i, name in enumerate(names):
-            if np.isfinite(tips[i + 1]).all():
+            if name not in self.model.LINKS + self.model.JOINTS:
                 raise ValueError(f"config key 'params[{i}].name' must name a parameter "
                                  f"the model reads, got {name!r}")
-        if tips.shape[1] != (4 if isinstance(self.task, GraspTask) else 2):
+        if tips.shape[-1] != (4 if isinstance(self.task, GraspTask) else 2):
             raise ValueError(f"config key 'task.type' must fit model type "
                              f"{_TYPE_NAMES[type(self.model)]!r}, got "
                              f"{_TYPE_NAMES[type(self.task)]!r}")

@@ -24,6 +24,8 @@ import numpy as np
 class OneLink:
     """Single revolute joint; link length may instead come from the search grid."""
 
+    # a model's fk_* arguments in call order: link lengths, each a field, then joint angles
+    LINKS, JOINTS = ("l1",), ("theta1",)
     l1: float = 1.0
 
     def __post_init__(self):
@@ -33,6 +35,7 @@ class OneLink:
 
 @dataclass(frozen=True)
 class TwoLink:
+    LINKS, JOINTS = ("l1", "l2"), ("theta1", "theta2")
     l1: float = 1.0
     l2: float = 1.0
 
@@ -45,6 +48,7 @@ class TwoLink:
 class DualArm:
     """Two planar 2R arms with fixed link lengths and base offsets."""
 
+    LINKS, JOINTS = (), ("theta11", "theta12", "theta21", "theta22")
     base1: Tuple[float, float] = (-0.8, 0.0)
     base2: Tuple[float, float] = (0.8, 0.0)
     links1: Tuple[float, float] = (1.0, 1.0)

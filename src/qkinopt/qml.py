@@ -54,7 +54,6 @@ from .kinematics import (
     OneLink,
     PoseTarget,
     PoseWeights,
-    TwoLink,
     fk_dual,
     fk_one,
     fk_two,
@@ -122,26 +121,13 @@ class Surrogate:
 
 
 def workspace_box(model, grid: ParamGrid) -> Tuple[Tuple[float, float], ...]:
-    """Output intervals that bound every reachable tip position."""
-    names = grid.names()
-
-    def length_hi(name: str, default: float) -> float:
-        return grid.specs[names.index(name)].hi if name in names else default
-
-    if isinstance(model, OneLink):
-        r = length_hi("l1", model.l1)
-        return ((-r, r), (-r, r))
-    if isinstance(model, TwoLink):
-        r = length_hi("l1", model.l1) + length_hi("l2", model.l2)
-        return ((-r, r), (-r, r))
-    if isinstance(model, DualArm):
-        out = []
-        for base, links in ((model.base1, model.links1), (model.base2, model.links2)):
-            r = links[0] + links[1]
-            out.append((base[0] - r, base[0] + r))
-            out.append((base[1] - r, base[1] + r))
-        return tuple(out)
-    raise TypeError(f"unknown robot model {model!r}")
+    """Output intervals that bound every tip: each base -+ its summed maximum link lengths."""
+    if isinstance(model, DualArm):  # two arms of fixed lengths, each on its own base
+        return tuple((c - sum(links), c + sum(links)) for base, links in
+                     ((model.base1, model.links1), (model.base2, model.links2)) for c in base)
+    specs = dict(zip(grid.names(), grid.specs))
+    r = sum(specs[name].hi if name in specs else getattr(model, name) for name in model.LINKS)
+    return ((-r, r), (-r, r))
 
 
 def min_qubits(grid: ParamGrid, model) -> int:
@@ -446,25 +432,20 @@ def load_surrogate(path) -> Surrogate:
 def configuration_positions(model, columns: Mapping[str, np.ndarray]) -> np.ndarray:
     """Analytic tip positions (..., 2 or 4) from one `fk_*` call.
 
-    FK arguments bind by spec name (l1, theta1, ... / theta11.. for dual arms)
-    to `columns`, arrays that broadcast together, such as the columns of a
-    (B, d) batch; lengths missing there fall back to the model's fixed values.
+    FK arguments bind by name, the model's LINKS then its JOINTS, to `columns`,
+    arrays that broadcast together, such as the columns of a (B, d) batch; a
+    length missing there falls back to the model's field of that name.
     """
-    def col(name: str, default: Optional[float] = None):
-        if name in columns:
-            return columns[name]
-        if default is not None:
-            return default
-        raise ValueError(f"grid has no parameter named {name!r}")
-
-    if isinstance(model, OneLink):
-        return fk_one(col("l1", model.l1), col("theta1"))
-    if isinstance(model, TwoLink):
-        return fk_two(col("l1", model.l1), col("l2", model.l2),
-                      col("theta1"), col("theta2"))
+    if not hasattr(model, "JOINTS"):
+        raise TypeError(f"unknown robot model {model!r}")
+    args = []  # a plain loop: this runs once per one-row objective evaluation
+    for name in model.LINKS + model.JOINTS:
+        if name not in columns and name in model.JOINTS:
+            raise ValueError(f"grid has no parameter named {name!r}")
+        args.append(columns[name] if name in columns else getattr(model, name))
     if isinstance(model, DualArm):
-        return fk_dual(model, col("theta11"), col("theta12"), col("theta21"), col("theta22"))
-    raise TypeError(f"unknown robot model {model!r}")
+        return fk_dual(model, *args)
+    return (fk_one if isinstance(model, OneLink) else fk_two)(*args)
 
 
 def _task_rows(model, columns: Mapping[str, np.ndarray], task,
@@ -473,11 +454,9 @@ def _task_rows(model, columns: Mapping[str, np.ndarray], task,
     weighs them, the planar tip orientations (the sum of the joint angles)."""
     phis = None
     if isinstance(task, PoseTarget) and weights.alpha_R > 0:
-        if not isinstance(model, (OneLink, TwoLink)):
+        if isinstance(model, DualArm):
             raise TypeError(f"orientation undefined for model {model!r}")
-        phis = columns["theta1"]
-        if isinstance(model, TwoLink):
-            phis = phis + columns["theta2"]
+        phis = sum((columns[name] for name in model.JOINTS[1:]), columns[model.JOINTS[0]])
     return squared_deviation(task, configuration_positions(model, columns)), phis
 
 

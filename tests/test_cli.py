@@ -266,6 +266,13 @@ def surrogate_json(**values):
     (lambda data: data["baselines"].update(pso_iterations=10**400), [],
      "'baselines.pso_iterations'"),
     (lambda data: data["baselines"].update(n_starts=10**400), [], "'baselines.n_starts'"),
+    # costs that cannot be finite: a width past the float range, and a target so far that
+    # every squared deviation overflows, which numpy warns of on each grid block
+    (lambda data: data["params"][0].update(min=-1e308, max=1e308), [],
+     "l1: min must be < max, and max - min finite"),
+    pytest.param(lambda data: data["task"].update(target=[1e200, 0.0]), [],
+                 "cost floor inf leaves no finite threshold",
+                 marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
 ], ids=["missing_task", "shrink_above_one", "nan_target", "shots_0", "seed_negative",
         "epochs_0", "n_layers_0", "learning_rate_negative", "training_samples_0",
         "n_starts_0", "swarm_size_1", "max_evals_0", "flag_shots_0", "flag_seed_negative",
@@ -289,7 +296,8 @@ def surrogate_json(**values):
         "report_best_cost_past_float_range", "baselines_best_cost_past_float_range",
         "qubits_10_400", "flag_qubits_per_param_10_400", "sweep_config_qubits_10_400",
         "qml_n_qubits_13", "qml_n_qubits_10_400", "n_layers_10_400", "epochs_10_400",
-        "swarm_size_10_400", "pso_iterations_10_400", "n_starts_10_400"])
+        "swarm_size_10_400", "pso_iterations_10_400", "n_starts_10_400",
+        "width_past_float_range", "costs_past_float_range"])
 def test_invalid_config_exits_cleanly(edit, flags, name, config_path, tmp_path, capsys):
     data = harness.config_to_dict(shipped_case("one_dof"))
     text = edit(data)  # an edit changes data in place, or returns the file's text
@@ -325,6 +333,26 @@ def test_old_format_params_exit_cleanly(tiny_config_path, tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert str(params) in err and "current format" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n_qubits, n_layers, key", [(13, 1, "'n_qubits'"),
+                                                      (2, 1001, "'n_layers'")],
+                         ids=["qubits_13", "layers_1001"])
+def test_params_past_the_qml_caps_exit_before_a_run(n_qubits, n_layers, key, config_path,
+                                                    tmp_path, capsys, monkeypatch):
+    # a surrogate run builds one 2^n x 2^n unitary per layer: 4 GiB at 13 qubits
+    def reached(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(harness, "run_case", reached)
+    config = shipped_case("one_dof")
+    params = tmp_path / "surrogate.params"
+    save_surrogate(make_surrogate(config.grid, config.model, n_layers, n_qubits), params)
+    code = main(["run", "--config", config_path, "--mode", "surrogate",
+                 "--params", str(params), "--out", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert str(params) in err and key in err and len(err.splitlines()) == 1
 
 
 def test_train_writes_params(tiny_config_path, tmp_path):

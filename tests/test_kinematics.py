@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qkinopt import qml
+from qkinopt.encoding import ParamGrid, ParamSpec, decode_all
 from qkinopt.kinematics import (
     DualArm,
     GraspTask,
@@ -23,7 +24,7 @@ from qkinopt.kinematics import (
     task_error,
     wrapped_angle_distance,
 )
-from qkinopt.qml import configuration_positions
+from qkinopt.qml import configuration_positions, workspace_box
 
 
 def row_pose_cost(p, p_target, weights, phi=None, phi_target=None):
@@ -390,3 +391,74 @@ class TestConfigurationPositionsCallsFkOnce:
         q2 = np.stack([col["theta21"], col["theta22"]], axis=-1)
         expected = np.concatenate(reference_fk_dual(DualArm(), q1, q2), axis=-1)
         assert_same_bits(configuration_positions(DualArm(), dict(zip(names, Z.T))), expected)
+
+
+@st.composite
+def models_on_grids(draw):
+    """A robot model with drawn fields, on a grid over its JOINTS and a drawn subset of
+    its LINKS (the rest stay fields), in drawn order, with full-turn or partial arcs."""
+    kind = draw(st.sampled_from([OneLink, TwoLink, DualArm]))
+    length, coord = st.floats(0.05, 3.0), st.floats(-2.0, 2.0)
+    if kind is DualArm:
+        model = DualArm(*[(draw(f), draw(f)) for f in (coord, coord, length, length)])
+    else:
+        model = kind(*[draw(length) for _ in kind.LINKS])
+    specs = []
+    for name in kind.LINKS:
+        if draw(st.booleans()):
+            lo = draw(st.floats(0.05, 2.0))
+            specs.append(ParamSpec(name, lo, lo + draw(st.floats(0.01, 2.0)),
+                                   draw(st.integers(1, 3))))
+    for name in kind.JOINTS:
+        lo = draw(st.floats(-math.tau, math.tau))
+        width = draw(st.sampled_from([math.tau]) | st.floats(0.01, math.tau))
+        specs.append(ParamSpec(name, lo, lo + width, draw(st.integers(1, 3)), angular=True))
+    return model, ParamGrid(tuple(draw(st.permutations(specs))))
+
+
+class TestDeclaredNames:
+    """`qml` reads a model only through its declared LINKS and JOINTS."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(models_on_grids(), st.integers(0, 2**31))
+    def test_lengths_from_grid_or_fields(self, model_grid, seed):
+        model, grid = model_grid
+        Z = decode_all(grid, np.random.default_rng(seed).integers(0, grid.size, 7))
+        col = dict(zip(grid.names(), Z.T))
+        got = configuration_positions(model, col)
+        if isinstance(model, DualArm):
+            q1 = np.stack([col["theta11"], col["theta12"]], axis=-1)
+            q2 = np.stack([col["theta21"], col["theta22"]], axis=-1)
+            expected = np.concatenate(reference_fk_dual(model, q1, q2), axis=-1)
+        else:
+            lengths = [col[name] if name in col else getattr(model, name)
+                       for name in ("l1", "l2") if hasattr(model, name)]
+            expected = (reference_fk_two(*lengths, col["theta1"], col["theta2"])
+                        if isinstance(model, TwoLink)
+                        else reference_fk_one(*lengths, col["theta1"]))
+        assert_same_bits(got, np.broadcast_to(expected, got.shape))
+
+    @settings(max_examples=200, deadline=None)
+    @given(models_on_grids(), st.integers(0, 2**31))
+    def test_box_is_base_plus_minus_summed_maximum_lengths(self, model_grid, seed):
+        model, grid = model_grid
+        specs = dict(zip(grid.names(), grid.specs))
+        if isinstance(model, DualArm):
+            arms = [(model.base1, model.links1[0] + model.links1[1]),
+                    (model.base2, model.links2[0] + model.links2[1])]
+        else:
+            hi = [specs[name].hi if name in specs else getattr(model, name)
+                  for name in ("l1", "l2") if hasattr(model, name)]
+            arms = [((0.0, 0.0), hi[0] + hi[1] if len(hi) == 2 else hi[0])]
+        expected = [(c - r, c + r) for base, r in arms for c in base]
+        box = workspace_box(model, grid)
+        assert_same_bits(np.array(box), np.array(expected))
+        # and it holds every analytic tip, exactly
+        Z = decode_all(grid, np.random.default_rng(seed).integers(0, grid.size, 50))
+        tips = configuration_positions(model, dict(zip(grid.names(), Z.T)))
+        lo, hi = np.array(box).T
+        assert np.all((lo <= tips) & (tips <= hi))
+
+    def test_other_objects_are_named(self):
+        with pytest.raises(TypeError, match="unknown robot model 'arm'"):
+            configuration_positions("arm", {"theta1": np.zeros(1)})
