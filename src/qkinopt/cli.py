@@ -16,7 +16,7 @@ import sys
 
 from . import harness
 from .grover import NoSolutionError
-from .qml import load_surrogate, make_surrogate, save_surrogate
+from .qml import TrainingError, load_surrogate, make_surrogate, save_surrogate
 from .qsim import QUBIT_CAP, CapacityError
 
 
@@ -81,19 +81,19 @@ def _cmd_train(args) -> int:
 def _cmd_run(args) -> int:
     config = _load(args)
     surrogate = _read(_load_params, args.params, config) if args.params else None
-    report = harness.run_case(config, surrogate=surrogate)
-    paths = harness.emit_report(report, args.out)
-    result = report.result
-    print(f"case={report.case} mode={report.mode} N={report.total_qubits} "
-          f"M={report.space_size}")
-    print(f"best index {result.index} (bits {result.bitstring}) -> "
-          f"params {[round(float(v), 6) for v in result.params]}")
-    print(f"e_actual={result.e_actual:.6g} tolerance={report.tolerance:.6g} "
-          f"accepted={result.accepted}")
-    print(f"oracle queries: final {report.queries_final}, "
-          f"total {report.queries_total}")
+    report, surrogate = harness.run_case(config, surrogate=surrogate)
+    paths = harness.emit_report(report, surrogate, args.out)
+    result = report["result"]
+    print(f"case={report['case']} mode={report['mode']} N={report['total_qubits']} "
+          f"M={report['space_size']}")
+    print(f"best index {result['index']} (bits {result['bitstring']}) -> "
+          f"params {[round(v, 6) for v in result['params']]}")
+    print(f"e_actual={result['e_actual']:.6g} tolerance={report['tolerance']:.6g} "
+          f"accepted={result['accepted']}")
+    print(f"oracle queries: final {report['queries_final']}, "
+          f"total {report['queries_total']}")
     print("wrote " + ", ".join(sorted(paths.values())))
-    return 0 if result.accepted else 1
+    return 0 if result["accepted"] else 1
 
 
 def _cmd_baseline(args) -> int:
@@ -124,11 +124,10 @@ def _cmd_compare(args) -> int:
         report = _read(harness.load_report, args.report)
     else:
         config = _load(args)
-        quantum = harness.run_case(config)
+        report, surrogate = harness.run_case(config)
         runs = harness.run_baselines(config)
-        harness.emit_report(quantum, args.out)
+        harness.emit_report(report, surrogate, args.out)
         harness.write_optruns(runs, os.path.join(args.out, "baselines.json"))
-        report = quantum.to_dict()
     rows = harness.compare(report, runs)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "comparison.csv")
@@ -204,6 +203,9 @@ def main(argv=None) -> int:
         return 2
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
+        return 2
+    except TrainingError as exc:
+        print(f"training error: {exc}; lower qml.learning_rate", file=sys.stderr)
         return 2
     except InputError as exc:
         print(exc, file=sys.stderr)

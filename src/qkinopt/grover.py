@@ -26,7 +26,7 @@ analytic error, one row of the kinematics, against the task tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -50,11 +50,6 @@ class SearchResult:
     queries: int
     epsilon: float
     solutions: int
-    e_actual: Optional[float] = None
-    accepted: Optional[bool] = None
-
-    def verified(self, e_actual: float, accepted: bool) -> "SearchResult":
-        return replace(self, e_actual=e_actual, accepted=accepted)
 
 
 def count_solutions(costs: np.ndarray, epsilon: float) -> int:

@@ -18,6 +18,8 @@ constructor fields of the class it builds, read and written by one reader
 and one writer; the reader checks each value against its field's declared
 type by `qml.json_value`, the one value rule of every file reader.
 
+A run report is one dict, the report.json form: `run_case` builds it, `emit_report`
+writes it, and `compare` reads it fresh or as `load_report` reads it back.
 Reports are byte-stable for a fixed config and seed: floats are written with
 17 significant digits and JSON keys are sorted.
 """
@@ -38,7 +40,8 @@ import numpy as np
 from . import baselines as cls_opt
 from . import grover, qsim
 from .encoding import ParamGrid, ParamSpec, bin_width, decode, decode_all
-from .kinematics import DualArm, GraspTask, OneLink, PoseTarget, PoseWeights, TwoLink
+from .kinematics import (DualArm, GraspTask, OneLink, PoseTarget, PoseWeights, TwoLink,
+                         squared_deviation)
 from .qml import (
     Surrogate,
     TrainingSet,
@@ -52,10 +55,13 @@ from .qml import (
     min_qubits,
     save_surrogate,
     train,
+    workspace_box,
     write_json,
 )
 
 ITERATION_NOTE = "one optimization iteration = one adaptive-threshold search step"
+STEP_KEYS = ("step", "epsilon", "solutions", "iterations", "expectation", "best_index",
+             "best_cost")  # of each report "steps" row, one per threshold step
 COMPARISON_HEADER = ("method", "evaluations", "best_cost", "accepted", "evals_over_grover")
 SWEEP_HEADER = ("qubits_per_param", "total_qubits", "space_size", "min_cost", "solutions",
                 "iterations", "ratio", "note")
@@ -168,6 +174,14 @@ class CaseConfig:
             raise ValueError(f"config key 'task.type' must fit model type "
                              f"{_TYPE_NAMES[type(self.model)]!r}, got "
                              f"{_TYPE_NAMES[type(self.task)]!r}")
+        # every tip lies in the workspace box: if its point nearest the target or contacts
+        # overflows the squared deviation, so does every configuration's
+        task, (lo, hi) = self.task, np.transpose(workspace_box(self.model, self.grid))
+        goal = (*task.c_ideal1, *task.c_ideal2) if isinstance(task, GraspTask) else task.position
+        with np.errstate(over="ignore"):
+            if not np.isfinite(squared_deviation(task, np.clip(goal, lo, hi))):
+                raise ValueError("config key 'task' lies out of reach: the squared deviation "
+                                 "of the nearest workspace point overflows the float range")
         if self.mode == "surrogate" and self.weights.alpha_R > 0:
             raise ValueError("config key 'weights.alpha_R' must be 0 in surrogate mode, "
                              "whose surrogate predicts positions only")
@@ -299,48 +313,7 @@ def load_config(path: str) -> CaseConfig:
         return config_from_dict(json.load(fh))
 
 
-# --- run records -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AdaptiveStep:
-    step: int
-    epsilon: float
-    solutions: int
-    iterations: int
-    expectation: float
-    best_index: Optional[int]
-    best_cost: Optional[float]
-
-
-@dataclass
-class RunReport:
-    case: str
-    mode: str
-    seed: int
-    shots: int
-    total_qubits: int
-    space_size: int
-    resolution: List[dict]
-    epsilon0: float
-    final_epsilon: float
-    tolerance: float
-    steps: List[AdaptiveStep]
-    result: grover.SearchResult
-    analytic_best_cost: float
-    queries_final: int
-    queries_total: int
-    iteration_definition: str = ITERATION_NOTE
-    loss_trace: Optional[List[float]] = None
-    surrogate: Optional[Surrogate] = None  # carried for emit, not serialized
-
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
-               if f.name != "surrogate"}
-        out["steps"] = [dataclasses.asdict(s) for s in self.steps]
-        out["result"] = dict(dataclasses.asdict(self.result),
-                             params=[float(v) for v in self.result.params])
-        return out
-
+# --- quantum runs -----------------------------------------------------------------
 
 # the reference that the tests check the error floor and `grover.verify` against;
 # no src/ path calls it, and perfbench/tracer.py wraps it by name
@@ -366,12 +339,15 @@ def train_case_surrogate(config: CaseConfig) -> Tuple[Surrogate, np.ndarray]:
                  learning_rate=settings.learning_rate, seed=settings.train_seed)
 
 
-def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunReport:
+def run_case(config: CaseConfig,
+             surrogate: Optional[Surrogate] = None) -> Tuple[dict, Optional[Surrogate]]:
     """Quantum pipeline: (train ->) cost table -> adaptive search -> verification.
 
-    Raises CapacityError when the grid exceeds the simulator cap, and
-    NoSolutionError when even the loosest threshold marks nothing (raise
-    epsilon, coarsen the grid, or retrain the surrogate).
+    Returns the run report, the dict that report.json holds, and the surrogate
+    the run read or trained (None in analytic mode). Raises CapacityError when
+    the grid exceeds the simulator cap, and NoSolutionError when even the
+    loosest threshold marks nothing (raise epsilon, coarsen the grid, or
+    retrain the surrogate).
     """
     grid, task = config.grid, config.task
     loss_trace = None
@@ -393,32 +369,28 @@ def run_case(config: CaseConfig, surrogate: Optional[Surrogate] = None) -> RunRe
     marked = np.flatnonzero(costs <= epsilon0)  # the table's one threshold read
 
     total = float(costs.sum())  # each step's <C> reuses it
-    steps = [AdaptiveStep(0, epsilon0, marked.size, 0, total / grid.size, None, None)]
-    result = None
-    queries_total = 0
+    steps = [dict(zip(STEP_KEYS, (0, epsilon0, marked.size, 0, total / grid.size, None, None)))]
     for j, eps in enumerate(levels, start=1):
         marked = marked[costs[marked] <= eps]  # each level narrows the one before
         result, state = grover.search_with_state(grid, marked, eps, config.shots, config.seed)
-        queries_total += result.queries
-        steps.append(AdaptiveStep(j, eps, result.solutions, result.queries,
-                                  state.expectation(costs, total),
-                                  result.index, float(costs[result.index])))
-    assert result is not None
+        steps.append(dict(zip(STEP_KEYS, (j, eps, result.solutions, result.queries,
+                                          state.expectation(costs, total), result.index,
+                                          float(costs[result.index])))))
 
     e_actual, accepted = grover.verify(result.index, grid, config.model, task,
                                        config.weights)
-    result = result.verified(e_actual, accepted)
-
-    resolution = [dict(config_to_dict(s), bin_width=bin_width(s)) for s in grid.specs]
-    return RunReport(
-        case=config.case, mode=config.mode, seed=config.seed, shots=config.shots,
-        total_qubits=grid.total_qubits, space_size=grid.size,
-        resolution=resolution, epsilon0=epsilon0, final_epsilon=levels[-1],
-        tolerance=task.tolerance, steps=steps, result=result,
-        analytic_best_cost=float(_cost_fn(config)(result.params[None, :])[0]),
-        queries_final=result.queries, queries_total=queries_total,
-        loss_trace=loss_trace, surrogate=surrogate,
-    )
+    report = {
+        "case": config.case, "mode": config.mode, "seed": config.seed, "shots": config.shots,
+        "total_qubits": grid.total_qubits, "space_size": grid.size, "steps": steps,
+        "resolution": [dict(config_to_dict(s), bin_width=bin_width(s)) for s in grid.specs],
+        "epsilon0": epsilon0, "final_epsilon": levels[-1], "tolerance": task.tolerance,
+        "result": dict(dataclasses.asdict(result), params=[float(v) for v in result.params],
+                       e_actual=e_actual, accepted=accepted),
+        "analytic_best_cost": float(_cost_fn(config)(result.params[None, :])[0]),
+        "queries_final": result.queries, "queries_total": sum(s["iterations"] for s in steps),
+        "iteration_definition": ITERATION_NOTE, "loss_trace": loss_trace,
+    }
+    return report, surrogate
 
 
 # --- classical baselines ------------------------------------------------------------
@@ -458,8 +430,8 @@ def compare(report: dict, runs: Sequence[cls_opt.OptRun]) -> List[dict]:
     """Method-by-method table: query/evaluation counts, best analytic cost,
     acceptance, and the evaluation ratio against the final Grover search.
 
-    `report` is the report.json form (`RunReport.to_dict()`), so a fresh run
-    and a saved report give the same rows."""
+    `report` is the report.json dict, fresh from `run_case` or read back by
+    `load_report`, so a fresh run and a saved report give the same rows."""
     grover_queries = max(report["queries_final"], 1)
     methods = [("grover", report["queries_final"], report["analytic_best_cost"],
                 bool(report["result"]["accepted"]))]
@@ -486,6 +458,9 @@ def sweep(config: CaseConfig, qubit_counts: Sequence[int]) -> List[dict]:
                 floor, m = low, 0
             if low == floor:
                 m += grover.count_solutions(block, low)
+        if not math.isfinite(floor):  # as `grover.threshold_ladder` refuses it in a run
+            raise grover.NoSolutionError(f"cost floor {floor} leaves no finite threshold; "
+                                         "move the target")
         K = grover.iteration_count(cfg.grid.size, m)
         rows.append(dict(zip(SWEEP_HEADER, (q, cfg.grid.total_qubits, cfg.grid.size,
                                             floor, m, K,
@@ -515,25 +490,18 @@ def write_table(path: str, header: Sequence[str], rows: Sequence[dict]) -> None:
     write_csv(path, header, [[row[h] for h in header] for row in rows])
 
 
-def emit_report(report: RunReport, out_dir: str) -> dict:
-    """Write trace.csv, report.json and the trained surrogate parameters;
+def emit_report(report: dict, surrogate: Optional[Surrogate], out_dir: str) -> dict:
+    """Write trace.csv, report.json and, given a surrogate, its parameters;
     returns the path map."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-
-    trace_path = os.path.join(out_dir, "trace.csv")
-    write_csv(trace_path, ["iteration", "cost"],
-              [(s.step, s.expectation) for s in report.steps])
-    paths["trace"] = trace_path
-
-    report_path = os.path.join(out_dir, "report.json")
-    write_json(report_path, report.to_dict())
-    paths["report"] = report_path
-
-    if report.surrogate is not None:
-        params_path = os.path.join(out_dir, "surrogate.params")
-        save_surrogate(report.surrogate, params_path)
-        paths["surrogate"] = params_path
+    paths = {"trace": os.path.join(out_dir, "trace.csv"),
+             "report": os.path.join(out_dir, "report.json")}
+    write_csv(paths["trace"], ["iteration", "cost"],
+              [(s["step"], s["expectation"]) for s in report["steps"]])
+    write_json(paths["report"], report)
+    if surrogate is not None:
+        paths["surrogate"] = os.path.join(out_dir, "surrogate.params")
+        save_surrogate(surrogate, paths["surrogate"])
     return paths
 
 

@@ -19,7 +19,7 @@ the uploads act on |0...0>, so a row's input state psi(z) is a real product
 state, and each readout is psi^T O_q psi with O_q = Re(U^H Z_q U), one matrix
 for every row. Gradients are adjoint (Jones & Gacon 2020), one pass back
 through the layers. Training is full-batch Adam, seeded, one gradient per
-epoch, from input states built once per training set.
+epoch, from input states that `train` builds once.
 
 This module also builds the diagonal cost table that the search oracle
 consumes: one `kinematics.task_cost` per basis state, from the trained
@@ -42,7 +42,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -240,12 +240,11 @@ def _readout(surrogate: Surrogate, states: np.ndarray, observables: np.ndarray) 
     return lo + (z_expect + 1.0) / 2.0 * (hi - lo)
 
 
-def _predict_batch(surrogate: Surrogate, Z: np.ndarray | TrainingSet,
+def _predict_batch(surrogate: Surrogate, states: np.ndarray,
                    params: Optional[np.ndarray] = None) -> np.ndarray:
-    """Predictions (B, n_outputs) of a (B, d) batch or of a TrainingSet's input states."""
+    """Predictions (B, n_outputs) of (B, 2^n) input states (`_input_states`)."""
     angles = surrogate.ansatz.angles(surrogate.params if params is None else params)
     u = _running_products(_layer_unitaries(surrogate.ansatz.n_qubits, angles))[-1]
-    states = Z.states(surrogate) if isinstance(Z, TrainingSet) else _input_states(surrogate, Z)
     return _readout(surrogate, states, _observables(surrogate, u))
 
 
@@ -254,7 +253,7 @@ def predict(surrogate: Surrogate, z: Sequence[float]) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (surrogate.n_inputs,):
         raise ValueError(f"expected {surrogate.n_inputs} inputs, got {z.shape}")
-    return _predict_batch(surrogate, z[None, :])[0]
+    return _predict_batch(surrogate, _input_states(surrogate, z[None, :]))[0]
 
 
 # --- training ------------------------------------------------------------------
@@ -265,7 +264,6 @@ class TrainingSet:
 
     inputs: np.ndarray   # (B, d)
     labels: np.ndarray   # (B, n_outputs)
-    _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.inputs.shape[0] != self.labels.shape[0] or self.inputs.shape[0] == 0:
@@ -283,25 +281,18 @@ class TrainingSet:
         Z = decode_all(grid, pick)
         return cls(Z, configuration_positions(model, dict(zip(grid.names(), Z.T))))
 
-    def states(self, surrogate: Surrogate) -> np.ndarray:
-        """(B, 2^n) input states of `inputs`, built once per qubit count and input map."""
-        key = (surrogate.ansatz.n_qubits, surrogate.input_map)
-        if key not in self._states:
-            self._states[key] = _input_states(surrogate, self.inputs)
-        return self._states[key]
-
 
 def _mean_square(resid: np.ndarray) -> float:
     return float(np.mean(np.sum(resid ** 2, axis=1)))
 
 
-def loss(surrogate: Surrogate, data: TrainingSet,
+def loss(surrogate: Surrogate, states: np.ndarray, labels: np.ndarray,
          params: Optional[np.ndarray] = None) -> float:
-    """Mean over samples of the squared prediction error (summed over coords)."""
-    return _mean_square(_predict_batch(surrogate, data, params) - data.labels)
+    """Mean over the input states' rows of the squared prediction error (summed over coords)."""
+    return _mean_square(_predict_batch(surrogate, states, params) - labels)
 
 
-def gradient(surrogate: Surrogate, data: TrainingSet,
+def gradient(surrogate: Surrogate, states: np.ndarray, labels: np.ndarray,
              params: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
     """(loss, d loss / d theta) at theta by adjoint differentiation (Jones & Gacon 2020): with
     G_q = sum_b w_bq psi_b psi_b^T, w the residual times readout q's half span over the row
@@ -310,8 +301,8 @@ def gradient(surrogate: Surrogate, data: TrainingSet,
     RX(a)^H Y RX(a) = cos(a) Y - sin(a) Z for RY. The loss is `loss`'s."""
     angles = surrogate.ansatz.angles(surrogate.params if params is None else params)
     products = _running_products(_layer_unitaries(surrogate.ansatz.n_qubits, angles))
-    u, before, states = products[-1], np.stack(products[:-1]), data.states(surrogate)
-    resid = _readout(surrogate, states, _observables(surrogate, u)) - data.labels
+    u, before = products[-1], np.stack(products[:-1])
+    resid = _readout(surrogate, states, _observables(surrogate, u)) - labels
     value = _mean_square(resid)  # first: after a complex BLAS product its reduction ran 10x slower
     weights = resid * np.array([(hi - lo) / 2.0 for _, lo, hi in surrogate.readout]) / len(resid)
     g = (states.T * weights.T[:, None, :]) @ states  # G_q, (n_outputs, 2^n, 2^n)
@@ -340,20 +331,22 @@ def train(surrogate: Surrogate, data: TrainingSet, epochs: int = 200,
         raise ValueError("learning rate must be non-negative")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-math.pi, math.pi, size=surrogate.ansatz.parameter_count)
-    trace = np.empty(epochs + 1)
+    trace, states = np.empty(epochs + 1), _input_states(surrogate, data.inputs)
     beta1, beta2 = ADAM_BETAS
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    for epoch in range(epochs):
-        trace[epoch], g = gradient(surrogate, data, theta)
-        if not math.isfinite(trace[epoch]):
-            raise TrainingError(f"loss diverged at epoch {epoch}")
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** (epoch + 1))
-        v_hat = v / (1.0 - beta2 ** (epoch + 1))
-        theta = theta - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    trace[epochs] = loss(surrogate, data, theta)  # the final parameters take no gradient
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises instead
+        for epoch in range(epochs):
+            trace[epoch], g = gradient(surrogate, states, data.labels, theta)
+            if not math.isfinite(trace[epoch]):
+                raise TrainingError(f"loss diverged at epoch {epoch}")
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * g * g
+            m_hat = m / (1.0 - beta1 ** (epoch + 1))
+            v_hat = v / (1.0 - beta2 ** (epoch + 1))
+            theta = theta - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        # the final parameters take no gradient
+        trace[epochs] = loss(surrogate, states, data.labels, theta)
     if not math.isfinite(trace[epochs]):
         raise TrainingError(f"loss diverged at epoch {epochs}")
     return surrogate.with_params(theta), trace
@@ -487,7 +480,8 @@ def cost_blocks(grid: ParamGrid, model, task, weights: PoseWeights,
             if error_floor:
                 low = float(np.min(task_error(task, d2, phis, weights)))
         if surrogate is not None:
-            tips = _predict_batch(surrogate, decode_all(grid, np.arange(start, stop)))
+            rows = decode_all(grid, np.arange(start, stop))
+            tips = _predict_batch(surrogate, _input_states(surrogate, rows))
             d2, phis = squared_deviation(task, tips.reshape(shape + (-1,))), None
         yield start, stop, np.broadcast_to(task_cost(task, d2, phis, weights), shape), low
 

@@ -32,6 +32,7 @@ from qkinopt.harness import (
 from qkinopt.kinematics import OneLink
 from qkinopt.qml import (
     TrainingSet,
+    _input_states,
     build_cost_table,
     configuration_costs,
     gradient,
@@ -95,10 +96,10 @@ def test_criterion_2_oracle_equivalence():
         unique_minimum = int((costs == best_cost).sum()) == 1
         hits = 0
         for seed in range(100):
-            report = run_case(dataclasses.replace(config0, seed=seed))
-            ok = report.analytic_best_cost == best_cost and report.result.accepted
+            report, _ = run_case(dataclasses.replace(config0, seed=seed))
+            ok = report["analytic_best_cost"] == best_cost and report["result"]["accepted"]
             if unique_minimum:
-                ok = ok and report.result.index == idx_ref
+                ok = ok and report["result"]["index"] == idx_ref
             hits += ok
         assert hits >= 99, f"{config0.case}: {hits}/100"
     elapsed = time.monotonic() - start
@@ -159,13 +160,14 @@ def test_criterion_4_resolution_bound():
     stays within twice the exhaustive error floor, and the quantum and
     exhaustive minima coincide exactly."""
     config = shipped_case("one_dof", seed=6)
-    report = run_case(config)
+    report, _ = run_case(config)
+    result = report["result"]
     _, best_cost, _ = exhaustive_reference(config)
     floor = math.sqrt(best_cost)  # position error of the best grid point
-    assert report.result.accepted
-    assert report.result.e_actual <= 2 * floor + 1e-15
-    assert report.analytic_best_cost == best_cost
-    print(f"criterion 4 (resolution bound): PASS (error {report.result.e_actual:.4g} "
+    assert result["accepted"]
+    assert result["e_actual"] <= 2 * floor + 1e-15
+    assert report["analytic_best_cost"] == best_cost
+    print(f"criterion 4 (resolution bound): PASS (error {result['e_actual']:.4g} "
           f"<= 2 x {floor:.4g})")
 
 
@@ -205,13 +207,13 @@ def test_criterion_5a_parameter_shift_gradients():
         s = s.with_params(rng.uniform(-math.pi, math.pi, s.ansatz.parameter_count))
         Z = decode_all(grid)[rng.choice(grid.size, 6, replace=False)]
         labels = rng.uniform(-2.0, 2.0, size=(6, 2))
-        data = TrainingSet(Z, labels)
-        _, g = gradient(s, data)
+        states = _input_states(s, Z)
+        _, g = gradient(s, states, labels)
         for j in range(s.ansatz.parameter_count):
             plus, minus = s.params.copy(), s.params.copy()
             plus[j] += h
             minus[j] -= h
-            fd = (loss(s, data, plus) - loss(s, data, minus)) / (2 * h)
+            fd = (loss(s, states, labels, plus) - loss(s, states, labels, minus)) / (2 * h)
             assert abs(g[j] - fd) <= 1e-6 * max(1.0, abs(fd))
     print("criterion 5a (parameter-shift gradients): PASS")
 
@@ -252,11 +254,12 @@ def test_criterion_6_verification_gate():
     config = shipped_case("one_dof", qubits_per_param=4, seed=1, mode="surrogate")
     config = dataclasses.replace(config, qml=QmlSettings(n_qubits=4, n_layers=2))
     untrained = make_surrogate(config.grid, config.model, n_layers=2, n_qubits=4)
-    report = run_case(config, surrogate=untrained)
-    assert report.result.accepted is False
-    assert report.result.e_actual > report.tolerance
+    report, _ = run_case(config, surrogate=untrained)
+    result = report["result"]
+    assert result["accepted"] is False
+    assert result["e_actual"] > report["tolerance"]
     print(f"criterion 6 (verification gate): PASS (rejected at "
-          f"e={report.result.e_actual:.3f} > {report.tolerance:.3f})")
+          f"e={result['e_actual']:.3f} > {report['tolerance']:.3f})")
 
 
 # --- criterion 7 ------------------------------------------------------------------
@@ -331,9 +334,9 @@ def test_criterion_9_determinism(tmp_path):
     """Identical config and seed reproduce byte-identical CSV outputs."""
     def produce(directory):
         config = shipped_case("one_dof", seed=17)
-        report = run_case(config)
-        rows = compare(report.to_dict(), run_baselines(config))
-        emit_report(report, str(directory))
+        report, surrogate = run_case(config)
+        rows = compare(report, run_baselines(config))
+        emit_report(report, surrogate, str(directory))
         write_table(str(directory / "comparison.csv"), COMPARISON_HEADER, rows)
 
     produce(tmp_path / "first")

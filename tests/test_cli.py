@@ -266,11 +266,24 @@ def surrogate_json(**values):
     (lambda data: data["baselines"].update(pso_iterations=10**400), [],
      "'baselines.pso_iterations'"),
     (lambda data: data["baselines"].update(n_starts=10**400), [], "'baselines.n_starts'"),
-    # costs that cannot be finite: a width past the float range, and a target so far that
-    # every squared deviation overflows, which numpy warns of on each grid block
+    # costs that cannot be finite: a width past the float range, and a target or grasp so
+    # far that every squared deviation overflows, which every command refuses as the
+    # config loads, before numpy can warn of it
     (lambda data: data["params"][0].update(min=-1e308, max=1e308), [],
      "l1: min must be < max, and max - min finite"),
-    pytest.param(lambda data: data["task"].update(target=[1e200, 0.0]), [],
+    (lambda data: data["task"].update(target=[1e200, 0.0]), [], "'task' lies out of reach"),
+    (lambda data: data["task"].update(target=[1e200, 0.0]),
+     ["sweep", "--config", "{bad}", "--qubits", "3"], "'task' lies out of reach"),
+    (lambda data: data["task"].update(target=[1e200, 0.0]),
+     ["baseline", "--config", "{bad}"], "'task' lies out of reach"),
+    (lambda data: data["task"].update(target=[1e200, 0.0]),
+     ["compare", "--config", "{bad}"], "'task' lies out of reach"),
+    (as_case("dual_arm", "task", center=[0.0, -1e200]), [], "'task' lies out of reach"),
+    # a cost floor past the float range that the load check cannot see: the sweep refuses
+    # it as a run does, after numpy's warning of the overflowing weight
+    pytest.param(lambda data: data["task"].update(target=[5.0, 0.0])
+                 or data["weights"].update(alpha_p=1e308),
+                 ["sweep", "--config", "{bad}", "--qubits", "3"],
                  "cost floor inf leaves no finite threshold",
                  marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
 ], ids=["missing_task", "shrink_above_one", "nan_target", "shots_0", "seed_negative",
@@ -297,7 +310,9 @@ def surrogate_json(**values):
         "qubits_10_400", "flag_qubits_per_param_10_400", "sweep_config_qubits_10_400",
         "qml_n_qubits_13", "qml_n_qubits_10_400", "n_layers_10_400", "epochs_10_400",
         "swarm_size_10_400", "pso_iterations_10_400", "n_starts_10_400",
-        "width_past_float_range", "costs_past_float_range"])
+        "width_past_float_range", "costs_past_float_range", "sweep_costs_past_float_range",
+        "baseline_costs_past_float_range", "compare_costs_past_float_range",
+        "grasp_costs_past_float_range", "sweep_floor_past_float_range"])
 def test_invalid_config_exits_cleanly(edit, flags, name, config_path, tmp_path, capsys):
     data = harness.config_to_dict(shipped_case("one_dof"))
     text = edit(data)  # an edit changes data in place, or returns the file's text
@@ -318,6 +333,23 @@ def test_invalid_config_exits_cleanly(edit, flags, name, config_path, tmp_path, 
     err = capsys.readouterr().err.strip()
     assert name in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["train"], ["run", "--mode", "surrogate"]],
+                         ids=["train", "run_surrogate"])
+def test_diverged_training_exits_cleanly(command, tmp_path, capsys):
+    # Adam steps of 1e308 overflow the parameters, so the loss of epoch 2 is not finite;
+    # no numpy warning prints before the one line
+    data = harness.config_to_dict(shipped_case("one_dof"))
+    data["qml"]["learning_rate"] = 1e308
+    config = tmp_path / "diverging.json"
+    write_json(config, data)
+    code = main(command + ["--config", str(config), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert "loss diverged at epoch 2" in err and "qml.learning_rate" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_old_format_params_exit_cleanly(tiny_config_path, tmp_path, capsys):

@@ -731,11 +731,3 @@ class TestVerifyMatchesErrorTable:
             e, accepted = verify(k, grid, model, task, weights)
             assert e == table[k], k
             assert accepted == (e <= task.tolerance)
-
-
-class TestResultRecord:
-    def test_verified_copy(self):
-        r = SearchResult(3, "011", np.array([0.5]), 0.9, 2, 0.1, 1)
-        v = r.verified(0.05, True)
-        assert v.e_actual == 0.05 and v.accepted is True
-        assert r.e_actual is None  # original untouched

@@ -138,63 +138,64 @@ def oriented_one_dof_case():
 class TestRunCaseOneDof:
     def test_matches_exhaustive_minimum(self):
         config = shipped_case("one_dof", seed=3)
-        report = run_case(config)
+        report, _ = run_case(config)
         idx, best_cost, _ = exhaustive_reference(config)
-        assert report.result.accepted
-        assert report.analytic_best_cost == best_cost
-        assert report.result.index == idx
+        assert report["result"]["accepted"]
+        assert report["analytic_best_cost"] == best_cost
+        assert report["result"]["index"] == idx
         # accepted error cannot beat the grid floor
-        assert report.result.e_actual <= math.sqrt(best_cost) + 1e-12
+        assert report["result"]["e_actual"] <= math.sqrt(best_cost) + 1e-12
         # accepted analytic cost never exceeds the loosest threshold used
-        assert report.analytic_best_cost <= report.epsilon0
+        assert report["analytic_best_cost"] <= report["epsilon0"]
 
     def test_trace_records_adaptive_steps(self):
-        report = run_case(shipped_case("one_dof", seed=1))
-        assert report.steps[0].iterations == 0
-        assert len(report.steps) >= 2
-        assert report.steps[-1].expectation < report.steps[0].expectation
-        assert report.queries_total == sum(s.iterations for s in report.steps)
-        assert report.queries_final == report.result.queries
+        report, _ = run_case(shipped_case("one_dof", seed=1))
+        steps = report["steps"]
+        assert steps[0]["iterations"] == 0
+        assert len(steps) >= 2
+        assert steps[-1]["expectation"] < steps[0]["expectation"]
+        assert report["queries_total"] == sum(s["iterations"] for s in steps)
+        assert report["queries_final"] == report["result"]["queries"]
 
     def test_deterministic_for_fixed_seed(self):
-        r1 = run_case(shipped_case("one_dof", seed=12))
-        r2 = run_case(shipped_case("one_dof", seed=12))
-        assert r1.to_dict() == r2.to_dict()
+        r1, _ = run_case(shipped_case("one_dof", seed=12))
+        r2, _ = run_case(shipped_case("one_dof", seed=12))
+        assert r1 == r2
 
 
 class TestRunCaseTwoDof:
     def test_matches_exhaustive_argmin(self):
         config = shipped_case("two_dof", seed=5)
-        report = run_case(config)
+        report, _ = run_case(config)
         idx, best_cost, evals = exhaustive_reference(config)
         assert evals == 65536
-        assert report.result.accepted
-        assert report.analytic_best_cost == best_cost
-        np.testing.assert_array_equal(report.result.params, decode(config.grid, idx))
+        assert report["result"]["accepted"]
+        assert report["analytic_best_cost"] == best_cost
+        np.testing.assert_array_equal(report["result"]["params"], decode(config.grid, idx))
 
 
 class TestRunCaseDualArm:
     def test_accepted_cost_is_grid_minimum(self):
         config = shipped_case("dual_arm", seed=9)
-        report = run_case(config)
+        report, _ = run_case(config)
         _, best_cost, _ = exhaustive_reference(config)
-        assert report.result.accepted
+        assert report["result"]["accepted"]
         # symmetric grasp configurations tie to the last bit; the returned
         # configuration must still realize the exact grid minimum
-        assert report.analytic_best_cost == best_cost
+        assert report["analytic_best_cost"] == best_cost
 
 
 class TestAdaptiveEquivalence:
     def test_final_step_matches_adaptive_search(self):
         config = shipped_case("one_dof", seed=21)
-        report = run_case(config)
+        report, _ = run_case(config)
         costs, _ = build_cost_table(config.grid, config.model, config.task, config.weights)
-        levels = threshold_ladder(costs, report.epsilon0, 0.5)
+        levels = threshold_ladder(costs, report["epsilon0"], 0.5)
         direct, _ = search_with_state(config.grid, np.flatnonzero(costs <= levels[-1]),
                                       levels[-1], config.shots, config.seed)
-        assert direct.index == report.result.index
-        assert direct.epsilon == report.final_epsilon
-        assert direct.queries == report.queries_final
+        assert direct.index == report["result"]["index"]
+        assert direct.epsilon == report["final_epsilon"]
+        assert direct.queries == report["queries_final"]
 
     def test_searches_narrow_one_sorted_index_array(self, monkeypatch):
         seen = []
@@ -205,16 +206,17 @@ class TestAdaptiveEquivalence:
 
         monkeypatch.setattr(grover, "search_with_state", recording)
         config = shipped_case("one_dof", seed=21)
-        report = run_case(config)
+        report, _ = run_case(config)
         costs, _ = build_cost_table(config.grid, config.model, config.task, config.weights)
-        assert len(seen) == len(report.steps) - 1 > 1
+        steps = report["steps"]
+        assert len(seen) == len(steps) - 1 > 1
         # the first level's set is the table's one threshold read
-        np.testing.assert_array_equal(seen[0], np.flatnonzero(costs <= report.epsilon0))
-        assert report.steps[0].solutions == seen[0].size
-        for before, marked, step in zip(seen[:1] + seen, seen, report.steps[1:]):
+        np.testing.assert_array_equal(seen[0], np.flatnonzero(costs <= report["epsilon0"]))
+        assert steps[0]["solutions"] == seen[0].size
+        for before, marked, step in zip(seen[:1] + seen, seen, steps[1:]):
             assert marked.dtype == np.int64 and (np.diff(marked) > 0).all()
             assert np.isin(marked, before).all()  # each level narrows the one before
-            np.testing.assert_array_equal(marked, np.flatnonzero(costs <= step.epsilon))
+            np.testing.assert_array_equal(marked, np.flatnonzero(costs <= step["epsilon"]))
 
     def test_zero_floor_ladder_stops_at_least_positive_cost(self):
         # the target on grid point 77's tip gives a cost floor of exactly 0; the
@@ -222,14 +224,14 @@ class TestAdaptiveEquivalence:
         config = on_grid_tip(shipped_case("one_dof", qubits_per_param=4), 77)
         config = dataclasses.replace(
             config, search=dataclasses.replace(config.search, epsilon0=1.0))
-        report = run_case(config)
+        report, _ = run_case(config)
         costs, _ = build_cost_table(config.grid, config.model, config.task, config.weights)
         lowest = float(costs[costs > 0].min())
-        epsilons = [step.epsilon for step in report.steps[1:]]
-        assert (len(epsilons), report.queries_total) == (7, 42)
+        epsilons = [step["epsilon"] for step in report["steps"][1:]]
+        assert (len(epsilons), report["queries_total"]) == (7, 42)
         assert epsilons[-1] == 0.0 and epsilons[-2] * config.search.shrink < lowest <= epsilons[-2]
-        assert (report.result.index, report.steps[-1].best_cost) == (77, 0.0)
-        assert report.result.accepted
+        assert (report["result"]["index"], report["steps"][-1]["best_cost"]) == (77, 0.0)
+        assert report["result"]["accepted"]
 
 
 class TestOneGridPass:
@@ -247,11 +249,11 @@ class TestOneGridPass:
                               qml=QmlSettings(n_qubits=4, epochs=3))
         config = dataclasses.replace(
             config, task=dataclasses.replace(config.task, tolerance=tolerance))
-        report = run_case(config)
+        report, _ = run_case(config)
         # the pass keeps the error floor only when the tolerance comes from it
         assert calls == [tolerance is None]
         if tolerance is not None:
-            assert report.tolerance == tolerance
+            assert report["tolerance"] == tolerance
 
 
 class TestSurrogateMode:
@@ -263,32 +265,47 @@ class TestSurrogateMode:
         )
 
     def test_runs_and_records_loss_trace(self):
-        report = run_case(self.tiny_config())
-        assert report.mode == "surrogate"
-        assert len(report.loss_trace) == 26
-        assert report.loss_trace[-1] < report.loss_trace[0]
-        assert report.surrogate is not None
+        report, surrogate = run_case(self.tiny_config())
+        assert report["mode"] == "surrogate"
+        assert len(report["loss_trace"]) == 26
+        assert report["loss_trace"][-1] < report["loss_trace"][0]
+        assert surrogate is not None
 
     def test_tolerance_is_twice_the_analytic_error_floor(self):
         cfg = self.tiny_config()
-        report = run_case(cfg)
+        report, _ = run_case(cfg)
         errors = _actual_error_table(cfg.grid, cfg.model, cfg.task, cfg.weights)
-        assert report.tolerance == 2.0 * float(errors.min())
-        assert report.result.e_actual == errors[report.result.index]
+        assert report["tolerance"] == 2.0 * float(errors.min())
+        assert report["result"]["e_actual"] == errors[report["result"]["index"]]
         # the one-row analytic cost of the answer is its analytic table entry
         analytic, _ = build_cost_table(cfg.grid, cfg.model, cfg.task, cfg.weights)
-        assert report.analytic_best_cost == analytic[report.result.index]
+        assert report["analytic_best_cost"] == analytic[report["result"]["index"]]
 
     def test_pretrained_surrogate_skips_training(self):
         cfg = self.tiny_config()
         pretrained = make_surrogate(cfg.grid, cfg.model, n_layers=2, n_qubits=4)
-        report = run_case(cfg, surrogate=pretrained)
-        assert report.loss_trace is None
+        report, surrogate = run_case(cfg, surrogate=pretrained)
+        assert report["loss_trace"] is None and surrogate is pretrained
         # the zero-parameter surrogate is untrained and its predictions miss the
         # analytic FK by metres, so its oracle marks configurations that fail
         # analytic verification
-        assert report.result.accepted is False
-        assert report.result.e_actual > report.tolerance
+        assert report["result"]["accepted"] is False
+        assert report["result"]["e_actual"] > report["tolerance"]
+
+
+class TestOneReport:
+    @pytest.mark.parametrize("case, mode", [("one_dof", "analytic"), ("two_dof", "analytic"),
+                                            ("dual_arm", "analytic"), ("one_dof", "surrogate")])
+    def test_run_case_returns_what_report_json_holds(self, case, mode, tmp_path):
+        report, surrogate = run_case(shipped_case(case, mode=mode))
+        assert (surrogate is None) == (mode == "analytic")
+        # plain JSON values only: no tuple, array, NaN or infinity
+        assert json.loads(json.dumps(report, allow_nan=False)) == report
+        paths = emit_report(report, surrogate, str(tmp_path / "out"))
+        assert load_report(paths["report"]) == report
+        write_json(tmp_path / "again.json", report)
+        assert (tmp_path / "again.json").read_bytes() == \
+               (tmp_path / "out" / "report.json").read_bytes()
 
 
 class TestRunBaselines:
@@ -315,25 +332,25 @@ class TestRunBaselines:
 class TestCompare:
     def test_table_rows_and_ratio(self):
         config = shipped_case("one_dof", seed=3)
-        report = run_case(config)
+        report, _ = run_case(config)
         runs = run_baselines(config)
-        rows = compare(report.to_dict(), runs)
+        rows = compare(report, runs)
         assert [r["method"] for r in rows] == ["grover", "nelder_mead", "quasi_newton",
                                                "pso", "exhaustive"]
         grover_row = rows[0]
-        assert grover_row["evaluations"] == report.queries_final
+        assert grover_row["evaluations"] == report["queries_final"]
         exhaustive_row = rows[-1]
         assert exhaustive_row["evals_over_grover"] == pytest.approx(
-            1024 / report.queries_final
+            1024 / report["queries_final"]
         )
 
     def test_saved_report_gives_same_rows(self, tmp_path):
         config = shipped_case("one_dof", seed=3)
-        report = run_case(config)
+        report, surrogate = run_case(config)
         runs = run_baselines(config)
-        emit_report(report, str(tmp_path))
+        emit_report(report, surrogate, str(tmp_path))
         saved = json.loads((tmp_path / "report.json").read_text())
-        assert compare(saved, runs) == compare(report.to_dict(), runs)
+        assert compare(saved, runs) == compare(report, runs)
 
     def test_ratio_at_least_one_for_sparse_solutions(self):
         rng = np.random.default_rng(0)
@@ -351,30 +368,30 @@ class TestReportEmission:
     def test_byte_identical_reruns(self, tmp_path):
         for directory in ("a", "b"):
             config = shipped_case("one_dof", seed=7)
-            report = run_case(config)
-            rows = compare(report.to_dict(), run_baselines(config))
-            emit_report(report, str(tmp_path / directory))
+            report, surrogate = run_case(config)
+            rows = compare(report, run_baselines(config))
+            emit_report(report, surrogate, str(tmp_path / directory))
             write_table(str(tmp_path / directory / "comparison.csv"), COMPARISON_HEADER, rows)
         for name in ("trace.csv", "report.json", "comparison.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
     def test_trace_csv_round_trips_full_precision(self, tmp_path):
-        report = run_case(shipped_case("one_dof", seed=4))
-        emit_report(report, str(tmp_path))
+        report, surrogate = run_case(shipped_case("one_dof", seed=4))
+        emit_report(report, surrogate, str(tmp_path))
         lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
         assert lines[0] == "iteration,cost"
-        assert len(lines) == len(report.steps) + 1
-        for line, step in zip(lines[1:], report.steps):
+        assert len(lines) == len(report["steps"]) + 1
+        for line, step in zip(lines[1:], report["steps"]):
             it, cost = line.split(",")
-            assert int(it) == step.step
-            assert float(cost) == step.expectation
+            assert int(it) == step["step"]
+            assert float(cost) == step["expectation"]
 
     def test_surrogate_params_emitted(self, tmp_path):
         cfg = shipped_case("one_dof", qubits_per_param=2, seed=0, mode="surrogate")
         cfg = dataclasses.replace(cfg, qml=QmlSettings(n_qubits=4, epochs=3))
-        report = run_case(cfg)
-        paths = emit_report(report, str(tmp_path))
+        report, surrogate = run_case(cfg)
+        paths = emit_report(report, surrogate, str(tmp_path))
         assert (tmp_path / "surrogate.params").exists()
         assert "surrogate" in paths
 
@@ -679,7 +696,7 @@ def written_inputs():
         -math.pi, math.pi, surrogate.ansatz.parameter_count))
     out["surrogate"] = (surrogate, load_surrogate, save_surrogate, None,
                         lambda p: repr(key_name(p)))
-    out["report"] = (run_case(config).to_dict(), load_report,
+    out["report"] = (run_case(config)[0], load_report,
                      lambda report, path: write_json(path, report),
                      [("queries_final",), ("analytic_best_cost",), ("result", "accepted")],
                      lambda p: f"key {key_name(p)!r}")

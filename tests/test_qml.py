@@ -61,6 +61,16 @@ def gate_level_predictions(s, Z, theta):
     return np.array(out)
 
 
+def fit_args(s, data):
+    """The input states and the labels of a training set, as `gradient` and `loss` take them."""
+    return qml._input_states(s, data.inputs), data.labels
+
+
+def predict_rows(s, Z, params=None):
+    """`_predict_batch` on the input states of the rows Z."""
+    return qml._predict_batch(s, qml._input_states(s, Z), params)
+
+
 def random_surrogate(rng, n_qubits=3, n_layers=1):
     grid = ParamGrid((
         ParamSpec("l1", 0.1, 2.0, 2),
@@ -199,7 +209,7 @@ class TestPredict:
         rng = np.random.default_rng(seed)
         s, _ = random_surrogate(rng, n_qubits=n_qubits, n_layers=n_layers)
         Z = random_training_set(rng, rows).inputs
-        np.testing.assert_allclose(qml._predict_batch(s, Z),
+        np.testing.assert_allclose(predict_rows(s, Z),
                                    gate_level_predictions(s, Z, s.params), rtol=0, atol=1e-12)
 
     def test_deterministic(self):
@@ -215,22 +225,23 @@ class TestLoss:
         s, grid = random_surrogate(rng)
         Z = decode_all(grid)
         labels = np.stack([predict(s, z) for z in Z])
-        assert loss(s, TrainingSet(Z, labels)) == 0.0
+        assert loss(s, *fit_args(s, TrainingSet(Z, labels))) == 0.0
 
     def test_single_sample_error_vector(self):
         rng = np.random.default_rng(3)
         s, _ = random_surrogate(rng)
         z = np.array([[0.5, 1.0]])
         label = predict(s, z[0]) - np.array([0.3, 0.4])
-        assert loss(s, TrainingSet(z, label[None, :])) == pytest.approx(0.25)
+        assert loss(s, *fit_args(s, TrainingSet(z, label[None, :]))) == pytest.approx(0.25)
 
     def test_duplicating_samples_leaves_loss_unchanged(self):
         rng = np.random.default_rng(4)
         s, grid = random_surrogate(rng)
         Z = decode_all(grid)[:4]
         labels = np.tile([0.3, -0.2], (4, 1))
-        single = loss(s, TrainingSet(Z, labels))
-        doubled = loss(s, TrainingSet(np.vstack([Z, Z]), np.vstack([labels, labels])))
+        single = loss(s, *fit_args(s, TrainingSet(Z, labels)))
+        doubled = loss(s, *fit_args(s, TrainingSet(np.vstack([Z, Z]),
+                                                   np.vstack([labels, labels]))))
         assert doubled == pytest.approx(single, rel=1e-15)
 
     def test_empty_set_rejected(self):
@@ -257,15 +268,15 @@ class TestGradient:
             s, grid = random_surrogate(rng, n_qubits=3, n_layers=1 + trial % 2)
             Z = decode_all(grid)[:: 3]
             labels = rng.uniform(-1.5, 1.5, size=(Z.shape[0], 2))
-            data = TrainingSet(Z, labels)
-            _, g = gradient(s, data)
+            states = qml._input_states(s, Z)
+            _, g = gradient(s, states, labels)
             h = 1e-6
             for j in range(s.ansatz.parameter_count):
                 plus = s.params.copy()
                 plus[j] += h
                 minus = s.params.copy()
                 minus[j] -= h
-                fd = (loss(s, data, plus) - loss(s, data, minus)) / (2 * h)
+                fd = (loss(s, states, labels, plus) - loss(s, states, labels, minus)) / (2 * h)
                 assert abs(g[j] - fd) <= 1e-6 * max(1.0, abs(fd))
 
     def test_zero_residual_gives_zero_gradient(self):
@@ -273,7 +284,7 @@ class TestGradient:
         s, grid = random_surrogate(rng)
         Z = decode_all(grid)
         labels = np.stack([predict(s, z) for z in Z])
-        _, g = gradient(s, TrainingSet(Z, labels))
+        _, g = gradient(s, qml._input_states(s, Z), labels)
         assert np.all(np.abs(g) <= 1e-9)
 
 
@@ -294,7 +305,7 @@ def shift_rule_gradient(predictions, data, theta):
 
 def separate_shift_passes(s, data, theta):
     """Reference: one `_predict_batch` pass at theta and at theta +- pi/2 e_j."""
-    return shift_rule_gradient(lambda Z, t: qml._predict_batch(s, Z, t), data, theta)
+    return shift_rule_gradient(lambda Z, t: predict_rows(s, Z, t), data, theta)
 
 
 def assert_close_in_max_norm(got, expected, rel, scale=None):
@@ -306,7 +317,7 @@ def assert_close_in_max_norm(got, expected, rel, scale=None):
 def gradient_bound(s, data):
     """The largest size a loss-gradient entry can take: |d<Z_q>/d theta_j| <= 1,
     so |d loss / d theta_j| <= mean_b sum_q |r_bq| (hi_q - lo_q), r the residuals."""
-    resid = qml._predict_batch(s, data.inputs) - data.labels
+    resid = predict_rows(s, data.inputs) - data.labels
     spans = np.array([hi - lo for _, lo, hi in s.readout])
     return float(np.mean(np.sum(np.abs(resid) * spans, axis=1)))
 
@@ -319,14 +330,14 @@ class TestObservableGradient:
         rng = np.random.default_rng(seed)
         s, _ = random_surrogate(rng, n_qubits=n_qubits, n_layers=n_layers)
         data = random_training_set(rng, rows)
-        value, got = gradient(s, data)
+        value, got = gradient(s, *fit_args(s, data))
         assert_close_in_max_norm(got, separate_shift_passes(s, data, s.params), 1e-12)
-        assert np.float64(value).tobytes() == np.float64(loss(s, data)).tobytes()
+        assert np.float64(value).tobytes() == np.float64(loss(s, *fit_args(s, data))).tobytes()
         # each of the first rows through its own 2P+1 gate-level circuits
         head = TrainingSet(data.inputs[:3], data.labels[:3])
         reference = shift_rule_gradient(
             lambda Z, t: gate_level_predictions(s, Z, t), head, s.params)
-        assert_close_in_max_norm(gradient(s, head)[1], reference, 1e-12)
+        assert_close_in_max_norm(gradient(s, *fit_args(s, head))[1], reference, 1e-12)
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(5, 8), st.integers(1, 4), st.integers(1, 3),
@@ -340,12 +351,14 @@ class TestObservableGradient:
         rng = np.random.default_rng(seed)
         s, _ = random_surrogate(rng, n_qubits=n_qubits, n_layers=n_layers)
         data = random_training_set(rng, rows)
-        assert_close_in_max_norm(gradient(s, data)[1], separate_shift_passes(s, data, s.params),
+        assert_close_in_max_norm(gradient(s, *fit_args(s, data))[1],
+                                 separate_shift_passes(s, data, s.params),
                                  1e-12, gradient_bound(s, data))
         head = TrainingSet(data.inputs[:1], data.labels[:1])
         reference = shift_rule_gradient(
             lambda Z, t: gate_level_predictions(s, Z, t), head, s.params)
-        assert_close_in_max_norm(gradient(s, head)[1], reference, 1e-12, gradient_bound(s, head))
+        assert_close_in_max_norm(gradient(s, *fit_args(s, head))[1], reference, 1e-12,
+                                 gradient_bound(s, head))
 
     def test_peak_memory_on_shipped_two_dof(self):
         # the shipped two_dof surrogate trains on its whole 2^16-row grid; a
@@ -360,7 +373,7 @@ class TestObservableGradient:
         assert data.inputs.shape[0] == 65536
         tracemalloc.start()
         try:
-            gradient(s, data)
+            gradient(s, *fit_args(s, data))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -413,24 +426,31 @@ class TestTrain:
     @pytest.mark.parametrize("epochs", [1, 12])
     def test_input_states_built_once_per_training(self, monkeypatch, epochs):
         # the states do not change during training: the gradients and the
-        # final loss read the ones the training set built first
-        calls = collections.Counter()
-        build = qml._input_states
+        # final loss read the ones that `train` built first
+        calls, seen = collections.Counter(), []
+        build, grad = qml._input_states, qml.gradient
 
         def counted(*args):
             calls["states"] += 1
             return build(*args)
 
+        def recording(s, states, *args):
+            seen.append(states)
+            return grad(s, states, *args)
+
         monkeypatch.setattr(qml, "_input_states", counted)
+        monkeypatch.setattr(qml, "gradient", recording)
         grid = one_dof_grid(2)
         s = make_surrogate(grid, OneLink(), n_qubits=4)
         data = self.make_data(grid)
         train(s, data, epochs=epochs, learning_rate=0.2, seed=3)
         assert calls["states"] == 1
-        np.testing.assert_array_equal(data.states(s), build(s, data.inputs))
+        assert all(states is seen[0] for states in seen)
+        np.testing.assert_array_equal(seen[0], build(s, data.inputs))
         # another register width has other states
         wider = make_surrogate(grid, OneLink(), n_qubits=5)
-        assert data.states(wider).shape == (data.inputs.shape[0], 32)
+        train(wider, data, epochs=epochs, learning_rate=0.2, seed=3)
+        assert seen[-1].shape == (data.inputs.shape[0], 32)
         assert calls["states"] == 2
 
     @pytest.mark.parametrize("epochs, learning_rate, nan_label, epoch", [
@@ -542,7 +562,7 @@ class TestCostTable:
                                     PoseWeights(1.0, 0.0), s)
         assert costs.shape == (grid.size,)
         assert np.all(costs >= 0.0)
-        tips = qml._predict_batch(s, decode_all(grid))
+        tips = predict_rows(s, decode_all(grid))
         np.testing.assert_array_equal(costs, np.sum((tips - [0.5, 0.5]) ** 2, axis=1))
 
     def test_surrogate_requires_instance(self):
@@ -634,7 +654,7 @@ class TestStreamedTables:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(encoding, "BLOCK_BITS", block_bits)
             costs, floor = build_cost_table(grid, model, task, weights, s, error_floor=True)
-        one_shot = task_cost(task, squared_deviation(task, qml._predict_batch(s, decode_all(grid))),
+        one_shot = task_cost(task, squared_deviation(task, predict_rows(s, decode_all(grid))),
                              None, weights)
         np.testing.assert_array_equal(bits(costs), bits(one_shot))
         # the error floor is the analytic one, whatever tips the cost reads
