@@ -41,7 +41,7 @@ from . import baselines as cls_opt
 from . import grover, qsim
 from .encoding import ParamGrid, ParamSpec, bin_width, decode, decode_all
 from .kinematics import (DualArm, GraspTask, OneLink, PoseTarget, PoseWeights, TwoLink,
-                         squared_deviation)
+                         squared_deviation, task_cost)
 from .qml import (
     Surrogate,
     TrainingSet,
@@ -174,14 +174,6 @@ class CaseConfig:
             raise ValueError(f"config key 'task.type' must fit model type "
                              f"{_TYPE_NAMES[type(self.model)]!r}, got "
                              f"{_TYPE_NAMES[type(self.task)]!r}")
-        # every tip lies in the workspace box: if its point nearest the target or contacts
-        # overflows the squared deviation, so does every configuration's
-        task, (lo, hi) = self.task, np.transpose(workspace_box(self.model, self.grid))
-        goal = (*task.c_ideal1, *task.c_ideal2) if isinstance(task, GraspTask) else task.position
-        with np.errstate(over="ignore"):
-            if not np.isfinite(squared_deviation(task, np.clip(goal, lo, hi))):
-                raise ValueError("config key 'task' lies out of reach: the squared deviation "
-                                 "of the nearest workspace point overflows the float range")
         if self.mode == "surrogate" and self.weights.alpha_R > 0:
             raise ValueError("config key 'weights.alpha_R' must be 0 in surrogate mode, "
                              "whose surrogate predicts positions only")
@@ -197,6 +189,14 @@ class CaseConfig:
             if isinstance(self.task, GraspTask) and getattr(self.weights, key) != default:
                 raise ValueError(f"config key 'weights.{key}' must be {default} on a grasp "
                                  "task, whose cost weighs only its contacts")
+        # a lower bound on every cost: the nearest workspace-box point, at the target angle
+        task, (lo, hi) = self.task, np.transpose(workspace_box(self.model, self.grid))
+        goal = (*task.c_ideal1, *task.c_ideal2) if isinstance(task, GraspTask) else task.position
+        with np.errstate(over="ignore"):
+            d2 = squared_deviation(task, np.clip(goal, lo, hi))
+            if not np.isfinite(task_cost(task, d2, getattr(task, "phi", None), self.weights)):
+                raise ValueError("config key 'task' lies out of reach: the cost of the nearest "
+                                 "workspace point overflows the float range")
         _check_range(self, "", shots=(1, SHOTS_CAP), seed=0)
         _check_range(self.task, "task.", tolerance=0)
 
@@ -386,7 +386,7 @@ def run_case(config: CaseConfig,
         "epsilon0": epsilon0, "final_epsilon": levels[-1], "tolerance": task.tolerance,
         "result": dict(dataclasses.asdict(result), params=[float(v) for v in result.params],
                        e_actual=e_actual, accepted=accepted),
-        "analytic_best_cost": float(_cost_fn(config)(result.params[None, :])[0]),
+        "analytic_best_cost": float(_cost_fn(config)(result.params)),
         "queries_final": result.queries, "queries_total": sum(s["iterations"] for s in steps),
         "iteration_definition": ITERATION_NOTE, "loss_trace": loss_trace,
     }
@@ -396,15 +396,15 @@ def run_case(config: CaseConfig,
 # --- classical baselines ------------------------------------------------------------
 
 def _cost_fn(config: CaseConfig):
-    """Analytic cost of each row of a (B, d) batch of this case's configurations."""
+    """Analytic cost of each row of a (B, d) batch of this case's configurations, or of one row."""
     return functools.partial(configuration_costs, config.model, config.grid.names(),
                              task=config.task, weights=config.weights)
 
 
 def case_objective(config: CaseConfig) -> cls_opt.Objective:
     """Counting objective: this case's analytic cost, one row per evaluation."""
-    costs, specs = _cost_fn(config), config.grid.specs
-    return cls_opt.Objective([(s.lo, s.hi) for s in specs], lambda z: costs(z[None, :])[0],
+    specs = config.grid.specs
+    return cls_opt.Objective([(s.lo, s.hi) for s in specs], _cost_fn(config),
                              [s.angular for s in specs])
 
 

@@ -176,12 +176,12 @@ def wrapped_angle_distance(phi1, phi2) -> np.ndarray:
 def squared_deviation(task, tips: np.ndarray) -> np.ndarray:
     """Squared distance of each row of tips from the pose target, or of both
     tips (B, 4) from the grasp contacts, summed: the term `task_cost` and
-    `task_error` both take, so a pass that needs both computes it once."""
-    grasp = isinstance(task, GraspTask)
-    d = tips - ((*task.c_ideal1, *task.c_ideal2) if grasp else task.position)
-    d *= d  # np.sum(d**2, axis=-1) without the slow short-axis reduction
-    d2 = d[..., 0] + d[..., 1]
-    return d2 + (d[..., 2] + d[..., 3]) if grasp else d2
+    `task_error` both take, so a pass that needs both computes it once. Works
+    per plane of `tips.T`: a (..., k) difference made each grid block re-fault its heap."""
+    goal = (*task.c_ideal1, *task.c_ideal2) if isinstance(task, GraspTask) else task.position
+    d = [plane - g for plane, g in zip(tips.T, goal)]
+    d2 = d[0] * d[0] + d[1] * d[1]
+    return (d2 + (d[2] * d[2] + d[3] * d[3]) if len(d) == 4 else d2).T
 
 
 def task_cost(task, d2: np.ndarray, phis: Optional[np.ndarray],

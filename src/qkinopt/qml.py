@@ -455,7 +455,7 @@ def _task_rows(model, columns: Mapping[str, np.ndarray], task,
 
 def configuration_costs(model, names: Tuple[str, ...], Z: np.ndarray,
                         task, weights: PoseWeights) -> np.ndarray:
-    """Task cost for each row of Z using the analytical kinematics."""
+    """Task cost for each row of Z, or of the one row Z, using the analytical kinematics."""
     return task_cost(task, *_task_rows(model, dict(zip(names, Z.T)), task, weights), weights)
 
 

@@ -126,6 +126,13 @@ def as_case(case, *path, **values):
     return edit
 
 
+def far_heavy_target(data):
+    """A one_dof target 5 from the origin, within the float range, whose position
+    weight 1e308 makes every cost overflow."""
+    data["task"].update(target=[5.0, 0.0])
+    data["weights"].update(alpha_p=1e308)
+
+
 def surrogate_json(**values):
     """An edit that returns the file of an untrained surrogate of the shipped
     one_dof case with `values` set, removed where a value is None, or replaced
@@ -279,13 +286,12 @@ def surrogate_json(**values):
     (lambda data: data["task"].update(target=[1e200, 0.0]),
      ["compare", "--config", "{bad}"], "'task' lies out of reach"),
     (as_case("dual_arm", "task", center=[0.0, -1e200]), [], "'task' lies out of reach"),
-    # a cost floor past the float range that the load check cannot see: the sweep refuses
-    # it as a run does, after numpy's warning of the overflowing weight
-    pytest.param(lambda data: data["task"].update(target=[5.0, 0.0])
-                 or data["weights"].update(alpha_p=1e308),
-                 ["sweep", "--config", "{bad}", "--qubits", "3"],
-                 "cost floor inf leaves no finite threshold",
-                 marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
+    # a target within the float range whose weight overflows every cost: the load check
+    # bounds the cost of the nearest workspace point, so no numpy warning prints either
+    (far_heavy_target, ["sweep", "--config", "{bad}", "--qubits", "3"],
+     "'task' lies out of reach"),
+    (far_heavy_target, ["baseline", "--config", "{bad}"], "'task' lies out of reach"),
+    (far_heavy_target, [], "'task' lies out of reach"),
 ], ids=["missing_task", "shrink_above_one", "nan_target", "shots_0", "seed_negative",
         "epochs_0", "n_layers_0", "learning_rate_negative", "training_samples_0",
         "n_starts_0", "swarm_size_1", "max_evals_0", "flag_shots_0", "flag_seed_negative",
@@ -312,7 +318,8 @@ def surrogate_json(**values):
         "swarm_size_10_400", "pso_iterations_10_400", "n_starts_10_400",
         "width_past_float_range", "costs_past_float_range", "sweep_costs_past_float_range",
         "baseline_costs_past_float_range", "compare_costs_past_float_range",
-        "grasp_costs_past_float_range", "sweep_floor_past_float_range"])
+        "grasp_costs_past_float_range", "sweep_floor_past_float_range",
+        "baseline_weight_past_float_range", "run_weight_past_float_range"])
 def test_invalid_config_exits_cleanly(edit, flags, name, config_path, tmp_path, capsys):
     data = harness.config_to_dict(shipped_case("one_dof"))
     text = edit(data)  # an edit changes data in place, or returns the file's text

@@ -362,6 +362,65 @@ class TestLeanFkMatchesReference:
             fk_two(l1, l2, theta, theta)
 
 
+def reference_squared_deviation(task, tips):
+    """The (..., k) form on a C-contiguous copy: subtract the goal from every
+    row, square in place, and add the planes in the same pairs."""
+    grasp = isinstance(task, GraspTask)
+    d = np.ascontiguousarray(tips) - ((*task.c_ideal1, *task.c_ideal2) if grasp
+                                      else task.position)
+    d *= d
+    d2 = d[..., 0] + d[..., 1]
+    return d2 + (d[..., 2] + d[..., 3]) if grasp else d2
+
+
+# coordinates in range, signed zeros, tiny, and squares past the float range, inf and NaN
+COORDS = (st.floats(-1e3, 1e3)
+          | st.sampled_from([0.0, -0.0, 1e-300, 1e200, -math.inf, math.nan]))
+TIPS_LAYOUTS = ("1-D", "C-order", "coordinate-major", "strided", "broadcast")
+
+
+@st.composite
+def tasks_and_tips(draw):
+    """A pose or grasp task and tips of its width k in one of TIPS_LAYOUTS: one
+    row's (k,), a C-order (B, k) batch, a (B, k) view of a (k, B) array, every
+    other row and column of a larger array, and a (1, a, b, k) broadcast view
+    shaped like a grid block's."""
+    point = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    task = draw(st.builds(PoseTarget, point)
+                | st.builds(GraspTask, point, st.floats(0.01, 2.0), st.floats(-7.0, 7.0)))
+    k, rows = (4 if isinstance(task, GraspTask) else 2), draw(st.integers(1, 5))
+    layout = draw(st.sampled_from(TIPS_LAYOUTS))
+    if layout == "1-D":
+        return task, draw(hnp.arrays(float, k, elements=COORDS))
+    if layout == "C-order":
+        return task, draw(hnp.arrays(float, (rows, k), elements=COORDS))
+    if layout == "coordinate-major":
+        return task, np.moveaxis(draw(hnp.arrays(float, (k, rows), elements=COORDS)), 0, -1)
+    if layout == "strided":
+        return task, draw(hnp.arrays(float, (2 * rows, 2 * k + 1), elements=COORDS))[::2, 1::2]
+    block = draw(hnp.arrays(float, (rows, k), elements=COORDS))
+    return task, np.broadcast_to(block, (1, draw(st.integers(1, 3)), rows, k))
+
+
+class TestSquaredDeviationLayouts:
+    """One coordinate plane at a time gives the bits, shape and type of the
+    (..., k) form, whatever the layout of the tips, and leaves them unchanged.
+    On 1-D tips the planes are scalars, so squaring them in place would return
+    unsquared deviations."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=tasks_and_tips())
+    def test_bits_match_c_order_reference(self, case):
+        task, tips = case
+        before = np.array(tips)
+        with np.errstate(all="ignore"):
+            actual = squared_deviation(task, tips)
+            expected = reference_squared_deviation(task, tips)
+        assert type(actual) is type(expected)
+        assert_same_bits(actual, expected)
+        assert_same_bits(tips, before)
+
+
 class TestConfigurationPositionsCallsFkOnce:
     @pytest.mark.parametrize("model, names", [
         (OneLink(), ("l1", "theta1")),

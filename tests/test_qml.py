@@ -642,6 +642,20 @@ class TestStreamedTables:
                                       weights)
             np.testing.assert_array_equal(bits(row), bits(costs[k:k + 1]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=verification_cases())
+    def test_one_dimensional_row_cost_is_table_entry(self, case):
+        # the baselines' objective passes each point as a 1-D row, whose tip
+        # coordinates are scalars: its cost is one scalar, with the table entry's bits
+        grid, model, task, weights = case
+        if no_cost(task, weights):
+            weights = PoseWeights(weights.alpha_p)
+        costs, _ = build_cost_table(grid, model, task, weights)
+        for k in range(grid.size):
+            cost = configuration_costs(model, grid.names(), decode(grid, k), task, weights)
+            assert np.ndim(cost) == 0
+            np.testing.assert_array_equal(bits(cost), bits(costs[k]))
+
     @pytest.mark.parametrize("block_bits", BLOCK_BITS)
     @settings(max_examples=30, deadline=None)
     @given(case=verification_cases(), seed=st.integers(0, 2 ** 32 - 1))
