@@ -54,6 +54,7 @@ from .kinematics import (
     OneLink,
     PoseTarget,
     PoseWeights,
+    arm_trig,
     fk_dual,
     fk_one,
     fk_two,
@@ -422,12 +423,13 @@ def load_surrogate(path) -> Surrogate:
 
 # --- cost tables -------------------------------------------------------------------
 
-def configuration_positions(model, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+def configuration_positions(model, columns: Mapping[str, np.ndarray], arms=None) -> np.ndarray:
     """Analytic tip positions (..., 2 or 4) from one `fk_*` call.
 
     FK arguments bind by name, the model's LINKS then its JOINTS, to `columns`,
     arrays that broadcast together, such as the columns of a (B, d) batch; a
-    length missing there falls back to the model's field of that name.
+    length missing there falls back to the model's field of that name. `arms`,
+    if given, holds each 2R arm's `arm_trig` of its JOINTS' columns.
     """
     if not hasattr(model, "JOINTS"):
         raise TypeError(f"unknown robot model {model!r}")
@@ -437,12 +439,12 @@ def configuration_positions(model, columns: Mapping[str, np.ndarray]) -> np.ndar
             raise ValueError(f"grid has no parameter named {name!r}")
         args.append(columns[name] if name in columns else getattr(model, name))
     if isinstance(model, DualArm):
-        return fk_dual(model, *args)
-    return (fk_one if isinstance(model, OneLink) else fk_two)(*args)
+        return fk_dual(model, *args, arms)
+    return fk_one(*args) if isinstance(model, OneLink) else fk_two(*args, arms)
 
 
-def _task_rows(model, columns: Mapping[str, np.ndarray], task,
-               weights: PoseWeights) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+def _task_rows(model, columns: Mapping[str, np.ndarray], task, weights: PoseWeights,
+               arms=None) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """The `squared_deviation` of the configurations in `columns` and, if the task
     weighs them, the planar tip orientations (the sum of the joint angles)."""
     phis = None
@@ -450,7 +452,7 @@ def _task_rows(model, columns: Mapping[str, np.ndarray], task,
         if isinstance(model, DualArm):
             raise TypeError(f"orientation undefined for model {model!r}")
         phis = sum((columns[name] for name in model.JOINTS[1:]), columns[model.JOINTS[0]])
-    return squared_deviation(task, configuration_positions(model, columns)), phis
+    return squared_deviation(task, configuration_positions(model, columns, arms)), phis
 
 
 def configuration_costs(model, names: Tuple[str, ...], Z: np.ndarray,
@@ -471,12 +473,22 @@ def cost_blocks(grid: ParamGrid, model, task, weights: PoseWeights,
     on the block's C-order tensor of rows and read the trained surrogate's tips,
     predicted from its decoded rows, or else the closed-form kinematics' tips from
     its columns. Its least analytic verification error (inf unless `error_floor`)
-    shares their `squared_deviation`. The callers check the qubit cap."""
-    names = grid.names()
+    shares their `squared_deviation`. The callers check the qubit cap. A 2R arm
+    keeps its `arm_trig` while the block start masked to its joint registers, its
+    key, repeats: `grid_blocks` builds columns from those bits only."""
+    names, joints, memo = grid.names(), getattr(model, "JOINTS", ()), {}
+    # the 2R arms, each a pair of the model's JOINTS (OneLink has none), and their bits
+    arms = [(arm, sum((s.levels - 1) << shift for s, shift in zip(grid.specs, grid.shifts)
+                      if s.name in arm))
+            for arm in zip(joints[::2], joints[1::2]) if set(joints) <= set(names)]
     for start, stop, cols in grid_blocks(grid):
         shape, low = np.broadcast_shapes(*(c.shape for c in cols)), math.inf
         if surrogate is None or error_floor:
-            d2, phis = _task_rows(model, dict(zip(names, cols)), task, weights)
+            columns = dict(zip(names, cols))
+            for arm, mask in arms:  # memo: an arm's (key, trig)
+                if memo.get(arm, (None,))[0] != start & mask:
+                    memo[arm] = start & mask, arm_trig(*(columns[name] for name in arm))
+            d2, phis = _task_rows(model, columns, task, weights, [memo[a][1] for a, _ in arms])
             if error_floor:
                 low = float(np.min(task_error(task, d2, phis, weights)))
         if surrogate is not None:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qkinopt import qml
+from qkinopt import kinematics, qml
 from qkinopt.encoding import ParamGrid, ParamSpec, decode_all
 from qkinopt.kinematics import (
     DualArm,
@@ -16,6 +16,7 @@ from qkinopt.kinematics import (
     PoseWeights,
     TwoLink,
     antipodal_points,
+    arm_trig,
     fk_dual,
     fk_one,
     fk_two,
@@ -360,6 +361,39 @@ class TestLeanFkMatchesReference:
         l1, l2 = (np.ones(rows), lengths) if second else (lengths, np.ones(rows))
         with pytest.raises(ValueError):
             fk_two(l1, l2, theta, theta)
+
+
+# any float: signed zeros, a huge value, infinities and NaN among the rest
+ANY_FLOAT = st.floats() | st.sampled_from([0.0, -0.0, 1e300, -1e300, math.inf, -math.inf,
+                                           math.nan])
+
+
+class TestArmTrig:
+    """A 2R chain from `arm_trig` and the link sum keeps the bits of the one
+    expression that computed both, and FK given the trig keeps FK's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch(ANY_FLOAT), batch(ANY_FLOAT), batch(ANY_FLOAT), batch(ANY_FLOAT))
+    def test_split_keeps_the_bits(self, l1, l2, theta1, theta2):
+        def one_expression(l1, l2, theta1, theta2):
+            t1 = np.asarray(theta1, dtype=float)
+            t12 = t1 + np.asarray(theta2, dtype=float)
+            return np.asarray((l1 * np.cos(t1) + l2 * np.cos(t12),
+                               l1 * np.sin(t1) + l2 * np.sin(t12)))
+
+        def split(l1, l2, theta1, theta2):
+            return np.asarray(kinematics._two_link(l1, l2, *arm_trig(theta1, theta2)))
+
+        assert_same_bits(outcome(split, l1, l2, theta1, theta2),
+                         outcome(one_expression, l1, l2, theta1, theta2))
+        trig = outcome(arm_trig, theta1, theta2)
+        if not isinstance(trig, type):  # the angles broadcast together
+            assert_same_bits(outcome(fk_two, l1, l2, theta1, theta2, [trig]),
+                             outcome(fk_two, l1, l2, theta1, theta2))
+            model = DualArm(links1=(0.5, 1.5))
+            assert_same_bits(outcome(fk_dual, model, theta1, theta2, theta2, theta1,
+                                     [trig, outcome(arm_trig, theta2, theta1)]),
+                             outcome(fk_dual, model, theta1, theta2, theta2, theta1))
 
 
 def reference_squared_deviation(task, tips):

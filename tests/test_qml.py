@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkinopt import encoding, harness, qml, qsim
+from qkinopt import encoding, harness, kinematics, qml, qsim
 from qkinopt.encoding import ParamGrid, ParamSpec, decode, decode_all
 from qkinopt.kinematics import (
+    DualArm,
+    GraspTask,
     OneLink,
     PoseTarget,
     PoseWeights,
@@ -674,6 +676,63 @@ class TestStreamedTables:
         # the error floor is the analytic one, whatever tips the cost reads
         reference = harness._actual_error_table(grid, model, task, weights)
         assert floor.hex() == float(reference.min()).hex()
+
+    @staticmethod
+    def trig_calls(monkeypatch, block_bits):
+        """The (theta1, theta2) columns of each `arm_trig` call, at `block_bits`."""
+        calls = []
+
+        def counted(theta1, theta2):
+            calls.append((theta1, theta2))
+            return kinematics.arm_trig(theta1, theta2)
+
+        monkeypatch.setattr(encoding, "BLOCK_BITS", block_bits)
+        monkeypatch.setattr(qml, "arm_trig", counted)
+        return calls
+
+    @pytest.mark.parametrize("error_floor", [False, True])
+    def test_trig_once_per_pass_when_the_joints_fit_a_block(self, monkeypatch, error_floor):
+        angles = [ParamSpec(name, -math.pi, math.pi, 2, angular=True)
+                  for name in ("theta1", "theta2")]
+        grid = ParamGrid((*angles, ParamSpec("l1", 0.5, 1.5, 2), ParamSpec("l2", 0.5, 1.0, 1)))
+        task, weights = PoseTarget((0.9, 0.4), phi=0.3), PoseWeights(1.0, 0.5)
+        reference = configuration_costs(TwoLink(), grid.names(), decode_all(grid), task, weights)
+        calls = self.trig_calls(monkeypatch, 4)  # 8 blocks
+        costs, _ = build_cost_table(grid, TwoLink(), task, weights, error_floor=error_floor)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(bits(costs), bits(reference))
+
+    @pytest.mark.parametrize("block_bits, arm2_keys", [(4, 8), (5, 4), (6, 2), (7, 1)])
+    def test_dual_arm_trig_once_per_arm_and_key(self, monkeypatch, block_bits, arm2_keys):
+        # arm 1 takes bits 0-3 and arm 2 bits 4-6: at 5 and 6 block bits, arm 2's
+        # registers straddle the block boundary
+        specs = [ParamSpec(name, lo, lo + TWO_PI, n, angular=True) for name, lo, n in
+                 (("theta11", -1.0, 2), ("theta12", 0.0, 2), ("theta21", -2.0, 1),
+                  ("theta22", -0.5, 2))]
+        grid, task = ParamGrid(tuple(specs)), GraspTask((0.0, 1.2), 0.3, 0.4)
+        reference = configuration_costs(DualArm(), grid.names(), decode_all(grid), task,
+                                         PoseWeights())
+        calls = self.trig_calls(monkeypatch, block_bits)
+        costs, _ = build_cost_table(grid, DualArm(), task, PoseWeights())
+        np.testing.assert_array_equal(bits(costs), bits(reference))
+        arm2 = [(tuple(t1.ravel()), tuple(t2.ravel())) for t1, t2 in calls[1:]]
+        assert len(calls) == 1 + arm2_keys  # arm 1 once, in the first block
+        assert calls[0][0].size == 4 and len(set(arm2)) == len(arm2) == arm2_keys
+
+    @pytest.mark.parametrize("block_bits, keys", [(2, 16), (3, 16), (4, 8), (6, 2)])
+    def test_joints_above_the_block_keep_their_bits(self, monkeypatch, block_bits, keys):
+        # the joints take bits 3-6, above the block or across its boundary
+        grid = ParamGrid((ParamSpec("l1", 0.5, 1.5, 2), ParamSpec("l2", 0.5, 1.0, 1),
+                          *[ParamSpec(name, -math.pi, math.pi, 2, angular=True)
+                            for name in ("theta1", "theta2")]))
+        task, weights = PoseTarget((0.9, 0.4), phi=0.3), PoseWeights(1.0, 0.5)
+        reference = configuration_costs(TwoLink(), grid.names(), decode_all(grid), task, weights)
+        calls = self.trig_calls(monkeypatch, block_bits)
+        costs, floor = build_cost_table(grid, TwoLink(), task, weights, error_floor=True)
+        np.testing.assert_array_equal(bits(costs), bits(reference))
+        assert floor.hex() == float(harness._actual_error_table(
+            grid, TwoLink(), task, weights).min()).hex()
+        assert len(calls) == keys  # once per distinct sub-range of the joints
 
     def test_blocks_cover_each_row_once(self, monkeypatch):
         monkeypatch.setattr(encoding, "BLOCK_BITS", 2)

@@ -51,21 +51,24 @@ angles = st.floats(-10.0, 10.0)
 @st.composite
 def verification_cases(draw):
     """A small grid, model, task and weights: a one- or two-link pose task,
-    with or without an orientation target and weight, or a dual-arm grasp."""
+    with or without an orientation target and weight, or a dual-arm grasp. The
+    parameters take the registers in a drawn order, so a joint register may sit
+    inside a block of a streamed pass, above it or across its boundary."""
     kind = draw(st.sampled_from(["one_link", "two_link", "grasp"]))
     qubits = st.integers(1, 2)
     lo = draw(st.floats(-math.pi, 0.0))
     angle_specs = [ParamSpec(name, lo, lo + TWO_PI, draw(qubits), angular=True)
                    for name in (("theta1",) if kind == "one_link" else ("theta1", "theta2"))]
     if kind == "grasp":
-        grid = ParamGrid(tuple(ParamSpec(name, lo, lo + TWO_PI, draw(qubits), angular=True)
-                               for name in ("theta11", "theta12", "theta21", "theta22")))
+        grid = ParamGrid(tuple(draw(st.permutations(
+            [ParamSpec(name, lo, lo + TWO_PI, draw(qubits), angular=True)
+             for name in ("theta11", "theta12", "theta21", "theta22")]))))
         task = GraspTask((draw(st.floats(-1.0, 1.0)), draw(st.floats(0.5, 2.0))),
                          draw(st.floats(0.1, 0.5)), draw(angles), tolerance=0.1)
         return grid, DualArm(), task, PoseWeights()
     lengths = [ParamSpec(name, 0.1, 2.0, draw(qubits))
                for name in ("l1", "l2")[:len(angle_specs)] if draw(st.booleans())]
-    grid = ParamGrid(tuple(angle_specs + lengths))
+    grid = ParamGrid(tuple(draw(st.permutations(angle_specs + lengths))))
     model = OneLink() if kind == "one_link" else TwoLink()
     phi = draw(st.none() | angles)
     task = PoseTarget((draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))), phi,
