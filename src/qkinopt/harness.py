@@ -75,8 +75,8 @@ SHOTS_CAP = (10**8, "as a search keeps about 17 bytes of memory per shot")
 QML_QUBITS_CAP = (12, "as one training epoch at 12 qubits and 2 layers took 209 s and 3.5 GB")
 LAYERS_CAP = (1000, "as training keeps one 2^n x 2^n unitary per layer")
 EPOCHS_CAP = (10**6, "as each epoch is one full-batch gradient, 22-26 ms on two_dof")
-SWARM_CAP = (10**4, "as PSO evaluates its particles one at a time, 14-20 us each")
-PSO_ITERATIONS_CAP = (10**5, "as each PSO iteration evaluates the swarm, 14-20 us a particle")
+SWARM_CAP = (10**4, "as PSO evaluates its particles one at a time, 8-14 us each")
+PSO_ITERATIONS_CAP = (10**5, "as each PSO iteration evaluates the swarm, 8-14 us a particle")
 STARTS_CAP = (10**3, "as each start may spend the whole max_evals budget")
 # training keeps one 2^n input state per row: one epoch on 2^24 amplitudes peaked at
 # 530 MB RSS (two_dof, 20 qubits) and 690 MB (one_dof, 22 qubits)
@@ -162,15 +162,17 @@ class CaseConfig:
         if self.mode not in ("analytic", "surrogate"):
             raise ValueError("config key 'mode' must be 'analytic' or 'surrogate', "
                              f"got {self.mode!r}")
-        # FK of grid row 0 refuses a missing parameter, a nonpositive length and tips the
-        # task cannot use; the model reads only the parameters its LINKS and JOINTS name
+        # FK of grid row 0 refuses a missing parameter and tips the task cannot use; the
+        # model reads only the parameters its LINKS and JOINTS name. A grid length's bins
+        # never decode below its min, which the model's own check then refuses if nonpositive
         names = self.grid.names()
-        tips = configuration_positions(self.model, dict(zip(names, decode(self.grid, 0))))
+        planes = configuration_positions(self.model, dict(zip(names, decode(self.grid, 0))))
+        replace(self.model, **{s.name: s.lo for s in self.grid.specs if s.name in self.model.LINKS})
         for i, name in enumerate(names):
             if name not in self.model.LINKS + self.model.JOINTS:
                 raise ValueError(f"config key 'params[{i}].name' must name a parameter "
                                  f"the model reads, got {name!r}")
-        if tips.shape[-1] != (4 if isinstance(self.task, GraspTask) else 2):
+        if len(planes) != (4 if isinstance(self.task, GraspTask) else 2):
             raise ValueError(f"config key 'task.type' must fit model type "
                              f"{_TYPE_NAMES[type(self.model)]!r}, got "
                              f"{_TYPE_NAMES[type(self.task)]!r}")
@@ -396,9 +398,10 @@ def run_case(config: CaseConfig,
 # --- classical baselines ------------------------------------------------------------
 
 def _cost_fn(config: CaseConfig):
-    """Analytic cost of each row of a (B, d) batch of this case's configurations, or of one row."""
-    return functools.partial(configuration_costs, config.model, config.grid.names(),
-                             task=config.task, weights=config.weights)
+    """Analytic cost of each row of a (B, d) batch of this case's configurations, or of one
+    row. A closure, as a partial that binds keywords copies them on every one-row call."""
+    model, names, task, weights = config.model, config.grid.names(), config.task, config.weights
+    return lambda Z: configuration_costs(model, names, Z, task, weights)
 
 
 def case_objective(config: CaseConfig) -> cls_opt.Objective:

@@ -1,9 +1,13 @@
 """Analytical planar kinematics: robot models, tasks, FK, and the task model.
 
-All FK functions broadcast and fill one tips array, coordinates last. A grid block
-passes each parameter's bin values on an axis of its own, and the pass keeps a 2R
-arm's `arm_trig` while its joints' sub-ranges repeat: cos(theta1 + theta2) runs once
-per pass per arm (two_dof, N = 24: 143-170 us a 2^14-row block, 11-14 ns a row).
+All FK functions broadcast and return coordinate planes, (x, y) per tip: numpy
+scalars for one row, arrays for a batch. They neither convert nor check their
+arguments, so one row builds no array; a config refuses a nonpositive link length
+when it loads. A grid block passes each parameter's bin values on an axis of its
+own, so a plane spans only the axes it reads (a dual arm's two arms meet first in
+`squared_deviation`), and the pass keeps a 2R arm's `arm_trig` while its joints'
+sub-ranges repeat: cos(theta1 + theta2) runs once per pass per arm (N = 24: a 2^14-row
+block takes 122-131 us on two_dof, 7-8 ns a row, and 80-83 us on dual_arm).
 `task_cost` (the oracle cost) and `task_error` (the verification error) are
 the one implementation of each; they take the `squared_deviation` of a batch
 of tip positions, whether from the analytic FK or from the QML surrogate, and
@@ -13,6 +17,7 @@ the tip orientations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -122,20 +127,11 @@ class PoseWeights:
 
 # --- forward kinematics -------------------------------------------------------
 
-def _columns(*cols) -> np.ndarray:
-    """Stack arrays that broadcast together as the last axis of one array."""
-    out = np.empty(np.broadcast(*cols).shape + (len(cols),))
-    for i, col in enumerate(cols):
-        out[..., i] = col
-    return out
-
-
 def arm_trig(theta1, theta2) -> Tuple[np.ndarray, ...]:
     """(cos t1, cos t12, sin t1, sin t12) of a planar 2R arm, t12 = t1 + t2: the one
     trig of every 2R FK, so a grid pass that reuses it keeps a single row's bits."""
-    t1 = np.asarray(theta1, dtype=float)
-    t12 = t1 + np.asarray(theta2, dtype=float)
-    return np.cos(t1), np.cos(t12), np.sin(t1), np.sin(t12)
+    t12 = theta1 + theta2
+    return np.cos(theta1), np.cos(t12), np.sin(theta1), np.sin(t12)
 
 
 def _two_link(l1, l2, c1, c12, s1, s12) -> Tuple[np.ndarray, np.ndarray]:
@@ -143,33 +139,24 @@ def _two_link(l1, l2, c1, c12, s1, s12) -> Tuple[np.ndarray, np.ndarray]:
     return l1 * c1 + l2 * c12, l1 * s1 + l2 * s12
 
 
-def fk_one(l1, theta1) -> np.ndarray:
-    """p = (l1 cos t1, l1 sin t1). A length array's NaN-ignoring minimum
-    (np.fmin.reduce) is nonpositive exactly when np.any(l <= 0)."""
-    l1 = np.asarray(l1, dtype=float)
-    if np.fmin.reduce(l1, axis=None, initial=math.inf) <= 0:
-        raise ValueError("link length must be positive")
-    theta1 = np.asarray(theta1, dtype=float)
-    return _columns(l1 * np.cos(theta1), l1 * np.sin(theta1))
+def fk_one(l1, theta1) -> Tuple[np.ndarray, np.ndarray]:
+    """(x, y) = (l1 cos t1, l1 sin t1)."""
+    return l1 * np.cos(theta1), l1 * np.sin(theta1)
 
 
-def fk_two(l1, l2, theta1, theta2, arms=None) -> np.ndarray:
-    """Planar 2R chain: p = (l1 c1 + l2 c12, l1 s1 + l2 s12). `arms`, if given,
+def fk_two(l1, l2, theta1, theta2, arms=None) -> Tuple[np.ndarray, np.ndarray]:
+    """Planar 2R chain: (x, y) = (l1 c1 + l2 c12, l1 s1 + l2 s12). `arms`, if given,
     holds the joints' `arm_trig`, which the angles then need not compute again."""
-    l1, l2 = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)
-    if min(np.fmin.reduce(l1, axis=None, initial=math.inf),
-           np.fmin.reduce(l2, axis=None, initial=math.inf)) <= 0:
-        raise ValueError("link lengths must be positive")
-    return _columns(*_two_link(l1, l2, *(arms[0] if arms else arm_trig(theta1, theta2))))
+    return _two_link(l1, l2, *(arms[0] if arms else arm_trig(theta1, theta2)))
 
 
-def fk_dual(model: DualArm, theta11, theta12, theta21, theta22, arms=None) -> np.ndarray:
+def fk_dual(model: DualArm, theta11, theta12, theta21, theta22,
+            arms=None) -> Tuple[np.ndarray, ...]:
     """Tips (x1, y1, x2, y2) of arm 1 at joints (theta11, theta12) and arm 2 at (theta21,
-    theta22), or each arm's `arm_trig` in `arms`; the model checked its link lengths."""
+    theta22), or each arm's `arm_trig` in `arms`, each plus its base coordinate."""
     arm1, arm2 = arms or (arm_trig(theta11, theta12), arm_trig(theta21, theta22))
-    tips = _columns(*_two_link(*model.links1, *arm1), *_two_link(*model.links2, *arm2))
-    tips += (*model.base1, *model.base2)
-    return tips
+    planes = (*_two_link(*model.links1, *arm1), *_two_link(*model.links2, *arm2))
+    return tuple(map(operator.add, planes, (*model.base1, *model.base2)))
 
 
 # --- task cost and verification error ----------------------------------------
@@ -181,15 +168,19 @@ def wrapped_angle_distance(phi1, phi2) -> np.ndarray:
     return np.where(d > math.pi, math.tau - d, d)
 
 
-def squared_deviation(task, tips: np.ndarray) -> np.ndarray:
-    """Squared distance of each row of tips from the pose target, or of both
-    tips (B, 4) from the grasp contacts, summed: the term `task_cost` and
-    `task_error` both take, so a pass that needs both computes it once. Works
-    per plane of `tips.T`: a (..., k) difference made each grid block re-fault its heap."""
-    goal = (*task.c_ideal1, *task.c_ideal2) if isinstance(task, GraspTask) else task.position
-    d = [plane - g for plane, g in zip(tips.T, goal)]
-    d2 = d[0] * d[0] + d[1] * d[1]
-    return (d2 + (d[2] * d[2] + d[3] * d[3]) if len(d) == 4 else d2).T
+def squared_deviation(task, planes) -> np.ndarray:
+    """Squared distance of the tips, given as coordinate planes (x, y), from the
+    pose target, or of both tips (x1, y1, x2, y2) from the grasp contacts, summed:
+    the term `task_cost` and `task_error` both take, so a pass that needs both
+    computes it once. The planes broadcast together, so a 2R arm's planes on a
+    grid block span only its own joints' axes until the contacts' sum."""
+    if isinstance(task, GraspTask):
+        (x1, y1, x2, y2), (a1, b1), (a2, b2) = planes, task.c_ideal1, task.c_ideal2
+        dx1, dy1, dx2, dy2 = x1 - a1, y1 - b1, x2 - a2, y2 - b2
+        return dx1 * dx1 + dy1 * dy1 + (dx2 * dx2 + dy2 * dy2)
+    (x, y), (a, b) = planes, task.position
+    dx, dy = x - a, y - b
+    return dx * dx + dy * dy
 
 
 def task_cost(task, d2: np.ndarray, phis: Optional[np.ndarray],

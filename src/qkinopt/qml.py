@@ -280,7 +280,8 @@ class TrainingSet:
         if sample is not None and sample < grid.size:
             pick = np.sort(np.random.default_rng(seed).choice(grid.size, sample, replace=False))
         Z = decode_all(grid, pick)
-        return cls(Z, configuration_positions(model, dict(zip(grid.names(), Z.T))))
+        planes = configuration_positions(model, dict(zip(grid.names(), Z.T)))
+        return cls(Z, np.stack(planes, axis=-1))
 
 
 def _mean_square(resid: np.ndarray) -> float:
@@ -423,8 +424,9 @@ def load_surrogate(path) -> Surrogate:
 
 # --- cost tables -------------------------------------------------------------------
 
-def configuration_positions(model, columns: Mapping[str, np.ndarray], arms=None) -> np.ndarray:
-    """Analytic tip positions (..., 2 or 4) from one `fk_*` call.
+def configuration_positions(model, columns: Mapping[str, np.ndarray],
+                            arms=None) -> Tuple[np.ndarray, ...]:
+    """Analytic tip coordinate planes, (x, y) or (x1, y1, x2, y2), from one `fk_*` call.
 
     FK arguments bind by name, the model's LINKS then its JOINTS, to `columns`,
     arrays that broadcast together, such as the columns of a (B, d) batch; a
@@ -433,11 +435,13 @@ def configuration_positions(model, columns: Mapping[str, np.ndarray], arms=None)
     """
     if not hasattr(model, "JOINTS"):
         raise TypeError(f"unknown robot model {model!r}")
-    args = []  # a plain loop: this runs once per one-row objective evaluation
-    for name in model.LINKS + model.JOINTS:
-        if name not in columns and name in model.JOINTS:
-            raise ValueError(f"grid has no parameter named {name!r}")
+    args = []  # plain loops: this runs once per one-row objective evaluation
+    for name in model.LINKS:
         args.append(columns[name] if name in columns else getattr(model, name))
+    for name in model.JOINTS:
+        if name not in columns:
+            raise ValueError(f"grid has no parameter named {name!r}")
+        args.append(columns[name])
     if isinstance(model, DualArm):
         return fk_dual(model, *args, arms)
     return fk_one(*args) if isinstance(model, OneLink) else fk_two(*args, arms)
@@ -493,8 +497,8 @@ def cost_blocks(grid: ParamGrid, model, task, weights: PoseWeights,
                 low = float(np.min(task_error(task, d2, phis, weights)))
         if surrogate is not None:
             rows = decode_all(grid, np.arange(start, stop))
-            tips = _predict_batch(surrogate, _input_states(surrogate, rows))
-            d2, phis = squared_deviation(task, tips.reshape(shape + (-1,))), None
+            tips = _predict_batch(surrogate, _input_states(surrogate, rows)).reshape(shape + (-1,))
+            d2, phis = squared_deviation(task, np.moveaxis(tips, -1, 0)), None
         yield start, stop, np.broadcast_to(task_cost(task, d2, phis, weights), shape), low
 
 

@@ -12,6 +12,10 @@
   Hoyer and Tapp 1998), the formula that `AmplifiedState.p_marked` and the
   sampled marked rate are checked against.
 - `random_gate_stream`: seeded random circuits for the norm-drift checks.
+- `stacked_fk_one`, `stacked_fk_two` and `stacked_fk_dual`: forward kinematics
+  that fills one (..., k) tips array, coordinates last, the form whose planes
+  `kinematics.fk_*` now return. Link lengths are checked when a config loads,
+  so these take any float.
 """
 
 import math
@@ -120,3 +124,34 @@ def random_gate_stream(count, n_qubits, seed):
         else:
             c = int(rng.integers(0, n_qubits))
             yield (c, (c + 1 + int(rng.integers(0, n_qubits - 1))) % n_qubits)
+
+
+def _columns(*cols):
+    """Stack arrays that broadcast together as the last axis of one array."""
+    out = np.empty(np.broadcast(*cols).shape + (len(cols),))
+    for i, col in enumerate(cols):
+        out[..., i] = col
+    return out
+
+
+def _stacked_arm(l1, l2, theta1, theta2):
+    t1 = np.asarray(theta1, dtype=float)
+    t12 = t1 + np.asarray(theta2, dtype=float)
+    return (l1 * np.cos(t1) + l2 * np.cos(t12), l1 * np.sin(t1) + l2 * np.sin(t12))
+
+
+def stacked_fk_one(l1, theta1):
+    l1, theta1 = np.asarray(l1, dtype=float), np.asarray(theta1, dtype=float)
+    return _columns(l1 * np.cos(theta1), l1 * np.sin(theta1))
+
+
+def stacked_fk_two(l1, l2, theta1, theta2):
+    l1, l2 = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)
+    return _columns(*_stacked_arm(l1, l2, theta1, theta2))
+
+
+def stacked_fk_dual(model, theta11, theta12, theta21, theta22):
+    tips = _columns(*_stacked_arm(*model.links1, theta11, theta12),
+                    *_stacked_arm(*model.links2, theta21, theta22))
+    tips += (*model.base1, *model.base2)
+    return tips

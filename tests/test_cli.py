@@ -292,6 +292,15 @@ def surrogate_json(**values):
      "'task' lies out of reach"),
     (far_heavy_target, ["baseline", "--config", "{bad}"], "'task' lies out of reach"),
     (far_heavy_target, [], "'task' lies out of reach"),
+    # a grid link length whose min is 0: its bin 0 decodes to 0, so every command
+    # refuses the config as it loads, before any FK runs
+    (as_case("two_dof", "params", 2, min=0.0), [], "link lengths must be positive"),
+    (as_case("two_dof", "params", 2, min=0.0), ["sweep", "--config", "{bad}", "--qubits", "3"],
+     "link lengths must be positive"),
+    (as_case("two_dof", "params", 2, min=0.0), ["baseline", "--config", "{bad}"],
+     "link lengths must be positive"),
+    (as_case("two_dof", "params", 2, min=0.0), ["compare", "--config", "{bad}"],
+     "link lengths must be positive"),
 ], ids=["missing_task", "shrink_above_one", "nan_target", "shots_0", "seed_negative",
         "epochs_0", "n_layers_0", "learning_rate_negative", "training_samples_0",
         "n_starts_0", "swarm_size_1", "max_evals_0", "flag_shots_0", "flag_seed_negative",
@@ -319,7 +328,8 @@ def surrogate_json(**values):
         "width_past_float_range", "costs_past_float_range", "sweep_costs_past_float_range",
         "baseline_costs_past_float_range", "compare_costs_past_float_range",
         "grasp_costs_past_float_range", "sweep_floor_past_float_range",
-        "baseline_weight_past_float_range", "run_weight_past_float_range"])
+        "baseline_weight_past_float_range", "run_weight_past_float_range",
+        "run_l1_min_0", "sweep_l1_min_0", "baseline_l1_min_0", "compare_l1_min_0"])
 def test_invalid_config_exits_cleanly(edit, flags, name, config_path, tmp_path, capsys):
     data = harness.config_to_dict(shipped_case("one_dof"))
     text = edit(data)  # an edit changes data in place, or returns the file's text

@@ -1,13 +1,16 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qkinopt import kinematics, qml
 from qkinopt.encoding import ParamGrid, ParamSpec, decode_all
+from qkinopt.harness import CaseConfig
 from qkinopt.kinematics import (
     DualArm,
     GraspTask,
@@ -26,20 +29,26 @@ from qkinopt.kinematics import (
     wrapped_angle_distance,
 )
 from qkinopt.qml import configuration_positions, workspace_box
+from reference import stacked_fk_dual, stacked_fk_one, stacked_fk_two
+
+
+def stacked(planes):
+    """FK planes as one (..., k) array, coordinates last."""
+    return np.stack(np.broadcast_arrays(*planes), axis=-1)
 
 
 def row_pose_cost(p, p_target, weights, phi=None, phi_target=None):
     """task_cost of one tip position, through a one-row array."""
     phis = None if phi is None else np.array([phi])
     task = PoseTarget(tuple(p_target), phi_target)
-    d2 = squared_deviation(task, np.asarray(p, dtype=float)[None, :])
+    d2 = squared_deviation(task, np.asarray(p, dtype=float)[:, None])
     return float(task_cost(task, d2, phis, weights)[0])
 
 
 def row_grasp_cost(p1, p2, task):
     """task_cost of one pair of tips, through a one-row array."""
-    tips = np.concatenate([p1, p2]).astype(float)[None, :]
-    return float(task_cost(task, squared_deviation(task, tips), None, PoseWeights())[0])
+    planes = np.concatenate([p1, p2]).astype(float)[:, None]
+    return float(task_cost(task, squared_deviation(task, planes), None, PoseWeights())[0])
 
 
 class TestFkOne:
@@ -52,12 +61,8 @@ class TestFkOne:
     def test_half_turn(self):
         np.testing.assert_allclose(fk_one(0.5, math.pi), [-0.5, 0.0], atol=1e-15)
 
-    def test_nonpositive_length(self):
-        with pytest.raises(ValueError):
-            fk_one(0.0, 1.0)
-
     def test_broadcasts(self):
-        out = fk_one(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
+        out = stacked(fk_one(np.array([1.0, 2.0]), np.array([0.0, 0.0])))
         np.testing.assert_allclose(out, [[1, 0], [2, 0]])
 
 
@@ -81,24 +86,20 @@ class TestFkTwo:
             r = np.linalg.norm(fk_two(l1, l2, *rng.uniform(0, 2 * math.pi, 2)))
             assert abs(l1 - l2) - 1e-12 <= r <= l1 + l2 + 1e-12
 
-    def test_nonpositive_length(self):
-        with pytest.raises(ValueError):
-            fk_two(1.0, -0.1, 0.0, 0.0)
-
     def test_reduces_to_single_link_as_l2_vanishes(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             l1 = rng.uniform(0.2, 2.0)
             t1, t2 = rng.uniform(0, 2 * math.pi, 2)
-            two = fk_two(l1, 1e-15, t1, t2)
-            one = fk_one(l1, t1)
+            two = stacked(fk_two(l1, 1e-15, t1, t2))
+            one = stacked(fk_one(l1, t1))
             assert np.max(np.abs(two - one)) <= 2e-15
 
 
 class TestFkDual:
     def test_zero_angles(self):
         model = DualArm()
-        p1, p2 = np.split(fk_dual(model, 0.0, 0.0, 0.0, 0.0), 2)
+        p1, p2 = np.split(stacked(fk_dual(model, 0.0, 0.0, 0.0, 0.0)), 2)
         np.testing.assert_allclose(p1, [-0.8 + 2.0, 0.0])
         np.testing.assert_allclose(p2, [0.8 + 2.0, 0.0])
 
@@ -107,7 +108,7 @@ class TestFkDual:
         rng = np.random.default_rng(1)
         for _ in range(20):
             ta, tb = rng.uniform(0, 2 * math.pi, 2)
-            p1, p2 = np.split(fk_dual(model, ta, tb, math.pi - ta, -tb), 2)
+            p1, p2 = np.split(stacked(fk_dual(model, ta, tb, math.pi - ta, -tb)), 2)
             np.testing.assert_allclose(p2, [-p1[0], p1[1]], atol=1e-12)
 
     def test_composes_from_fk_two(self):
@@ -115,9 +116,9 @@ class TestFkDual:
                         links1=(0.9, 1.1), links2=(1.3, 0.6))
         rng = np.random.default_rng(2)
         q1, q2 = rng.uniform(0, 2 * math.pi, 2), rng.uniform(0, 2 * math.pi, 2)
-        p1, p2 = np.split(fk_dual(model, *q1, *q2), 2)
-        np.testing.assert_allclose(p1, np.array([-1.0, 0.2]) + fk_two(0.9, 1.1, *q1))
-        np.testing.assert_allclose(p2, np.array([0.7, -0.1]) + fk_two(1.3, 0.6, *q2))
+        p1, p2 = np.split(stacked(fk_dual(model, *q1, *q2)), 2)
+        np.testing.assert_allclose(p1, np.array([-1.0, 0.2]) + stacked(fk_two(0.9, 1.1, *q1)))
+        np.testing.assert_allclose(p2, np.array([0.7, -0.1]) + stacked(fk_two(1.3, 0.6, *q2)))
 
 
 class TestOrientationGeodesic:
@@ -169,7 +170,7 @@ class TestPoseCost:
             row_pose_cost([0, 0], [0, 0], PoseWeights(1.0, 1.0))
 
     def test_error_is_euclidean_with_orientation_in_quadrature(self):
-        tips = np.array([[0.3, 0.4]])
+        tips = np.array([[0.3], [0.4]])  # x and y planes of one row
         task = PoseTarget((0.0, 0.0), phi=0.0)
         d2 = squared_deviation(task, tips)
         assert task_error(task, d2, np.array([0.1]), PoseWeights(1.0, 0.0))[0] == 0.5
@@ -210,7 +211,7 @@ class TestGraspCost:
 
     def test_error_equals_cost(self):
         task = GraspTask((0.2, 1.5), 0.4, axis=0.3)
-        d2 = squared_deviation(task, np.random.default_rng(9).normal(size=(5, 4)))
+        d2 = squared_deviation(task, np.random.default_rng(9).normal(size=(5, 4)).T)
         np.testing.assert_array_equal(task_error(task, d2, None, PoseWeights()),
                                       task_cost(task, d2, None, PoseWeights()))
 
@@ -250,35 +251,20 @@ class TestModels:
         with pytest.raises(ValueError):
             DualArm(links1=(0.0, 1.0))
 
-
-# --- the stacking FK these functions replaced, kept as the bit-exact reference ---
-
-def reference_fk_one(l1, theta1):
-    l1 = np.asarray(l1, dtype=float)
-    if np.any(l1 <= 0):
-        raise ValueError("link length must be positive")
-    theta1 = np.asarray(theta1, dtype=float)
-    return np.stack(np.broadcast_arrays(l1 * np.cos(theta1), l1 * np.sin(theta1)), axis=-1)
-
-
-def reference_fk_two(l1, l2, theta1, theta2):
-    l1 = np.asarray(l1, dtype=float)
-    l2 = np.asarray(l2, dtype=float)
-    if np.any(l1 <= 0) or np.any(l2 <= 0):
-        raise ValueError("link lengths must be positive")
-    t1 = np.asarray(theta1, dtype=float)
-    t12 = t1 + np.asarray(theta2, dtype=float)
-    return np.stack(np.broadcast_arrays(l1 * np.cos(t1) + l2 * np.cos(t12),
-                                        l1 * np.sin(t1) + l2 * np.sin(t12)), axis=-1)
-
-
-def reference_fk_dual(model, q1, q2):
-    """Tips of both arms from (theta_a, theta_b) joint pairs, as two arrays."""
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    p1 = np.asarray(model.base1) + reference_fk_two(*model.links1, q1[..., 0], q1[..., 1])
-    p2 = np.asarray(model.base2) + reference_fk_two(*model.links2, q2[..., 0], q2[..., 1])
-    return p1, p2
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1e-300, -3.0])
+    @pytest.mark.parametrize("build", [
+        lambda bad: OneLink(bad),
+        lambda bad: TwoLink(bad, 1.0),
+        lambda bad: TwoLink(1.0, bad),
+        lambda bad: DualArm(links1=(bad, 1.0)),
+        lambda bad: DualArm(links1=(1.0, bad)),
+        lambda bad: DualArm(links2=(bad, 1.0)),
+        lambda bad: DualArm(links2=(1.0, bad)),
+    ], ids=["one_l1", "two_l1", "two_l2", "dual_links1_0", "dual_links1_1", "dual_links2_0",
+            "dual_links2_1"])
+    def test_every_nonpositive_field_refused(self, build, bad):
+        with pytest.raises(ValueError, match="must be positive"):
+            build(bad)
 
 
 def outcome(fn, *args):
@@ -288,6 +274,11 @@ def outcome(fn, *args):
             return fn(*args)
     except ValueError as exc:
         return type(exc)
+
+
+def stacked_outcome(fk, *args):
+    """`outcome` of fk's planes stacked coordinates last."""
+    return outcome(lambda *a: stacked(fk(*a)), *args)
 
 
 def assert_same_bits(actual, expected):
@@ -315,57 +306,94 @@ def batch(elements):
 
 
 class TestLeanFkMatchesReference:
-    """The lean FK returns the bits of the stacking FK, raises where it
-    raises, and stays one code path for every batch size."""
+    """The FK planes, stacked, give the bits of the stacking FK, raise where
+    it raises, and stay one code path for every batch size. Lengths are not
+    checked here: a config refuses nonpositive ones when it loads."""
 
     @settings(max_examples=300, deadline=None)
     @given(batch(LENGTHS), batch(ANGLES))
     def test_fk_one(self, l1, theta1):
-        assert_same_bits(outcome(fk_one, l1, theta1), outcome(reference_fk_one, l1, theta1))
+        assert_same_bits(stacked_outcome(fk_one, l1, theta1),
+                         outcome(stacked_fk_one, l1, theta1))
 
     @settings(max_examples=300, deadline=None)
     @given(batch(LENGTHS), batch(LENGTHS), batch(ANGLES), batch(ANGLES))
     def test_fk_two(self, l1, l2, theta1, theta2):
-        assert_same_bits(outcome(fk_two, l1, l2, theta1, theta2),
-                         outcome(reference_fk_two, l1, l2, theta1, theta2))
+        assert_same_bits(stacked_outcome(fk_two, l1, l2, theta1, theta2),
+                         outcome(stacked_fk_two, l1, l2, theta1, theta2))
 
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(*[st.floats(-2.0, 2.0)] * 4), st.tuples(*[st.floats(0.1, 2.0)] * 4),
            st.lists(batch(ANGLES), min_size=4, max_size=4))
     def test_fk_dual(self, bases, links, angles):
         model = DualArm(bases[:2], bases[2:], links[:2], links[2:])
-        try:
-            shape = np.broadcast(*angles).shape
-        except ValueError:
-            with pytest.raises(ValueError):
-                fk_dual(model, *angles)
-            return
-        q1 = np.stack(np.broadcast_arrays(*angles[:2]), axis=-1)
-        q2 = np.stack(np.broadcast_arrays(*angles[2:]), axis=-1)
-        p1, p2 = outcome(reference_fk_dual, model, q1, q2)
-        expected = np.concatenate([np.broadcast_to(p1, shape + (2,)),
-                                   np.broadcast_to(p2, shape + (2,))], axis=-1)
-        assert_same_bits(outcome(fk_dual, model, *angles), expected)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 40), st.data(), st.sampled_from([0.0, -0.0, -1e-300, -3.0]),
-           st.booleans())
-    def test_nonpositive_length_anywhere_raises(self, rows, data, bad, second):
-        lengths = np.full(rows, 1.0)
-        if rows > 1:  # a NaN elsewhere must not hide it
-            lengths[data.draw(st.integers(0, rows - 1))] = math.nan
-        lengths[data.draw(st.integers(0, rows - 1))] = bad
-        theta = np.zeros(rows)
-        with pytest.raises(ValueError):
-            fk_one(lengths, theta)
-        l1, l2 = (np.ones(rows), lengths) if second else (lengths, np.ones(rows))
-        with pytest.raises(ValueError):
-            fk_two(l1, l2, theta, theta)
+        assert_same_bits(stacked_outcome(fk_dual, model, *angles),
+                         outcome(stacked_fk_dual, model, *angles))
 
 
 # any float: signed zeros, a huge value, infinities and NaN among the rest
 ANY_FLOAT = st.floats() | st.sampled_from([0.0, -0.0, 1e300, -1e300, math.inf, -math.inf,
                                            math.nan])
+
+
+# a positive length, or one that the models' `length <= 0` checks let through
+FIELD_LENGTH = (st.floats(min_value=5e-324)
+                | st.sampled_from([5e-324, 1e300, math.inf, math.nan]))
+# a base coordinate: any float but NaN, which a config refuses; where a NaN base met
+# a NaN plane, numpy's loops returned either NaN
+BASE = ANY_FLOAT.filter(lambda v: not math.isnan(v))
+
+
+@st.composite
+def fk_arguments(draw, count):
+    """A layout name and `count` FK arguments of `ANY_FLOAT` values in it: floats
+    and 0-d arrays ("0-d"), 1-D columns of one length ("1-D"), or broadcast block
+    tensors shaped like a grid block's, each argument on an axis of its own ("block")."""
+    layout = draw(st.sampled_from(["0-d", "1-D", "block"]))
+    if layout == "0-d":
+        return layout, [draw(ANY_FLOAT | hnp.arrays(float, (), elements=ANY_FLOAT))
+                        for _ in range(count)]
+    if layout == "1-D":
+        rows = draw(st.integers(1, 5))
+        return layout, [draw(hnp.arrays(float, rows, elements=ANY_FLOAT))
+                        for _ in range(count)]
+    sizes = [draw(st.integers(1, 3)) for _ in range(count)]
+    return layout, [draw(hnp.arrays(float, tuple(n if j == i else 1 for j in range(count)),
+                                    elements=ANY_FLOAT)) for i, n in enumerate(sizes)]
+
+
+def assert_planes_keep_bits(layout, fk, reference, *args):
+    """fk's stacked planes have the bits of the reference's (..., k) tips. On one
+    row the planes are numpy scalars, whose arithmetic may return either NaN
+    operand where two meet in one operation, so there a NaN keeps only its NaN-ness."""
+    actual, expected = stacked_outcome(fk, *args), outcome(reference, *args)
+    if layout == "0-d" and not isinstance(expected, type):
+        actual, expected = (np.where(np.isnan(a), math.nan, a) for a in (actual, expected))
+    assert_same_bits(actual, expected)
+
+
+class TestPlanesMatchStackedFk:
+    """Each plane runs the ufuncs of the stacked FK on the same operands, so the
+    planes, stacked, keep its bits on any float: signed zeros, +-1e300, +-inf, NaN."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fk_arguments(2))
+    def test_fk_one(self, case):
+        layout, args = case
+        assert_planes_keep_bits(layout, fk_one, stacked_fk_one, *args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fk_arguments(4))
+    def test_fk_two(self, case):
+        layout, args = case
+        assert_planes_keep_bits(layout, fk_two, stacked_fk_two, *args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[BASE] * 4), st.tuples(*[FIELD_LENGTH] * 4), fk_arguments(4))
+    def test_fk_dual(self, bases, links, case):
+        model, (layout, args) = DualArm(bases[:2], bases[2:], links[:2], links[2:]), case
+        assert_planes_keep_bits(layout, functools.partial(fk_dual, model),
+                                functools.partial(stacked_fk_dual, model), *args)
 
 
 class TestArmTrig:
@@ -388,12 +416,12 @@ class TestArmTrig:
                          outcome(one_expression, l1, l2, theta1, theta2))
         trig = outcome(arm_trig, theta1, theta2)
         if not isinstance(trig, type):  # the angles broadcast together
-            assert_same_bits(outcome(fk_two, l1, l2, theta1, theta2, [trig]),
-                             outcome(fk_two, l1, l2, theta1, theta2))
+            assert_same_bits(stacked_outcome(fk_two, l1, l2, theta1, theta2, [trig]),
+                             stacked_outcome(fk_two, l1, l2, theta1, theta2))
             model = DualArm(links1=(0.5, 1.5))
-            assert_same_bits(outcome(fk_dual, model, theta1, theta2, theta2, theta1,
-                                     [trig, outcome(arm_trig, theta2, theta1)]),
-                             outcome(fk_dual, model, theta1, theta2, theta2, theta1))
+            assert_same_bits(stacked_outcome(fk_dual, model, theta1, theta2, theta2, theta1,
+                                             [trig, outcome(arm_trig, theta2, theta1)]),
+                             stacked_outcome(fk_dual, model, theta1, theta2, theta2, theta1))
 
 
 def reference_squared_deviation(task, tips):
@@ -437,8 +465,8 @@ def tasks_and_tips(draw):
 
 
 class TestSquaredDeviationLayouts:
-    """One coordinate plane at a time gives the bits, shape and type of the
-    (..., k) form, whatever the layout of the tips, and leaves them unchanged.
+    """The coordinate planes of tips give the bits, shape and type of the
+    (..., k) form, whatever the layout of the tips, and leave them unchanged.
     On 1-D tips the planes are scalars, so squaring them in place would return
     unsquared deviations."""
 
@@ -448,7 +476,7 @@ class TestSquaredDeviationLayouts:
         task, tips = case
         before = np.array(tips)
         with np.errstate(all="ignore"):
-            actual = squared_deviation(task, tips)
+            actual = squared_deviation(task, np.moveaxis(tips, -1, 0))
             expected = reference_squared_deviation(task, tips)
         assert type(actual) is type(expected)
         assert_same_bits(actual, expected)
@@ -472,7 +500,7 @@ class TestConfigurationPositionsCallsFkOnce:
             monkeypatch.setattr(qml, name,
                                 lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
         Z = np.random.default_rng(rows).uniform(0.1, 2.0, (rows, len(names)))
-        tips = configuration_positions(model, dict(zip(names, Z.T)))
+        tips = stacked(configuration_positions(model, dict(zip(names, Z.T))))
         assert len(calls) == 1
         assert tips.shape == (rows, 4 if isinstance(model, DualArm) else 2)
 
@@ -480,10 +508,9 @@ class TestConfigurationPositionsCallsFkOnce:
         names = ("theta22", "theta11", "theta21", "theta12")
         Z = np.random.default_rng(3).uniform(-7.0, 7.0, (9, 4))
         col = {name: Z[:, i] for i, name in enumerate(names)}
-        q1 = np.stack([col["theta11"], col["theta12"]], axis=-1)
-        q2 = np.stack([col["theta21"], col["theta22"]], axis=-1)
-        expected = np.concatenate(reference_fk_dual(DualArm(), q1, q2), axis=-1)
-        assert_same_bits(configuration_positions(DualArm(), dict(zip(names, Z.T))), expected)
+        expected = stacked_fk_dual(DualArm(), *(col[name] for name in DualArm.JOINTS))
+        assert_same_bits(stacked(configuration_positions(DualArm(), dict(zip(names, Z.T)))),
+                         expected)
 
 
 @st.composite
@@ -518,17 +545,15 @@ class TestDeclaredNames:
         model, grid = model_grid
         Z = decode_all(grid, np.random.default_rng(seed).integers(0, grid.size, 7))
         col = dict(zip(grid.names(), Z.T))
-        got = configuration_positions(model, col)
+        got = stacked(configuration_positions(model, col))
         if isinstance(model, DualArm):
-            q1 = np.stack([col["theta11"], col["theta12"]], axis=-1)
-            q2 = np.stack([col["theta21"], col["theta22"]], axis=-1)
-            expected = np.concatenate(reference_fk_dual(model, q1, q2), axis=-1)
+            expected = stacked_fk_dual(model, *(col[name] for name in DualArm.JOINTS))
         else:
             lengths = [col[name] if name in col else getattr(model, name)
                        for name in ("l1", "l2") if hasattr(model, name)]
-            expected = (reference_fk_two(*lengths, col["theta1"], col["theta2"])
+            expected = (stacked_fk_two(*lengths, col["theta1"], col["theta2"])
                         if isinstance(model, TwoLink)
-                        else reference_fk_one(*lengths, col["theta1"]))
+                        else stacked_fk_one(*lengths, col["theta1"]))
         assert_same_bits(got, np.broadcast_to(expected, got.shape))
 
     @settings(max_examples=200, deadline=None)
@@ -548,10 +573,32 @@ class TestDeclaredNames:
         assert_same_bits(np.array(box), np.array(expected))
         # and it holds every analytic tip, exactly
         Z = decode_all(grid, np.random.default_rng(seed).integers(0, grid.size, 50))
-        tips = configuration_positions(model, dict(zip(grid.names(), Z.T)))
+        tips = stacked(configuration_positions(model, dict(zip(grid.names(), Z.T))))
         lo, hi = np.array(box).T
         assert np.all((lo <= tips) & (tips <= hi))
 
     def test_other_objects_are_named(self):
         with pytest.raises(TypeError, match="unknown robot model 'arm'"):
             configuration_positions("arm", {"theta1": np.zeros(1)})
+
+
+class TestLinkLengthsCheckedAtLoad:
+    """FK takes any length, so a config refuses a nonpositive one when it loads:
+    its model checks its own fields, and the config checks the min of each grid
+    parameter named in the model's LINKS, as no bin decodes below its min."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(models_on_grids(), st.data(), st.sampled_from([0.0, -0.0, -1e-300, -3.0]))
+    def test_nonpositive_min_of_any_grid_length_refused(self, model_grid, data, bad):
+        model, grid = model_grid
+        lengths = [i for i, spec in enumerate(grid.specs) if spec.name in model.LINKS]
+        assume(lengths)
+        config = CaseConfig(grid, model, PoseTarget((0.5, 0.5)))
+        i, specs = data.draw(st.sampled_from(lengths)), list(grid.specs)
+        specs[i] = dataclasses.replace(specs[i], lo=bad, hi=bad + (specs[i].hi - specs[i].lo))
+        with pytest.raises(ValueError, match="must be positive"):
+            dataclasses.replace(config, grid=ParamGrid(tuple(specs)))
+
+    def test_fk_computes_a_zero_length(self):
+        assert_same_bits(stacked(fk_one(0.0, 1.0)), [0.0, 0.0])
+        assert_same_bits(stacked(fk_two(1.0, -0.0, 0.0, 0.0)), [1.0, 0.0])

@@ -504,8 +504,9 @@ class TestTrain:
         pick = np.sort(np.random.default_rng(5).choice(grid.size, sample, replace=False))
         Z = np.concatenate([decode_all(grid, np.array([k])) for k in pick])
         assert data.inputs.tobytes() == Z.tobytes()
-        labels = qml.configuration_positions(TwoLink(), dict(zip(grid.names(), Z.T)))
-        assert data.labels.tobytes() == labels.tobytes()
+        planes = qml.configuration_positions(TwoLink(), dict(zip(grid.names(), Z.T)))
+        assert data.labels.tobytes() == np.stack(planes, axis=-1).tobytes()
+        assert data.labels.shape == (sample, 2) and data.labels.flags.c_contiguous
 
     def test_from_grid_keeps_capacity_check(self):
         grid = shipped_case("two_dof", qubits_per_param=7).grid  # 28 qubits
@@ -551,8 +552,8 @@ class TestCostTable:
 
         for k in range(grid.size):
             t1, t2, l1, l2 = decode(grid, k)
-            d2 = squared_deviation(task, fk_two(l1, l2, t1, t2)[None, :])
-            direct = task_cost(task, d2, None, weights)[0]
+            d2 = squared_deviation(task, fk_two(l1, l2, t1, t2))
+            direct = task_cost(task, d2, None, weights)
             assert costs[k] == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
     def test_surrogate_table_runs(self):
@@ -586,8 +587,8 @@ class TestCostTable:
                                     PoseWeights(1.0, 0.5))
         z = decode(grid, 5)
         task = PoseTarget((0.5, 0.5), phi=0.7)
-        expected = task_cost(task, squared_deviation(task, fk_one(*z)[None, :]),
-                             np.array([z[1]]), PoseWeights(1.0, 0.5))[0]
+        expected = task_cost(task, squared_deviation(task, fk_one(*z)), z[1],
+                             PoseWeights(1.0, 0.5))
         assert costs[5] == pytest.approx(expected, rel=1e-12)
 
 
@@ -670,8 +671,9 @@ class TestStreamedTables:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(encoding, "BLOCK_BITS", block_bits)
             costs, floor = build_cost_table(grid, model, task, weights, s, error_floor=True)
-        one_shot = task_cost(task, squared_deviation(task, predict_rows(s, decode_all(grid))),
-                             None, weights)
+        tips = predict_rows(s, decode_all(grid))
+        one_shot = task_cost(task, squared_deviation(task, np.moveaxis(tips, -1, 0)), None,
+                             weights)
         np.testing.assert_array_equal(bits(costs), bits(one_shot))
         # the error floor is the analytic one, whatever tips the cost reads
         reference = harness._actual_error_table(grid, model, task, weights)
@@ -907,6 +909,6 @@ class TestWorkspaceBox:
         got = configuration_costs(OneLink(), grid.names(), z[None, :],
                                   PoseTarget((0.2, 0.1)), PoseWeights(1.0, 0.0))
         task = PoseTarget((0.2, 0.1))
-        expected = task_cost(task, squared_deviation(task, fk_one(1.0, 0.5)[None, :]), None,
-                             PoseWeights(1.0, 0.0))[0]
+        expected = task_cost(task, squared_deviation(task, fk_one(1.0, 0.5)), None,
+                             PoseWeights(1.0, 0.0))
         assert got[0] == pytest.approx(expected, rel=1e-14)
