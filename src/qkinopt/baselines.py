@@ -35,22 +35,30 @@ class Objective:
         if angular.shape != self.lo.shape:
             raise ValueError("angular flags must match bounds")
         self.evaluations = 0
-        # built once for `project`: full-period angular coordinates wrap (clamp bounds +-inf)
-        self._wrap = angular & full_turn(self.lo, self.hi)
-        self._clamp_lo = np.where(self._wrap, -math.inf, self.lo)
-        self._clamp_hi = np.where(self._wrap, math.inf, self.hi)
+        # built once for `project`, per coordinate: (lo, clamp lo, clamp hi, wrap), where a
+        # full-period angular coordinate wraps and its clamp bounds are +-inf
+        wrap = angular & full_turn(self.lo, self.hi)
+        self._box = tuple(zip(self.lo.tolist(), np.where(wrap, -math.inf, self.lo).tolist(),
+                              np.where(wrap, math.inf, self.hi).tolist(), wrap.tolist()))
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Wrap full-period angular coordinates into one period, clamp the rest to the box,
-        for one point or a (..., d) batch: bit for bit lo + np.mod(x - lo, 2 pi) and
-        min(max(x, lo), hi) (np.clip may give 0.0 for -0.0)."""
-        out = np.array(x, dtype=float)
-        np.copyto(out, self._clamp_lo, where=self._clamp_lo > out)
-        np.copyto(out, self._clamp_hi, where=self._clamp_hi < out)
-        wrapped = out - self.lo
-        np.mod(wrapped, math.tau, out=wrapped)
-        np.copyto(out, wrapped + self.lo, where=self._wrap)
-        return out
+        """Wrap full-period angular coordinates into one period, clamp the rest to the box.
+        One point runs as Python floats, bit for bit lo + np.mod(x - lo, 2 pi) and
+        min(max(x, lo), hi) (np.clip may give 0.0 for -0.0); a point whose length is not
+        d raises ValueError. A (..., d) batch is projected row by row."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            return np.array([self.project(row) for row in x]).reshape(x.shape)
+        out = []
+        for v, (lo, clamp_lo, clamp_hi, wrap) in zip(x.tolist(), self._box, strict=True):
+            if clamp_lo > v:
+                v = clamp_lo
+            if clamp_hi < v:
+                v = clamp_hi
+            if wrap:
+                v = (v - lo) % math.tau + lo
+            out.append(v)
+        return np.array(out)
 
     def evaluate(self, x: np.ndarray) -> float:
         self.evaluations += 1
@@ -97,8 +105,9 @@ def nelder_mead(obj: Objective, start: Sequence[float], max_evals: int) -> OptRu
     while obj.evaluations - start_evals < max_evals:
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
-        diameter = max(np.linalg.norm(v - simplex[0]) for v in simplex[1:])
-        if diameter < SIMPLEX_DIAMETER_TOL and values[-1] - values[0] < SIMPLEX_SPREAD_TOL:
+        # the spread first: the diameter takes one norm per vertex
+        if values[-1] - values[0] < SIMPLEX_SPREAD_TOL and max(
+                np.linalg.norm(v - simplex[0]) for v in simplex[1:]) < SIMPLEX_DIAMETER_TOL:
             converged = True
             break
 

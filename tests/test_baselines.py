@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -96,9 +97,13 @@ def draw_box(data, d):
 
 
 def draw_point(data, bounds):
-    # inside, at and just beyond each bound, signed zeros, far out, inf and NaN
+    # inside, at and just beyond each bound (by 1e-9, by 1e-20, by one ulp), signed zeros,
+    # subnormals, far out up to the largest float, inf and NaN: where Python's float % and
+    # comparisons could part from numpy's
     return [data.draw(st.floats(-1e4, 1e4) | st.sampled_from(
-        [lo, hi, -0.0, 0.0, lo - 1e-9, hi + 1e-9, math.inf, -math.inf, math.nan]))
+        [lo, hi, -0.0, 0.0, lo - 1e-9, hi + 1e-9, lo - 1e-20, np.nextafter(hi, math.inf),
+         5e-324, -5e-324, 1e300, -1e300, sys.float_info.max, -sys.float_info.max,
+         math.inf, -math.inf, math.nan]))
         for lo, hi in bounds]
 
 
@@ -129,6 +134,26 @@ class TestProjectMatchesReference:
         assert actual.shape == (rows, d)
         assert actual.tobytes() == np.array(expected).reshape(rows, d).tobytes()
         assert given_x.tobytes() == np.array(batch).reshape(rows, d).tobytes()
+
+
+@pytest.mark.parametrize("bounds, x", [
+    ([(0.0, 1.0)], [0.5, 0.2]),  # one lower and upper bound would broadcast over both
+    (BOX, [0.5]),
+    (BOX, [0.5, 0.2, 0.1]),
+])
+def test_wrong_length_point_is_refused(bounds, x):
+    with pytest.raises(ValueError):
+        Objective(bounds, lambda z: 0.0).project(np.array(x))
+
+
+def test_full_turn_seam_is_not_idempotent():
+    # -1e-20 wraps to -1e-20 + 2 pi, which rounds to 2 pi itself, and that wraps to 0.0:
+    # so PSO's particles, projected as a batch, must be projected again when evaluated,
+    # or a particle on the seam would be evaluated at 2 pi rather than at 0.0
+    obj = Objective([(0.0, math.tau)], lambda z: 0.0, angular=[True])
+    once = obj.project(np.array([-1e-20]))
+    assert once.tolist() == [math.tau]
+    assert obj.project(once).tolist() == [0.0]
 
 
 def assert_within_box(points, bounds):
