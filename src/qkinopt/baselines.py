@@ -10,6 +10,7 @@ quasi-Newton) are meant to run multi-start on the multimodal landscapes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -234,25 +235,14 @@ def pso(obj: Objective, swarm_size: int = 30, iterations: int = 200,
 
 def multi_start(method: Callable[..., OptRun], obj: Objective, n_starts: int = 5,
                 seed: int = 0, **kwargs) -> OptRun:
-    """Run a local method from seeded uniform-random starts; report the pooled
-    running best with summed evaluation counts."""
+    """Run a local method from seeded uniform-random starts; report the best start
+    (the first of equal costs), the pooled running best and summed evaluation counts."""
     rng = np.random.default_rng(seed)
-    best: Optional[OptRun] = None
-    trace: List[float] = []
-    total_evals = 0
-    converged = False
-    name = ""
-    for _ in range(n_starts):
-        run = method(obj, obj.random_start(rng), **kwargs)
-        name = run.method
-        total_evals += run.evaluations
-        converged = converged or run.converged
-        for value in run.trace:
-            trace.append(value if not trace else min(trace[-1], value))
-        if best is None or run.best_cost < best.best_cost:
-            best = run
-    assert best is not None
-    return OptRun(name, best.best_x, best.best_cost, total_evals, trace, converged)
+    runs = [method(obj, obj.random_start(rng), **kwargs) for _ in range(n_starts)]
+    best = min(runs, key=lambda r: r.best_cost)
+    trace = list(itertools.accumulate((v for r in runs for v in r.trace), min))
+    return OptRun(best.method, best.best_x, best.best_cost, sum(r.evaluations for r in runs),
+                  trace, any(r.converged for r in runs))
 
 
 def exhaustive_scan(grid: ParamGrid,

@@ -11,7 +11,10 @@ sqrt(M/m)) while m <= M/2 (so K >= 1), and K = 0 once m > M/2, where
 amplification degenerates and the uniform state is sampled directly.
 
 `search_with_state` is the one search entry point; it takes a marked set,
-never the cost table. `amplified_state` gives the state after K rounds in
+never the cost table, and returns the run report's "result" dict.
+`adaptive_search` is the one loop over thresholds: it reads the table, marks
+at the first threshold, narrows the marked set level by level, and builds the
+report's step rows. `amplified_state` gives the state after K rounds in
 closed form as two amplitude values and the marked probability
 sin^2((2K+1) theta), which the search samples and takes <C> from without
 building a 2^N array. The state builds its dense `amps` only when they are
@@ -26,7 +29,6 @@ analytic error, one row of the kinematics, against the task tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -41,15 +43,8 @@ class NoSolutionError(RuntimeError):
     """No basis state satisfies the threshold; raise epsilon and retry."""
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    index: int
-    bitstring: str
-    params: Optional[np.ndarray]
-    marked_probability: float
-    queries: int
-    epsilon: float
-    solutions: int
+STEP_KEYS = ("step", "epsilon", "solutions", "iterations", "expectation", "best_index",
+             "best_cost")  # of each report "steps" row, one per threshold step
 
 
 def count_solutions(costs: np.ndarray, epsilon: float) -> int:
@@ -143,25 +138,41 @@ def amplified_state(n_qubits: int, marked: np.ndarray, iterations: int) -> Ampli
 
 
 def search_with_state(grid: ParamGrid, marked: np.ndarray, epsilon: float, shots: int,
-                      seed: int) -> Tuple[SearchResult, AmplifiedState]:
+                      seed: int) -> Tuple[dict, AmplifiedState]:
     """Amplify the sorted indices `marked`, those of {k : costs[k] <= epsilon},
-    for `iteration_count` rounds and sample; returns the modal outcome (highest
-    count, then lowest index) and the two-value state, whose `expectation`
-    gives the step's <C>. `epsilon` is only recorded."""
+    for `iteration_count` rounds and sample; returns the report's "result" dict of
+    the modal outcome (highest count, then lowest index) and the two-value state,
+    whose `expectation` gives the step's <C>. `epsilon` is only recorded."""
     N, K = grid.total_qubits, iteration_count(grid.size, marked.size)
     state = amplified_state(N, marked, K)
     picks, hits = state.sample(shots, seed)
     outcomes, counts = np.unique(picks, return_counts=True)
     best = int(outcomes[np.argmax(counts)])
-    return SearchResult(
-        index=best,
-        bitstring=format(best, f"0{N}b"),
-        params=decode(grid, best),
-        marked_probability=hits / shots,
-        queries=K,
-        epsilon=epsilon,
-        solutions=state.marked.size,
-    ), state
+    return {"index": best, "bitstring": format(best, f"0{N}b"),
+            "params": decode(grid, best).tolist(), "marked_probability": hits / shots,
+            "queries": K, "epsilon": epsilon, "solutions": marked.size}, state
+
+
+def adaptive_search(grid: ParamGrid, costs: np.ndarray, levels: list, shots: int,
+                    seed: int) -> Tuple[list, dict]:
+    """One search per threshold of `levels`, loosest first, each marking the
+    sorted indices of {k : costs[k] <= level}, narrowed from the level before.
+
+    Returns the step rows, keyed by STEP_KEYS (step 0 is the uniform state, then
+    one row per search), and the last search's result dict. The table is
+    compared with a threshold once, at `levels[0]`, and summed once for <C>.
+    """
+    marked = np.flatnonzero(costs <= levels[0])  # the table's one threshold read
+    total = float(costs.sum())  # each step's <C> reuses it
+    steps = [dict(zip(STEP_KEYS, (0, levels[0], marked.size, 0, total / grid.size, None,
+                                  None)))]
+    for j, eps in enumerate(levels, start=1):
+        marked = marked[costs[marked] <= eps]  # each level narrows the one before
+        result, state = search_with_state(grid, marked, eps, shots, seed)
+        steps.append(dict(zip(STEP_KEYS, (j, eps, result["solutions"], result["queries"],
+                                          state.expectation(costs, total), result["index"],
+                                          float(costs[result["index"]])))))
+    return steps, result
 
 
 def shrink_schedule(floor: float, epsilon0: float, shrink: float) -> list:

@@ -4,14 +4,13 @@ the same objectives, and emits machine-readable reports.
 
 The quantum path takes the cost table, and the analytic error floor that its
 default tolerance comes from, from one streamed grid pass, and checks only
-the measured answer against the analytic kinematics. It runs one amplified
-search per adaptive-threshold step: the threshold starts at `search.epsilon0`
-(default 10x the cost-table floor), shrinks geometrically while solutions
-remain, and ends at the floor, the smallest value that still marks a state,
-so the last search marks only the grid minimum. The table is compared with
-a threshold once, at the start; each step's search takes the sorted marked
-indices, narrowed from the step's before. One "optimization iteration" is a
-step. The sweep keeps only each cost block's floor and tie count, no table.
+the measured answer against the analytic kinematics. The thresholds start
+at `search.epsilon0` (default 10x the cost-table floor), shrink geometrically
+while solutions remain, and end at the floor, the smallest value that still
+marks a state, so the last search marks only the grid minimum;
+`grover.adaptive_search` runs one amplified search per threshold and returns
+the report's step rows. One "optimization iteration" is a step. The sweep
+keeps only each cost block's floor and tie count, no table.
 
 A config file is the dict form of a CaseConfig. Each section's keys are the
 constructor fields of the class it builds, read and written by one reader
@@ -60,8 +59,6 @@ from .qml import (
 )
 
 ITERATION_NOTE = "one optimization iteration = one adaptive-threshold search step"
-STEP_KEYS = ("step", "epsilon", "solutions", "iterations", "expectation", "best_index",
-             "best_cost")  # of each report "steps" row, one per threshold step
 COMPARISON_HEADER = ("method", "evaluations", "best_cost", "accepted", "evals_over_grover")
 SWEEP_HEADER = ("qubits_per_param", "total_qubits", "space_size", "min_cost", "solutions",
                 "iterations", "ratio", "note")
@@ -367,29 +364,17 @@ def run_case(config: CaseConfig,
         task = replace(task, tolerance=2.0 * floor)
 
     levels = grover.threshold_ladder(costs, config.search.epsilon0, config.search.shrink)
-    epsilon0 = levels[0]
-    marked = np.flatnonzero(costs <= epsilon0)  # the table's one threshold read
-
-    total = float(costs.sum())  # each step's <C> reuses it
-    steps = [dict(zip(STEP_KEYS, (0, epsilon0, marked.size, 0, total / grid.size, None, None)))]
-    for j, eps in enumerate(levels, start=1):
-        marked = marked[costs[marked] <= eps]  # each level narrows the one before
-        result, state = grover.search_with_state(grid, marked, eps, config.shots, config.seed)
-        steps.append(dict(zip(STEP_KEYS, (j, eps, result.solutions, result.queries,
-                                          state.expectation(costs, total), result.index,
-                                          float(costs[result.index])))))
-
-    e_actual, accepted = grover.verify(result.index, grid, config.model, task,
+    steps, result = grover.adaptive_search(grid, costs, levels, config.shots, config.seed)
+    e_actual, accepted = grover.verify(result["index"], grid, config.model, task,
                                        config.weights)
     report = {
         "case": config.case, "mode": config.mode, "seed": config.seed, "shots": config.shots,
         "total_qubits": grid.total_qubits, "space_size": grid.size, "steps": steps,
         "resolution": [dict(config_to_dict(s), bin_width=bin_width(s)) for s in grid.specs],
-        "epsilon0": epsilon0, "final_epsilon": levels[-1], "tolerance": task.tolerance,
-        "result": dict(dataclasses.asdict(result), params=[float(v) for v in result.params],
-                       e_actual=e_actual, accepted=accepted),
-        "analytic_best_cost": float(_cost_fn(config)(result.params)),
-        "queries_final": result.queries, "queries_total": sum(s["iterations"] for s in steps),
+        "epsilon0": levels[0], "final_epsilon": levels[-1], "tolerance": task.tolerance,
+        "result": dict(result, e_actual=e_actual, accepted=accepted),
+        "analytic_best_cost": float(_cost_fn(config)(np.asarray(result["params"]))),
+        "queries_final": result["queries"], "queries_total": sum(s["iterations"] for s in steps),
         "iteration_definition": ITERATION_NOTE, "loss_trace": loss_trace,
     }
     return report, surrogate

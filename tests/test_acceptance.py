@@ -68,14 +68,14 @@ def test_criterion_1_grover_analytics():
         K = math.floor(math.pi / 4 * math.sqrt(M / m))
         result, state = search_with_state(grid, np.flatnonzero(costs <= 0.5), 0.5, shots,
                                           seed=101)
-        assert result.queries == K
+        assert result["queries"] == K
         p = state.p_marked
         assert p == pytest.approx(reference.success_probability(M, m, K), abs=1e-12)
         sigma = math.sqrt(p * (1 - p) / shots)
-        assert abs(result.marked_probability - p) <= 3 * sigma + 1e-12
+        assert abs(result["marked_probability"] - p) <= 3 * sigma + 1e-12
         if (M, m) == (4, 1):
             assert p >= 1.0 - 1e-9
-            assert result.marked_probability == 1.0
+            assert result["marked_probability"] == 1.0
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     print(f"criterion 1 (grover analytics): PASS ({elapsed:.1f}s)")
@@ -127,20 +127,20 @@ def test_criterion_3_query_count_ratio(tmp_path):
     assert grover.count_solutions(costs, eps) == 4
     result, _ = search_with_state(grid, np.flatnonzero(costs <= eps), eps, shots=10000,
                                   seed=3)
-    assert result.queries == 25
-    assert result.index in minima
+    assert result["queries"] == 25
+    assert result["index"] in minima
 
     def table_lookup(Z):
         return np.array([costs[encode(grid, z)] for z in Z])
 
     _, scan_best, scan_evals = exhaustive_scan(grid, table_lookup)
     assert scan_evals == 4096 and scan_best == 0.05
-    ratio = scan_evals / result.queries
+    ratio = scan_evals / result["queries"]
     assert ratio >= 100.0
 
     rows = [
-        {"method": "grover", "evaluations": result.queries,
-         "best_cost": float(costs[result.index]), "accepted": True,
+        {"method": "grover", "evaluations": result["queries"],
+         "best_cost": float(costs[result["index"]]), "accepted": True,
          "evals_over_grover": 1.0},
         {"method": "exhaustive", "evaluations": scan_evals, "best_cost": scan_best,
          "accepted": True, "evals_over_grover": ratio},

@@ -370,3 +370,20 @@ class TestMultiStart:
         r2 = multi_start(nelder_mead, make_objective(), n_starts=3, seed=5, max_evals=2000)
         assert r1.best_cost == r2.best_cost
         assert r1.evaluations == r2.evaluations
+
+    def test_first_of_tied_starts_wins_and_trace_pools_the_running_minimum(self):
+        # a stub method: each start returns its canned run, tagged with its start point
+        canned = [(2.0, [5.0, 2.0], 3, False), (1.0, [4.0, 3.0, 1.0], 4, False),
+                  (1.0, [0.5, 1.0], 2, True), (3.0, [3.0], 1, False)]
+        starts = []
+
+        def stub(obj, x0):
+            cost, trace, evals, converged = canned[len(starts)]
+            starts.append(x0)
+            return OptRun("stub", x0, cost, evals, trace, converged)
+
+        run = multi_start(stub, make_objective(), n_starts=4, seed=3)
+        assert run.method == "stub" and run.best_cost == 1.0
+        assert run.best_x is starts[1]  # the second start ties the third and comes first
+        assert run.trace == [5.0, 2.0, 2.0, 2.0, 1.0, 0.5, 0.5, 0.5]
+        assert (run.evaluations, run.converged) == (10, True)

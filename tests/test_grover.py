@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkinopt import qsim
+from qkinopt import grover, qsim
 from qkinopt.encoding import ParamGrid, ParamSpec, decode, encode
 from qkinopt.grover import (
+    STEP_KEYS,
     AmplifiedState,
     NoSolutionError,
-    SearchResult,
+    adaptive_search,
     amplified_state,
     count_solutions,
     iteration_count,
@@ -22,7 +24,7 @@ from qkinopt.grover import (
     threshold_ladder,
     verify,
 )
-from qkinopt.harness import _actual_error_table
+from qkinopt.harness import _actual_error_table, run_case
 from qkinopt.kinematics import OneLink, PoseTarget, PoseWeights, fk_one
 from reference import (
     StateVector,
@@ -32,7 +34,7 @@ from reference import (
     success_probability,
     uniform_superposition,
 )
-from tests_support import TWO_PI, verification_cases
+from tests_support import TWO_PI, shipped_case, verification_cases
 
 
 def flat_grid(n_total):
@@ -51,7 +53,7 @@ def mask(M, marked):
 
 
 def search(grid, costs, epsilon, shots=10000, seed=0):
-    """The search result alone, marking {k : costs[k] <= epsilon} as `run_case` does."""
+    """The search result alone, marking {k : costs[k] <= epsilon} as `adaptive_search` does."""
     return search_with_state(grid, np.flatnonzero(costs <= epsilon), epsilon, shots, seed)[0]
 
 
@@ -100,7 +102,7 @@ class TestIterationCount:
             grid = flat_grid(n)
             for m in range(1, M + 1):
                 result = search(grid, costs_with_marks(M, range(m)), 0.5, shots=1)
-                assert result.queries == iteration_count(M, m), (M, m)
+                assert result["queries"] == iteration_count(M, m), (M, m)
 
     def test_query_count_law(self):
         rng = np.random.default_rng(0)
@@ -148,9 +150,9 @@ class TestSuccessProbability:
             result, state = search_with_state(flat_grid(n), np.flatnonzero(costs <= 0.5), 0.5,
                                               shots, seed=77)
             p = state.p_marked
-            assert p == pytest.approx(success_probability(M, m, result.queries), abs=1e-12)
+            assert p == pytest.approx(success_probability(M, m, result["queries"]), abs=1e-12)
             sigma = math.sqrt(p * (1 - p) / shots)
-            assert abs(result.marked_probability - p) <= 3 * sigma + 1e-12
+            assert abs(result["marked_probability"] - p) <= 3 * sigma + 1e-12
 
 
 class TestOracle:
@@ -176,7 +178,7 @@ class TestOracle:
     def test_zero_epsilon_marks_exact_solutions(self):
         costs = costs_with_marks(4, [3]) * 1e-300  # the least positive cost stays unmarked
         result = search(flat_grid(2), costs, 0.0, shots=100)
-        assert (result.solutions, result.index) == (1, 3)
+        assert (result["solutions"], result["index"]) == (1, 3)
 
     def test_negative_epsilon_rejected(self):
         # a search reads no threshold; a negative one is refused by the ladder
@@ -371,36 +373,36 @@ class TestSampler:
         costs = costs_with_marks(M, chosen)
         result, state = search_with_state(flat_grid(n), np.sort(chosen), 0.5, shots, seed)
         picks, _ = state.sample(shots, seed)  # the draw the search took
-        assert result.marked_probability == np.count_nonzero(costs[picks] <= 0.5) / shots
+        assert result["marked_probability"] == np.count_nonzero(costs[picks] <= 0.5) / shots
         outcomes, counts = np.unique(picks, return_counts=True)
-        assert result.index == outcomes[counts == counts.max()].min()
+        assert result["index"] == outcomes[counts == counts.max()].min()
         if m == M:
-            assert result.marked_probability == 1.0
+            assert result["marked_probability"] == 1.0
 
 
 class TestGroverSearch:
     def test_single_marked_in_sixteen(self):
         grid = flat_grid(4)
         result = search(grid, costs_with_marks(16, [11]), 0.5, seed=5)
-        assert result.queries == 3
-        assert result.index == 11
+        assert result["queries"] == 3
+        assert result["index"] == 11
         # analytic success is 0.9614; binomial noise at 1e4 shots stays inside 0.02
-        assert abs(result.marked_probability - 0.961) <= 0.02
+        assert abs(result["marked_probability"] - 0.961) <= 0.02
 
     def test_all_marked_samples_uniform(self):
         grid = flat_grid(3)
         result = search(grid, np.zeros(8), 0.5, shots=4096, seed=3)
-        assert result.queries == 0
-        assert result.marked_probability == 1.0
+        assert result["queries"] == 0
+        assert result["marked_probability"] == 1.0
 
     def test_fixed_seed_reproducible(self):
         grid = flat_grid(4)
         costs = costs_with_marks(16, [7])
         r1 = search(grid, costs, 0.5, shots=2000, seed=11)
         r2 = search(grid, costs, 0.5, shots=2000, seed=11)
-        assert (r1.index, r1.bitstring, r1.queries, r1.marked_probability) == \
-               (r2.index, r2.bitstring, r2.queries, r2.marked_probability)
-        np.testing.assert_array_equal(r1.params, r2.params)
+        assert (r1["index"], r1["bitstring"], r1["queries"], r1["marked_probability"]) == \
+               (r2["index"], r2["bitstring"], r2["queries"], r2["marked_probability"])
+        np.testing.assert_array_equal(r1["params"], r2["params"])
 
     def test_no_solutions_raises(self):
         grid = flat_grid(3)
@@ -419,7 +421,7 @@ class TestGroverSearch:
         costs = np.zeros(8)
         costs[:3] = 1.0  # 5 of 8 marked
         result = search(grid, costs, 0.5, seed=1)
-        assert result.queries == 0
+        assert result["queries"] == 0
 
     def test_decoded_params_match_index(self):
         grid = ParamGrid((
@@ -427,7 +429,7 @@ class TestGroverSearch:
             ParamSpec("theta1", 0.0, TWO_PI, 2, angular=True),
         ))
         result = search(grid, costs_with_marks(16, [9]), 0.5, shots=500, seed=2)
-        np.testing.assert_array_equal(result.params, decode(grid, 9))
+        np.testing.assert_array_equal(result["params"], decode(grid, 9))
 
 
 def ladder_search(grid, costs, epsilon0, shrink, shots, seed):
@@ -443,17 +445,17 @@ class TestAdaptiveSearch:
         # 0.6 halves to 0.075, the last geometric step that marks a state, then the floor
         assert threshold_ladder(costs, 0.6, 0.5) == [0.6, 0.3, 0.15, 0.075, 0.05]
         result = ladder_search(grid, costs, epsilon0=0.6, shrink=0.5, shots=5000, seed=4)
-        assert result.epsilon == 0.05
-        assert result.solutions == 1
-        assert result.index == 2
+        assert result["epsilon"] == 0.05
+        assert result["solutions"] == 1
+        assert result["index"] == 2
 
     def test_tight_epsilon_no_shrinking(self):
         grid = flat_grid(2)
         costs = np.array([0.5, 0.2, 0.05, 0.9])
         assert threshold_ladder(costs, 0.08, 0.5) == [0.08, 0.05]
         result = ladder_search(grid, costs, epsilon0=0.08, shrink=0.5, shots=5000, seed=4)
-        assert result.epsilon == 0.05
-        assert result.solutions == 1
+        assert result["epsilon"] == 0.05
+        assert result["solutions"] == 1
 
     def test_final_epsilon_never_exceeds_initial(self):
         grid = flat_grid(3)
@@ -462,7 +464,7 @@ class TestAdaptiveSearch:
             costs = rng.uniform(0.0, 1.0, 8)
             eps0 = costs.min() + rng.uniform(0.01, 2.0)
             result = ladder_search(grid, costs, eps0, 0.5, 200, 0)
-            assert result.epsilon <= eps0
+            assert result["epsilon"] <= eps0
 
     def test_default_start_is_ten_times_floor(self):
         costs = np.array([0.5, 0.2, 0.05, 0.9])
@@ -611,15 +613,10 @@ def mask_search_with_state(grid, costs, epsilon, shots, seed):
     picks, _ = state.sample(shots, seed)
     outcomes, counts = np.unique(picks, return_counts=True)
     best = int(outcomes[np.argmax(counts)])
-    return SearchResult(
-        index=best,
-        bitstring=format(best, f"0{N}b"),
-        params=decode(grid, best),
-        marked_probability=int(np.count_nonzero(marked[picks])) / shots,
-        queries=K,
-        epsilon=epsilon,
-        solutions=state.marked.size,
-    ), state
+    return {"index": best, "bitstring": format(best, f"0{N}b"),
+            "params": decode(grid, best).tolist(),
+            "marked_probability": int(np.count_nonzero(marked[picks])) / shots,
+            "queries": K, "epsilon": epsilon, "solutions": state.marked.size}, state
 
 
 @st.composite
@@ -651,17 +648,62 @@ class TestNarrowedMarkedSets:
         n, costs, start, shrink, shots, seed = case
         grid, total = flat_grid(n), float(costs.sum())
         levels = threshold_ladder(costs, start, shrink)
-        marked = np.flatnonzero(costs <= levels[0])
-        for eps in levels:  # narrowed as run_case narrows it
-            marked = marked[costs[marked] <= eps]
+        seen = []  # (marked, result, state) of each search that adaptive_search runs
+
+        def recording(grid, marked, *args):
+            seen.append((marked, *search_with_state(grid, marked, *args)))
+            return seen[-1][1:]
+
+        with mock.patch.object(grover, "search_with_state", recording):
+            steps, final = adaptive_search(grid, costs, levels, shots, seed)
+        assert len(steps) == len(seen) + 1 == len(levels) + 1
+        assert steps[0] == dict(zip(STEP_KEYS, (0, levels[0], count_solutions(costs, levels[0]),
+                                                0, total / grid.size, None, None)))
+        for j, (eps, (marked, result, state), step) in enumerate(zip(levels, seen, steps[1:])):
             assert marked.dtype == np.int64
             np.testing.assert_array_equal(marked, np.flatnonzero(costs <= eps))
-            result, state = search_with_state(grid, marked, eps, shots, seed)
             ref, ref_state = mask_search_with_state(grid, costs, eps, shots, seed)
-            assert (result.index, result.solutions, result.queries) == \
-                (ref.index, ref.solutions, ref.queries)
-            assert bits([result.marked_probability, state.expectation(costs, total)]) == \
-                bits([ref.marked_probability, ref_state.expectation(costs, total)])
+            assert (result["index"], result["solutions"], result["queries"]) == \
+                (ref["index"], ref["solutions"], ref["queries"])
+            assert bits([result["marked_probability"], state.expectation(costs, total)]) == \
+                bits([ref["marked_probability"], ref_state.expectation(costs, total)])
+            assert (step["step"], step["epsilon"], step["solutions"], step["iterations"],
+                    step["best_index"], step["best_cost"]) == \
+                (j + 1, eps, ref["solutions"], ref["queries"], ref["index"],
+                 float(costs[ref["index"]]))
+            assert bits([step["expectation"]]) == bits([ref_state.expectation(costs, total)])
+        assert final == ref  # the last level's
+
+
+class TestAdaptiveSearchBill:
+    """The step rows bill every round that `amplified_state` runs, and nothing more."""
+
+    @staticmethod
+    def rounds(monkeypatch):
+        seen = []  # the `iterations` of each amplified_state call
+
+        def counting(*args):
+            seen.append(args[2])
+            return amplified_state(*args)
+
+        monkeypatch.setattr(grover, "amplified_state", counting)
+        return seen
+
+    def test_fixed_threshold_policy(self, monkeypatch):
+        seen = self.rounds(monkeypatch)
+        costs = np.random.default_rng(4).uniform(0.0, 1.0, 64)
+        eps = float(np.sort(costs)[2])  # marks 3 of 64
+        steps, result = adaptive_search(flat_grid(6), costs, [eps] * 3, 200, 0)
+        assert len(seen) == 3 and sum(s["iterations"] for s in steps) == sum(seen) > 0
+        assert [s["solutions"] for s in steps] == [count_solutions(costs, eps)] * 4
+        assert result["queries"] == seen[-1]
+
+    def test_run_case_queries_total(self, monkeypatch):
+        seen = self.rounds(monkeypatch)
+        report, _ = run_case(shipped_case("two_dof"))
+        assert len(seen) == len(report["steps"]) - 1 > 1
+        assert report["queries_total"] == sum(seen)
+        assert report["queries_final"] == seen[-1]
 
 
 class TestMinimalEpsilon:

@@ -193,9 +193,9 @@ class TestAdaptiveEquivalence:
         levels = threshold_ladder(costs, report["epsilon0"], 0.5)
         direct, _ = search_with_state(config.grid, np.flatnonzero(costs <= levels[-1]),
                                       levels[-1], config.shots, config.seed)
-        assert direct.index == report["result"]["index"]
-        assert direct.epsilon == report["final_epsilon"]
-        assert direct.queries == report["queries_final"]
+        assert direct["index"] == report["result"]["index"]
+        assert direct["epsilon"] == report["final_epsilon"]
+        assert direct["queries"] == report["queries_final"]
 
     def test_searches_narrow_one_sorted_index_array(self, monkeypatch):
         seen = []
