@@ -44,14 +44,18 @@ class Objective:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Wrap full-period angular coordinates into one period, clamp the rest to the box.
-        One point runs as Python floats, bit for bit lo + np.mod(x - lo, 2 pi) and
-        min(max(x, lo), hi) (np.clip may give 0.0 for -0.0); a point whose length is not
-        d raises ValueError. A (..., d) batch is projected row by row."""
+        Runs as Python floats, bit for bit lo + np.mod(x - lo, 2 pi) and min(max(x, lo), hi)
+        (np.clip may give 0.0 for -0.0); a point whose length is not d raises ValueError.
+        A (..., d) batch is converted once and projected row by row."""
         x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            return np.array([self.project(row) for row in x]).reshape(x.shape)
+        if x.ndim == 1:
+            return np.array(self._project_point(x.tolist()))
+        rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1]).tolist()
+        return np.array([self._project_point(r) for r in rows], dtype=float).reshape(x.shape)
+
+    def _project_point(self, point: List[float]) -> List[float]:
         out = []
-        for v, (lo, clamp_lo, clamp_hi, wrap) in zip(x.tolist(), self._box, strict=True):
+        for v, (lo, clamp_lo, clamp_hi, wrap) in zip(point, self._box, strict=True):
             if clamp_lo > v:
                 v = clamp_lo
             if clamp_hi < v:
@@ -59,7 +63,7 @@ class Objective:
             if wrap:
                 v = (v - lo) % math.tau + lo
             out.append(v)
-        return np.array(out)
+        return out
 
     def evaluate(self, x: np.ndarray) -> float:
         self.evaluations += 1
@@ -85,40 +89,40 @@ def nelder_mead(obj: Objective, start: Sequence[float], max_evals: int) -> OptRu
 
     Stops once the simplex diameter and the cost spread are both below
     SIMPLEX_DIAMETER_TOL and SIMPLEX_SPREAD_TOL (the spread alone can trigger
-    ~1e-5 parameter error on flat quadratics), or when the evaluation budget
-    runs out.
+    ~1e-5 parameter error on flat quadratics), or when the evaluation budget runs
+    out. The simplex is Python float lists with the numpy form's bits: argsort's stable
+    order with NaN last, mean(axis=0)'s row-by-row sum. Each point evaluates as an ndarray.
     """
     d = obj.lo.size
-    x0 = np.asarray(start, dtype=float)
+    x0 = np.asarray(start, dtype=float).tolist()
     start_evals = obj.evaluations
 
     simplex = [x0]
-    for i in range(d):
-        step = 0.05 * (obj.hi[i] - obj.lo[i])
-        vertex = x0.copy()
+    for i, (lo, hi) in enumerate(zip(obj.lo.tolist(), obj.hi.tolist())):
+        step = 0.05 * (hi - lo)
+        vertex = list(x0)
         vertex[i] += step if step > 0 else 0.05
         simplex.append(vertex)
-    simplex = np.array(simplex)
-    values = np.array([obj.evaluate(v) for v in simplex])
+    values = [obj.evaluate(np.array(v)) for v in simplex]
 
-    trace = [float(values.min())]
+    trace = [float(np.min(values))]
     converged = False
     while obj.evaluations - start_evals < max_evals:
-        order = np.argsort(values, kind="stable")
-        simplex, values = simplex[order], values[order]
+        ranked = sorted(zip(values, simplex), key=lambda vp: (vp[0] != vp[0], vp[0]))
+        values, simplex = [v for v, _ in ranked], [p for _, p in ranked]
         # the spread first: the diameter takes one norm per vertex
-        if values[-1] - values[0] < SIMPLEX_SPREAD_TOL and max(
-                np.linalg.norm(v - simplex[0]) for v in simplex[1:]) < SIMPLEX_DIAMETER_TOL:
+        if values[-1] - values[0] < SIMPLEX_SPREAD_TOL and max(np.linalg.norm(
+                np.subtract(v, simplex[0])) for v in simplex[1:]) < SIMPLEX_DIAMETER_TOL:
             converged = True
             break
 
-        centroid = simplex[:-1].mean(axis=0)
+        centroid = [sum(col[1:], col[0]) / d for col in zip(*simplex[:-1])]
         worst = simplex[-1]
-        reflected = centroid + 1.0 * (centroid - worst)
-        f_r = obj.evaluate(reflected)
+        reflected = [c + 1.0 * (c - w) for c, w in zip(centroid, worst)]
+        f_r = obj.evaluate(np.array(reflected))
         if f_r < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_e = obj.evaluate(expanded)
+            expanded = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
+            f_e = obj.evaluate(np.array(expanded))
             if f_e < f_r:
                 simplex[-1], values[-1] = expanded, f_e
             else:
@@ -126,15 +130,17 @@ def nelder_mead(obj: Objective, start: Sequence[float], max_evals: int) -> OptRu
         elif f_r < values[-2]:
             simplex[-1], values[-1] = reflected, f_r
         else:
-            contracted = centroid + 0.5 * (worst - centroid)
-            f_c = obj.evaluate(contracted)
+            contracted = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
+            f_c = obj.evaluate(np.array(contracted))
             if f_c < values[-1]:
                 simplex[-1], values[-1] = contracted, f_c
             else:
                 for i in range(1, d + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = obj.evaluate(simplex[i])
-        trace.append(min(trace[-1], float(values.min())))
+                    simplex[i] = [b + 0.5 * (v - b) for b, v in zip(simplex[0], simplex[i])]
+                    values[i] = obj.evaluate(np.array(simplex[i]))
+        # min(trace[-1], values.min()): values.min() is NaN if a value is, which min passes
+        # over, and of up to 8 equal least values (0.0 and -0.0) it takes the last
+        trace.append(trace[-1] if any(v != v for v in values) else min(trace[-1], *values[::-1]))
 
     best = int(np.argmin(values))
     return OptRun("nelder_mead", obj.project(simplex[best]), float(values[best]),

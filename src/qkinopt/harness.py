@@ -72,8 +72,8 @@ SHOTS_CAP = (10**8, "as a search keeps about 17 bytes of memory per shot")
 QML_QUBITS_CAP = (12, "as one training epoch at 12 qubits and 2 layers took 209 s and 3.5 GB")
 LAYERS_CAP = (1000, "as training keeps one 2^n x 2^n unitary per layer")
 EPOCHS_CAP = (10**6, "as each epoch is one full-batch gradient, 22-26 ms on two_dof")
-SWARM_CAP = (10**4, "as PSO evaluates its particles one at a time, 6-12 us each")
-PSO_ITERATIONS_CAP = (10**5, "as each PSO iteration evaluates the swarm, 6-12 us a particle")
+SWARM_CAP = (10**4, "as PSO evaluates its particles one at a time, 4-8 us each")
+PSO_ITERATIONS_CAP = (10**5, "as each PSO iteration evaluates the swarm, 4-8 us a particle")
 STARTS_CAP = (10**3, "as each start may spend the whole max_evals budget")
 # training keeps one 2^n input state per row: one epoch on 2^24 amplitudes peaked at
 # 530 MB RSS (two_dof, 20 qubits) and 690 MB (one_dof, 22 qubits)

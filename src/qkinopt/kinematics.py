@@ -1,13 +1,13 @@
 """Analytical planar kinematics: robot models, tasks, FK, and the task model.
 
-All FK functions broadcast and return coordinate planes, (x, y) per tip: numpy
-scalars for one row, arrays for a batch. They neither convert nor check their
-arguments, so one row builds no array; a config refuses a nonpositive link length
-when it loads. A grid block passes each parameter's bin values on an axis of its
-own, so a plane spans only the axes it reads (a dual arm's two arms meet first in
-`squared_deviation`), and the pass keeps a 2R arm's `arm_trig` while its joints'
-sub-ranges repeat: cos(theta1 + theta2) runs once per pass per arm (N = 24: a 2^14-row
-block takes 122-131 us on two_dof, 7-8 ns a row, and 80-83 us on dual_arm).
+All FK functions broadcast and return coordinate planes, (x, y) per tip: floats
+for one row of finite Python floats (`cos_sin`), arrays for a batch. They neither
+convert nor check their arguments, so one row builds no array; a config refuses a
+nonpositive link length when it loads. A grid block passes each parameter's bin values
+on an axis of its own, so a plane spans only the axes it reads (a dual arm's two arms
+meet first in `squared_deviation`), and the pass keeps a 2R arm's `arm_trig` while its
+joints' sub-ranges repeat: cos(theta1 + theta2) runs once per pass per arm (N = 24: a
+2^14-row block takes 122-131 us on two_dof, 7-8 ns a row, and 80-83 us on dual_arm).
 `task_cost` (the oracle cost) and `task_error` (the verification error) are
 the one implementation of each; they take the `squared_deviation` of a batch
 of tip positions, whether from the analytic FK or from the QML surrogate, and
@@ -127,11 +127,19 @@ class PoseWeights:
 
 # --- forward kinematics -------------------------------------------------------
 
+def cos_sin(t) -> Tuple[np.ndarray, np.ndarray]:
+    """(cos t, sin t): `math`'s, which has numpy's bits, for a finite Python float, and
+    numpy's for anything else (arrays, numpy scalars, and inf and NaN, where math raises)."""
+    if type(t) is float and math.isfinite(t):
+        return math.cos(t), math.sin(t)
+    return np.cos(t), np.sin(t)
+
+
 def arm_trig(theta1, theta2) -> Tuple[np.ndarray, ...]:
     """(cos t1, cos t12, sin t1, sin t12) of a planar 2R arm, t12 = t1 + t2: the one
     trig of every 2R FK, so a grid pass that reuses it keeps a single row's bits."""
-    t12 = theta1 + theta2
-    return np.cos(theta1), np.cos(t12), np.sin(theta1), np.sin(t12)
+    (c1, s1), (c12, s12) = cos_sin(theta1), cos_sin(theta1 + theta2)
+    return c1, c12, s1, s12
 
 
 def _two_link(l1, l2, c1, c12, s1, s12) -> Tuple[np.ndarray, np.ndarray]:
@@ -141,7 +149,8 @@ def _two_link(l1, l2, c1, c12, s1, s12) -> Tuple[np.ndarray, np.ndarray]:
 
 def fk_one(l1, theta1) -> Tuple[np.ndarray, np.ndarray]:
     """(x, y) = (l1 cos t1, l1 sin t1)."""
-    return l1 * np.cos(theta1), l1 * np.sin(theta1)
+    c1, s1 = cos_sin(theta1)
+    return l1 * c1, l1 * s1
 
 
 def fk_two(l1, l2, theta1, theta2, arms=None) -> Tuple[np.ndarray, np.ndarray]:

@@ -461,8 +461,9 @@ def _task_rows(model, columns: Mapping[str, np.ndarray], task, weights: PoseWeig
 
 def configuration_costs(model, names: Tuple[str, ...], Z: np.ndarray,
                         task, weights: PoseWeights) -> np.ndarray:
-    """Task cost for each row of Z, or of the one row Z, using the analytical kinematics."""
-    return task_cost(task, *_task_rows(model, dict(zip(names, Z.T)), task, weights), weights)
+    """Analytic task cost for each row of Z, or of the one row Z, bound as Python floats."""
+    columns = dict(zip(names, Z.tolist() if Z.ndim == 1 else Z.T))
+    return task_cost(task, *_task_rows(model, columns, task, weights), weights)
 
 
 def configuration_errors(model, names: Tuple[str, ...], Z: np.ndarray,

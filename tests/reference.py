@@ -16,6 +16,9 @@
   that fills one (..., k) tips array, coordinates last, the form whose planes
   `kinematics.fk_*` now return. Link lengths are checked when a config loads,
   so these take any float.
+- `nelder_mead`: the downhill simplex on numpy arrays (argsort, mean(axis=0),
+  values.min()), whose every `OptRun` field `baselines.nelder_mead`, on Python
+  float lists, must reproduce bit for bit.
 """
 
 import math
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qkinopt import qml, qsim
+from qkinopt.baselines import SIMPLEX_DIAMETER_TOL, SIMPLEX_SPREAD_TOL, OptRun
 
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 rx, ry = qsim._rx_matrix, qsim._ry_matrix
@@ -155,3 +159,58 @@ def stacked_fk_dual(model, theta11, theta12, theta21, theta22):
                     *_stacked_arm(*model.links2, theta21, theta22))
     tips += (*model.base1, *model.base2)
     return tips
+
+
+def nelder_mead(obj, start, max_evals):
+    """Downhill simplex with coefficients (1, 2, 0.5, 0.5) on numpy arrays, stopping
+    on simplex diameter and cost spread, or when the evaluation budget runs out."""
+    d = obj.lo.size
+    x0 = np.asarray(start, dtype=float)
+    start_evals = obj.evaluations
+
+    simplex = [x0]
+    for i in range(d):
+        step = 0.05 * (obj.hi[i] - obj.lo[i])
+        vertex = x0.copy()
+        vertex[i] += step if step > 0 else 0.05
+        simplex.append(vertex)
+    simplex = np.array(simplex)
+    values = np.array([obj.evaluate(v) for v in simplex])
+
+    trace = [float(values.min())]
+    converged = False
+    while obj.evaluations - start_evals < max_evals:
+        order = np.argsort(values, kind="stable")
+        simplex, values = simplex[order], values[order]
+        if values[-1] - values[0] < SIMPLEX_SPREAD_TOL and max(
+                np.linalg.norm(v - simplex[0]) for v in simplex[1:]) < SIMPLEX_DIAMETER_TOL:
+            converged = True
+            break
+
+        centroid = simplex[:-1].mean(axis=0)
+        worst = simplex[-1]
+        reflected = centroid + 1.0 * (centroid - worst)
+        f_r = obj.evaluate(reflected)
+        if f_r < values[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            f_e = obj.evaluate(expanded)
+            if f_e < f_r:
+                simplex[-1], values[-1] = expanded, f_e
+            else:
+                simplex[-1], values[-1] = reflected, f_r
+        elif f_r < values[-2]:
+            simplex[-1], values[-1] = reflected, f_r
+        else:
+            contracted = centroid + 0.5 * (worst - centroid)
+            f_c = obj.evaluate(contracted)
+            if f_c < values[-1]:
+                simplex[-1], values[-1] = contracted, f_c
+            else:
+                for i in range(1, d + 1):
+                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                    values[i] = obj.evaluate(simplex[i])
+        trace.append(min(trace[-1], float(values.min())))
+
+    best = int(np.argmin(values))
+    return OptRun("nelder_mead", obj.project(simplex[best]), float(values[best]),
+                  obj.evaluations - start_evals, trace, converged)

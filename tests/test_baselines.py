@@ -18,6 +18,7 @@ from qkinopt.baselines import (
 )
 from qkinopt.encoding import ParamGrid, ParamSpec, decode
 from qkinopt.kinematics import PoseTarget
+from reference import nelder_mead as reference_nelder_mead
 from tests_support import CONFIGS, shipped_case
 
 BOX = [(-5.0, 5.0), (-5.0, 5.0)]
@@ -211,6 +212,103 @@ class TestNelderMead:
         run = nelder_mead(make_objective(fn), [4.9, 4.9], max_evals=2000)
         assert_within_box(seen, BOX)
         assert run.evaluations == len(seen)
+
+
+class RecordingObjective(Objective):
+    """An objective that records the bytes of every point it is given, each an ndarray."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.points = []
+
+    def evaluate(self, x):
+        assert isinstance(x, np.ndarray)
+        self.points.append(x.tobytes())
+        return super().evaluate(x)
+
+
+@st.composite
+def simplex_cases(draw):
+    """(bounds, angular, cost, start, budget) of a Nelder-Mead run on 1 to 4 coordinates
+    of a `draw_box` box, full turns and partial arcs among them.
+
+    The cost has plateaus (its value floored to a step), ties at signed zero near its
+    center, and, in three cases of four, a NaN or infinite region: a half-space or
+    stripes across the diagonal, so that several vertices can lie in it. The budget may
+    run out anywhere, a shrink included. A seeded generator draws the center, the
+    region's edge and a random start, which hypothesis' floats keep near round numbers."""
+    d = draw(st.integers(1, 4))
+    bounds, angular = draw_box(draw(st.data()), d)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    center = rng.uniform(-6.0, 6.0, d).tolist()
+    step = draw(st.sampled_from([0.0, 0.25, 1.0, 100.0]))
+    zero_radius = draw(st.sampled_from([0.0, 0.5, 4.0]))
+    edge = rng.uniform(-6.0, 6.0) if draw(st.integers(0, 3)) else None
+    stripe = draw(st.sampled_from([None, 0.01, 0.1, 0.3]))
+    edge_value = draw(st.sampled_from([math.nan, math.nan, math.nan, math.inf]))
+
+    def cost(x):
+        x = x.tolist()
+        height = sum(x)  # the region's coordinate: vertices beside the start share it
+        if edge is not None and (height > edge if stripe is None else
+                                 (height - edge) % stripe < stripe / 2):
+            return edge_value
+        r = sum((v - c) ** 2 for v, c in zip(x, center))
+        if r < zero_radius:
+            return math.copysign(0.0, x[-1])
+        return float(np.floor(r / step) * step) if step else r
+
+    start = (rng.uniform(-12.0, 12.0, d).tolist() if draw(st.booleans())
+             else draw_point(draw(st.data()), bounds))
+    return bounds, angular, cost, start, draw(st.integers(0, 120))
+
+
+def assert_runs_match(bounds, angular, make_cost, start, max_evals):
+    """`nelder_mead` and the numpy reference, each on a fresh objective with a fresh
+    cost, evaluate the same points in the same order and return bit-equal `OptRun`
+    fields."""
+    runs = []
+    for method in (nelder_mead, reference_nelder_mead):
+        obj = RecordingObjective(bounds, make_cost(), angular)
+        with np.errstate(invalid="ignore", over="ignore"):
+            runs.append((method(obj, start, max_evals), obj.points))
+    (run, points), (expected, expected_points) = runs
+    assert points == expected_points
+    assert run.best_x.tobytes() == expected.best_x.tobytes()
+    assert np.float64(run.best_cost).tobytes() == np.float64(expected.best_cost).tobytes()
+    assert run.evaluations == expected.evaluations
+    assert np.array(run.trace).tobytes() == np.array(expected.trace).tobytes()
+    assert run.converged == expected.converged
+
+
+class TestNelderMeadMatchesReference:
+    """The float-list simplex keeps every `OptRun` field of the numpy one, bit for
+    bit, and evaluates the same points in the same order."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(simplex_cases())
+    def test_bit_equal(self, case):
+        bounds, angular, cost, start, max_evals = case
+        assert_runs_match(bounds, angular, lambda: cost, start, max_evals)
+
+    # costs in evaluation order, d = 2: the start simplex, a reflection and a failed
+    # contraction (5.0, 4.0), then a shrink's two points, and after them 1.5, 2.5, ...
+    @pytest.mark.parametrize("script", [
+        [1.0, 2.0, 3.0, 5.0, 4.0, 0.0, -0.0],  # a least value tied at signed zero:
+        [1.0, 2.0, 3.0, 5.0, 4.0, -0.0, 0.0],  # values.min() takes the last of them
+        [1.0, 2.0, 3.0, 5.0, 4.0, 0.5, math.nan],  # a NaN beside a new least value
+        [1.0, 2.0, 3.0, 5.0, 4.0, math.nan, math.nan, 0.5, 0.25],  # a NaN kept a step
+        [math.nan, 1.0, 2.0, 0.5],  # a NaN in the start simplex
+        [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0],  # all tied: the stable order
+        [1.0, math.inf, math.inf, math.inf, math.inf, math.inf, math.nan],
+    ])
+    def test_scripted_costs(self, script):
+        def scripted():
+            values = iter(script + [k + 0.5 for k in range(1, 100)])
+            return lambda x: next(values)
+
+        for max_evals in range(len(script) + 3):
+            assert_runs_match(BOX, None, scripted, [0.5, -0.5], max_evals)
 
 
 class TestQuasiNewton:

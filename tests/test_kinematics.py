@@ -20,6 +20,7 @@ from qkinopt.kinematics import (
     TwoLink,
     antipodal_points,
     arm_trig,
+    cos_sin,
     fk_dual,
     fk_one,
     fk_two,
@@ -364,8 +365,8 @@ def fk_arguments(draw, count):
 
 def assert_planes_keep_bits(layout, fk, reference, *args):
     """fk's stacked planes have the bits of the reference's (..., k) tips. On one
-    row the planes are numpy scalars, whose arithmetic may return either NaN
-    operand where two meet in one operation, so there a NaN keeps only its NaN-ness."""
+    row the planes are floats or numpy scalars, whose arithmetic may return either
+    NaN operand where two meet in one operation, so there a NaN keeps only its NaN-ness."""
     actual, expected = stacked_outcome(fk, *args), outcome(reference, *args)
     if layout == "0-d" and not isinstance(expected, type):
         actual, expected = (np.where(np.isnan(a), math.nan, a) for a in (actual, expected))
@@ -394,6 +395,44 @@ class TestPlanesMatchStackedFk:
         model, (layout, args) = DualArm(bases[:2], bases[2:], links[:2], links[2:]), case
         assert_planes_keep_bits(layout, functools.partial(fk_dual, model),
                                 functools.partial(stacked_fk_dual, model), *args)
+
+
+@st.composite
+def grid_angles(draw):
+    """A grid's bin value, lo + k / (2^n - 1) * (hi - lo) for 1 to 12 qubits on a full
+    turn, a half turn each side of 0 or a quarter turn, or the sum of two of them (a 2R
+    arm's theta1 + theta2, up to 4 pi)."""
+    n = draw(st.integers(1, 12))
+    lo, hi = draw(st.sampled_from([(0.0, math.tau), (-math.pi, math.pi), (0.0, math.pi / 2)]))
+    spec = ParamSpec("theta", lo, hi, n, angular=True)
+    a, b = (spec.bin_value(draw(st.integers(0, spec.levels - 1))) for _ in range(2))
+    return draw(st.sampled_from([a, a + b]))
+
+
+# subnormal angles, positive and negative, and the largest of them
+SUBNORMALS = (st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+              | st.sampled_from([5e-324, -5e-324, 2.225073858507201e-308]))
+
+
+class TestCosSin:
+    """The float trig that a one-row FK takes has numpy's bits, on a numpy scalar and
+    in an array (a grid block's loop), and the rest of the float line goes to numpy."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(ANGLES | grid_angles() | st.floats(-1e6, 1e6) | st.sampled_from([1e6, -1e6])
+           | SUBNORMALS)
+    def test_finite_float_has_numpy_bits(self, t):
+        c, s = cos_sin(t)
+        assert type(c) is float and type(s) is float
+        for numpy_t in (np.float64(t), np.array([t, t, t, t, t, t, t, t, t])):
+            assert np.full(np.shape(numpy_t), c).tobytes() == np.cos(numpy_t).tobytes()
+            assert np.full(np.shape(numpy_t), s).tobytes() == np.sin(numpy_t).tobytes()
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, np.float64(0.5),
+                                   np.array([0.5, math.inf]), 1])
+    def test_anything_else_is_numpy(self, t):
+        with np.errstate(invalid="ignore"):
+            assert_same_bits(cos_sin(t), (np.cos(t), np.sin(t)))
 
 
 class TestArmTrig:
