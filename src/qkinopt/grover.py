@@ -228,15 +228,11 @@ def threshold_ladder(costs: np.ndarray, epsilon0: Optional[float], shrink: float
     return levels
 
 
-def verify(index: int, grid: ParamGrid, model, task,
-           weights: PoseWeights) -> Tuple[float, bool]:
-    """Validate a measured bitstring against the analytical kinematics.
-
-    Returns (e_actual, accepted); rejection is a result, not an error. The
-    task must carry its verification tolerance.
-    """
+def verify(index: int, grid: ParamGrid, model, task, weights: PoseWeights) -> Tuple[float, bool]:
+    """Validate a measured bitstring against the analytical kinematics, on its row of
+    Python floats. Returns (e_actual, accepted); rejection is a result, not an error.
+    The task must carry its verification tolerance."""
     if task.tolerance is None:
         raise ValueError("task has no verification tolerance set")
-    z = decode(grid, index)
-    e = float(configuration_errors(model, grid.names(), z[None, :], task, weights)[0])
+    e = float(configuration_errors(model, grid.names(), decode(grid, index), task, weights))
     return e, bool(e <= task.tolerance)

@@ -162,8 +162,8 @@ class CaseConfig:
         # FK of grid row 0 refuses a missing parameter and tips the task cannot use; the
         # model reads only the parameters its LINKS and JOINTS name. A grid length's bins
         # never decode below its min, which the model's own check then refuses if nonpositive
-        names = self.grid.names()
-        planes = configuration_positions(self.model, dict(zip(names, decode(self.grid, 0))))
+        names, row = self.grid.names(), decode(self.grid, 0).tolist()
+        planes = configuration_positions(self.model, dict(zip(names, row)))
         replace(self.model, **{s.name: s.lo for s in self.grid.specs if s.name in self.model.LINKS})
         for i, name in enumerate(names):
             if name not in self.model.LINKS + self.model.JOINTS:

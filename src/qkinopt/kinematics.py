@@ -1,17 +1,17 @@
 """Analytical planar kinematics: robot models, tasks, FK, and the task model.
 
-All FK functions broadcast and return coordinate planes, (x, y) per tip: floats
-for one row of finite Python floats (`cos_sin`), arrays for a batch. They neither
-convert nor check their arguments, so one row builds no array; a config refuses a
-nonpositive link length when it loads. A grid block passes each parameter's bin values
-on an axis of its own, so a plane spans only the axes it reads (a dual arm's two arms
-meet first in `squared_deviation`), and the pass keeps a 2R arm's `arm_trig` while its
-joints' sub-ranges repeat: cos(theta1 + theta2) runs once per pass per arm (N = 24: a
-2^14-row block takes 122-131 us on two_dof, 7-8 ns a row, and 80-83 us on dual_arm).
-`task_cost` (the oracle cost) and `task_error` (the verification error) are
-the one implementation of each; they take the `squared_deviation` of a batch
-of tip positions, whether from the analytic FK or from the QML surrogate, and
-the tip orientations.
+A single configuration enters as Python floats, and a set of them as numpy arrays. FK
+broadcasts and returns coordinate planes, (x, y) per tip: floats for a row (`cos_sin`:
+math's trig, with numpy's bits), arrays for a batch. A row keeps numpy's bits for every
+non-NaN value, and only NaN-ness where two NaNs meet. FK neither converts nor checks its
+arguments; a config refuses a nonpositive link length when it loads. A grid block passes
+each parameter's bin values on an axis of its own, so a plane spans only the axes it
+reads (a dual arm's two arms meet first in `squared_deviation`), and the pass keeps a 2R
+arm's `arm_trig` while its joints' sub-ranges repeat: cos(theta1 + theta2) runs once per
+pass per arm (N = 24: a 2^14-row block takes 122-131 us on two_dof, 7-8 ns a row, and
+80-83 us on dual_arm). `task_cost` (the oracle cost) and `task_error` (the verification
+error) are the one implementation of each, on the `squared_deviation` of a row or batch
+of tips, from the analytic FK or the QML surrogate, and the tip orientations.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ class GraspTask:
 
     def __post_init__(self):
         c1, c2 = antipodal_points(self.center, self.radius, self.axis)
-        object.__setattr__(self, "c_ideal1", tuple(c1))
-        object.__setattr__(self, "c_ideal2", tuple(c2))
+        object.__setattr__(self, "c_ideal1", tuple(c1.tolist()))
+        object.__setattr__(self, "c_ideal2", tuple(c2.tolist()))
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,9 @@ as a running minimum; `harness.sweep` keeps only each block's floor and tie
 count. `baselines.exhaustive_scan` walks the same blocks on decoded rows,
 with a caller's cost function.
 `configuration_costs` and `configuration_errors` give the analytic cost and
-error of any batch of configurations. `write_json` is the one JSON writer, of
-`save_surrogate` and the harness reports, and `json_value` the one value rule
-of `load_surrogate` and the harness readers.
+error of one row, bound as Python floats, or of a batch. `write_json` is the
+one JSON writer, of `save_surrogate` and the harness reports, and `json_value`
+the one value rule of `load_surrogate` and the harness readers.
 """
 
 from __future__ import annotations
@@ -459,17 +459,21 @@ def _task_rows(model, columns: Mapping[str, np.ndarray], task, weights: PoseWeig
     return squared_deviation(task, configuration_positions(model, columns, arms)), phis
 
 
+def _configuration_rows(model, names, Z, task, weights):
+    """`_task_rows` of each row of Z, or of the one row Z, bound as Python floats."""
+    return _task_rows(model, dict(zip(names, Z.tolist() if Z.ndim == 1 else Z.T)), task, weights)
+
+
 def configuration_costs(model, names: Tuple[str, ...], Z: np.ndarray,
                         task, weights: PoseWeights) -> np.ndarray:
-    """Analytic task cost for each row of Z, or of the one row Z, bound as Python floats."""
-    columns = dict(zip(names, Z.tolist() if Z.ndim == 1 else Z.T))
-    return task_cost(task, *_task_rows(model, columns, task, weights), weights)
+    """Analytic task cost for each row of Z, or of the one row Z."""
+    return task_cost(task, *_configuration_rows(model, names, Z, task, weights), weights)
 
 
 def configuration_errors(model, names: Tuple[str, ...], Z: np.ndarray,
                          task, weights: PoseWeights) -> np.ndarray:
-    """Analytic verification error for each row of Z."""
-    return task_error(task, *_task_rows(model, dict(zip(names, Z.T)), task, weights), weights)
+    """Analytic verification error for each row of Z, or of the one row Z."""
+    return task_error(task, *_configuration_rows(model, names, Z, task, weights), weights)
 
 
 def cost_blocks(grid: ParamGrid, model, task, weights: PoseWeights,

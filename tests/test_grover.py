@@ -771,5 +771,5 @@ class TestVerifyMatchesErrorTable:
         table = _actual_error_table(grid, model, task, weights)
         for k in range(grid.size):
             e, accepted = verify(k, grid, model, task, weights)
-            assert e == table[k], k
+            assert e.hex() == float(table[k]).hex(), k
             assert accepted == (e <= task.tolerance)

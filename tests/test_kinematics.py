@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -242,6 +242,17 @@ class TestAntipodalPoints:
         with pytest.raises(ValueError):
             antipodal_points((0, 0), 0.0, 0.0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+           st.floats(1e-3, 1e3), st.floats(-7.0, 7.0))
+    def test_grasp_contacts_are_floats_with_its_bits(self, center, radius, axis):
+        # a grasp task's contacts enter a one-row cost as Python floats
+        task = GraspTask(center, radius, axis)
+        for contact, point in zip((task.c_ideal1, task.c_ideal2),
+                                  antipodal_points(center, radius, axis)):
+            assert [type(v) for v in contact] == [float, float]
+            assert [v.hex() for v in contact] == [float(v).hex() for v in point]
+
 
 class TestModels:
     def test_length_validation(self):
@@ -363,14 +374,18 @@ def fk_arguments(draw, count):
                                     elements=ANY_FLOAT)) for i, n in enumerate(sizes)]
 
 
-def assert_planes_keep_bits(layout, fk, reference, *args):
-    """fk's stacked planes have the bits of the reference's (..., k) tips. On one
-    row the planes are floats or numpy scalars, whose arithmetic may return either
-    NaN operand where two meet in one operation, so there a NaN keeps only its NaN-ness."""
-    actual, expected = stacked_outcome(fk, *args), outcome(reference, *args)
-    if layout == "0-d" and not isinstance(expected, type):
+def assert_row_keeps_bits(nans_meet, actual, expected):
+    """`assert_same_bits`, but a NaN keeps only its NaN-ness if `nans_meet`: two NaNs may
+    meet in one row's float or numpy-scalar arithmetic, which may return either one."""
+    if nans_meet and not isinstance(actual, type) and not isinstance(expected, type):
         actual, expected = (np.where(np.isnan(a), math.nan, a) for a in (actual, expected))
     assert_same_bits(actual, expected)
+
+
+def assert_planes_keep_bits(layout, fk, reference, *args):
+    """fk's stacked planes have the bits of the reference's (..., k) tips; on one row
+    (the planes are floats or numpy scalars) a NaN keeps only its NaN-ness."""
+    assert_row_keeps_bits(layout == "0-d", stacked_outcome(fk, *args), outcome(reference, *args))
 
 
 class TestPlanesMatchStackedFk:
@@ -437,30 +452,38 @@ class TestCosSin:
 
 class TestArmTrig:
     """A 2R chain from `arm_trig` and the link sum keeps the bits of the one
-    expression that computed both, and FK given the trig keeps FK's bits."""
+    expression that computed both, and FK given the trig keeps FK's bits. Two NaNs meet
+    in Python float arithmetic only where two arguments are non-finite Python floats;
+    there CPython's float `+` returns either NaN, by whether the interpreter has
+    specialised the addition yet, so there a NaN keeps only its NaN-ness."""
 
     @settings(max_examples=300, deadline=None)
     @given(batch(ANY_FLOAT), batch(ANY_FLOAT), batch(ANY_FLOAT), batch(ANY_FLOAT))
+    @example(0.0, 0.0, -math.nan, math.nan)
     def test_split_keeps_the_bits(self, l1, l2, theta1, theta2):
         def one_expression(l1, l2, theta1, theta2):
-            t1 = np.asarray(theta1, dtype=float)
-            t12 = t1 + np.asarray(theta2, dtype=float)
-            return np.asarray((l1 * np.cos(t1) + l2 * np.cos(t12),
-                               l1 * np.sin(t1) + l2 * np.sin(t12)))
+            # the angles add as drawn, as in `arm_trig`: two floats add as Python floats
+            t12 = theta1 + theta2
+            return np.asarray((l1 * np.cos(theta1) + l2 * np.cos(t12),
+                               l1 * np.sin(theta1) + l2 * np.sin(t12)))
 
         def split(l1, l2, theta1, theta2):
             return np.asarray(kinematics._two_link(l1, l2, *arm_trig(theta1, theta2)))
 
-        assert_same_bits(outcome(split, l1, l2, theta1, theta2),
-                         outcome(one_expression, l1, l2, theta1, theta2))
+        nans_meet = sum(type(v) is float and not math.isfinite(v)
+                        for v in (l1, l2, theta1, theta2)) >= 2
+        assert_row_keeps_bits(nans_meet, outcome(split, l1, l2, theta1, theta2),
+                              outcome(one_expression, l1, l2, theta1, theta2))
         trig = outcome(arm_trig, theta1, theta2)
         if not isinstance(trig, type):  # the angles broadcast together
-            assert_same_bits(stacked_outcome(fk_two, l1, l2, theta1, theta2, [trig]),
-                             stacked_outcome(fk_two, l1, l2, theta1, theta2))
+            assert_row_keeps_bits(nans_meet,
+                                  stacked_outcome(fk_two, l1, l2, theta1, theta2, [trig]),
+                                  stacked_outcome(fk_two, l1, l2, theta1, theta2))
             model = DualArm(links1=(0.5, 1.5))
-            assert_same_bits(stacked_outcome(fk_dual, model, theta1, theta2, theta2, theta1,
-                                             [trig, outcome(arm_trig, theta2, theta1)]),
-                             stacked_outcome(fk_dual, model, theta1, theta2, theta2, theta1))
+            assert_row_keeps_bits(
+                nans_meet, stacked_outcome(fk_dual, model, theta1, theta2, theta2, theta1,
+                                           [trig, outcome(arm_trig, theta2, theta1)]),
+                stacked_outcome(fk_dual, model, theta1, theta2, theta2, theta1))
 
 
 def reference_squared_deviation(task, tips):
