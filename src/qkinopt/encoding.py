@@ -153,11 +153,12 @@ def encode(grid: ParamGrid, values: Sequence[float]) -> int:
 
 
 def decode(grid: ParamGrid, index: int) -> np.ndarray:
-    """Map a basis index to its parameter vector (exact inverse of encode): its row of
-    `decode_all`, so no qubit cap is checked."""
+    """Map a basis index to its parameter vector (exact inverse of encode): `decode_all`'s row,
+    bit for bit, from `bin_value` on Python ints; no qubit cap is checked."""
     if not 0 <= index < grid.size:
         raise ValueError(f"index {index} out of range for grid of size {grid.size}")
-    return decode_all(grid, np.array([index]))[0]
+    return np.array([spec.bin_value((index >> shift) & (spec.levels - 1))
+                     for spec, shift in zip(grid.specs, grid.shifts)])
 
 
 def grid_blocks(grid: ParamGrid):

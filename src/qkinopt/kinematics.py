@@ -1,23 +1,16 @@
 """Analytical planar kinematics: robot models, tasks, FK, and the task model.
 
-A single configuration enters as Python floats, and a set of them as numpy arrays. FK
-broadcasts and returns coordinate planes, (x, y) per tip: floats for a row (`cos_sin`:
-math's trig, with numpy's bits), arrays for a batch. A row keeps numpy's bits for every
-non-NaN value, and only NaN-ness where two NaNs meet. FK neither converts nor checks its
-arguments; a config refuses a nonpositive link length when it loads. A grid block passes
-each parameter's bin values on an axis of its own, so a plane spans only the axes it
-reads (a dual arm's two arms meet first in `squared_deviation`), and the pass keeps a 2R
-arm's `arm_trig` while its joints' sub-ranges repeat: cos(theta1 + theta2) runs once per
-pass per arm (N = 24: a 2^14-row block takes 122-131 us on two_dof, 7-8 ns a row, and
-80-83 us on dual_arm). `task_cost` (the oracle cost) and `task_error` (the verification
-error) are the one implementation of each, on the `squared_deviation` of a row or batch
-of tips, from the analytic FK or the QML surrogate, and the tip orientations.
+Every model is a tuple of planar serial chains, and `fk_chain` is the one FK. It checks no
+argument (a model refuses a nonpositive link length) and broadcasts: a configuration as
+Python floats gets float planes with numpy's bits (`cos_sin`; where two NaNs meet, only
+NaN-ness), and a grid pass keeps a chain's `chain_trig` while its joints' sub-ranges
+repeat. `task_cost` and `task_error` are the one oracle cost and verification error.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -26,43 +19,50 @@ import numpy as np
 
 # --- robot models -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class OneLink:
-    """Single revolute joint; link length may instead come from the search grid."""
+class ChainModel:
+    """A planar robot model: `chains`, built once (no dataclass field), each (base or None,
+    links, joint names); a link is (name, length), its length replaced by a grid parameter."""
 
-    # a model's fk_* arguments in call order: link lengths, each a field, then joint angles
-    LINKS, JOINTS = ("l1",), ("theta1",)
-    l1: float = 1.0
-
-    def __post_init__(self):
-        if self.l1 <= 0:
-            raise ValueError("link length must be positive")
-
-
-@dataclass(frozen=True)
-class TwoLink:
-    LINKS, JOINTS = ("l1", "l2"), ("theta1", "theta2")
-    l1: float = 1.0
-    l2: float = 1.0
+    LINKS = property(lambda self: tuple(n for _, links, _ in self.chains for n, _ in links if n))
+    JOINTS = property(lambda self: tuple(n for *_, joints in self.chains for n in joints))
 
     def __post_init__(self):
-        if self.l1 <= 0 or self.l2 <= 0:
+        object.__setattr__(self, "chains", self._chains())
+        if any(length <= 0 for _, links, _ in self.chains for _, length in links):
             raise ValueError("link lengths must be positive")
 
 
 @dataclass(frozen=True)
-class DualArm:
+class OneLink(ChainModel):
+    """Single revolute joint; link length may instead come from the search grid."""
+
+    l1: float = 1.0
+
+    def _chains(self):
+        return ((None, (("l1", self.l1),), ("theta1",)),)
+
+
+@dataclass(frozen=True)
+class TwoLink(ChainModel):
+    l1: float = 1.0
+    l2: float = 1.0
+
+    def _chains(self):
+        return ((None, (("l1", self.l1), ("l2", self.l2)), ("theta1", "theta2")),)
+
+
+@dataclass(frozen=True)
+class DualArm(ChainModel):
     """Two planar 2R arms with fixed link lengths and base offsets."""
 
-    LINKS, JOINTS = (), ("theta11", "theta12", "theta21", "theta22")
     base1: Tuple[float, float] = (-0.8, 0.0)
     base2: Tuple[float, float] = (0.8, 0.0)
     links1: Tuple[float, float] = (1.0, 1.0)
     links2: Tuple[float, float] = (1.0, 1.0)
 
-    def __post_init__(self):
-        if min(self.links1) <= 0 or min(self.links2) <= 0:
-            raise ValueError("link lengths must be positive")
+    def _chains(self):
+        return ((self.base1, tuple((None, v) for v in self.links1), ("theta11", "theta12")),
+                (self.base2, tuple((None, v) for v in self.links2), ("theta21", "theta22")))
 
 
 # --- tasks and weights --------------------------------------------------------
@@ -128,44 +128,44 @@ class PoseWeights:
 # --- forward kinematics -------------------------------------------------------
 
 def cos_sin(t) -> Tuple[np.ndarray, np.ndarray]:
-    """(cos t, sin t): `math`'s, which has numpy's bits, for a finite Python float, and
-    numpy's for anything else (arrays, numpy scalars, and inf and NaN, where math raises)."""
+    """(cos t, sin t): math's, with numpy's bits, for a finite Python float, else numpy's."""
     if type(t) is float and math.isfinite(t):
         return math.cos(t), math.sin(t)
     return np.cos(t), np.sin(t)
 
 
-def arm_trig(theta1, theta2) -> Tuple[np.ndarray, ...]:
-    """(cos t1, cos t12, sin t1, sin t12) of a planar 2R arm, t12 = t1 + t2: the one
-    trig of every 2R FK, so a grid pass that reuses it keeps a single row's bits."""
-    (c1, s1), (c12, s12) = cos_sin(theta1), cos_sin(theta1 + theta2)
-    return c1, c12, s1, s12
+def chain_trig(angles) -> list:
+    """(cos t, sin t) of each link's angle t, the joint angles summed left to right."""
+    return [cos_sin(t) for t in itertools.accumulate(angles)]
 
 
-def _two_link(l1, l2, c1, c12, s1, s12) -> Tuple[np.ndarray, np.ndarray]:
-    """x and y of a planar 2R chain from its `arm_trig`: (l1 c1 + l2 c12, l1 s1 + l2 s12)."""
-    return l1 * c1 + l2 * c12, l1 * s1 + l2 * s12
+def fk_chain(lengths, angles, base=None, trig=None) -> Tuple[np.ndarray, np.ndarray]:
+    """(x, y) = sum_i l_i (cos t_i, sin t_i), t_i = theta_1 + ... + theta_i, links summed in
+    order, then plus the base, if any; `trig`, if given, is the angles' `chain_trig`."""
+    for i, length in enumerate(lengths):  # one loop, no trig list: one-row evaluations run it
+        if trig is None:
+            t = angles[0] if i == 0 else t + angles[i]
+            c, s = cos_sin(t)
+        else:
+            c, s = trig[i]
+        if i:
+            x, y = x + length * c, y + length * s
+        else:
+            x, y = length * c, length * s
+    return (x, y) if base is None else (x + base[0], y + base[1])
 
 
 def fk_one(l1, theta1) -> Tuple[np.ndarray, np.ndarray]:
-    """(x, y) = (l1 cos t1, l1 sin t1)."""
-    c1, s1 = cos_sin(theta1)
-    return l1 * c1, l1 * s1
+    return fk_chain((l1,), (theta1,))
 
 
-def fk_two(l1, l2, theta1, theta2, arms=None) -> Tuple[np.ndarray, np.ndarray]:
-    """Planar 2R chain: (x, y) = (l1 c1 + l2 c12, l1 s1 + l2 s12). `arms`, if given,
-    holds the joints' `arm_trig`, which the angles then need not compute again."""
-    return _two_link(l1, l2, *(arms[0] if arms else arm_trig(theta1, theta2)))
+def fk_two(l1, l2, theta1, theta2) -> Tuple[np.ndarray, np.ndarray]:
+    return fk_chain((l1, l2), (theta1, theta2))
 
 
-def fk_dual(model: DualArm, theta11, theta12, theta21, theta22,
-            arms=None) -> Tuple[np.ndarray, ...]:
-    """Tips (x1, y1, x2, y2) of arm 1 at joints (theta11, theta12) and arm 2 at (theta21,
-    theta22), or each arm's `arm_trig` in `arms`, each plus its base coordinate."""
-    arm1, arm2 = arms or (arm_trig(theta11, theta12), arm_trig(theta21, theta22))
-    planes = (*_two_link(*model.links1, *arm1), *_two_link(*model.links2, *arm2))
-    return tuple(map(operator.add, planes, (*model.base1, *model.base2)))
+def fk_dual(model: DualArm, theta11, theta12, theta21, theta22) -> Tuple[np.ndarray, ...]:
+    return (*fk_chain(model.links1, (theta11, theta12), model.base1),
+            *fk_chain(model.links2, (theta21, theta22), model.base2))
 
 
 # --- task cost and verification error ----------------------------------------

@@ -23,13 +23,13 @@ epoch, from input states that `train` builds once.
 
 This module also builds the diagonal cost table that the search oracle
 consumes: one `kinematics.task_cost` per basis state, from the trained
-surrogate's predicted tips or from the analytical kinematics, whose grid
-columns bind to FK by parameter name. `cost_blocks` is the one block-cost
-path over `grid_blocks` of the oracle's cost: `build_cost_table` writes its
-blocks into the table and keeps their least analytic `kinematics.task_error`
-as a running minimum; `harness.sweep` keeps only each block's floor and tie
-count. `baselines.exhaustive_scan` walks the same blocks on decoded rows,
-with a caller's cost function.
+surrogate's predicted tips or from `kinematics.fk_chain` on each of the
+model's chains, its only view of a model, whose grid columns bind by name.
+`cost_blocks` is the one block-cost path over `grid_blocks` of the oracle's
+cost: `build_cost_table` writes its blocks into the table and keeps their
+least analytic `kinematics.task_error` as a running minimum; `harness.sweep`
+keeps only each block's floor and tie count. `baselines.exhaustive_scan` walks
+the same blocks on decoded rows, with a caller's cost function.
 `configuration_costs` and `configuration_errors` give the analytic cost and
 error of one row, bound as Python floats, or of a batch. `write_json` is the
 one JSON writer, of `save_surrogate` and the harness reports, and `json_value`
@@ -49,12 +49,11 @@ import numpy as np
 
 from . import qsim
 from .encoding import ParamGrid, decode_all, full_turn, grid_blocks
-from .kinematics import (
-    DualArm,
-    OneLink,
+from .kinematics import (  # perfbench's tracer looks fk_one, fk_two and fk_dual up here
     PoseTarget,
     PoseWeights,
-    arm_trig,
+    chain_trig,
+    fk_chain,
     fk_dual,
     fk_one,
     fk_two,
@@ -122,13 +121,13 @@ class Surrogate:
 
 
 def workspace_box(model, grid: ParamGrid) -> Tuple[Tuple[float, float], ...]:
-    """Output intervals that bound every tip: each base -+ its summed maximum link lengths."""
-    if isinstance(model, DualArm):  # two arms of fixed lengths, each on its own base
-        return tuple((c - sum(links), c + sum(links)) for base, links in
-                     ((model.base1, model.links1), (model.base2, model.links2)) for c in base)
+    """Output intervals that bound every tip: each chain's base (the origin if None) -+
+    its summed maximum link lengths, a grid length's max or the model's length."""
     specs = dict(zip(grid.names(), grid.specs))
-    r = sum(specs[name].hi if name in specs else getattr(model, name) for name in model.LINKS)
-    return ((-r, r), (-r, r))
+    return tuple((c - r, c + r) for base, links, _ in model.chains
+                 for r in [sum(specs[name].hi if name in specs else length
+                               for name, length in links)]
+                 for c in base or (0.0, 0.0))
 
 
 def min_qubits(grid: ParamGrid, model) -> int:
@@ -425,38 +424,39 @@ def load_surrogate(path) -> Surrogate:
 # --- cost tables -------------------------------------------------------------------
 
 def configuration_positions(model, columns: Mapping[str, np.ndarray],
-                            arms=None) -> Tuple[np.ndarray, ...]:
-    """Analytic tip coordinate planes, (x, y) or (x1, y1, x2, y2), from one `fk_*` call.
-
-    FK arguments bind by name, the model's LINKS then its JOINTS, to `columns`,
-    arrays that broadcast together, such as the columns of a (B, d) batch; a
-    length missing there falls back to the model's field of that name. `arms`,
-    if given, holds each 2R arm's `arm_trig` of its JOINTS' columns.
-    """
-    if not hasattr(model, "JOINTS"):
+                            trig=None) -> Tuple[np.ndarray, ...]:
+    """Analytic tip coordinate planes, (x, y) per chain of `model.chains`, by `fk_chain`:
+    a chain's joint angles and named link lengths bind by name to `columns`, arrays that
+    broadcast together, such as a (B, d) batch's columns (a length not there is the
+    chain's own), and `trig`, if given, holds each chain's `chain_trig`."""
+    if not hasattr(model, "chains"):
         raise TypeError(f"unknown robot model {model!r}")
-    args = []  # plain loops: this runs once per one-row objective evaluation
-    for name in model.LINKS:
-        args.append(columns[name] if name in columns else getattr(model, name))
-    for name in model.JOINTS:
-        if name not in columns:
-            raise ValueError(f"grid has no parameter named {name!r}")
-        args.append(columns[name])
-    if isinstance(model, DualArm):
-        return fk_dual(model, *args, arms)
-    return fk_one(*args) if isinstance(model, OneLink) else fk_two(*args, arms)
+    planes, i = (), 0  # plain loops: this runs once per one-row objective evaluation
+    try:
+        for base, links, joints in model.chains:
+            lengths, angles = [], []
+            for name, length in links:
+                lengths.append(columns.get(name, length))
+            for name in joints:
+                angles.append(columns[name])
+            planes += fk_chain(lengths, angles, base, trig[i] if trig else None)
+            i += 1
+    except KeyError as missing:
+        raise ValueError(f"grid has no parameter named {missing.args[0]!r}") from None
+    return planes
 
 
 def _task_rows(model, columns: Mapping[str, np.ndarray], task, weights: PoseWeights,
-               arms=None) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+               trig=None) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """The `squared_deviation` of the configurations in `columns` and, if the task
-    weighs them, the planar tip orientations (the sum of the joint angles)."""
-    phis = None
+    weighs them, the planar tip orientation of the one chain (its joint angles' sum)."""
+    planes, phis = configuration_positions(model, columns, trig), None
     if isinstance(task, PoseTarget) and weights.alpha_R > 0:
-        if isinstance(model, DualArm):
+        if len(model.chains) > 1:
             raise TypeError(f"orientation undefined for model {model!r}")
-        phis = sum((columns[name] for name in model.JOINTS[1:]), columns[model.JOINTS[0]])
-    return squared_deviation(task, configuration_positions(model, columns, arms)), phis
+        first, *rest = (columns[name] for name in model.chains[0][2])
+        phis = sum(rest, first)
+    return squared_deviation(task, planes), phis
 
 
 def _configuration_rows(model, names, Z, task, weights):
@@ -482,22 +482,20 @@ def cost_blocks(grid: ParamGrid, model, task, weights: PoseWeights,
     on the block's C-order tensor of rows and read the trained surrogate's tips,
     predicted from its decoded rows, or else the closed-form kinematics' tips from
     its columns. Its least analytic verification error (inf unless `error_floor`)
-    shares their `squared_deviation`. The callers check the qubit cap. A 2R arm
-    keeps its `arm_trig` while the block start masked to its joint registers, its
+    shares their `squared_deviation`. The callers check the qubit cap and the joints. A
+    chain keeps its `chain_trig` while the block start masked to its joint registers, its
     key, repeats: `grid_blocks` builds columns from those bits only."""
-    names, joints, memo = grid.names(), getattr(model, "JOINTS", ()), {}
-    # the 2R arms, each a pair of the model's JOINTS (OneLink has none), and their bits
-    arms = [(arm, sum((s.levels - 1) << shift for s, shift in zip(grid.specs, grid.shifts)
-                      if s.name in arm))
-            for arm in zip(joints[::2], joints[1::2]) if set(joints) <= set(names)]
+    names, memo = grid.names(), [(None, None)] * len(model.chains)  # each chain's (key, trig)
+    masks = [sum((s.levels - 1) << shift for s, shift in zip(grid.specs, grid.shifts)
+                 if s.name in joints) for *_, joints in model.chains]
     for start, stop, cols in grid_blocks(grid):
         shape, low = np.broadcast_shapes(*(c.shape for c in cols)), math.inf
         if surrogate is None or error_floor:
             columns = dict(zip(names, cols))
-            for arm, mask in arms:  # memo: an arm's (key, trig)
-                if memo.get(arm, (None,))[0] != start & mask:
-                    memo[arm] = start & mask, arm_trig(*(columns[name] for name in arm))
-            d2, phis = _task_rows(model, columns, task, weights, [memo[a][1] for a, _ in arms])
+            for i, (mask, (*_, joints)) in enumerate(zip(masks, model.chains)):
+                if memo[i][0] != start & mask:
+                    memo[i] = start & mask, chain_trig([columns[name] for name in joints])
+            d2, phis = _task_rows(model, columns, task, weights, [trig for _, trig in memo])
             if error_floor:
                 low = float(np.min(task_error(task, d2, phis, weights)))
         if surrogate is not None:

@@ -12,10 +12,11 @@
   Hoyer and Tapp 1998), the formula that `AmplifiedState.p_marked` and the
   sampled marked rate are checked against.
 - `random_gate_stream`: seeded random circuits for the norm-drift checks.
-- `stacked_fk_one`, `stacked_fk_two` and `stacked_fk_dual`: forward kinematics
-  that fills one (..., k) tips array, coordinates last, the form whose planes
-  `kinematics.fk_*` now return. Link lengths are checked when a config loads,
-  so these take any float.
+- `stacked_chain`, and `stacked_fk_one`, `stacked_fk_two` and `stacked_fk_dual`
+  on it: planar serial-chain forward kinematics that fills one (..., k) tips
+  array, coordinates last, the form whose planes `kinematics.fk_chain` and the
+  `fk_*` return. Link lengths are checked when a config loads, so these take
+  any float.
 - `nelder_mead`: the downhill simplex on numpy arrays (argsort, mean(axis=0),
   values.min()), whose every `OptRun` field `baselines.nelder_mead`, on Python
   float lists, must reproduce bit for bit.
@@ -138,25 +139,36 @@ def _columns(*cols):
     return out
 
 
-def _stacked_arm(l1, l2, theta1, theta2):
-    t1 = np.asarray(theta1, dtype=float)
-    t12 = t1 + np.asarray(theta2, dtype=float)
-    return (l1 * np.cos(t1) + l2 * np.cos(t12), l1 * np.sin(t1) + l2 * np.sin(t12))
+def _stacked_planes(lengths, angles):
+    """x and y planes of a planar chain: the angles summed left to right, each link's
+    l (cos t, sin t) added in order."""
+    t = x = y = None
+    for length, theta in zip(lengths, angles):
+        length, theta = np.asarray(length, dtype=float), np.asarray(theta, dtype=float)
+        t = theta if t is None else t + theta
+        dx, dy = length * np.cos(t), length * np.sin(t)
+        x, y = (dx, dy) if x is None else (x + dx, y + dy)
+    return x, y
+
+
+def stacked_chain(lengths, angles, base=None):
+    tips = _columns(*_stacked_planes(lengths, angles))
+    if base is not None:
+        tips += base
+    return tips
 
 
 def stacked_fk_one(l1, theta1):
-    l1, theta1 = np.asarray(l1, dtype=float), np.asarray(theta1, dtype=float)
-    return _columns(l1 * np.cos(theta1), l1 * np.sin(theta1))
+    return stacked_chain((l1,), (theta1,))
 
 
 def stacked_fk_two(l1, l2, theta1, theta2):
-    l1, l2 = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)
-    return _columns(*_stacked_arm(l1, l2, theta1, theta2))
+    return stacked_chain((l1, l2), (theta1, theta2))
 
 
 def stacked_fk_dual(model, theta11, theta12, theta21, theta22):
-    tips = _columns(*_stacked_arm(*model.links1, theta11, theta12),
-                    *_stacked_arm(*model.links2, theta21, theta22))
+    tips = _columns(*_stacked_planes(model.links1, (theta11, theta12)),
+                    *_stacked_planes(model.links2, (theta21, theta22)))
     tips += (*model.base1, *model.base2)
     return tips
 

@@ -240,6 +240,26 @@ class TestDecodeMatchesDecodeAll:
             with pytest.raises(ValueError):
                 decode(grid, k)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_row_hex_matches_a_batch_of_one_up_to_the_cap(self, data):
+        # one to four registers sharing up to the cap's qubits: decode's Python-int
+        # bin values have the float.hex of decode_all's numpy row
+        total = data.draw(st.integers(1, QUBIT_CAP))
+        cuts = sorted(data.draw(st.lists(st.integers(1, total - 1), max_size=3, unique=True))
+                      if total > 1 else [])
+        specs = []
+        for i, n in enumerate(b - a for a, b in zip([0, *cuts], [*cuts, total])):
+            lo, angular = data.draw(finite), data.draw(st.booleans())
+            span = data.draw(st.floats(1e-3, TWO_PI if angular else 100.0))
+            specs.append(ParamSpec(f"p{i}", lo, lo + span, n, angular))
+        grid = ParamGrid(tuple(specs))
+        for k in (0, grid.size - 1, data.draw(st.integers(0, grid.size - 1))):
+            row = decode(grid, k)
+            assert type(row) is np.ndarray and row.dtype == np.float64
+            assert [v.hex() for v in row.tolist()] == [
+                v.hex() for v in decode_all(grid, np.array([k]))[0].tolist()]
+
     def test_decode_checks_no_capacity(self, monkeypatch):
         grid = ParamGrid((length_spec(13), angle_spec(13)))
         assert grid.total_qubits == 26

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qkinopt import kinematics, qml
+from qkinopt import encoding, qml
 from qkinopt.encoding import ParamGrid, ParamSpec, decode_all
 from qkinopt.harness import CaseConfig
 from qkinopt.kinematics import (
@@ -19,8 +20,9 @@ from qkinopt.kinematics import (
     PoseWeights,
     TwoLink,
     antipodal_points,
-    arm_trig,
+    chain_trig,
     cos_sin,
+    fk_chain,
     fk_dual,
     fk_one,
     fk_two,
@@ -30,7 +32,7 @@ from qkinopt.kinematics import (
     wrapped_angle_distance,
 )
 from qkinopt.qml import configuration_positions, workspace_box
-from reference import stacked_fk_dual, stacked_fk_one, stacked_fk_two
+from reference import stacked_chain, stacked_fk_dual, stacked_fk_one, stacked_fk_two
 
 
 def stacked(planes):
@@ -451,38 +453,39 @@ class TestCosSin:
 
 
 class TestArmTrig:
-    """A 2R chain from `arm_trig` and the link sum keeps the bits of the one
-    expression that computed both, and FK given the trig keeps FK's bits. Two NaNs meet
-    in Python float arithmetic only where two arguments are non-finite Python floats;
-    there CPython's float `+` returns either NaN, by whether the interpreter has
-    specialised the addition yet, so there a NaN keeps only its NaN-ness."""
+    """A 2R arm's chain from its `chain_trig` keeps the bits of the one expression that
+    computed both, and FK given the trig keeps FK's bits. Two NaNs meet in Python float
+    arithmetic only where two arguments are non-finite Python floats; there CPython's
+    float `+` returns either NaN, by whether the interpreter has specialised the
+    addition yet, so there a NaN keeps only its NaN-ness."""
 
     @settings(max_examples=300, deadline=None)
     @given(batch(ANY_FLOAT), batch(ANY_FLOAT), batch(ANY_FLOAT), batch(ANY_FLOAT))
     @example(0.0, 0.0, -math.nan, math.nan)
     def test_split_keeps_the_bits(self, l1, l2, theta1, theta2):
         def one_expression(l1, l2, theta1, theta2):
-            # the angles add as drawn, as in `arm_trig`: two floats add as Python floats
+            # the angles add as drawn, as in `chain_trig`: two floats add as Python floats
             t12 = theta1 + theta2
             return np.asarray((l1 * np.cos(theta1) + l2 * np.cos(t12),
                                l1 * np.sin(theta1) + l2 * np.sin(t12)))
 
         def split(l1, l2, theta1, theta2):
-            return np.asarray(kinematics._two_link(l1, l2, *arm_trig(theta1, theta2)))
+            return np.asarray(fk_chain((l1, l2), None, None, chain_trig((theta1, theta2))))
 
         nans_meet = sum(type(v) is float and not math.isfinite(v)
                         for v in (l1, l2, theta1, theta2)) >= 2
         assert_row_keeps_bits(nans_meet, outcome(split, l1, l2, theta1, theta2),
                               outcome(one_expression, l1, l2, theta1, theta2))
-        trig = outcome(arm_trig, theta1, theta2)
+        trig = outcome(chain_trig, (theta1, theta2))
         if not isinstance(trig, type):  # the angles broadcast together
-            assert_row_keeps_bits(nans_meet,
-                                  stacked_outcome(fk_two, l1, l2, theta1, theta2, [trig]),
-                                  stacked_outcome(fk_two, l1, l2, theta1, theta2))
-            model = DualArm(links1=(0.5, 1.5))
             assert_row_keeps_bits(
-                nans_meet, stacked_outcome(fk_dual, model, theta1, theta2, theta2, theta1,
-                                           [trig, outcome(arm_trig, theta2, theta1)]),
+                nans_meet, stacked_outcome(fk_chain, (l1, l2), (theta1, theta2), None, trig),
+                stacked_outcome(fk_two, l1, l2, theta1, theta2))
+            model = DualArm(links1=(0.5, 1.5))
+            columns = dict(zip(model.JOINTS, (theta1, theta2, theta2, theta1)))
+            assert_row_keeps_bits(
+                nans_meet, stacked_outcome(configuration_positions, model, columns,
+                                           [trig, outcome(chain_trig, (theta2, theta1))]),
                 stacked_outcome(fk_dual, model, theta1, theta2, theta2, theta1))
 
 
@@ -546,6 +549,8 @@ class TestSquaredDeviationLayouts:
 
 
 class TestConfigurationPositionsCallsFkOnce:
+    """One `fk_chain` call per chain of the model."""
+
     @pytest.mark.parametrize("model, names", [
         (OneLink(), ("l1", "theta1")),
         (OneLink(0.7), ("theta1",)),
@@ -557,20 +562,17 @@ class TestConfigurationPositionsCallsFkOnce:
     @pytest.mark.parametrize("rows", [1, 6])
     def test_one_fk_call(self, monkeypatch, model, names, rows):
         calls = []
-        for name in ("fk_one", "fk_two", "fk_dual"):
-            fn = getattr(qml, name)
-            monkeypatch.setattr(qml, name,
-                                lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        monkeypatch.setattr(qml, "fk_chain", lambda *a: calls.append(a[2]) or fk_chain(*a))
         Z = np.random.default_rng(rows).uniform(0.1, 2.0, (rows, len(names)))
         tips = stacked(configuration_positions(model, dict(zip(names, Z.T))))
-        assert len(calls) == 1
+        assert calls == [base for base, *_ in model.chains]
         assert tips.shape == (rows, 4 if isinstance(model, DualArm) else 2)
 
     def test_dual_arm_columns_bind_by_name(self):
         names = ("theta22", "theta11", "theta21", "theta12")
         Z = np.random.default_rng(3).uniform(-7.0, 7.0, (9, 4))
         col = {name: Z[:, i] for i, name in enumerate(names)}
-        expected = stacked_fk_dual(DualArm(), *(col[name] for name in DualArm.JOINTS))
+        expected = stacked_fk_dual(DualArm(), *(col[name] for name in DualArm().JOINTS))
         assert_same_bits(stacked(configuration_positions(DualArm(), dict(zip(names, Z.T)))),
                          expected)
 
@@ -584,14 +586,14 @@ def models_on_grids(draw):
     if kind is DualArm:
         model = DualArm(*[(draw(f), draw(f)) for f in (coord, coord, length, length)])
     else:
-        model = kind(*[draw(length) for _ in kind.LINKS])
+        model = kind(*[draw(length) for _ in kind().LINKS])
     specs = []
-    for name in kind.LINKS:
+    for name in model.LINKS:
         if draw(st.booleans()):
             lo = draw(st.floats(0.05, 2.0))
             specs.append(ParamSpec(name, lo, lo + draw(st.floats(0.01, 2.0)),
                                    draw(st.integers(1, 3))))
-    for name in kind.JOINTS:
+    for name in model.JOINTS:
         lo = draw(st.floats(-math.tau, math.tau))
         width = draw(st.sampled_from([math.tau]) | st.floats(0.01, math.tau))
         specs.append(ParamSpec(name, lo, lo + width, draw(st.integers(1, 3)), angular=True))
@@ -609,7 +611,7 @@ class TestDeclaredNames:
         col = dict(zip(grid.names(), Z.T))
         got = stacked(configuration_positions(model, col))
         if isinstance(model, DualArm):
-            expected = stacked_fk_dual(model, *(col[name] for name in DualArm.JOINTS))
+            expected = stacked_fk_dual(model, *(col[name] for name in model.JOINTS))
         else:
             lengths = [col[name] if name in col else getattr(model, name)
                        for name in ("l1", "l2") if hasattr(model, name)]
@@ -642,6 +644,91 @@ class TestDeclaredNames:
     def test_other_objects_are_named(self):
         with pytest.raises(TypeError, match="unknown robot model 'arm'"):
             configuration_positions("arm", {"theta1": np.zeros(1)})
+
+
+@st.composite
+def chain_models(draw):
+    """A duck-typed model that exposes only `chains`: one or two chains of 1-6 links in
+    all, each link's length a field or bound to a grid parameter, each base None or a
+    point, on a grid of one qubit per parameter over the joints and the bound lengths."""
+    counts = draw(st.sampled_from([[n] for n in range(1, 7)] + [[1, 1], [2, 2], [1, 3], [3, 3]]))
+    chains, specs, coord = [], [], st.floats(-2.0, 2.0)
+    for c, count in enumerate(counts):
+        links = tuple((draw(st.sampled_from([f"l{c}{i}", None])), draw(st.floats(0.05, 3.0)))
+                      for i in range(count))
+        joints = tuple(f"q{c}{i}" for i in range(count))
+        base = draw(st.none() | st.tuples(coord, coord))
+        chains.append((base, links, joints))
+        for name, _ in links:
+            if name and draw(st.booleans()):
+                lo = draw(st.floats(0.05, 2.0))
+                specs.append(ParamSpec(name, lo, lo + draw(st.floats(0.01, 2.0)), 1))
+        for name in joints:
+            lo = draw(st.floats(-math.tau, math.tau))
+            specs.append(ParamSpec(name, lo, lo + draw(st.floats(0.01, math.tau)), 1,
+                                   angular=True))
+    grid = ParamGrid(tuple(draw(st.permutations(specs))))
+    return types.SimpleNamespace(chains=tuple(chains)), grid
+
+
+def reference_tips(model, columns):
+    """The stacked reference's (..., 2 * chains) tips of a model's chains on `columns`."""
+    tips = [stacked_chain([columns.get(name, length) for name, length in links],
+                          [columns[name] for name in joints], base)
+            for base, links, joints in model.chains]
+    shape = np.broadcast_shapes(*(t.shape[:-1] for t in tips))
+    return np.concatenate([np.broadcast_to(t, shape + (2,)) for t in tips], axis=-1)
+
+
+class TestChainModels:
+    """`qml` reads a model only through its `chains`: any chain of 1-6 links, its lengths
+    from the grid or its own, based anywhere, keeps the stacked reference's bits, in a
+    row of Python floats and in a broadcast block, with its trig memoised or not."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(chain_models(), st.integers(0, 2**31))
+    def test_row_and_block_match_the_stacked_chain(self, model_grid, seed):
+        model, grid = model_grid
+        names = grid.names()
+        k = int(np.random.default_rng(seed).integers(0, grid.size))
+        row = dict(zip(names, decode_all(grid, np.array([k]))[0].tolist()))
+        planes = configuration_positions(model, row)
+        assert all(type(p) is float for p in planes)
+        assert_same_bits(np.array(planes), reference_tips(model, row))
+        _, _, cols = next(encoding.grid_blocks(grid))
+        block = dict(zip(names, cols))
+        expected = reference_tips(model, block)
+        trig = [chain_trig([block[name] for name in joints]) for *_, joints in model.chains]
+        for memo in (None, trig):
+            assert_same_bits(stacked(configuration_positions(model, block, memo)), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(chain_models(), st.sampled_from([1, 2, 3, 14]))
+    def test_box_and_table_of_a_model_that_is_no_class(self, model_grid, block_bits):
+        model, grid = model_grid
+        columns = dict(zip(grid.names(), decode_all(grid).T))
+        tips = reference_tips(model, columns)
+        specs = dict(zip(grid.names(), grid.specs))
+        expected = [(c - r, c + r) for base, links, _ in model.chains
+                    for r in [sum(specs[name].hi if name in specs else length
+                                  for name, length in links)]
+                    for c in base or (0.0, 0.0)]
+        box = workspace_box(model, grid)
+        assert_same_bits(np.array(box), np.array(expected))
+        lo, hi = np.array(box).T
+        assert np.all((lo <= tips) & (tips <= hi))
+        if len(model.chains) == 1:  # one tip: a pose with its orientation weighed
+            task, weights = PoseTarget((0.3, -0.4), phi=0.5), PoseWeights(1.0, 0.5)
+            first, *rest = (columns[name] for name in model.chains[0][2])
+            phis = sum(rest, first)
+        else:
+            task, weights, phis = GraspTask((0.2, 1.1), 0.3, 0.4), PoseWeights(), None
+        d2 = squared_deviation(task, np.moveaxis(tips, -1, 0)[:4])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoding, "BLOCK_BITS", block_bits)
+            costs, floor = qml.build_cost_table(grid, model, task, weights, error_floor=True)
+        assert_same_bits(costs, task_cost(task, d2, phis, weights))
+        assert floor.hex() == float(np.min(task_error(task, d2, phis, weights))).hex()
 
 
 class TestLinkLengthsCheckedAtLoad:

@@ -683,15 +683,15 @@ class TestStreamedTables:
 
     @staticmethod
     def trig_calls(monkeypatch, block_bits):
-        """The (theta1, theta2) columns of each `arm_trig` call, at `block_bits`."""
+        """The joint-angle columns of each `chain_trig` call, at `block_bits`."""
         calls = []
 
-        def counted(theta1, theta2):
-            calls.append((theta1, theta2))
-            return kinematics.arm_trig(theta1, theta2)
+        def counted(angles):
+            calls.append(tuple(angles))
+            return kinematics.chain_trig(angles)
 
         monkeypatch.setattr(encoding, "BLOCK_BITS", block_bits)
-        monkeypatch.setattr(qml, "arm_trig", counted)
+        monkeypatch.setattr(qml, "chain_trig", counted)
         return calls
 
     @pytest.mark.parametrize("error_floor", [False, True])
@@ -705,6 +705,19 @@ class TestStreamedTables:
         costs, _ = build_cost_table(grid, TwoLink(), task, weights, error_floor=error_floor)
         assert len(calls) == 1
         np.testing.assert_array_equal(bits(costs), bits(reference))
+
+    @pytest.mark.parametrize("block_bits, keys", [(2, 8), (3, 4), (4, 2), (5, 1)])
+    def test_one_link_trig_once_per_key(self, monkeypatch, block_bits, keys):
+        # theta1 takes bits 2-4 above l1's bits 0-1: at 3 and 4 block bits it straddles
+        # the block boundary, and a OneLink's single joint is memoised as a 2R arm's are
+        grid = ParamGrid((ParamSpec("l1", 0.5, 1.5, 2),
+                          ParamSpec("theta1", -math.pi, math.pi, 3, angular=True)))
+        task, weights = PoseTarget((0.9, 0.4), phi=0.3), PoseWeights(1.0, 0.5)
+        reference = configuration_costs(OneLink(), grid.names(), decode_all(grid), task, weights)
+        calls = self.trig_calls(monkeypatch, block_bits)
+        costs, _ = build_cost_table(grid, OneLink(), task, weights)
+        np.testing.assert_array_equal(bits(costs), bits(reference))
+        assert len(calls) == keys and all(len(angles) == 1 for angles in calls)
 
     @pytest.mark.parametrize("block_bits, arm2_keys", [(4, 8), (5, 4), (6, 2), (7, 1)])
     def test_dual_arm_trig_once_per_arm_and_key(self, monkeypatch, block_bits, arm2_keys):
